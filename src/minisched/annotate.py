@@ -37,7 +37,6 @@ from .ir import (
     Var,
     free_vars,
     hdiv,
-    rewrite,
     substitute,
     walk,
 )
@@ -52,10 +51,11 @@ from .lowering import (
     Produce,
     Store,
     StoreStmt,
-    buffer_alloc,
+    flatten_storage,
     inline_expr,
     linearize,
     poly_expr,
+    storage_target,
 )
 
 
@@ -234,9 +234,7 @@ class _Annotator:
         self.sp = lp.scheduled
         self.include_user = include_user
         self.node: dict[int, AnnSet] = {}
-        self.allocs: dict[str, FlatAlloc] = dict(lp.allocs)
-        for b in self.p.buffers:
-            self.allocs[b.name] = buffer_alloc(b)
+        self.allocs: dict[str, FlatAlloc] = lp.allocs
         self.passed_r: dict[tuple[str, int], list[str]] = {}
 
     def run(self) -> AnnotatedPipeline:
@@ -245,9 +243,6 @@ class _Annotator:
 
     def at(self, n) -> AnnSet:
         return self.node.setdefault(id(n), AnnSet())
-
-    def target(self, name: str) -> MemTarget:
-        return storage_target(self.p, name)
 
     def flatten(self, e: Expr) -> Expr:
         return flatten_storage(self.p, self.allocs, e)
@@ -356,14 +351,14 @@ class _Annotator:
             order = sorted(k for k in shape if isinstance(k, str))
             boxes.append((d, poly_expr(shape, min(ks), order), max(ks) - min(ks) + 1))
         return RegionPerm(
-            self.target(name), self.allocs[name], tuple(boxes), Frac(1, 2), origin=origin
+            storage_target(self.p, name), self.allocs[name], tuple(boxes), Frac(1, 2), origin=origin
         )
 
     def footprint_write(self, f: str) -> RegionPerm:
         fp = self.lp.footprints[f].store
         boxes = tuple((d, fp[d].lo, fp[d].extent) for d in self.p.func(f).dim_names())
         return RegionPerm(
-            self.target(f), self.allocs[f], boxes, Frac(1, 1), write=True, origin=("write", f)
+            storage_target(self.p, f), self.allocs[f], boxes, Frac(1, 1), write=True, origin=("write", f)
         )
 
     def consume_equalities(self, g: str) -> list[Ann]:
@@ -625,27 +620,6 @@ class _Annotator:
                 iv = s.rdom.interval(r)
                 return iv.lo, Const(iv.lo_int + iv.extent)
         raise KeyError(rv)
-
-
-def storage_target(p, name: str) -> MemTarget:
-    if any(b.name == name for b in p.buffers):
-        return MemTarget("buffer", name)
-    return MemTarget("output" if name == p.output else "alloc", name)
-
-
-def flatten_storage(p, allocs: dict[str, FlatAlloc], e: Expr) -> Expr:
-    """Rewrite entity accesses in a predicate to flat table reads."""
-
-    def repl(n: Expr) -> Expr | None:
-        if isinstance(n, FuncAccess) and n.func in allocs:
-            point = dict(zip(p.func(n.func).dim_names(), n.args))
-            return TableRead(storage_target(p, n.func), allocs[n.func].offset(point, []))
-        if isinstance(n, BufAccess):
-            point = dict(zip(p.buffer(n.buf).dim_names(), n.args))
-            return TableRead(storage_target(p, n.buf), allocs[n.buf].offset(point, []))
-        return None
-
-    return rewrite(e, repl)
 
 
 def annotate(lp: LoweredPipeline, include_user: bool = True) -> AnnotatedPipeline:

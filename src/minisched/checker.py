@@ -1,16 +1,25 @@
 """Concrete execution of lowered pipelines, with instrumentation.
 
-Two evaluators live here.  ``eval_reference`` computes every function of a
-pipeline directly from its definition, stage by stage over full declared
-domains; it is the semantic baseline.  ``run_lowered`` walks a built loop
-nest statement by statement the way the emitted C would execute it, and
-watches for the things a verifier would reject: reads of cells never
-written, out-of-range indexes, values escaping 32-bit range, and writes
-that would collide if a parallel loop really ran in parallel.
+Every expression here, as everywhere in the package, is evaluated by the one
+closure evaluator :func:`minisched.ir.compiled`.  What differs between the
+evaluations is the context passed for the leaves:
 
-Both evaluate all random seeds at once: control flow never depends on data
-(guards mention loop variables only), so one walk of the nest carries an
-entire batch of input sets as a trailing lane axis.
+* ``eval_reference`` computes every function of a pipeline directly from
+  its definition, stage by stage over full declared domains; it is the
+  semantic baseline.  Its reads (``load``) gather whole grids from the
+  declared allocations and reject an out-of-range index.
+* ``run_lowered`` walks a built loop nest statement by statement the way
+  the emitted C would execute it.  Its ``load`` and ``check`` hooks watch
+  for the things a verifier would reject: reads of cells never written,
+  out-of-range indexes, values escaping 32-bit range, and accesses that
+  would collide if a parallel loop really ran in parallel.
+* ``check_annotations`` runs the same walk and evaluates every annotation
+  at its boundaries over its quantifier grid; its ``load`` reports and
+  clips out-of-range reads.
+
+All of them evaluate all random seeds at once: control flow never depends
+on data (guards mention loop variables only), so one walk of the nest
+carries an entire batch of input sets as a leading lane axis.
 """
 
 from __future__ import annotations
@@ -22,28 +31,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .annotate import Ann, AnnotatedPipeline, RegionPerm, annotate, flatten_storage
+from .annotate import Ann, AnnotatedPipeline, RegionPerm, annotate
 from .ir import (
-    Quantifier,
+    INT32_MAX,
+    INT32_MIN,
     BinOp,
-    Const,
     Expr,
-    MaxOf,
-    MinOf,
-    Not,
+    MemTarget,
     PermAtom,
     Pipeline,
-    Select,
-    TableRead,
-    Var,
+    Quantifier,
+    compiled,
     eval_const,
     _resolve_bound_refs,
 )
-from .kernels import INT32_MAX, INT32_MIN, vhdiv, vhmod
 from .lowering import (
     Chain,
     Consume,
-    FlatAlloc,
     If,
     Loop,
     LoweredPipeline,
@@ -51,7 +55,8 @@ from .lowering import (
     Store,
     StoreStmt,
     _stage_loop_dims,
-    buffer_alloc,
+    flat_alloc,
+    flatten_storage,
 )
 
 POISON = np.int64(0x5EED_BADD_0000)
@@ -108,42 +113,43 @@ def assert_buffer_requires(p: Pipeline, inputs: dict[str, np.ndarray]) -> None:
     These conditions are implicitly quantified over the buffer's whole
     domain; a violation is a bug in the input generator, not a finding.
     """
-    lanes = next(iter(inputs.values())).shape[0] if inputs else 1
-    allocs = {b.name: declared_alloc(p, b.name) for b in p.buffers}
-    mem = {name: arr.astype(np.int64) for name, arr in inputs.items()}
+    allocs = {b.name: flat_alloc(b) for b in p.buffers}
+    mem = _Declared({name: arr.astype(np.int64) for name, arr in inputs.items()})
     for b in p.buffers:
-        dims = b.dim_names()
-        grids = np.meshgrid(
-            *[np.arange(b.interval(d).lo_int, b.interval(d).hi_int) for d in dims],
-            indexing="ij",
-        )
-        env = {d: g.reshape(-1) for d, g in zip(dims, grids)}
-        n = env[dims[0]].size
+        env = _domain_grid(b, b.dim_names())
         for cond in b.requires:
-            held = _eval_lanes(p, cond.expr, env, mem, allocs, lanes, n)
+            held = compiled(flatten_storage(p, allocs, cond.expr))(env, mem)
             if not (held != 0).all():
                 raise ValueError(f"generated inputs violate a precondition of {b.name!r}")
 
 
-def declared_alloc(p: Pipeline, name: str) -> FlatAlloc:
-    entity = None
-    for b in p.buffers:
-        if b.name == name:
-            entity = b
-    if entity is None:
-        entity = p.func(name)
-    size = 1
-    strides: dict[str, int] = {}
-    base: dict[str, Expr] = {}
-    for d, iv in entity.dims:
-        strides[d] = size
-        base[d] = iv.lo
-        size *= iv.extent
-    return FlatAlloc(name, size, strides, base)
-
-
 # ---------------------------------------------------------------------------
 # Reference semantics
+
+
+class _Declared:
+    """Storage of the reference semantics: one (lanes, size) array per
+    entity in its declared layout.  Reads keep the lane axis leading."""
+
+    def __init__(self, mem: dict[str, np.ndarray]):
+        self.mem = mem
+
+    def load(self, target: MemTarget, index):
+        arr = self.mem[target.name]
+        idx = np.atleast_1d(index)
+        if (idx < 0).any() or (idx >= arr.shape[1]).any():
+            raise ValueError(f"reference evaluation reads {target.name} out of bounds")
+        return arr[:, idx]
+
+
+def _domain_grid(entity, dims) -> dict[str, np.ndarray]:
+    """Every point of the named dimensions, flattened, first dimension
+    slowest."""
+    grids = np.meshgrid(
+        *[np.arange(entity.interval(d).lo_int, entity.interval(d).hi_int) for d in dims],
+        indexing="ij",
+    )
+    return {d: g.reshape(-1) for d, g in zip(dims, grids)}
 
 
 def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -153,146 +159,35 @@ def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.n
     has stride 1), exact in int64.
     """
     lanes = next(iter(inputs.values())).shape[0] if inputs else 1
-    allocs = {b.name: declared_alloc(p, b.name) for b in p.buffers}
-    mem = {name: arr.astype(np.int64) for name, arr in inputs.items()}
+    allocs = {b.name: flat_alloc(b) for b in p.buffers} | {f.name: flat_alloc(f) for f in p.funcs}
+    mem = _Declared({name: arr.astype(np.int64) for name, arr in inputs.items()})
 
     for f in p.funcs:
-        alloc = declared_alloc(p, f.name)
-        allocs[f.name] = alloc
-        mem[f.name] = np.full((lanes, alloc.size), POISON, dtype=np.int64)
+        alloc = allocs[f.name]
+        out = mem.mem[f.name] = np.full((lanes, alloc.size), POISON, dtype=np.int64)
         for s in f.stages:
             dims = _stage_loop_dims(f, s)
-            grids = np.meshgrid(
-                *[np.arange(f.interval(d).lo_int, f.interval(d).hi_int) for d in dims],
-                indexing="ij",
-            )
-            env = {d: g.reshape(-1) for d, g in zip(dims, grids)}
+            env = _domain_grid(f, dims)
             n = env[dims[0]].size if dims else 1
             point = dict(zip(f.dim_names(), s.lhs_args))
-            idx = _eval_index(alloc.offset(point, list(dims)), env, n)
+            idx = np.zeros(n, dtype=np.int64) + compiled(alloc.offset(point, list(dims)))(env, mem)
+            rhs = compiled(flatten_storage(p, allocs, s.rhs))
+            guard = None if s.guard is None else compiled(flatten_storage(p, allocs, s.guard))
             rsteps = [{}]
             if s.rdom is not None:
-                rsteps = []
-                rgrids = np.meshgrid(
-                    *[
-                        np.arange(s.rdom.interval(rv).lo_int, s.rdom.interval(rv).hi_int)
-                        # last declared variable is the outer loop
-                        for rv in reversed(s.rdom.names())
-                    ],
-                    indexing="ij",
-                )
-                flat = [g.reshape(-1) for g in rgrids]
-                for k in range(flat[0].size):
-                    rsteps.append(
-                        {rv: int(col[k]) for rv, col in zip(reversed(s.rdom.names()), flat)}
-                    )
+                # last declared variable is the outer loop
+                rnames = list(reversed(s.rdom.names()))
+                rsteps = [
+                    dict(zip(rnames, map(int, step)))
+                    for step in zip(*_domain_grid(s.rdom, rnames).values())
+                ]
             for rstep in rsteps:
-                full_env = dict(env) | {rv: np.full(n, v) for rv, v in rstep.items()}
-                vals = _eval_lanes(p, s.rhs, full_env, mem, allocs, lanes, n)
-                if s.guard is not None:
-                    keep = _eval_lanes(p, s.guard, full_env, mem, allocs, lanes, n) != 0
-                    cur = mem[f.name][:, idx]
-                    mem[f.name][:, idx] = np.where(keep, vals, cur)
-                else:
-                    mem[f.name][:, idx] = vals
-    return mem
-
-
-def _eval_index(e: Expr, env: dict[str, np.ndarray], n: int) -> np.ndarray:
-    v = _eval_grid(e, env)
-    if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
-        return np.full(n, int(v), dtype=np.int64)
-    return v.astype(np.int64)
-
-
-def _eval_grid(e: Expr, env):
-    """Point-indexed evaluation (no lane axis): indices and guards."""
-    match e:
-        case Const(v):
-            return np.int64(v)
-        case Var(name):
-            return env[name]
-        case BinOp(op, l, r):
-            a, b = _eval_grid(l, env), _eval_grid(r, env)
-            return _apply(op, a, b)
-        case Not(x):
-            return (_eval_grid(x, env) == 0).astype(np.int64)
-        case Select(c, t, f):
-            return np.where(_eval_grid(c, env) != 0, _eval_grid(t, env), _eval_grid(f, env))
-        case MinOf(l, r):
-            return np.minimum(_eval_grid(l, env), _eval_grid(r, env))
-        case MaxOf(l, r):
-            return np.maximum(_eval_grid(l, env), _eval_grid(r, env))
-    raise TypeError(f"cannot evaluate {type(e).__name__} here")
-
-
-def _apply(op: str, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "hdiv":
-        return vhdiv(a, b)
-    if op == "hmod":
-        return vhmod(a, b)
-    if op == "<":
-        return (a < b).astype(np.int64)
-    if op == "<=":
-        return (a <= b).astype(np.int64)
-    if op == "==":
-        return (a == b).astype(np.int64)
-    if op == "!=":
-        return (a != b).astype(np.int64)
-    if op == "&&":
-        return ((a != 0) & (b != 0)).astype(np.int64)
-    if op == "||":
-        return ((a != 0) | (b != 0)).astype(np.int64)
-    if op == "==>":
-        return ((a == 0) | (b != 0)).astype(np.int64)
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def _eval_lanes(p, e: Expr, env, mem, allocs, lanes: int, n: int):
-    """Evaluation with a lane axis: function bodies.  Returns (lanes, n)."""
-    match e:
-        case Const(v):
-            return np.full((lanes, n), v, dtype=np.int64)
-        case Var(name):
-            return np.broadcast_to(env[name], (lanes, n))
-        case BinOp(op, l, r):
-            return _apply(op, _eval_lanes(p, l, env, mem, allocs, lanes, n), _eval_lanes(p, r, env, mem, allocs, lanes, n))
-        case Not(x):
-            return (_eval_lanes(p, x, env, mem, allocs, lanes, n) == 0).astype(np.int64)
-        case Select(c, t, f):
-            return np.where(
-                _eval_lanes(p, c, env, mem, allocs, lanes, n) != 0,
-                _eval_lanes(p, t, env, mem, allocs, lanes, n),
-                _eval_lanes(p, f, env, mem, allocs, lanes, n),
-            )
-        case MinOf(l, r):
-            return np.minimum(_eval_lanes(p, l, env, mem, allocs, lanes, n), _eval_lanes(p, r, env, mem, allocs, lanes, n))
-        case MaxOf(l, r):
-            return np.maximum(_eval_lanes(p, l, env, mem, allocs, lanes, n), _eval_lanes(p, r, env, mem, allocs, lanes, n))
-    # function or buffer access
-    name, args = _access_parts(e)
-    alloc = allocs[name]
-    order = [k for k in env]
-    dimnames = (p.buffer(name) if any(b.name == name for b in p.buffers) else p.func(name)).dim_names()
-    idx = _eval_index(alloc.offset(dict(zip(dimnames, args)), order), env, n)
-    if (idx < 0).any() or (idx >= alloc.size).any():
-        raise ValueError(f"reference evaluation reads {name} out of bounds")
-    return mem[name][:, idx]
-
-
-def _access_parts(e: Expr):
-    kind = type(e).__name__
-    if kind == "FuncAccess":
-        return e.func, e.args
-    if kind == "BufAccess":
-        return e.buf, e.args
-    raise TypeError(f"cannot evaluate {kind} here")
+                full_env = env | rstep
+                vals = rhs(full_env, mem)
+                if guard is not None:
+                    vals = np.where(guard(full_env, mem) != 0, vals, out[:, idx])
+                out[:, idx] = vals
+    return mem.mem
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +223,7 @@ class _Runner:
         self.next_instance = 0
         self.trackers: list[_Tracker] = []
         self.grants: dict[str, list[tuple[bool, int, int]]] = {}
+        self.site = ""  # the statement being executed, for findings
         self.obs = observer
         if observer is not None:
             observer.runner = self
@@ -433,38 +329,13 @@ class _Runner:
         cell.arr[:, offset] = vals
         cell.init[offset] = True
 
-    # -- expressions -------------------------------------------------------
+    # -- evaluation context of statement values ---------------------------
 
-    def scalar(self, e: Expr, env: dict[str, int]) -> int:
-        return eval_const(e, env)
+    def load(self, target: MemTarget, index):
+        return self.read(target.name, index, self.site)
 
-    def value(self, e: Expr, env: dict[str, int], site: str):
-        match e:
-            case Const(v):
-                return np.int64(v)
-            case Var(name):
-                return np.int64(env[name])
-            case TableRead(target, index):
-                return self.read(target.name, self.scalar(index, env), site)
-            case BinOp(op, l, r):
-                a = self.value(l, env, site)
-                b = self.value(r, env, site)
-                v = _apply(op, a, b)
-                if op in ("+", "-", "*", "hdiv"):
-                    self._check32(v, site)
-                return v
-            case Not(x):
-                return (self.value(x, env, site) == 0).astype(np.int64)
-            case Select(c, t, f):
-                cv = self.value(c, env, site)
-                tv = self.value(t, env, site)
-                fv = self.value(f, env, site)
-                return np.where(cv != 0, tv, fv)
-            case MinOf(l, r):
-                return np.minimum(self.value(l, env, site), self.value(r, env, site))
-            case MaxOf(l, r):
-                return np.maximum(self.value(l, env, site), self.value(r, env, site))
-        raise TypeError(f"cannot execute {type(e).__name__}")
+    def check(self, v):
+        self._check32(v, self.site)
 
     def _check32(self, v, site: str):
         bad = (v < INT32_MIN) | (v > INT32_MAX)
@@ -516,7 +387,7 @@ class _Runner:
                     for c in body:
                         self.run(c, env)
                     return
-                lo = self.scalar(dim.lo, env)
+                lo = eval_const(dim.lo, env)
                 if dim.kind == "parallel":
                     tr = _Tracker(dim.display)
                     self.trackers.append(tr)
@@ -547,17 +418,17 @@ class _Runner:
                         self.obs.serial_boundary(node, env)
                 env.pop(dim.var, None)
             case If(cond, owner, body):
-                if self.scalar(cond, env) != 0:
+                if eval_const(cond, env) != 0:
                     for c in body:
                         self.run(c, env)
             case StoreStmt(func, stage, target, index, value, _):
-                site = f"{func}.stage{stage}"
+                self.site = f"{func}.stage{stage}"
                 self.points += 1
                 if self.obs is not None:
                     self.obs.stmt_pre(node, env)
-                vals = self.value(value, env, site)
-                self._check32(np.atleast_1d(vals), site)
-                self.write(target.name, self.scalar(index, env), vals, site)
+                vals = compiled(value, checked=True)(env, self)
+                self._check32(np.atleast_1d(vals), self.site)
+                self.write(target.name, eval_const(index, env), vals, self.site)
                 if self.obs is not None:
                     self.obs.stmt_post(node, env)
             case _:
@@ -584,6 +455,7 @@ class _AnnObserver:
         self.runner: _Runner | None = None
         self.instantiations = 0
         self.ledgers: list[tuple[Loop, dict[str, list]]] = []
+        self.site = ""  # the boundary being checked, for findings
 
     def aset(self, node):
         return self.ap.node.get(id(node))
@@ -714,9 +586,6 @@ class _AnnObserver:
         if not self.ap.include_user:
             return
         p = self.runner.p
-        allocs = dict(self.runner.lp.allocs)
-        for b in p.buffers:
-            allocs[b.name] = buffer_alloc(b)
         for qc in p.ensures:
             quants = tuple(
                 Quantifier(
@@ -729,7 +598,7 @@ class _AnnObserver:
             a = Ann(
                 "ensures",
                 quants,
-                flatten_storage(p, allocs, _resolve_bound_refs(p, qc.body)),
+                flatten_storage(p, self.runner.lp.allocs, _resolve_bound_refs(p, qc.body)),
                 origin=("pipeline",),
             )
             self._check(
@@ -812,43 +681,25 @@ class _AnnObserver:
     def _vec(self, e: Expr, envq, site: str):
         """Annotation body over a quantifier grid, lanes leading when any
         storage is read.  Shapes are scalar, (points,), or (lanes, points)."""
-        match e:
-            case Const(v):
-                return np.int64(v)
-            case Var(name):
-                v = envq[name]
-                return v if isinstance(v, np.ndarray) else np.int64(v)
-            case TableRead(target, index):
-                idx = np.atleast_1d(np.asarray(self._vec(index, envq, site), dtype=np.int64))
-                cell = self.runner.mem[target.name]
-                size = cell.arr.shape[1]
-                bad = (idx < 0) | (idx >= size)
-                if bad.any():
-                    off = int(idx[bad][0])
-                    self.runner.report(
-                        "out_of_bounds",
-                        f"annotation reads {target.name}[{off}] outside its"
-                        f" {size}-cell allocation",
-                        site,
-                        dedupe=("ann_oob", target.name, off, site),
-                    )
-                    idx = np.clip(idx, 0, size - 1)
-                return cell.arr[:, idx]
-            case BinOp(op, l, r):
-                return _apply(op, self._vec(l, envq, site), self._vec(r, envq, site))
-            case Not(x):
-                return (np.asarray(self._vec(x, envq, site)) == 0).astype(np.int64)
-            case Select(c, t, f):
-                return np.where(
-                    np.asarray(self._vec(c, envq, site)) != 0,
-                    self._vec(t, envq, site),
-                    self._vec(f, envq, site),
-                )
-            case MinOf(l, r):
-                return np.minimum(self._vec(l, envq, site), self._vec(r, envq, site))
-            case MaxOf(l, r):
-                return np.maximum(self._vec(l, envq, site), self._vec(r, envq, site))
-        raise TypeError(f"cannot evaluate {type(e).__name__} in an annotation")
+        self.site = site
+        return compiled(e)(envq, self)
+
+    def load(self, target: MemTarget, index):
+        idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
+        cell = self.runner.mem[target.name]
+        size = cell.arr.shape[1]
+        bad = (idx < 0) | (idx >= size)
+        if bad.any():
+            off = int(idx[bad][0])
+            self.runner.report(
+                "out_of_bounds",
+                f"annotation reads {target.name}[{off}] outside its"
+                f" {size}-cell allocation",
+                self.site,
+                dedupe=("ann_oob", target.name, off, self.site),
+            )
+            idx = np.clip(idx, 0, size - 1)
+        return cell.arr[:, idx]
 
     # -- the permission ledger ---------------------------------------------
 
@@ -870,10 +721,10 @@ class _AnnObserver:
         total = 1
         point = {}
         for d, lo, ext in a.dim_boxes:
-            point[d] = Const(eval_const(lo, env))
+            point[d] = eval_const(lo, env)
             total *= ext
         self._budget(total)
-        base = eval_const(a.alloc.offset(point, []), env)
+        base = a.alloc.cell(point, env)
         offs = np.zeros(1, dtype=np.int64)
         for d, _, ext in a.dim_boxes:
             stride = a.alloc.strides[d]
@@ -905,32 +756,32 @@ class _AnnObserver:
         return atom.target.name, idx[keep], atom.frac.value()
 
 
+def _execute(lp: LoweredPipeline, inputs: dict[str, np.ndarray], obs: _AnnObserver | None) -> RunResult:
+    """Walk the nest once, flag output cells left unwritten, and check the
+    pipeline postconditions when an observer is attached."""
+    t0 = time.perf_counter()
+    runner = _Runner(lp, inputs, observer=obs)
+    runner.run(lp.root, {})
+    out = lp.pipeline.output
+    holes = int((~runner.mem[out].init).sum())
+    if holes:
+        runner.report("mismatch", f"{holes} cell(s) of the output {out!r} were never written", out)
+    if obs is not None:
+        obs.pipeline_post()
+    return RunResult(
+        {name: c.arr for name, c in runner.mem.items()},
+        runner.findings,
+        runner.points,
+        (time.perf_counter() - t0) * 1000,
+        0 if obs is None else obs.instantiations,
+    )
+
+
 def check_annotations(
     lp: LoweredPipeline, ap: AnnotatedPipeline, inputs: dict[str, np.ndarray]
 ) -> RunResult:
     """Execute the nest with every annotation checked at its boundaries."""
-    t0 = time.perf_counter()
-    obs = _AnnObserver(ap)
-    runner = _Runner(lp, inputs, observer=obs)
-    runner.run(lp.root, {})
-    out = lp.pipeline.output
-    cell = runner.mem[out]
-    if not cell.init.all():
-        holes = int((~cell.init).sum())
-        runner.report(
-            "mismatch",
-            f"{holes} cell(s) of the output {out!r} were never written",
-            f"{out}",
-        )
-    obs.pipeline_post()
-    mem = {name: c.arr for name, c in runner.mem.items()}
-    return RunResult(
-        mem,
-        runner.findings,
-        runner.points,
-        (time.perf_counter() - t0) * 1000,
-        obs.instantiations,
-    )
+    return _execute(lp, inputs, _AnnObserver(ap))
 
 
 def check_schedule(
@@ -953,20 +804,7 @@ def check_schedule(
 
 
 def run_lowered(lp: LoweredPipeline, inputs: dict[str, np.ndarray]) -> RunResult:
-    t0 = time.perf_counter()
-    runner = _Runner(lp, inputs)
-    runner.run(lp.root, {})
-    out = lp.pipeline.output
-    cell = runner.mem[out]
-    if not cell.init.all():
-        holes = int((~cell.init).sum())
-        runner.report(
-            "mismatch",
-            f"{holes} cell(s) of the output {out!r} were never written",
-            f"{out}",
-        )
-    mem = {name: c.arr for name, c in runner.mem.items()}
-    return RunResult(mem, runner.findings, runner.points, (time.perf_counter() - t0) * 1000)
+    return _execute(lp, inputs, None)
 
 
 def compare_to_reference(

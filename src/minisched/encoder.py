@@ -26,9 +26,6 @@ from .ir import (
     Expr,
     Func,
     FuncAccess,
-    MaxOf,
-    MinOf,
-    Not,
     Pipeline,
     QuantCond,
     Quantifier,
@@ -36,8 +33,8 @@ from .ir import (
     Select,
     Stage,
     Var,
+    compiled,
     eq,
-    eval_const,
     le,
     lt,
     rewrite,
@@ -527,12 +524,12 @@ class _FrontEval:
     inputs.  Memoizes per call site; values are (lanes,) arrays."""
 
     def __init__(self, prog: EncodedProgram, p: Pipeline, inputs):
-        from .checker import declared_alloc
+        from .lowering import flat_alloc
 
         self.decls = {d.name: d for d in prog.declarations}
         self.p = p
         self.mem = {name: arr.astype(np.int64) for name, arr in inputs.items()}
-        self.allocs = {b.name: declared_alloc(p, b.name) for b in p.buffers}
+        self.allocs = {b.name: flat_alloc(b) for b in p.buffers}
         self.buffers = {b.name: b for b in p.buffers}
         self.memo: dict = {}
         self.stack: list[tuple[str, tuple[int, ...]]] = []
@@ -550,31 +547,30 @@ class _FrontEval:
 
     def read_buffer(self, name: str, args: tuple[int, ...]):
         b = self.buffers[name]
-        fixed = []
+        point = {}
         for a, (d, iv) in zip(args, b.dims):
-            if not iv.lo_int <= a < iv.hi_int:
+            lo, hi = iv.lo_int, iv.hi_int
+            if not lo <= a < hi:
                 self.report(
                     "out_of_bounds",
-                    f"encoded program reads {name} at {d}={a}, outside"
-                    f" [{iv.lo_int}, {iv.hi_int})",
+                    f"encoded program reads {name} at {d}={a}, outside [{lo}, {hi})",
                     ("buf", name, d, a),
                 )
-                a = min(max(a, iv.lo_int), iv.hi_int - 1)
-            fixed.append(a)
-        alloc = self.allocs[name]
-        point = {d: Const(a) for a, (d, _) in zip(fixed, b.dims)}
-        return self.mem[name][:, eval_const(alloc.offset(point, []))]
+                a = min(max(a, lo), hi - 1)
+            point[d] = a
+        return self.mem[name][:, self.allocs[name].cell(point)]
 
     def call(self, name: str, args: tuple[int, ...]):
+        """The evaluation context's entity hook: apply a declaration, or
+        read an abstract (buffer) function, at a point."""
+        args = tuple(map(int, args))
         key = (name, args)
         if key in self.memo:
             return self.memo[key]
         d = self.decls.get(name)
-        if d is None:
+        if d is None or d.body is None:
             return self.read_buffer(name, args)
-        if d.body is None:
-            return self.read_buffer(name, args)
-        env = {n: np.int64(a) for (n, _), a in zip(d.params, args)}
+        env = dict(zip((n for n, _ in d.params), args))
         if d.decreases and self.stack and self.stack[-1][0] == name:
             prev = self.stack[-1][1]
             cur = tuple(int(env[v]) for v in d.decreases)
@@ -603,34 +599,7 @@ class _FrontEval:
         return val
 
     def eval(self, e: Expr, env):
-        from .checker import _apply
-
-        match e:
-            case Const(v):
-                return np.int64(v)
-            case Var(name):
-                return env[name]
-            case Result():
-                return env["\\result"]
-            case BoundRef(entity, dim, end):
-                return self.call(f"{entity}_{dim}_{end}", ())
-            case FuncAccess(func, args) | BufAccess(func, args):
-                pt = tuple(int(self.eval(a, env)) for a in args)
-                return self.call(func, pt)
-            case BinOp(op, l, r):
-                return _apply(op, self.eval(l, env), self.eval(r, env))
-            case Not(x):
-                return (np.asarray(self.eval(x, env)) == 0).astype(np.int64)
-            case Select(c, t, f):
-                cv = np.asarray(self.eval(c, env))
-                if cv.ndim == 0:
-                    return self.eval(t if cv else f, env)
-                return np.where(cv != 0, self.eval(t, env), self.eval(f, env))
-            case MinOf(l, r):
-                return np.minimum(self.eval(l, env), self.eval(r, env))
-            case MaxOf(l, r):
-                return np.maximum(self.eval(l, env), self.eval(r, env))
-        raise TypeError(f"cannot evaluate {type(e).__name__} in the encoding")
+        return compiled(e)(env, self)
 
 
 def _domain_points(domains):
@@ -641,7 +610,7 @@ def _domain_points(domains):
     names = [n for n, _, _ in domains]
     idx = [0] * len(axes)
     while True:
-        yield {n: np.int64(axes[i][idx[i]]) for i, n in enumerate(names)}
+        yield {n: axes[i][idx[i]] for i, n in enumerate(names)}
         for i in reversed(range(len(axes))):
             idx[i] += 1
             if idx[i] < len(axes[i]):
@@ -655,7 +624,8 @@ def check_frontend(prog: EncodedProgram, p: Pipeline, inputs) -> "RunResult":
     """Evaluate every declaration's contract at every domain point, the
     pipeline lemma, the termination measure, and the encoding against the
     reference semantics."""
-    from .checker import Finding, RunResult, declared_alloc, eval_reference
+    from .checker import Finding, RunResult, eval_reference
+    from .lowering import flat_alloc
 
     t0 = time.perf_counter()
     ev = _FrontEval(prog, p, inputs)
@@ -727,18 +697,13 @@ def check_frontend(prog: EncodedProgram, p: Pipeline, inputs) -> "RunResult":
     except ValueError as err:
         ev.report("out_of_bounds", f"reference semantics undefined: {err}", ("ref",))
         reference = None
-    alloc = declared_alloc(p, p.output)
+    alloc = flat_alloc(out)
     lanes = next(iter(inputs.values())).shape[0]
-    out_size = 1
-    for _, iv in out.dims:
-        out_size *= iv.extent
-    result = np.zeros((lanes, out_size), dtype=np.int64)
+    result = np.zeros((lanes, alloc.size), dtype=np.int64)
     mismatched = False
     for env in _domain_points(tuple((d, iv.lo_int, iv.hi_int - 1) for d, iv in out.dims)):
         args = tuple(int(env[d]) for d in out.dim_names())
-        flat = eval_const(
-            alloc.offset({d: Const(a) for d, a in zip(out.dim_names(), args)}, [])
-        )
+        flat = alloc.cell(dict(zip(out.dim_names(), args)))
         got = ev.call(p.output, args)
         result[:, flat] = got
         if reference is None or mismatched:

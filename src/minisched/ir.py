@@ -26,9 +26,12 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator
+
+import numpy as np
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -458,58 +461,151 @@ def rewrite(e: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
     return e2 if out is None else out
 
 
+def vhdiv(x, y):
+    """:func:`hdiv` over ints or, elementwise, over int64 arrays."""
+    if not isinstance(x, np.ndarray) and not isinstance(y, np.ndarray):
+        return hdiv(x, y)
+    safe = np.where(y == 0, 1, y)
+    return np.where(y == 0, 0, (x - np.mod(x, np.abs(safe))) // safe)
+
+
+def vhmod(x, y):
+    """:func:`hmod` over ints or, elementwise, over int64 arrays."""
+    if not isinstance(x, np.ndarray) and not isinstance(y, np.ndarray):
+        return hmod(x, y)
+    return np.where(y == 0, x, np.mod(x, np.abs(np.where(y == 0, 1, y))))
+
+
+# Comparisons and connectives yield 0/1 through ``* 1``: scalars stay ints
+# and arrays become int64, so a bool array never reaches ``+`` (logical OR
+# in numpy).
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "hdiv": vhdiv,
+    "hmod": vhmod,
+    "<": lambda a, b: (a < b) * 1,
+    "<=": lambda a, b: (a <= b) * 1,
+    "==": lambda a, b: (a == b) * 1,
+    "!=": lambda a, b: (a != b) * 1,
+    "&&": lambda a, b: ((a != 0) & (b != 0)) * 1,
+    "||": lambda a, b: ((a != 0) | (b != 0)) * 1,
+    "==>": lambda a, b: ((a == 0) | (b != 0)) * 1,
+}
+# The operators whose results a checked evaluation keeps in 32-bit range.
+_CHECKED_OPS = {"+", "-", "*", "hdiv"}
+
+
+def compiled(e: Expr, checked: bool = False) -> Callable:
+    """The one evaluator: ``e`` as a closure ``fn(env, ctx)``.
+
+    ``env`` maps variable names to ints or int64 arrays; the closure
+    broadcasts, so one tree evaluates at a point, over ``(points,)`` or over
+    ``(lanes, points)``.  ``ctx`` supplies the leaves that need storage:
+    ``ctx.load(target, index)`` for a :class:`TableRead`, and
+    ``ctx.call(name, args)`` for function and buffer applications and bound
+    references (``entity_dim_end``, no arguments).  With ``checked`` every
+    ``+ - * hdiv`` result goes through ``ctx.check(v)``; indices of table
+    reads never do.  A :class:`Select` with a scalar condition evaluates
+    one branch only.
+
+    The closure is built once per node and kept on it; trees are frozen
+    and the cache is not a field, so equality and hashing ignore it.
+    """
+    key = "_checked_fn" if checked else "_fn"
+    fn = e.__dict__.get(key)
+    if fn is None:
+        fn = _compile(e, checked)
+        object.__setattr__(e, key, fn)
+    return fn
+
+
+def _compile(e: Expr, checked: bool) -> Callable:
+    match e:
+        case Const(v):
+            return lambda env, ctx: v
+        case Var(name):
+
+            def var(env, ctx):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise ValueError(f"variable {name!r} is not a compile-time constant") from None
+
+            return var
+        case Result():
+            return lambda env, ctx: env["\\result"]
+        case TableRead(target, index):
+            at = compiled(index)
+            return lambda env, ctx: ctx.load(target, at(env, ctx))
+        case FuncAccess(name, args) | BufAccess(name, args):
+            fns = [compiled(a) for a in args]
+            return lambda env, ctx: ctx.call(name, tuple(f(env, ctx) for f in fns))
+        case BoundRef(entity, dim, end):
+            fname = f"{entity}_{dim}_{end}"
+            return lambda env, ctx: ctx.call(fname, ())
+        case BinOp(op, l, r):
+            if op not in _BINARY:
+                raise ValueError(f"unknown operator {op!r}")
+            apply = _BINARY[op]
+            if op in ("hdiv", "hmod") and isinstance(r, Const) and r.value > 0:
+                apply = operator.floordiv if op == "hdiv" else operator.mod
+            lf, rf = compiled(l, checked), compiled(r, checked)
+            if checked and op in _CHECKED_OPS:
+
+                def checked_op(env, ctx):
+                    v = apply(lf(env, ctx), rf(env, ctx))
+                    ctx.check(v)
+                    return v
+
+                return checked_op
+            return lambda env, ctx: apply(lf(env, ctx), rf(env, ctx))
+        case Not(x):
+            xf = compiled(x, checked)
+            return lambda env, ctx: (xf(env, ctx) == 0) * 1
+        case Select(c, t, f):
+            cf, tf, ff = compiled(c, checked), compiled(t, checked), compiled(f, checked)
+
+            def select(env, ctx):
+                cv = cf(env, ctx)
+                if isinstance(cv, np.ndarray):
+                    return np.where(cv != 0, tf(env, ctx), ff(env, ctx))
+                return tf(env, ctx) if cv else ff(env, ctx)
+
+            return select
+        case MinOf(l, r) | MaxOf(l, r):
+            pick = np.minimum if isinstance(e, MinOf) else np.maximum
+            lf, rf = compiled(l, checked), compiled(r, checked)
+            return lambda env, ctx: pick(lf(env, ctx), rf(env, ctx))
+    kind = type(e).__name__
+
+    def opaque(env, ctx):
+        raise ValueError(f"not a constant expression: {kind}")
+
+    return opaque
+
+
+class _Closed:
+    """The context of :func:`eval_const`: no storage and no functions."""
+
+    def load(self, target: "MemTarget", index):
+        raise ValueError(f"not a constant expression: reads {target.name}")
+
+    def call(self, name: str, args):
+        raise ValueError(f"not a constant expression: applies {name}")
+
+
+_CLOSED = _Closed()
+
+
 def eval_const(e: Expr, env: dict[str, int] | None = None) -> int:
     """Evaluate a closed arithmetic expression to an int.
 
     Used for bound expressions and schedule factors; raises ValueError when
     the expression touches anything that is not a constant under ``env``.
     """
-    env = env or {}
-    match e:
-        case Const(v):
-            return v
-        case Var(name):
-            if name in env:
-                return env[name]
-            raise ValueError(f"variable {name!r} is not a compile-time constant")
-        case BinOp(op, l, r):
-            a, b = eval_const(l, env), eval_const(r, env)
-            match op:
-                case "+":
-                    return a + b
-                case "-":
-                    return a - b
-                case "*":
-                    return a * b
-                case "hdiv":
-                    return hdiv(a, b)
-                case "hmod":
-                    return hmod(a, b)
-                case "<":
-                    return int(a < b)
-                case "<=":
-                    return int(a <= b)
-                case "==":
-                    return int(a == b)
-                case "!=":
-                    return int(a != b)
-                case "&&":
-                    return int(bool(a) and bool(b))
-                case "||":
-                    return int(bool(a) or bool(b))
-                case "==>":
-                    return int(not a or bool(b))
-            raise ValueError(f"unknown operator {op!r}")
-        case Not(x):
-            return int(not eval_const(x, env))
-        case Select(c, t, f):
-            return eval_const(t, env) if eval_const(c, env) else eval_const(f, env)
-        case MinOf(l, r):
-            return min(eval_const(l, env), eval_const(r, env))
-        case MaxOf(l, r):
-            return max(eval_const(l, env), eval_const(r, env))
-        case _:
-            raise ValueError(f"not a constant expression: {type(e).__name__}")
+    return int(compiled(e)(env or {}, _CLOSED))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .ir import (
     TableRead,
     Var,
     as_expr,
+    eval_const,
     free_vars,
     lt,
     rewrite,
@@ -275,8 +276,8 @@ def _apply_one(state: dict[str, ScheduledFunc], sf: ScheduledFunc, d) -> Schedul
         new_axes = (
             sf.axes[:i]
             + (
-                Axis(outer, f"{ax.root}.{outer}", ax.root, ax.kind, n_outer),
-                Axis(inner, f"{ax.root}.{inner}", ax.root, "serial", factor),
+                Axis(outer, f"{ax.root}.{outer}", ax.root, ax.kind, n_outer, roots=ax.roots),
+                Axis(inner, f"{ax.root}.{inner}", ax.root, "serial", factor, roots=ax.roots),
             )
             + sf.axes[i + 1 :]
         )
@@ -495,6 +496,11 @@ class FlatAlloc:
             const += stride * (ka - kb)
         coeffs, const = fold_divmod(coeffs, const)
         return poly_expr(coeffs, const, order)
+
+    def cell(self, point: dict[str, int], env: dict[str, int] | None = None) -> int:
+        """Flat offset of a concrete point; ``env`` binds the loop variables
+        a placed allocation's base mentions."""
+        return sum(stride * (point[d] - eval_const(self.base[d], env)) for d, stride in self.strides.items())
 
 
 def _site_path(sp: ScheduledPipeline, name: str) -> list[tuple[str, str]]:
@@ -780,39 +786,50 @@ class LoweredPipeline:
     renames: dict[tuple[str, int], dict[str, str]]
 
 
-def _alloc_for(sp, name: str, fps) -> FlatAlloc:
-    p = sp.pipeline
-    f = p.func(name)
+def flat_alloc(entity, store: dict[str, FootDim] | None = None) -> FlatAlloc:
+    """Flat storage of a buffer or func, the first declared dimension
+    innermost: over its declared dimensions, or over a store footprint."""
     size = 1
     strides: dict[str, int] = {}
     base: dict[str, Expr] = {}
-    for d, iv in f.dims:  # declaration order; the first dimension is innermost
+    for d, iv in entity.dims:
         strides[d] = size
-        if name == p.output:
+        if store is None:
             base[d] = iv.lo
             size *= iv.extent
         else:
-            base[d] = fps[name].store[d].lo
-            size *= fps[name].store[d].extent
-    return FlatAlloc(name, size, strides, base)
+            base[d] = store[d].lo
+            size *= store[d].extent
+    return FlatAlloc(entity.name, size, strides, base)
 
 
-def buffer_alloc(b) -> FlatAlloc:
-    size = 1
-    strides: dict[str, int] = {}
-    base: dict[str, Expr] = {}
-    for d, iv in b.dims:
-        strides[d] = size
-        base[d] = iv.lo
-        size *= iv.extent
-    return FlatAlloc(b.name, size, strides, base)
+def storage_target(p: Pipeline, name: str) -> MemTarget:
+    if any(b.name == name for b in p.buffers):
+        return MemTarget("buffer", name)
+    return MemTarget("output" if name == p.output else "alloc", name)
+
+
+def flatten_storage(p: Pipeline, allocs: dict[str, FlatAlloc], e: Expr, order=()) -> Expr:
+    """Rewrite entity accesses to flat table reads, index terms ordered by
+    ``order`` (outermost loop first)."""
+
+    def repl(n: Expr) -> Expr | None:
+        if isinstance(n, FuncAccess) and n.func in allocs:
+            point = dict(zip(p.func(n.func).dim_names(), n.args))
+            return TableRead(storage_target(p, n.func), allocs[n.func].offset(point, list(order)))
+        if isinstance(n, BufAccess):
+            point = dict(zip(p.buffer(n.buf).dim_names(), n.args))
+            return TableRead(storage_target(p, n.buf), allocs[n.buf].offset(point, list(order)))
+        return None
+
+    return rewrite(e, repl)
 
 
 def build_loop_nest(sp: ScheduledPipeline, fps: dict[str, Footprint]) -> LoweredPipeline:
     p = sp.pipeline
-    allocs = {name: _alloc_for(sp, name, fps) for name in sp.realized}
+    allocs = {name: flat_alloc(p.func(name), fps[name].store) for name in sp.realized}
     for b in p.buffers:
-        allocs[b.name] = buffer_alloc(b)
+        allocs[b.name] = flat_alloc(b)
     builder = _Builder(sp, fps, allocs)
 
     roots = [n for n in sp.realized if sp.funcs[n].compute_site is None]
@@ -849,19 +866,7 @@ class _Builder:
         return self.flatten(e, scope)
 
     def flatten(self, e: Expr, scope: list[str]) -> Expr:
-        def repl(n: Expr) -> Expr | None:
-            if isinstance(n, FuncAccess):
-                alloc = self.allocs[n.func]
-                args = dict(zip(self.p.func(n.func).dim_names(), n.args))
-                tkind = "output" if n.func == self.p.output else "alloc"
-                return TableRead(MemTarget(tkind, n.func), alloc.offset(args, scope))
-            if isinstance(n, BufAccess):
-                alloc = self.allocs[n.buf]
-                args = dict(zip(self.p.buffer(n.buf).dim_names(), n.args))
-                return TableRead(MemTarget("buffer", n.buf), alloc.offset(args, scope))
-            return None
-
-        return rewrite(e, repl)
+        return flatten_storage(self.p, self.allocs, e, scope)
 
     # -- nest construction -------------------------------------------------
 
@@ -940,8 +945,7 @@ class _Builder:
         }
         index = alloc.offset(point, scope)
         value = self.lower_value(name, s.rhs, scope, ren)
-        tkind = "output" if name == self.p.output else "alloc"
-        nodes: list[Node] = [StoreStmt(name, s.index, MemTarget(tkind, name), index, value, point)]
+        nodes: list[Node] = [StoreStmt(name, s.index, storage_target(self.p, name), index, value, point)]
         conds: list[Expr] = []
         in_scope = set(scope)
         for g in sf.guards:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from minisched import checker as C
 from minisched.ir import BinOp, Const
-from minisched.lowering import StoreStmt, lower
+from minisched.lowering import NonAffineAccess, StoreStmt, lower
 from minisched.parser import parse_pipeline, parse_schedule
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -160,6 +160,25 @@ ALL_SCHEDULES = sorted(
 def test_lowered_matches_reference(algo, sched):
     res = C.check_lowered(load(algo), schedule(algo, sched), SEEDS)
     assert res.passed, [f.to_json() for f in res.findings]
+
+
+@pytest.mark.parametrize(
+    "n,factor,tail",
+    [(6, 4, ""), (8, 3, ""), (8, 4, ".parallel(o2)")],
+)
+def test_split_of_a_fused_axis_keeps_its_loops(n, factor, tail):
+    # Both split halves cover the fused dimensions, so the nest binds them:
+    # the run matches the reference, and the annotator rejects the schedule
+    # with a typed error instead of the runner meeting a free variable.
+    src = (CORPUS / "matmul.hal").read_text()
+    p = parse_pipeline(src).resolve({"n": n}).validated()
+    d = parse_schedule(f"prod.fuse(i, j, fz1).split(fz1, o2, i2, {factor}){tail};")
+    res = C.check_lowered(p, d, SEEDS)
+    assert res.passed, [f.to_json() for f in res.findings]
+    assert res.points == n * n * 9  # one init and eight reduction steps per cell
+    for include_user in (True, False):
+        with pytest.raises(NonAffineAccess):
+            C.check_schedule(p, d, SEEDS, include_user=include_user)
 
 
 def test_run_reports_statement_count():

@@ -2,17 +2,17 @@
 
 The oracle below derives the quotient from the defining property alone
 (search over a window), so the closed-form implementation is tested against
-the definition rather than against itself.
+the definition rather than against itself.  The evaluator's array path and
+its positive-constant fast path are tested against the scalar functions.
 """
 
 from __future__ import annotations
 
-import time
-
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minisched.ir import hdiv, hmod
+from minisched.ir import BinOp, Const, Var, compiled, hdiv, hmod
 
 
 def oracle_hdiv(x: int, y: int) -> int:
@@ -45,8 +45,8 @@ def test_division_by_zero_is_total():
 
 def test_exhaustive_algebra_small_square():
     """Decomposition, remainder range, and totality over [-200, 200]^2,
-    y == 0 included.  The acceptance suite runs the same laws over the
-    [-1000, 1000] square on the vectorised kernels."""
+    y == 0 included.  ``test_array_path_matches_scalar`` runs the same
+    square through the evaluator's array path."""
     for x in range(-200, 201):
         for y in range(-200, 201):
             q = hdiv(x, y)
@@ -78,3 +78,27 @@ def test_positive_divisor_matches_python_floor(x: int, y: int):
 def test_negative_divisor_negates_quotient(x: int, y: int):
     assert hdiv(x, y) == -hdiv(x, -y)
     assert hmod(x, y) == hmod(x, -y)
+
+
+def test_array_path_matches_scalar():
+    """hdiv/hmod evaluated as arrays over [-200, 200]^2, y == 0 included,
+    agree element by element with the scalar functions."""
+    xs, ys = np.meshgrid(np.arange(-200, 201), np.arange(-200, 201), indexing="ij")
+    env = {"x": xs.ravel(), "y": ys.ravel()}
+    q = compiled(BinOp("hdiv", Var("x"), Var("y")))(env, None)
+    r = compiled(BinOp("hmod", Var("x"), Var("y")))(env, None)
+    assert q.dtype == np.int64 and q.shape == env["x"].shape
+    want_q = [hdiv(x, y) for x, y in zip(env["x"].tolist(), env["y"].tolist())]
+    want_r = [hmod(x, y) for x, y in zip(env["x"].tolist(), env["y"].tolist())]
+    assert q.tolist() == want_q
+    assert r.tolist() == want_r
+
+
+def test_positive_constant_divisor_fast_path():
+    x = np.arange(-200, 201)
+    for k in (1, 2, 3, 7, 64, 199):
+        q = compiled(BinOp("hdiv", Var("x"), Const(k)))({"x": x}, None)
+        r = compiled(BinOp("hmod", Var("x"), Const(k)))({"x": x}, None)
+        assert (q == x // k).all() and (r == x % k).all()
+        assert q.tolist() == [hdiv(v, k) for v in x.tolist()]
+        assert r.tolist() == [hmod(v, k) for v in x.tolist()]

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
 from minisched.ir import (
     BinOp,
     Const,
+    MemTarget,
+    Not,
+    Select,
+    TableRead,
     ValidationError,
     Var,
+    compiled,
     eval_const,
     free_vars,
     substitute,
@@ -52,6 +59,68 @@ def test_eval_const_euclidean_ops():
     assert eval_const(BinOp("hmod", Const(-7), Const(2))) == 1
     assert eval_const(BinOp("hdiv", Const(5), Const(0))) == 0
     assert eval_const(BinOp("hmod", Const(5), Const(0))) == 5
+
+
+def test_eval_const_rejects_what_is_not_constant():
+    with pytest.raises(ValueError, match="compile-time constant"):
+        eval_const(BinOp("+", Var("x"), Const(1)))
+    with pytest.raises(ValueError, match="not a constant expression"):
+        eval_const(TableRead(MemTarget("buffer", "inp"), Const(0)))
+    assert type(eval_const(BinOp("<", Const(1), Const(2)))) is int
+
+
+class Recorder:
+    """An evaluation context that serves reads from a table and records
+    what the checked hook sees."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table)
+        self.loads: list = []
+        self.checked: list = []
+
+    def load(self, target, index):
+        self.loads.append(index)
+        return self.table[..., index]
+
+    def check(self, v):
+        self.checked.append(v)
+
+
+def test_compiled_closure_is_cached_on_the_node():
+    e = BinOp("+", Var("x"), Const(1))
+    assert compiled(e) is compiled(e)
+    assert compiled(e, checked=True) is not compiled(e)
+    twin = BinOp("+", Var("x"), Const(1))
+    assert e == twin and hash(e) == hash(twin)
+
+
+def test_checked_evaluation_skips_read_indices():
+    read = TableRead(MemTarget("buffer", "t"), BinOp("*", Var("x"), Const(2)))
+    e = BinOp("+", read, Const(5))
+    ctx = Recorder([10, 20, 30, 40, 50])
+    assert compiled(e, checked=True)({"x": 2}, ctx) == 55
+    assert ctx.loads == [4] and ctx.checked == [55]
+    assert compiled(e)({"x": 1}, ctx) == 35 and ctx.checked == [55]
+
+
+def test_truth_values_are_integers_on_arrays():
+    x = np.array([-1, 0, 3])
+    lt = compiled(BinOp("<", Var("x"), Const(1)))({"x": x}, None)
+    both = compiled(BinOp("+", BinOp("<", Var("x"), Const(1)), Not(Var("x"))))({"x": x}, None)
+    assert lt.dtype == np.int64 and lt.tolist() == [1, 1, 0]
+    assert both.tolist() == [1, 2, 0]  # a bool + would have been logical or
+
+
+def test_select_on_a_scalar_condition_evaluates_one_branch():
+    taken = TableRead(MemTarget("buffer", "t"), Const(1))
+    skipped = TableRead(MemTarget("buffer", "t"), Const(99))
+    ctx = Recorder([[7, 8], [9, 10]])
+    e = Select(BinOp("==", Var("r"), Const(0)), taken, skipped)
+    assert compiled(e)({"r": 0}, ctx).tolist() == [8, 10]
+    assert ctx.loads == [1]
+    # an array condition selects elementwise from both branches
+    e = Select(BinOp("<", Var("x"), Const(1)), Const(1), Var("x"))
+    assert compiled(e)({"x": np.array([0, 5])}, None).tolist() == [1, 5]
 
 
 MINIMAL = """
