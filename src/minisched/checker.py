@@ -8,18 +8,30 @@ evaluations is the context passed for the leaves:
   its definition, stage by stage over full declared domains; it is the
   semantic baseline.  Its reads (``load``) gather whole grids from the
   declared allocations and reject an out-of-range index.
-* ``run_lowered`` walks a built loop nest statement by statement the way
-  the emitted C would execute it.  Its ``load`` and ``check`` hooks watch
-  for the things a verifier would reject: reads of cells never written,
-  out-of-range indexes, values escaping 32-bit range, and accesses that
-  would collide if a parallel loop really ran in parallel.
-* ``check_annotations`` runs the same walk and evaluates every annotation
-  at its boundaries over its quantifier grid; its ``load`` reports and
-  clips out-of-range reads.
+* ``run_lowered`` executes a built loop nest the way the emitted C would.
+  Its ``load`` and ``check`` hooks watch for the things a verifier would
+  reject: reads of cells never written, out-of-range indexes, values
+  escaping 32-bit range, accesses outside a held permission, and accesses
+  that would collide if a parallel loop really ran in parallel.
+* ``check_annotations`` runs the same execution and evaluates every
+  annotation at its boundaries over its quantifier grid; its ``load``
+  reports and clips out-of-range reads.
 
 All of them evaluate all random seeds at once: control flow never depends
 on data (guards mention loop variables only), so one walk of the nest
 carries an entire batch of input sets as a leading lane axis.
+
+The runner executes a non-unrolled loop as one batch, each statement
+evaluated once over the loop's whole iteration vector, when the nest shows
+the iterations independent (:func:`batch_plan`): looking through ``If``
+and unrolled loops its body holds only store statements, no entity is both
+read and written in it, and its guards read no memory.  Every detector
+then runs on the batch's offset arrays, and the batch is committed only if
+none fires.  Otherwise it is dropped, with no state touched, and the loop
+is walked statement by statement, which reports the findings in the
+order, and with the messages, of a walk that never tried the batch.
+Under annotation checking a loop is batched only when no event inside it
+reads memory; its boundary events then follow the commit in walk order.
 """
 
 from __future__ import annotations
@@ -41,8 +53,12 @@ from .ir import (
     PermAtom,
     Pipeline,
     Quantifier,
+    Select,
+    TableRead,
     compiled,
     eval_const,
+    free_vars,
+    walk,
     _resolve_bound_refs,
 )
 from .lowering import (
@@ -86,6 +102,8 @@ class RunResult:
     points: int
     millis: float
     instantiations: int = 0
+    batched_loops: int = 0  # loop instances committed as one batch
+    replayed_loops: int = 0  # batches dropped because a detector fired
 
     @property
     def passed(self) -> bool:
@@ -201,13 +219,52 @@ class _Cell:
     instance: int
 
 
+# The first iteration of a cell no iteration has touched.
+_NEVER = np.iinfo(np.int64).min
+
+
 @dataclass
 class _Tracker:
-    """Access log of one entered parallel loop: address -> (iteration, mode)."""
+    """Access log of one entered parallel loop.  Per cell instance there are
+    two arrays over its cells: the first iteration that touched each cell
+    and whether any access to it wrote.  A race is two accesses to one cell
+    from different iterations, at least one a write; iterations run in
+    order, so an access races exactly when its cell was first touched by
+    another iteration and the access, or an earlier one, wrote.
+
+    ``races`` and ``record`` take one offset or an array of offsets, all
+    accessed by the current iteration."""
 
     var: str
     iteration: int = -1
-    log: dict = field(default_factory=dict)
+    logs: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def log(self, cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
+        """The (first iteration, wrote) arrays of one cell instance."""
+        log = self.logs.get(cell.instance)
+        if log is None:
+            size = cell.arr.shape[1]
+            log = self.logs[cell.instance] = (
+                np.full(size, _NEVER, dtype=np.int64),
+                np.zeros(size, dtype=bool),
+            )
+        return log
+
+    def races(self, cell: _Cell, offsets, write: bool):
+        first, wrote = self.log(cell)
+        it = first[offsets]
+        clash = (it != _NEVER) & (it != self.iteration)
+        return clash if write else clash & wrote[offsets]
+
+    def record(self, cell: _Cell, offsets, write: bool):
+        first, wrote = self.log(cell)
+        fresh = first[offsets] == _NEVER
+        if isinstance(offsets, np.ndarray):
+            first[offsets[fresh]] = self.iteration
+        elif fresh:
+            first[offsets] = self.iteration
+        if write:
+            wrote[offsets] = True
 
 
 class _Runner:
@@ -216,10 +273,11 @@ class _Runner:
         self.p = lp.pipeline
         self.lanes = next(iter(inputs.values())).shape[0] if inputs else 1
         self.mem: dict[str, _Cell] = {}
-        self.shadow: dict[str, list[_Cell]] = {}
         self.findings: list[Finding] = []
         self.seen: set = set()
         self.points = 0
+        self.batched_loops = 0
+        self.replayed_loops = 0
         self.next_instance = 0
         self.trackers: list[_Tracker] = []
         self.grants: dict[str, list[tuple[bool, int, int]]] = {}
@@ -259,23 +317,17 @@ class _Runner:
 
     def _touch(self, cell: _Cell, offset: int, write: bool, site: str):
         for tr in self.trackers:
-            key = (cell.instance, offset)
-            prev = tr.log.get(key)
-            if prev is None:
-                tr.log[key] = (tr.iteration, write)
-            else:
-                it, wrote = prev
-                if it != tr.iteration and (write or wrote):
-                    what = "write collides with" if write else "read races against"
-                    self.report(
-                        "race",
-                        f"iterations {it} and {tr.iteration} of parallel loop {tr.var!r}"
-                        f" touch the same cell ({what} earlier access)",
-                        site,
-                        dedupe=("race", tr.var, cell.instance, offset),
-                    )
-                if write and not wrote:
-                    tr.log[key] = (it, True)
+            if tr.races(cell, offset, write):
+                it = int(tr.log(cell)[0][offset])
+                what = "write collides with" if write else "read races against"
+                self.report(
+                    "race",
+                    f"iterations {it} and {tr.iteration} of parallel loop {tr.var!r}"
+                    f" touch the same cell ({what} earlier access)",
+                    site,
+                    dedupe=("race", tr.var, cell.instance, offset),
+                )
+            tr.record(cell, offset, write)
 
     def _covered(self, name: str, offset: int, write: bool, site: str):
         for is_write, lo, hi in self.grants.get(name, ()):
@@ -340,7 +392,9 @@ class _Runner:
     def _check32(self, v, site: str):
         bad = (v < INT32_MIN) | (v > INT32_MAX)
         if np.any(bad):
-            lanes = tuple(np.flatnonzero(np.atleast_1d(bad)).tolist()) or None
+            # a value that depends on the inputs has one entry per lane; a
+            # scalar does not, and overflows in every lane
+            lanes = tuple(np.flatnonzero(bad).tolist()) if np.ndim(bad) else None
             self.report(
                 "overflow",
                 "intermediate value leaves the signed 32-bit range",
@@ -388,34 +442,10 @@ class _Runner:
                         self.run(c, env)
                     return
                 lo = eval_const(dim.lo, env)
-                if dim.kind == "parallel":
-                    tr = _Tracker(dim.display)
-                    self.trackers.append(tr)
-                    if self.obs is not None:
-                        self.obs.par_enter(node)
-                    for v in range(lo, lo + dim.extent):
-                        tr.iteration = v
-                        env[dim.var] = v
-                        if self.obs is not None:
-                            self.obs.par_iter_pre(node, env)
-                        for c in body:
-                            self.run(c, env)
-                        if self.obs is not None:
-                            self.obs.par_iter_post(node, env)
-                    if self.obs is not None:
-                        self.obs.par_exit(node)
-                    self.trackers.pop()
-                else:
-                    for v in range(lo, lo + dim.extent):
-                        env[dim.var] = v
-                        if self.obs is not None:
-                            self.obs.serial_boundary(node, env)
-                        for c in body:
-                            self.run(c, env)
-                    if self.obs is not None:
-                        # one-past-the-end boundary closes the loop
-                        env[dim.var] = lo + dim.extent
-                        self.obs.serial_boundary(node, env)
+                if not self._batched(node, lo, env):
+                    self._iterate(node, lo, env, body)
+                elif self.obs is not None:
+                    self._iterate(node, lo, env, ())
                 env.pop(dim.var, None)
             case If(cond, owner, body):
                 if eval_const(cond, env) != 0:
@@ -427,12 +457,217 @@ class _Runner:
                 if self.obs is not None:
                     self.obs.stmt_pre(node, env)
                 vals = compiled(value, checked=True)(env, self)
-                self._check32(np.atleast_1d(vals), self.site)
+                self._check32(vals, self.site)
                 self.write(target.name, eval_const(index, env), vals, self.site)
                 if self.obs is not None:
                     self.obs.stmt_post(node, env)
             case _:
                 raise TypeError(f"cannot execute node {type(node).__name__}")
+
+    def _iterate(self, loop: Loop, lo: int, env: dict[str, int], body):
+        """The iterations of ``loop`` with the observer's boundary events,
+        running ``body`` in each; after a committed batch it is empty."""
+        dim, obs = loop.dim, self.obs
+        if dim.kind == "parallel":
+            tr = _Tracker(dim.display)
+            self.trackers.append(tr)
+            if obs is not None:
+                obs.par_enter(loop)
+            for v in range(lo, lo + dim.extent):
+                tr.iteration = v
+                env[dim.var] = v
+                if obs is not None:
+                    obs.par_iter_pre(loop, env)
+                for c in body:
+                    self.run(c, env)
+                if obs is not None:
+                    obs.par_iter_post(loop, env)
+            if obs is not None:
+                obs.par_exit(loop)
+            self.trackers.pop()
+        else:
+            for v in range(lo, lo + dim.extent):
+                env[dim.var] = v
+                if obs is not None:
+                    obs.serial_boundary(loop, env)
+                for c in body:
+                    self.run(c, env)
+            if obs is not None:
+                # one-past-the-end boundary closes the loop
+                env[dim.var] = lo + dim.extent
+                obs.serial_boundary(loop, env)
+
+    def _batched(self, loop: Loop, lo: int, env: dict[str, int]) -> bool:
+        """Run ``loop`` as one batch when its plan allows and no detector
+        fires; False leaves every piece of state as it was."""
+        plan = loop.__dict__.get("_batch_plan", _UNPLANNED)
+        if plan is _UNPLANNED:
+            plan = loop._batch_plan = batch_plan(loop)
+        if plan is None or (self.obs is not None and not self.obs.memory_free(loop, plan)):
+            return False
+        batch = _Batch(self)
+        try:
+            batch.run(plan, loop.dim.var, np.arange(lo, lo + loop.dim.extent, dtype=np.int64), env)
+        except Exception:
+            # a detector fired, or evaluation failed; the walk meets either
+            # in its own order
+            self.replayed_loops += 1
+            return False
+        batch.commit()
+        self.batched_loops += 1
+        return True
+
+
+_UNPLANNED = object()
+
+
+def _reads(e: Expr) -> set[str]:
+    """The entities an expression reads."""
+    return {n.target.name for n in walk(e) if isinstance(n, TableRead)}
+
+
+def batch_plan(loop: Loop) -> list[tuple[tuple[Expr, ...], StoreStmt]] | None:
+    """The store statements of ``loop``, each with the ``If`` guards above
+    it, when the loop may run as one batch; None when it must be walked.
+
+    Its body, looking through ``If`` and unrolled loops, holds only store
+    statements; no entity is both read and written in it; guards and store
+    indexes read no memory.  Iterations then share no memory dependence,
+    so the order of a batch's reads and writes changes no value.  A select
+    whose condition varies with the loop alone (so a walk takes one branch
+    per iteration) must not read memory in its branches, so that the batch
+    reads exactly the cells the walk reads.
+    """
+    plan: list[tuple[tuple[Expr, ...], StoreStmt]] = []
+
+    def collect(nodes, guards: tuple[Expr, ...]) -> bool:
+        for n in nodes:
+            if isinstance(n, StoreStmt):
+                plan.append((guards, n))
+            elif isinstance(n, If):
+                if not collect(n.body, guards + (n.cond,)):
+                    return False
+            elif isinstance(n, Loop) and n.dim.kind == "unrolled":
+                if not collect(n.body, guards):
+                    return False
+            else:
+                return False
+        return True
+
+    if not collect(loop.body, ()):
+        return None
+    written = {s.target.name for _, s in plan}
+    for guards, s in plan:
+        if any(_reads(g) for g in guards) or _reads(s.index) or _reads(s.value) & written:
+            return None
+        for n in walk(s.value):
+            if (
+                isinstance(n, Select)
+                and loop.dim.var in free_vars(n.cond)
+                and not _reads(n.cond)
+                and (_reads(n.if_true) or _reads(n.if_false))
+            ):
+                return None
+    return plan
+
+
+class _Fired(Exception):
+    """A detector fired on a batch."""
+
+
+class _Batch:
+    """One loop's statements evaluated over its whole iteration vector, as
+    the evaluation context of :func:`compiled`: the runner's detectors run
+    on offset arrays, and any finding raises :class:`_Fired`.  No state
+    changes before :meth:`commit`."""
+
+    def __init__(self, runner: _Runner):
+        self.runner = runner
+        self.n = 0  # iterations of the statement being evaluated
+        self.reads: list[tuple[_Cell, np.ndarray]] = []
+        self.writes: list[tuple[_Cell, np.ndarray, object]] = []
+        self.points = 0
+
+    def run(self, plan, var: str, iters: np.ndarray, env: dict[str, int]):
+        env = dict(env)
+        for guards, stmt in plan:
+            # guards narrow the vector first: masked iterations read nothing
+            env[var] = iters
+            for g in guards:
+                keep = compiled(g)(env, self) != 0
+                if np.ndim(keep):
+                    env[var] = env[var][keep]
+                elif not keep:
+                    env[var] = iters[:0]
+            self.n = len(env[var])
+            if not self.n:
+                continue
+            vals = compiled(stmt.value, checked=True)(env, self)
+            self.check(vals)
+            offsets = self._offsets(compiled(stmt.index)(env, self))
+            self.writes.append((self._access(stmt.target.name, offsets, write=True), offsets, vals))
+            self.points += self.n
+        written: dict[int, list[np.ndarray]] = {}
+        for cell, offsets, _ in self.writes:
+            written.setdefault(cell.instance, []).append(offsets)
+        for parts in written.values():
+            offs = np.sort(np.concatenate(parts))
+            if (offs[1:] == offs[:-1]).any():
+                raise _Fired  # a cell written twice: order matters, or a race
+
+    def commit(self):
+        for cell, offsets, vals in self.writes:
+            cell.arr[:, offsets] = vals
+            cell.init[offsets] = True
+        for tr in self.runner.trackers:
+            for cell, offsets in self.reads:
+                tr.record(cell, offsets, write=False)
+            for cell, offsets, _ in self.writes:
+                tr.record(cell, offsets, write=True)
+        self.runner.points += self.points
+
+    def _offsets(self, index) -> np.ndarray:
+        offsets = np.asarray(index, dtype=np.int64)
+        if offsets.ndim == 0:
+            return np.full(self.n, offsets)
+        if offsets.shape != (self.n,):
+            raise _Fired  # an index that varies by lane
+        return offsets
+
+    def _access(self, name: str, offsets: np.ndarray, write: bool) -> _Cell:
+        r = self.runner
+        cell = r.mem[name]
+        lo, hi = offsets.min(), offsets.max()
+        if lo < 0 or hi >= cell.arr.shape[1]:
+            raise _Fired
+        grants = [(a, b) for is_write, a, b in r.grants.get(name, ()) if is_write or not write]
+        if not any(a <= lo and hi < b for a, b in grants):
+            covered = np.zeros(self.n, dtype=bool)
+            for a, b in grants:
+                covered |= (a <= offsets) & (offsets < b)
+            if not covered.all():
+                raise _Fired
+        if not (write or cell.init[offsets].all()):
+            raise _Fired
+        for tr in r.trackers:
+            if tr.races(cell, offsets, write).any():
+                raise _Fired
+        return cell
+
+    # -- evaluation context of statement values ---------------------------
+
+    def load(self, target: MemTarget, index):
+        offsets = self._offsets(index)
+        cell = self._access(target.name, offsets, write=False)
+        self.reads.append((cell, offsets))
+        return cell.arr[:, offsets]
+
+    def check(self, v):
+        if isinstance(v, np.ndarray):
+            if v.min() < INT32_MIN or v.max() > INT32_MAX:
+                raise _Fired
+        elif not INT32_MIN <= v <= INT32_MAX:
+            raise _Fired
 
 
 class InstantiationBudget(Exception):
@@ -456,6 +691,7 @@ class _AnnObserver:
         self.instantiations = 0
         self.ledgers: list[tuple[Loop, dict[str, list]]] = []
         self.site = ""  # the boundary being checked, for findings
+        self._memory_free: dict[int, bool] = {}
 
     def aset(self, node):
         return self.ap.node.get(id(node))
@@ -466,6 +702,21 @@ class _AnnObserver:
             raise InstantiationBudget(
                 f"one annotation expands to {n} instances (limit {self.cap})"
             )
+
+    def memory_free(self, loop: Loop, plan) -> bool:
+        """Whether no event inside ``loop`` reads memory: its own
+        annotations and their quantifier bounds read no storage, and no
+        statement of its batch ``plan`` carries a contract.  Its events
+        may then follow a committed batch instead of interleaving."""
+        free = self._memory_free.get(id(loop))
+        if free is None:
+            aset = self.aset(loop)
+            anns = [] if aset is None else aset.invariants + aset.requires + aset.ensures + aset.context
+            free = not any(_reads_memory(a) for a in anns) and not any(
+                (s := self.aset(stmt)) is not None and (s.requires or s.ensures) for _, stmt in plan
+            )
+            self._memory_free[id(loop)] = free
+        return free
 
     # -- event entry points ------------------------------------------------
 
@@ -756,6 +1007,12 @@ class _AnnObserver:
         return atom.target.name, idx[keep], atom.frac.value()
 
 
+def _reads_memory(a) -> bool:
+    if isinstance(a, RegionPerm):
+        return False  # its box and offsets come from loop variables alone
+    return any(_reads(e) for e in [a.body, *(b for q in a.quants for b in (q.lo, q.hi))])
+
+
 def _execute(lp: LoweredPipeline, inputs: dict[str, np.ndarray], obs: _AnnObserver | None) -> RunResult:
     """Walk the nest once, flag output cells left unwritten, and check the
     pipeline postconditions when an observer is attached."""
@@ -774,6 +1031,8 @@ def _execute(lp: LoweredPipeline, inputs: dict[str, np.ndarray], obs: _AnnObserv
         runner.points,
         (time.perf_counter() - t0) * 1000,
         0 if obs is None else obs.instantiations,
+        runner.batched_loops,
+        runner.replayed_loops,
     )
 
 
@@ -869,6 +1128,8 @@ def to_reports(
                     "points": result.points,
                     "instantiations": instantiations,
                     "millis": round(result.millis, 3),
+                    "batched_loops": result.batched_loops,
+                    "replayed_loops": result.replayed_loops,
                 },
             }
         )

@@ -943,21 +943,18 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
         _check_dims(b.name, b.dims, diags)
         point = {n for n, _ in b.dims}
         for c in b.requires:
-            _check_value_spec(p, b.name, b.dim_names(), c, point, diags, allow_funcs=False)
+            _check_value_spec(b.name, b.dim_names(), c, point, diags)
 
     defined: set[str] = {b.name for b in p.buffers}
     for f in p.funcs:
         _check_dims(f.name, f.dims, diags)
-        dim_names = set(f.dim_names())
         if not f.stages:
             diags.append(Diagnostic("EmptyFunc", f"func {f.name!r} has no definition"))
             continue
         for s in f.stages:
             _validate_stage(p, f, s, defined, diags)
         defined.add(f.name)
-        del dim_names
 
-    out = p.output_func
     allowed = {b.name for b in p.buffers} | {p.output}
     for c in p.requires:
         for n in walk(c.expr):
@@ -989,7 +986,6 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
                     eval_const(_resolve_bound_refs(p, side))
                 except (ValueError, KeyError):
                     diags.append(Diagnostic("NonConcreteBound", "pipeline ensures ranges must be closed over bounds", q.span))
-    del out
     return diags
 
 
@@ -1102,6 +1098,15 @@ def _validate_stage(p: Pipeline, f: Func, s: Stage, defined: set[str], diags: li
     if s.guard is not None:
         check_expr(s.guard, "guard", s.span, "any")
 
+    # Executed values are 32-bit; a constant the parser folded past that
+    # range is an overflow known before any input is chosen.
+    for where, e in (("rhs", s.rhs), ("guard", s.guard)):
+        if e is None:
+            continue
+        for n in walk(e):
+            if isinstance(n, Const) and not INT32_MIN <= n.value <= INT32_MAX:
+                diags.append(Diagnostic("ConstantOverflow", f"{f.name} stage {s.index} {where}: constant {n.value} leaves the signed 32-bit range", s.span))
+
     # Specs must talk about the function at the point being defined.
     for c in list(s.requires) + list(s.ensures):
         check_expr(c.expr, "spec", c.span, "any")
@@ -1131,13 +1136,11 @@ def _validate_stage(p: Pipeline, f: Func, s: Stage, defined: set[str], diags: li
 
 
 def _check_value_spec(
-    p: Pipeline,
     owner: str,
     dims: tuple[str, ...],
     c: Cond,
     point: set[str],
     diags: list[Diagnostic],
-    allow_funcs: bool,
 ) -> None:
     for n in walk(c.expr):
         match n:
@@ -1148,5 +1151,5 @@ def _check_value_spec(
                     diags.append(Diagnostic("PipelineSpecScope", f"{owner} requires may only constrain {owner}", c.span))
                 elif tuple(args) != tuple(Var(d) for d in dims):
                     diags.append(Diagnostic("SpecNotCanonical", f"{owner} requires must constrain the cell ({', '.join(dims)})", c.span))
-            case FuncAccess(_, _) if not allow_funcs:
+            case FuncAccess(_, _):
                 diags.append(Diagnostic("PipelineSpecScope", f"{owner} requires may not call functions", c.span))

@@ -1,16 +1,14 @@
 """Expression and contract rendering.
 
-One printer serves four surfaces: the scheduling DSL itself (so parsed
-trees round-trip), PVL-style pure-function encodings, C statements, and
-the annotation comments embedded in emitted C.  The dialects differ only
-in how calls, selects, division, and storage reads are spelled; operator
-precedence is shared and parentheses are inserted to reproduce the exact
-tree shape, which the parser round-trip property relies on.
+One printer serves three surfaces: the scheduling DSL itself (so parsed
+trees round-trip), PVL-style pure-function encodings, and the annotation
+comments embedded in emitted C.  The dialects differ only in how calls,
+selects, division, and storage reads are spelled; operator precedence is
+shared and parentheses are inserted to reproduce the exact tree shape,
+which the parser round-trip property relies on.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .ir import (
     BinOp,
@@ -21,7 +19,6 @@ from .ir import (
     Frac,
     FuncAccess,
     MaxOf,
-    MemTarget,
     MinOf,
     Not,
     PermAtom,
@@ -66,25 +63,15 @@ def frac_text(f: Frac) -> str:
 class ExprPrinter:
     """Render expressions in one dialect.
 
-    ``dialect`` is "dsl", "pvl", "c", or "cann" (annotation comments inside
+    ``dialect`` is "dsl", "pvl", or "cann" (annotation comments inside
     emitted C, which keep Euclidean division in call form so the text reads
-    as mathematics rather than as the runtime helper).  ``target_name``
-    maps a storage region to the identifier used for it at the print site
-    (host alias inside a function body, ``->host`` form in a contract).
-    ``rename`` lets a caller present functions under different names, which
-    the encoder uses when a stage family replaces the bare function name.
+    as mathematics rather than as the runtime helper).  A storage region
+    prints as ``_<name>``.
     """
 
-    def __init__(
-        self,
-        dialect: str = "dsl",
-        target_name: Callable[[MemTarget], str] | None = None,
-        rename: Callable[[str], str] | None = None,
-    ):
-        assert dialect in ("dsl", "pvl", "c", "cann")
+    def __init__(self, dialect: str = "dsl"):
+        assert dialect in ("dsl", "pvl", "cann")
         self.dialect = dialect
-        self.target_name = target_name or (lambda t: f"_{t.name}")
-        self.rename = rename or (lambda n: n)
 
     def __call__(self, e: Expr) -> str:
         return self.print(e)
@@ -109,14 +96,14 @@ class ExprPrinter:
                     return f"{entity}_{dim}_{end}()", _ATOM
                 return f"{entity}.{dim}.{end}", _ATOM
             case FuncAccess(func, args):
-                return f"{self.rename(func)}({self._args(args)})", _ATOM
+                return f"{func}({self._args(args)})", _ATOM
             case BufAccess(buf, args):
-                return f"{self.rename(buf)}({self._args(args)})", _ATOM
+                return f"{buf}({self._args(args)})", _ATOM
             case TableRead(target, index):
-                return f"{self.target_name(target)}[{self.print(index)}]", _ATOM
+                return f"_{target.name}[{self.print(index)}]", _ATOM
             case PermAtom(target, index, frac):
-                cell = f"{self.target_name(target)}[{self.print(index)}]"
-                if self.dialect in ("c", "cann"):
+                cell = f"_{target.name}[{self.print(index)}]"
+                if self.dialect == "cann":
                     cell = "&" + cell
                 return f"Perm({cell}, {frac_text(frac)})", _ATOM
             case MinOf(l, r) | MaxOf(l, r):
@@ -139,11 +126,7 @@ class ExprPrinter:
                 if op in ("hdiv", "hmod"):
                     if self.dialect in ("dsl", "pvl"):
                         return self._binary_like({"hdiv": "/", "hmod": "%"}[op], (l, r))
-                    name = op if self.dialect == "cann" else {
-                        "hdiv": "div_eucl",
-                        "hmod": "mod_eucl",
-                    }[op]
-                    return f"{name}({self.print(l)}, {self.print(r)})", _ATOM
+                    return f"{op}({self.print(l)}, {self.print(r)})", _ATOM
                 return self._binary_like(op, (l, r))
         raise TypeError(f"cannot print {type(e).__name__}")
 

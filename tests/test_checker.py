@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minisched import PipelineError
 from minisched import checker as C
-from minisched.ir import BinOp, Const
-from minisched.lowering import NonAffineAccess, StoreStmt, lower
+from minisched.ir import BinOp, Const, TableRead, Var, walk
+from minisched.lowering import Consume, NonAffineAccess, Produce, StoreStmt, lower
 from minisched.parser import parse_pipeline, parse_schedule
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -257,6 +258,189 @@ def test_mutated_value_mismatches_reference():
     assert any(f.kind == "mismatch" for f in res.findings)
 
 
+def pipeline(body: str):
+    src = f"""pipeline t(inp) -> out {{
+  buffer inp(x in [0, 8));
+  func out(x in [0, 8)) {{
+    out(x) = {body};
+  }}
+}}"""
+    return parse_pipeline(src).validated()
+
+
+def test_input_independent_overflow_fails_every_seed():
+    p = pipeline("2147483647 + x")
+    results = [C.check_lowered(p, [], SEEDS)] + [
+        C.check_schedule(p, [], SEEDS, include_user=u) for u in (True, False)
+    ]
+    for res in results:
+        over = [f for f in res.findings if f.kind == "overflow"]
+        assert len(over) == 1 and over[0].lanes is None
+        reps = C.to_reports("t", "root", SEEDS, res)
+        assert [r["verdict"] for r in reps] == ["fail"] * len(SEEDS)
+
+
+@pytest.mark.parametrize(
+    "body", ["inp(x) + 9223372036854775807 * 4", "inp(x) + 2147483647 * 2147483647 * 4"]
+)
+def test_constant_beyond_32_bits_is_rejected_when_validated(body):
+    # the parser folds the constant, so its overflow is known before any
+    # input exists: neither check_lowered nor check_schedule is reached
+    with pytest.raises(PipelineError) as err:
+        pipeline(body)
+    assert [d.code for d in err.value.diagnostics] == ["ConstantOverflow"]
+
+
+# ---------------------------------------------------------------------------
+# Batched loops: every detector, and the corpus, against the walk alone
+
+
+def declined(monkeypatch, run):
+    """``run()`` once as is and once with every batch declined."""
+    batched = run()
+    with monkeypatch.context() as m:
+        m.setattr(C, "batch_plan", lambda loop: None)
+        walked = run()
+    assert walked.batched_loops == walked.replayed_loops == 0
+    return batched, walked
+
+
+def assert_same_run(a: C.RunResult, b: C.RunResult):
+    assert [f.to_json() for f in a.findings] == [f.to_json() for f in b.findings]
+    assert (a.points, a.instantiations) == (b.points, b.instantiations)
+    assert a.mem.keys() == b.mem.keys()
+    for name in a.mem:
+        assert np.array_equal(a.mem[name], b.mem[name]), name
+
+
+def chain3_run(sched: str, surgery):
+    """Run chain3 n=8 lowered under ``sched`` after ``surgery(lp)``."""
+    p = parse_pipeline((CORPUS / "chain3.hal").read_text()).resolve({"n": 8}).validated()
+
+    def run():
+        lp = lower(p, parse_schedule(sched))
+        surgery(lp)
+        return C.run_lowered(lp, C.make_inputs(p, SEEDS))
+
+    return run
+
+
+FUSED = "lift.fuse(x, y, xy).parallel(xy);"
+STAGED = "mid.split(x, xo, xi, 8); lift.parallel(y);"
+
+
+def stores(root, func):
+    return [n for n in nodes(root) if isinstance(n, StoreStmt) and n.func == func]
+
+
+def test_batched_race_on_constant_store_index(monkeypatch):
+    def surgery(lp):
+        for n in stores(lp.root, "lift"):
+            n.index = Const(0)
+
+    batched, walked = declined(monkeypatch, chain3_run(FUSED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops == 1
+    assert any(f.kind == "race" and "parallel loop 'xy'" in f.message for f in batched.findings)
+
+
+def test_batched_race_across_the_enclosing_parallel_loop(monkeypatch):
+    def surgery(lp):
+        # every iteration of the parallel y loop writes the same row
+        for n in stores(lp.root, "lift"):
+            n.index = Var("x")
+
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.batched_loops > 0 and batched.replayed_loops > 0
+    assert any(f.kind == "race" and "parallel loop 'y'" in f.message for f in batched.findings)
+
+
+def test_batched_out_of_bounds_store(monkeypatch):
+    def surgery(lp):
+        for n in stores(lp.root, "lift"):
+            n.index = BinOp("+", n.index, Const(60))
+
+    batched, walked = declined(monkeypatch, chain3_run(FUSED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops == 1
+    assert any(f.kind == "out_of_bounds" for f in batched.findings)
+
+
+def test_batched_uninitialized_read(monkeypatch):
+    def surgery(lp):
+        for n in nodes(lp.root):
+            if isinstance(n, Produce) and n.func == "mid":
+                n.body = []
+        for n in stores(lp.root, "lift"):
+            # a poisoned cell times zero stays in range, so only the init
+            # bitmap sees the read
+            read = next(e for e in walk(n.value) if isinstance(e, TableRead) and e.target.name == "mid")
+            n.value = BinOp("*", read, Const(0))
+
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    assert {f.kind for f in batched.findings} == {"uninitialized_read"}
+
+
+def test_batched_overflow(monkeypatch):
+    def surgery(lp):
+        for n in stores(lp.root, "lift"):
+            n.value = BinOp("*", n.value, Const(2**31 - 1))
+
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    over = [f for f in batched.findings if f.kind == "overflow"]
+    assert len(over) == 1 and over[0].lanes is not None
+
+
+def test_batched_uncovered_access(monkeypatch):
+    def surgery(lp):
+        # run the consumer without the read permission its Consume grants
+        chain = lp.root
+        assert isinstance(chain.body[1], Consume)
+        chain.body[1] = chain.body[1].body[0]
+
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    assert any(f.kind == "uncovered_access" for f in batched.findings)
+
+
+# Odd sizes, so split tails and guards show up in the batches.
+SMALL = {
+    "blur": {"x": 10, "y": 7},
+    "count": {"w": 7},
+    "matmul": {"n": 5},
+    "conv1d": {"n": 13},
+    "chain3": {"n": 9},
+    "update2": {"n": 11},
+}
+
+
+@pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)
+def test_batches_equal_the_walk_on_the_corpus(monkeypatch, algo, sched):
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
+    d = schedule(algo, sched)
+    runs = [lambda: C.check_lowered(p, d, [0, 1])] + [
+        lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
+    ]
+    for run in runs:
+        assert_same_run(*declined(monkeypatch, run))
+
+
+def test_replay_counts_on_a_clean_and_a_faulty_schedule():
+    res = C.check_lowered(load("blur"), schedule("blur", "rows"), SEEDS)
+    assert res.passed and res.batched_loops > 0 and res.replayed_loops == 0
+    # the tail split reads src[90] outside its allocation: that batch replays
+    p = parse_pipeline((CORPUS / "chain3.hal").read_text()).resolve({"n": 9}).validated()
+    res = C.check_lowered(p, parse_schedule("lift.split(y, o1, i1, 5); base.unroll(y);"), SEEDS)
+    assert res.replayed_loops >= 1
+    assert any(f.kind == "out_of_bounds" and "src[90]" in f.message for f in res.findings)
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -269,7 +453,13 @@ def test_reports_split_lane_tagged_findings():
     assert reps[0]["findings"] == []
     assert reps[1]["findings"][0]["kind"] == "overflow"
     assert reps[1]["seed"] == 11
-    assert reps[0]["stats"] == {"points": 5, "instantiations": 0, "millis": 1.0}
+    assert reps[0]["stats"] == {
+        "points": 5,
+        "instantiations": 0,
+        "millis": 1.0,
+        "batched_loops": 0,
+        "replayed_loops": 0,
+    }
 
 
 def test_reports_global_finding_fails_every_seed():
