@@ -30,8 +30,20 @@ then runs on the batch's offset arrays, and the batch is committed only if
 none fires.  Otherwise it is dropped, with no state touched, and the loop
 is walked statement by statement, which reports the findings in the
 order, and with the messages, of a walk that never tried the batch.
-Under annotation checking a loop is batched only when no event inside it
-reads memory; its boundary events then follow the commit in walk order.
+
+Under annotation checking, a batch's events are checked before it commits.
+Each value annotation that fires inside the loop (serial invariants at
+every boundary, parallel block contracts at every iteration, statement
+contracts at the iterations their guards keep) is evaluated once, over the
+stacked grid of all its events and quantifier points.  Every write of the
+batch carries a stamp, its iteration and plan position, and each event
+reads storage as it stood at its own time: the batch's pending value where
+the cell's stamp is earlier, the pre-batch value otherwise.  A failing
+instance, an out-of-range annotation read, one event over the
+instantiation cap, or an index that varies by lane drops the batch, and
+the walk reports what it finds.  After the commit the instantiations are
+counted and a parallel loop's permission ledger is charged, iteration by
+iteration.
 """
 
 from __future__ import annotations
@@ -59,6 +71,7 @@ from .ir import (
     eval_const,
     free_vars,
     walk,
+    _CLOSED,
     _resolve_bound_refs,
 )
 from .lowering import (
@@ -219,8 +232,11 @@ class _Cell:
     instance: int
 
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 # The first iteration of a cell no iteration has touched.
-_NEVER = np.iinfo(np.int64).min
+_NEVER = _INT64_MIN
 
 
 @dataclass
@@ -354,7 +370,8 @@ class _Runner:
             )
             return np.zeros(self.lanes, dtype=np.int64)
         self._covered(name, offset, write=False, site=site)
-        if not cell.init[offset]:
+        init = cell.init[offset]
+        if not init:
             self.report(
                 "uninitialized_read",
                 f"{name}[{offset}] is read before any write",
@@ -362,6 +379,10 @@ class _Runner:
                 dedupe=("uninit", name, cell.instance, offset),
             )
         self._touch(cell, offset, write=False, site=site)
+        if not init:
+            # like an out-of-range read, go on with zeros: the poison fill
+            # would be reported a second time, as an overflow
+            return np.zeros(self.lanes, dtype=np.int64)
         return cell.arr[:, offset]
 
     def write(self, name: str, offset, vals, site: str):
@@ -387,9 +408,14 @@ class _Runner:
         return self.read(target.name, index, self.site)
 
     def check(self, v):
-        self._check32(v, self.site)
+        if self._check32(v, self.site) and isinstance(v, int) and not _INT64_MIN <= v <= _INT64_MAX:
+            # exact loop-variable arithmetic left int64: go on wrapped, as
+            # the int64 arithmetic of storage values and the reference does
+            return (v - _INT64_MIN) % 2**64 + _INT64_MIN
+        return None
 
-    def _check32(self, v, site: str):
+    def _check32(self, v, site: str) -> bool:
+        """Report ``v`` if it leaves the signed 32-bit range; whether it does."""
         bad = (v < INT32_MIN) | (v > INT32_MAX)
         if np.any(bad):
             # a value that depends on the inputs has one entry per lane; a
@@ -402,6 +428,8 @@ class _Runner:
                 lanes=lanes,
                 dedupe=("overflow", site),
             )
+            return True
+        return False
 
     # -- statements and control -------------------------------------------
 
@@ -443,9 +471,7 @@ class _Runner:
                     return
                 lo = eval_const(dim.lo, env)
                 if not self._batched(node, lo, env):
-                    self._iterate(node, lo, env, body)
-                elif self.obs is not None:
-                    self._iterate(node, lo, env, ())
+                    self._iterate(node, lo, env)
                 env.pop(dim.var, None)
             case If(cond, owner, body):
                 if eval_const(cond, env) != 0:
@@ -464,10 +490,10 @@ class _Runner:
             case _:
                 raise TypeError(f"cannot execute node {type(node).__name__}")
 
-    def _iterate(self, loop: Loop, lo: int, env: dict[str, int], body):
-        """The iterations of ``loop`` with the observer's boundary events,
-        running ``body`` in each; after a committed batch it is empty."""
-        dim, obs = loop.dim, self.obs
+    def _iterate(self, loop: Loop, lo: int, env: dict[str, int]):
+        """The iterations of ``loop``, statement by statement, with the
+        observer's boundary events."""
+        dim, obs, body = loop.dim, self.obs, loop.body
         if dim.kind == "parallel":
             tr = _Tracker(dim.display)
             self.trackers.append(tr)
@@ -503,17 +529,21 @@ class _Runner:
         plan = loop.__dict__.get("_batch_plan", _UNPLANNED)
         if plan is _UNPLANNED:
             plan = loop._batch_plan = batch_plan(loop)
-        if plan is None or (self.obs is not None and not self.obs.memory_free(loop, plan)):
+        if plan is None:
             return False
         batch = _Batch(self)
         try:
             batch.run(plan, loop.dim.var, np.arange(lo, lo + loop.dim.extent, dtype=np.int64), env)
+            if self.obs is not None:
+                self.obs.check_batch(loop, lo, plan, batch, env)
         except Exception:
-            # a detector fired, or evaluation failed; the walk meets either
-            # in its own order
+            # a detector fired, an annotation failed, or evaluation failed;
+            # the walk meets any of them in its own order
             self.replayed_loops += 1
             return False
         batch.commit()
+        if self.obs is not None:
+            self.obs.commit_batch(loop, lo, env)
         self.batched_loops += 1
         return True
 
@@ -584,13 +614,15 @@ class _Batch:
     def __init__(self, runner: _Runner):
         self.runner = runner
         self.n = 0  # iterations of the statement being evaluated
+        self.kept: list[np.ndarray] = []  # per plan entry, the iterations its guards keep
         self.reads: list[tuple[_Cell, np.ndarray]] = []
-        self.writes: list[tuple[_Cell, np.ndarray, object]] = []
+        # (cell, offsets, values, plan index) of each statement's writes
+        self.writes: list[tuple[_Cell, np.ndarray, object, int]] = []
         self.points = 0
 
     def run(self, plan, var: str, iters: np.ndarray, env: dict[str, int]):
         env = dict(env)
-        for guards, stmt in plan:
+        for k, (guards, stmt) in enumerate(plan):
             # guards narrow the vector first: masked iterations read nothing
             env[var] = iters
             for g in guards:
@@ -599,16 +631,18 @@ class _Batch:
                     env[var] = env[var][keep]
                 elif not keep:
                     env[var] = iters[:0]
+            self.kept.append(env[var])
             self.n = len(env[var])
             if not self.n:
                 continue
             vals = compiled(stmt.value, checked=True)(env, self)
             self.check(vals)
             offsets = self._offsets(compiled(stmt.index)(env, self))
-            self.writes.append((self._access(stmt.target.name, offsets, write=True), offsets, vals))
+            cell = self._access(stmt.target.name, offsets, write=True)
+            self.writes.append((cell, offsets, vals, k))
             self.points += self.n
         written: dict[int, list[np.ndarray]] = {}
-        for cell, offsets, _ in self.writes:
+        for cell, offsets, _, _ in self.writes:
             written.setdefault(cell.instance, []).append(offsets)
         for parts in written.values():
             offs = np.sort(np.concatenate(parts))
@@ -616,13 +650,13 @@ class _Batch:
                 raise _Fired  # a cell written twice: order matters, or a race
 
     def commit(self):
-        for cell, offsets, vals in self.writes:
+        for cell, offsets, vals, _ in self.writes:
             cell.arr[:, offsets] = vals
             cell.init[offsets] = True
         for tr in self.runner.trackers:
             for cell, offsets in self.reads:
                 tr.record(cell, offsets, write=False)
-            for cell, offsets, _ in self.writes:
+            for cell, offsets, _, _ in self.writes:
                 tr.record(cell, offsets, write=True)
         self.runner.points += self.points
 
@@ -674,6 +708,10 @@ class InstantiationBudget(Exception):
     """A single annotation asked for more concrete instances than allowed."""
 
 
+# The key under which a stacked grid keeps each point's event time.
+_WHEN = "\\when"
+
+
 class _AnnObserver:
     """Evaluates attached annotations at the runner's boundary events.
 
@@ -682,6 +720,11 @@ class _AnnObserver:
     contracts are charged to a per-loop ledger and the fraction sum per
     cell must not exceed a whole permission.  All arithmetic on fractions
     is exact.
+
+    A batched loop's value annotations are checked before its batch
+    commits (:meth:`check_batch`), each over the stacked grid of all its
+    events inside the loop; the event entry points then get the loop
+    variable as a vector of events and ``when``, each event's time.
     """
 
     def __init__(self, ap: AnnotatedPipeline, cap: int = 10_000_000):
@@ -691,7 +734,14 @@ class _AnnObserver:
         self.instantiations = 0
         self.ledgers: list[tuple[Loop, dict[str, list]]] = []
         self.site = ""  # the boundary being checked, for findings
-        self._memory_free: dict[int, bool] = {}
+        # under a batched check: the batch, its first iteration and plan
+        # length, each grid point's event time, the batch's writes per
+        # cell instance sorted by offset, and the instantiations to add
+        # on commit; the walk reads storage as it stands
+        self.batch: tuple[_Batch, int, int] | None = None
+        self.when: np.ndarray | None = None
+        self.staged: dict[int, tuple | None] = {}
+        self.pending = 0
 
     def aset(self, node):
         return self.ap.node.get(id(node))
@@ -703,69 +753,135 @@ class _AnnObserver:
                 f"one annotation expands to {n} instances (limit {self.cap})"
             )
 
-    def memory_free(self, loop: Loop, plan) -> bool:
-        """Whether no event inside ``loop`` reads memory: its own
-        annotations and their quantifier bounds read no storage, and no
-        statement of its batch ``plan`` carries a contract.  Its events
-        may then follow a committed batch instead of interleaving."""
-        free = self._memory_free.get(id(loop))
-        if free is None:
-            aset = self.aset(loop)
-            anns = [] if aset is None else aset.invariants + aset.requires + aset.ensures + aset.context
-            free = not any(_reads_memory(a) for a in anns) and not any(
-                (s := self.aset(stmt)) is not None and (s.requires or s.ensures) for _, stmt in plan
-            )
-            self._memory_free[id(loop)] = free
-        return free
+    # -- batched loops -----------------------------------------------------
+
+    def check_batch(self, loop: Loop, lo: int, plan, batch: _Batch, env):
+        """Every value annotation that fires inside ``loop``, checked before
+        ``batch`` commits, each once over the stacked grid of its events.
+
+        The write of plan entry ``k`` at iteration ``v`` is stamped
+        ``(v - lo)·K + k`` with ``K = len(plan)``; an event reads the
+        batch's pending value of a cell whose stamp is below its time, and
+        the pre-batch value otherwise.  A boundary or block precondition at
+        ``v`` has time ``(v - lo)·K``, a statement's precondition
+        ``(v - lo)·K + k`` and its postcondition one more, a block
+        postcondition ``(v - lo + 1)·K``.  Raises :class:`_Fired` wherever
+        the walk would report or raise."""
+        dim, K = loop.dim, len(plan)
+        self.batch, self.staged, self.pending = (batch, lo, K), {}, 0
+        try:
+            if dim.kind == "parallel":
+                it = np.arange(lo, lo + dim.extent, dtype=np.int64)
+                events = env | {dim.var: it}
+                self.par_iter_pre(loop, events, (it - lo) * K)
+                self.par_iter_post(loop, events, (it - lo + 1) * K)
+            else:
+                b = np.arange(lo, lo + dim.extent + 1, dtype=np.int64)
+                self.serial_boundary(loop, env | {dim.var: b}, (b - lo) * K)
+            for k, ((_, stmt), kept) in enumerate(zip(plan, batch.kept)):
+                if len(kept):
+                    events = env | {dim.var: kept}
+                    self.stmt_pre(stmt, events, (kept - lo) * K + k)
+                    self.stmt_post(stmt, events, (kept - lo) * K + k + 1)
+        finally:
+            self.batch, self.when, self.staged = None, None, {}
+
+    def commit_batch(self, loop: Loop, lo: int, env):
+        """After ``loop``'s batch commits: its instantiations, and for a
+        parallel loop the permission ledger, charged in iteration order."""
+        self.instantiations += self.pending
+        aset = self.aset(loop)
+        if loop.dim.kind == "parallel" and aset is not None:
+            self.par_enter(loop)
+            for v in range(lo, lo + loop.dim.extent):
+                env[loop.dim.var] = v
+                self._charge(aset, env)
+            self.par_exit(loop)
+
+    def _staged_read(self, cell: _Cell, idx: np.ndarray):
+        """``cell`` at offsets ``idx`` as each grid point's event saw it."""
+        if cell.instance not in self.staged:
+            self.staged[cell.instance] = self._stage(cell)
+        staged = self.staged[cell.instance]
+        if staged is None:
+            return cell.arr[:, idx]
+        offs, stamps, vals = staged
+        pos = np.minimum(np.searchsorted(offs, idx), len(offs) - 1)
+        pending = (offs[pos] == idx) & (stamps[pos] < self.when)
+        return np.where(pending, vals[:, pos], cell.arr[:, idx])
+
+    def _stage(self, cell: _Cell):
+        """The batch's writes to ``cell`` sorted by offset: offsets, stamps
+        and (lanes, writes) values; None when it writes none."""
+        batch, lo, K = self.batch
+        parts = [(o, (batch.kept[k] - lo) * K + k, v) for c, o, v, k in batch.writes if c is cell]
+        if not parts:
+            return None
+        offs = np.concatenate([o for o, _, _ in parts])
+        order = np.argsort(offs)
+        lanes = cell.arr.shape[0]
+        vals = np.concatenate([np.broadcast_to(v, (lanes, len(o))) for o, _, v in parts], axis=1)
+        return offs[order], np.concatenate([s for _, s, _ in parts])[order], vals[:, order]
 
     # -- event entry points ------------------------------------------------
+    #
+    # ``when`` is None at a single event of the walk; under a batched check
+    # the loop variable in ``env`` is a vector of events and ``when`` holds
+    # their times.
 
-    def serial_boundary(self, loop: Loop, env):
+    def serial_boundary(self, loop: Loop, env, when=None):
         aset = self.aset(loop)
         if aset is None:
             return
-        v = env[loop.dim.var]
+        d, v = loop.dim.display, env[loop.dim.var]
         for a in aset.invariants:
-            if isinstance(a, RegionPerm) or a.perm:
-                continue
-            self._check(
-                a,
-                env,
-                "invariant_violation",
-                f"loop {loop.dim.display}",
-                f"loop invariant does not hold at {loop.dim.display} = {v}",
-            )
+            if self._is_value(a):
+                self._check(
+                    a,
+                    env,
+                    "invariant_violation",
+                    f"loop {d}",
+                    lambda: f"loop invariant does not hold at {d} = {v}",
+                    when,
+                )
 
     def par_enter(self, loop: Loop):
         self.ledgers.append((loop, {}))
 
-    def par_iter_pre(self, loop: Loop, env):
+    def par_iter_pre(self, loop: Loop, env, when=None):
         aset = self.aset(loop)
         if aset is None:
             return
-        self._charge(aset, env)
-        v = env[loop.dim.var]
+        if when is None:
+            self._charge(aset, env)
+        elif any(_reads_memory(a) for a in aset.context if not self._is_value(a)):
+            # a batch charges its ledger after the commit, from the final
+            # storage; only a ledger that reads none may wait
+            raise _Fired
+        d, v = loop.dim.display, env[loop.dim.var]
         for a in aset.requires + [c for c in aset.context if self._is_value(c)]:
             self._check(
                 a,
                 env,
                 "contract_violation",
-                f"loop {loop.dim.display}",
-                f"iteration contract fails on entry at {loop.dim.display} = {v}",
+                f"loop {d}",
+                lambda: f"iteration contract fails on entry at {d} = {v}",
+                when,
             )
 
-    def par_iter_post(self, loop: Loop, env):
+    def par_iter_post(self, loop: Loop, env, when=None):
         aset = self.aset(loop)
         if aset is None:
             return
-        v = env[loop.dim.var]
+        d, v = loop.dim.display, env[loop.dim.var]
         for a in aset.ensures + [c for c in aset.context if self._is_value(c)]:
             self._check(
                 a,
                 env,
                 "contract_violation",
-                f"loop {loop.dim.display}",
-                f"iteration contract fails on exit at {loop.dim.display} = {v}",
+                f"loop {d}",
+                lambda: f"iteration contract fails on exit at {d} = {v}",
+                when,
             )
 
     def par_exit(self, loop: Loop):
@@ -803,10 +919,10 @@ class _AnnObserver:
                     env,
                     "contract_violation",
                     f"consume {node.func}",
-                    f"consumed values of {node.func!r} disagree with its definition",
+                    lambda: f"consumed values of {node.func!r} disagree with its definition",
                 )
 
-    def stmt_pre(self, node: StoreStmt, env):
+    def stmt_pre(self, node: StoreStmt, env, when=None):
         aset = self.aset(node)
         if aset is None:
             return
@@ -816,10 +932,11 @@ class _AnnObserver:
                 env,
                 "contract_violation",
                 f"{node.func}.stage{node.stage}",
-                "statement precondition does not hold",
+                lambda: "statement precondition does not hold",
+                when,
             )
 
-    def stmt_post(self, node: StoreStmt, env):
+    def stmt_post(self, node: StoreStmt, env, when=None):
         aset = self.aset(node)
         if aset is None:
             return
@@ -829,7 +946,8 @@ class _AnnObserver:
                 env,
                 "contract_violation",
                 f"{node.func}.stage{node.stage}",
-                "statement postcondition does not hold",
+                lambda: "statement postcondition does not hold",
+                when,
             )
 
     def pipeline_post(self):
@@ -857,7 +975,7 @@ class _AnnObserver:
                 {},
                 "postcondition_violation",
                 "pipeline",
-                "pipeline postcondition does not hold on the final output",
+                lambda: "pipeline postcondition does not hold on the final output",
             )
 
     # -- evaluation --------------------------------------------------------
@@ -866,32 +984,55 @@ class _AnnObserver:
     def _is_value(a) -> bool:
         return not isinstance(a, RegionPerm) and not a.perm
 
-    def _grid(self, a: Ann, env):
+    def _grid(self, a: Ann, env, when=None):
         """Environment with quantifier variables flattened to index arrays,
-        or None when any quantifier range is empty."""
+        first quantifier slowest, or None when the grid is empty.  With
+        ``when`` it stacks the grids of all events, event by event, and
+        ``_WHEN`` holds each point's event time."""
+        los = [compiled(q.lo)(env, _CLOSED) for q in a.quants]
+        his = [compiled(q.hi)(env, _CLOSED) for q in a.quants]
         envq: dict = dict(env)
-        axes = []
-        total = 1
-        for q in a.quants:
-            lo = eval_const(q.lo, env)
-            hi = eval_const(q.hi, env)
-            axes.append((q.var, lo, max(hi, lo)))
-            total *= max(hi - lo, 0)
-        self._budget(total)
-        if total == 0:
-            return None
-        grids = np.meshgrid(
-            *[np.arange(lo, hi, dtype=np.int64) for _, lo, hi in axes], indexing="ij"
-        )
-        for (var, _, _), g in zip(axes, grids):
-            envq[var] = g.reshape(-1)
+        if when is None:
+            sizes = [max(hi - lo, 0) for lo, hi in zip(los, his)]
+            total = math.prod(sizes)
+            self._budget(total)
+            if total == 0:
+                return None
+            if not sizes:
+                return envq
+            r = np.arange(total, dtype=np.int64)
+        else:
+            sizes = [np.broadcast_to(np.maximum(hi - lo, 0), when.shape) for lo, hi in zip(los, his)]
+            counts = math.prod(sizes, start=np.ones(when.shape, dtype=np.int64))
+            if counts.max(initial=0) > self.cap:
+                raise _Fired  # the walk raises InstantiationBudget
+            total = int(counts.sum())
+            self.pending += total
+            if total == 0:
+                return None
+            ev = np.repeat(np.arange(len(when)), counts)
+            for k, v in env.items():
+                if isinstance(v, np.ndarray):
+                    envq[k] = v[ev]
+            envq[_WHEN] = when[ev]
+            # each point's rank within its event's grid
+            r = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+            los = [np.broadcast_to(lo, when.shape)[ev] for lo in los]
+            sizes = [size[ev] for size in sizes]
+        for q, lo, size in zip(reversed(a.quants), reversed(los), reversed(sizes)):
+            envq[q.var] = lo + r % size
+            r = r // size
         return envq
 
-    def _check(self, a: Ann, env, kind: str, site: str, message: str):
+    def _check(self, a: Ann, env, kind: str, site: str, message, when=None):
+        """Check value annotation ``a`` at one event of the walk, reporting
+        a failure as a finding with the text ``message()``; or, with
+        ``when``, at all the events of a batched loop, raising
+        :class:`_Fired` where the walk would report."""
         key = (kind, id(a), site)
         if key in self.runner.seen:
             return
-        envq = self._grid(a, env)
+        envq = self._grid(a, env, when)
         if envq is None:
             return
         # leading implications are grid guards: restrict the grid to points
@@ -927,12 +1068,15 @@ class _AnnObserver:
             if (vals != 0).all():
                 return
             lanes = None
-        self.runner.report(kind, message, site, lanes=lanes, dedupe=key)
+        if when is not None:
+            raise _Fired
+        self.runner.report(kind, message(), site, lanes=lanes, dedupe=key)
 
     def _vec(self, e: Expr, envq, site: str):
         """Annotation body over a quantifier grid, lanes leading when any
         storage is read.  Shapes are scalar, (points,), or (lanes, points)."""
         self.site = site
+        self.when = envq.get(_WHEN)
         return compiled(e)(envq, self)
 
     def load(self, target: MemTarget, index):
@@ -940,6 +1084,12 @@ class _AnnObserver:
         cell = self.runner.mem[target.name]
         size = cell.arr.shape[1]
         bad = (idx < 0) | (idx >= size)
+        if self.when is not None:
+            # a batched check: the walk reports this read, or meets an index
+            # that varies by lane one event at a time
+            if idx.ndim > 1 or bad.any():
+                raise _Fired
+            return self._staged_read(cell, np.broadcast_to(idx, self.when.shape))
         if bad.any():
             off = int(idx[bad][0])
             self.runner.report(

@@ -1,0 +1,104 @@
+"""Command-line entry point (the ``minisched`` console script).
+
+``minisched annotate <algo.hal> <file.sched> [--scale k=v ...] [--no-user]``
+prints the loop nest that the schedule lowers to, with the annotations the
+compiler attaches to each node: first the pipeline-level contract, then
+every node with its invariants, requires, ensures and context lines.  Each
+line ends with the annotation's origin; a dormant reduction annotation
+names the loop it waits for.  ``--scale`` overrides pipeline parameters,
+and ``--no-user`` keeps only the generated memory-safety annotations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+from .annotate import AnnotatedPipeline, RegionPerm, annotate
+from .lowering import Chain, Consume, If, Loop, Produce, Store, StoreStmt, lower
+from .parser import parse_pipeline, parse_schedule
+from .printing import ExprPrinter, quantified
+
+_PR = ExprPrinter(dialect="cann")
+
+
+def ann_text(a) -> str:
+    """One annotation as ``kind: body  <origin>``."""
+    if isinstance(a, RegionPerm):
+        a = a.quantified()
+    body = _PR.print(a.body)
+    if a.quants:
+        body = quantified(a.quants, None, body, _PR)
+    tag = "" if a.live else f"  [dormant until {a.until}]"
+    return f"{a.kind}: {body}{tag}  <{a.origin}>"
+
+
+def _label(n) -> str:
+    match n:
+        case Loop(dim, owner, _):
+            return f"{dim.kind} loop {dim.var} [{_PR.print(dim.lo)}, +{dim.extent}) owner={owner}"
+        case Produce(func, _) | Consume(func, _) | Store(func, _, _):
+            return f"{type(n).__name__.lower()} {func}"
+        case If(cond, _, _):
+            return f"if {_PR.print(cond)}"
+        case StoreStmt():
+            return f"stmt {n.func}.s{n.stage} {_PR.print(n.index)} = {_PR.print(n.value)}"
+        case Chain():
+            return "chain"
+    raise TypeError(f"cannot print node {type(n).__name__}")
+
+
+def annotated_nest(ap: AnnotatedPipeline) -> list[str]:
+    """The annotated loop nest, one line per node and per annotation."""
+    lines = ["== top =="] + [f"  {ann_text(a)}" for a in ap.top]
+
+    def dump(n, depth: int):
+        pad = "  " * depth
+        lines.append(pad + _label(n))
+        aset = ap.at(n)
+        for slot in ("invariants", "requires", "ensures", "context"):
+            for a in getattr(aset, slot):
+                lines.append(f"{pad}  | {slot[:3]} {ann_text(a)}")
+        for c in getattr(n, "body", []):
+            dump(c, depth + 1)
+
+    dump(ap.lp.root, 0)
+    return lines
+
+
+def _scale(text: str) -> tuple[str, int]:
+    name, sep, value = text.partition("=")
+    try:
+        if not sep or not name:
+            raise ValueError
+        return name, int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME=INT, got {text!r}") from None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(prog="minisched", description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    cmd = sub.add_parser("annotate", help="print the annotated loop nest of a schedule")
+    cmd.add_argument("algo", type=Path, help="the algorithm (.hal)")
+    cmd.add_argument("schedule", type=Path, help="the schedule (.sched)")
+    cmd.add_argument(
+        "--scale", type=_scale, action="append", default=[], metavar="NAME=INT",
+        help="override a pipeline parameter (repeatable)",
+    )
+    cmd.add_argument(
+        "--no-user", action="store_true",
+        help="generated memory-safety annotations only",
+    )
+    args = ap.parse_args(argv)
+
+    p = parse_pipeline(args.algo.read_text()).resolve(dict(args.scale)).validated()
+    lp = lower(p, parse_schedule(args.schedule.read_text()))
+    for line in annotated_nest(annotate(lp, include_user=not args.no_user)):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -506,8 +506,9 @@ def compiled(e: Expr, checked: bool = False) -> Callable:
     ``ctx.load(target, index)`` for a :class:`TableRead`, and
     ``ctx.call(name, args)`` for function and buffer applications and bound
     references (``entity_dim_end``, no arguments).  With ``checked`` every
-    ``+ - * hdiv`` result goes through ``ctx.check(v)``; indices of table
-    reads never do.  A :class:`Select` with a scalar condition evaluates
+    ``+ - * hdiv`` result goes through ``ctx.check(v)``, and a value other
+    than None that it returns replaces the result; indices of table reads
+    never do.  A :class:`Select` with a scalar condition evaluates
     one branch only.
 
     The closure is built once per node and kept on it; trees are frozen
@@ -556,8 +557,8 @@ def _compile(e: Expr, checked: bool) -> Callable:
 
                 def checked_op(env, ctx):
                     v = apply(lf(env, ctx), rf(env, ctx))
-                    ctx.check(v)
-                    return v
+                    w = ctx.check(v)
+                    return v if w is None else w
 
                 return checked_op
             return lambda env, ctx: apply(lf(env, ctx), rf(env, ctx))

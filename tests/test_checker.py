@@ -8,6 +8,7 @@ interpreter to the reference across the whole schedule corpus.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 from minisched import PipelineError
 from minisched import checker as C
-from minisched.ir import BinOp, Const, TableRead, Var, walk
-from minisched.lowering import Consume, NonAffineAccess, Produce, StoreStmt, lower
+from minisched.annotate import Ann, annotate
+from minisched.ir import BinOp, Const, MinOf, Quantifier, TableRead, Var, walk
+from minisched.lowering import Consume, Loop, NonAffineAccess, Produce, StoreStmt, lower
 from minisched.parser import parse_pipeline, parse_schedule
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -268,6 +270,24 @@ def pipeline(body: str):
     return parse_pipeline(src).validated()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "x * 2147483647 * 2147483647 * 2147483647",
+        "inp(x) + x * 2147483647 * 2147483647 * 2147483647",
+    ],
+)
+def test_loop_variable_arithmetic_beyond_int64_is_an_overflow_finding(body):
+    # no constant leaves 32 bits, so validation passes; the walk's exact
+    # loop-variable arithmetic leaves int64 at x = 1
+    p = pipeline(body)
+    results = [C.check_lowered(p, [], SEEDS)] + [
+        C.check_schedule(p, [], SEEDS, include_user=u) for u in (True, False)
+    ]
+    for res in results:
+        assert [(f.kind, f.lanes) for f in res.findings] == [("overflow", None)]
+
+
 def test_input_independent_overflow_fails_every_seed():
     p = pipeline("2147483647 + x")
     results = [C.check_lowered(p, [], SEEDS)] + [
@@ -384,6 +404,19 @@ def test_batched_uninitialized_read(monkeypatch):
     assert {f.kind for f in batched.findings} == {"uninitialized_read"}
 
 
+def test_uninitialized_read_is_reported_once(monkeypatch):
+    def surgery(lp):
+        for n in nodes(lp.root):
+            if isinstance(n, Produce) and n.func == "mid":
+                n.body = []
+
+    # the read goes on with zeros, so the poison fill is not reported a
+    # second time as an overflow
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    assert [f.kind for f in batched.findings] == ["uninitialized_read"] * 72
+
+
 def test_batched_overflow(monkeypatch):
     def surgery(lp):
         for n in stores(lp.root, "lift"):
@@ -428,7 +461,10 @@ def test_batches_equal_the_walk_on_the_corpus(monkeypatch, algo, sched):
         lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
     ]
     for run in runs:
-        assert_same_run(*declined(monkeypatch, run))
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        # a clean run commits every batch it tries
+        assert batched.replayed_loops == 0 or not batched.passed
 
 
 def test_replay_counts_on_a_clean_and_a_faulty_schedule():
@@ -439,6 +475,78 @@ def test_replay_counts_on_a_clean_and_a_faulty_schedule():
     res = C.check_lowered(p, parse_schedule("lift.split(y, o1, i1, 5); base.unroll(y);"), SEEDS)
     assert res.replayed_loops >= 1
     assert any(f.kind == "out_of_bounds" and "src[90]" in f.message for f in res.findings)
+
+
+# ---------------------------------------------------------------------------
+# Batched annotation events: checked before commit, through write stamps
+
+
+def annotated_run(algo: str, sizes: dict, sched: str, surgery):
+    """Check the annotations of ``algo`` lowered under ``sched`` after
+    ``surgery(ap)``, in functional mode."""
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
+
+    def run():
+        lp = lower(p, parse_schedule(sched))
+        ap = annotate(lp, include_user=True)
+        surgery(ap)
+        return C.check_annotations(lp, ap, C.make_inputs(p, SEEDS))
+
+    return run
+
+
+ROWS = (CORPUS / "schedules" / "blur" / "rows.sched").read_text()
+
+
+def test_batched_invariant_reads_storage_as_of_its_boundary(monkeypatch):
+    # xf < x becomes xf < min(x + 1, 10): at boundary x < 10 the invariant
+    # reads the cell that iteration x has not yet written, which the batch
+    # has staged; the last boundary holds
+    def surgery(ap):
+        count = 0
+        for aset in ap.node.values():
+            for i, a in enumerate(aset.invariants):
+                if isinstance(a, Ann) and a.origin == ("stage", "blur_x", 0, "post") and len(a.quants) == 1:
+                    (q,) = a.quants
+                    if q.hi == Var("x"):
+                        hi = MinOf(BinOp("+", q.hi, Const(1)), Const(10))
+                        aset.invariants[i] = dataclasses.replace(a, quants=(Quantifier(q.var, q.lo, hi),))
+                        count += 1
+        assert count == 1
+
+    batched, walked = declined(monkeypatch, annotated_run("blur", {"x": 10, "y": 7}, ROWS, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops >= 1
+    assert any(f.kind == "invariant_violation" for f in batched.findings)
+
+
+@pytest.mark.parametrize("node", [Loop, StoreStmt])
+def test_batched_broken_ensures_replays(monkeypatch, node):
+    # the block (or statement) postcondition of chain3's fused parallel loop
+    # is off by one at iteration 37 only
+    def surgery(ap):
+        count = 0
+        for n in nodes(ap.lp.root):
+            if isinstance(n, node):
+                ens = ap.at(n).ensures
+                for i, a in enumerate(ens):
+                    off = BinOp("==", Var("xy"), Const(37))
+                    body = BinOp("==", a.body.left, BinOp("+", a.body.right, off))
+                    ens[i] = dataclasses.replace(a, body=body)
+                    count += 1
+        assert count == 1
+
+    batched, walked = declined(monkeypatch, annotated_run("chain3", {"n": 8}, FUSED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops >= 1
+    assert [f.kind for f in batched.findings] == ["contract_violation"]
+
+
+def test_blur_rows_functional_mode_batches_without_replay():
+    res = C.check_schedule(load("blur"), schedule("blur", "rows"), SEEDS, include_user=True)
+    assert res.passed and res.batched_loops > 0 and res.replayed_loops == 0
+    # the walk's count at this size: every instance is still checked
+    assert res.instantiations == 627_584
 
 
 # ---------------------------------------------------------------------------
