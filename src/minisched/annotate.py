@@ -31,6 +31,7 @@ from .ir import (
     FuncAccess,
     MemTarget,
     PermAtom,
+    PipelineError,
     Quantifier,
     Stage,
     TableRead,
@@ -59,7 +60,7 @@ from .lowering import (
 )
 
 
-class AnnotateError(Exception):
+class AnnotateError(PipelineError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code

@@ -64,6 +64,7 @@ from .ir import (
     MemTarget,
     PermAtom,
     Pipeline,
+    PipelineError,
     Quantifier,
     Select,
     TableRead,
@@ -71,6 +72,7 @@ from .ir import (
     eval_const,
     free_vars,
     walk,
+    wrap_int64,
     _CLOSED,
     _resolve_bound_refs,
 )
@@ -232,11 +234,8 @@ class _Cell:
     instance: int
 
 
-_INT64_MIN = int(np.iinfo(np.int64).min)
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 # The first iteration of a cell no iteration has touched.
-_NEVER = _INT64_MIN
+_NEVER = int(np.iinfo(np.int64).min)
 
 
 @dataclass
@@ -408,11 +407,9 @@ class _Runner:
         return self.read(target.name, index, self.site)
 
     def check(self, v):
-        if self._check32(v, self.site) and isinstance(v, int) and not _INT64_MIN <= v <= _INT64_MAX:
-            # exact loop-variable arithmetic left int64: go on wrapped, as
-            # the int64 arithmetic of storage values and the reference does
-            return (v - _INT64_MIN) % 2**64 + _INT64_MIN
-        return None
+        # exact loop-variable arithmetic that leaves int64 goes on wrapped,
+        # as the int64 arithmetic of storage values and the reference does
+        return wrap_int64(v) if self._check32(v, self.site) else None
 
     def _check32(self, v, site: str) -> bool:
         """Report ``v`` if it leaves the signed 32-bit range; whether it does."""
@@ -704,7 +701,7 @@ class _Batch:
             raise _Fired
 
 
-class InstantiationBudget(Exception):
+class InstantiationBudget(PipelineError):
     """A single annotation asked for more concrete instances than allowed."""
 
 
@@ -1077,7 +1074,13 @@ class _AnnObserver:
         storage is read.  Shapes are scalar, (points,), or (lanes, points)."""
         self.site = site
         self.when = envq.get(_WHEN)
-        return compiled(e)(envq, self)
+        return compiled(e, checked=True)(envq, self)
+
+    @staticmethod
+    def check(v):
+        # annotation arithmetic is int64, in the walk's exact ints as in a
+        # batch's arrays; a statement that overflows reports it
+        return wrap_int64(v)
 
     def load(self, target: MemTarget, index):
         idx = np.atleast_1d(np.asarray(index, dtype=np.int64))

@@ -7,6 +7,9 @@ every node with its invariants, requires, ensures and context lines.  Each
 line ends with the annotation's origin; a dormant reduction annotation
 names the loop it waits for.  ``--scale`` overrides pipeline parameters,
 and ``--no-user`` keeps only the generated memory-safety annotations.
+
+``minisched encode <algo.hal> [--scale k=v ...]`` prints the algorithm's
+encoding as PVL pure functions with the pipeline lemma.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .annotate import AnnotatedPipeline, RegionPerm, annotate
+from .encoder import encode
 from .lowering import Chain, Consume, If, Loop, Produce, Store, StoreStmt, lower
 from .parser import parse_pipeline, parse_schedule
 from .printing import ExprPrinter, quantified
@@ -80,13 +84,15 @@ def _scale(text: str) -> tuple[str, int]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="minisched", description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    cmd = sub.add_parser("annotate", help="print the annotated loop nest of a schedule")
-    cmd.add_argument("algo", type=Path, help="the algorithm (.hal)")
-    cmd.add_argument("schedule", type=Path, help="the schedule (.sched)")
-    cmd.add_argument(
+    algo = argparse.ArgumentParser(add_help=False)
+    algo.add_argument("algo", type=Path, help="the algorithm (.hal)")
+    algo.add_argument(
         "--scale", type=_scale, action="append", default=[], metavar="NAME=INT",
         help="override a pipeline parameter (repeatable)",
     )
+    sub.add_parser("encode", parents=[algo], help="print the PVL encoding of an algorithm")
+    cmd = sub.add_parser("annotate", parents=[algo], help="print the annotated loop nest of a schedule")
+    cmd.add_argument("schedule", type=Path, help="the schedule (.sched)")
     cmd.add_argument(
         "--no-user", action="store_true",
         help="generated memory-safety annotations only",
@@ -94,6 +100,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     p = parse_pipeline(args.algo.read_text()).resolve(dict(args.scale)).validated()
+    if args.command == "encode":
+        sys.stdout.write(encode(p).render())
+        return 0
     lp = lower(p, parse_schedule(args.schedule.read_text()))
     for line in annotated_nest(annotate(lp, include_user=not args.no_user)):
         print(line)

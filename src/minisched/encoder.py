@@ -5,19 +5,27 @@ directly, updates as a point-match conditional over the previous stage,
 reductions as recursion counting completed steps, so a contract at count
 ``r`` speaks about the state after ``r`` iterations.  Input buffers turn
 into abstract functions, concrete bounds into nullary functions, and the
-pipeline contract into a lemma.  The front-end check evaluates the whole
-encoding point by point against its own contracts and the reference
-semantics.
+pipeline contract into a lemma.
+
+The front-end check tabulates the encoding: each declaration becomes one
+(lanes, points) table over its domain grid, built on its first call, a
+recursive one a step of its ``decreases`` tuple at a time in lexicographic
+order.  Contracts, the lemma and the agreement with the reference
+semantics are then checked over the same grids.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ir import (
+    INT32_MAX,
+    INT32_MIN,
     BinOp,
     BoundRef,
     BufAccess,
@@ -33,6 +41,7 @@ from .ir import (
     Select,
     Stage,
     Var,
+    and_,
     compiled,
     eq,
     le,
@@ -40,7 +49,9 @@ from .ir import (
     rewrite,
     substitute,
     walk,
+    wrap_int64,
 )
+from .lowering import NonAffineAccess, flat_alloc, linearize
 from .printing import ExprPrinter, quantified
 
 
@@ -49,8 +60,8 @@ class PureFunctionDecl:
     """One declaration of the encoded program.
 
     ``body`` None marks an abstract function (an input buffer).  ``domains``
-    records the closed integer range of every parameter, which is how the
-    point-wise front-end check knows what to enumerate.  Declarations that
+    records the closed integer range of every parameter: the grid the
+    front-end check tabulates the declaration over.  Declarations that
     share a ``group`` render on one source line.
     """
 
@@ -98,6 +109,16 @@ def _stage_name(f: Func, index: int) -> str:
     return f"{f.name}{index}" if _needs_entry(f) else f.name
 
 
+def _as_result(e: Expr, access: Expr) -> Expr:
+    """``e`` with ``access``, the defined point, read as ``\\result``."""
+    return rewrite(e, lambda n: Result() if n == access else None)
+
+
+def _pins(f: Func, s: Stage) -> list[Expr]:
+    """The coordinates the left-hand side of ``s`` pins, as equations."""
+    return [eq(Var(d), arg) for d, arg in zip(f.dim_names(), s.lhs_args) if arg != Var(d)]
+
+
 class _Encoder:
     def __init__(self, p: Pipeline):
         self.p = p
@@ -115,7 +136,6 @@ class _Encoder:
 
     def extra_bound_entities(self) -> list[str]:
         """Functions whose bounds the pipeline contract mentions."""
-        names: list[str] = []
         exprs = [c.expr for c in self.p.requires]
         exprs += [qc.body for qc in self.p.ensures]
         for qc in self.p.ensures:
@@ -124,41 +144,23 @@ class _Encoder:
         for e in exprs:
             wanted |= {n.entity for n in walk(e) if isinstance(n, BoundRef)}
         buffers = {b.name for b in self.p.buffers}
-        for f in self.p.funcs:
-            if f.name in wanted and f.name not in buffers:
-                names.append(f.name)
-        return names
+        return [f.name for f in self.p.funcs if f.name in wanted and f.name not in buffers]
 
     def buffer_decl(self, b) -> PureFunctionDecl:
-        point = tuple(Var(d) for d in b.dim_names())
-
-        def to_result(e: Expr) -> Expr | None:
-            if isinstance(e, BufAccess) and e.buf == b.name and e.args == point:
-                return Result()
-            return None
-
+        point = BufAccess(b.name, tuple(Var(d) for d in b.dim_names()))
         return PureFunctionDecl(
             name=b.name,
-            params=tuple((d, "int") for d in b.dim_names()),
-            ensures=tuple(rewrite(c.expr, to_result) for c in b.requires),
-            domains=tuple(
-                (d, iv.lo_int, iv.hi_int - 1) for d, iv in b.dims
-            ),
+            params=self.dim_params(b),
+            ensures=tuple(_as_result(c.expr, point) for c in b.requires),
+            domains=self.dim_domains(b),
         )
 
     def bound_decls(self, entity: str, dims) -> list[PureFunctionDecl]:
-        out = []
-        for d, iv in dims:
-            for end, value in (("min", iv.lo_int), ("max", iv.hi_int)):
-                out.append(
-                    PureFunctionDecl(
-                        name=f"{entity}_{d}_{end}",
-                        params=(),
-                        body=Const(value),
-                        group=entity,
-                    )
-                )
-        return out
+        return [
+            PureFunctionDecl(f"{entity}_{d}_{end}", (), body=Const(value), group=entity)
+            for d, iv in dims
+            for end, value in (("min", iv.lo_int), ("max", iv.hi_int))
+        ]
 
     # -- stages ------------------------------------------------------------
 
@@ -190,28 +192,18 @@ class _Encoder:
         An update pins some coordinates, so its postcondition only binds
         where the parameters match the pinned point.
         """
-        def to_result(e: Expr) -> Expr | None:
-            if isinstance(e, FuncAccess) and e.func == f.name and e.args == s.lhs_args:
-                return Result()
-            return None
-
-        match = [
-            eq(Var(d), arg)
-            for d, arg in zip(f.dim_names(), s.lhs_args)
-            if arg != Var(d)
-        ]
         out = []
         for c in s.ensures:
-            body = rewrite(c.expr, to_result)
-            for m in reversed(match):
+            body = _as_result(c.expr, FuncAccess(f.name, s.lhs_args))
+            for m in reversed(_pins(f, s)):
                 body = BinOp("==>", m, body)
             out.append(body)
         return tuple(out)
 
-    def dim_params(self, f: Func) -> tuple[tuple[str, str], ...]:
+    def dim_params(self, f) -> tuple[tuple[str, str], ...]:
         return tuple((d, "int") for d in f.dim_names())
 
-    def dim_domains(self, f: Func) -> tuple[tuple[str, int, int], ...]:
+    def dim_domains(self, f) -> tuple[tuple[str, int, int], ...]:
         return tuple((d, iv.lo_int, iv.hi_int - 1) for d, iv in f.dims)
 
     def pure_decl(self, f: Func, s: Stage) -> PureFunctionDecl:
@@ -233,19 +225,10 @@ class _Encoder:
 
         point = tuple(Var(d) for d in f.dim_names())
         taken = rewrite(s.rhs, to_prev)
-        conds = [
-            eq(Var(d), arg)
-            for d, arg in zip(f.dim_names(), s.lhs_args)
-            if arg != Var(d)
-        ]
+        conds = _pins(f, s)
         if s.guard is not None:
             conds.append(s.guard)
-        body = taken
-        if conds:
-            cond = conds[0]
-            for c in conds[1:]:
-                cond = BinOp("&&", cond, c)
-            body = Select(cond, taken, FuncAccess(prev, point))
+        body = Select(and_(*conds), taken, FuncAccess(prev, point)) if conds else taken
         return PureFunctionDecl(
             name=_stage_name(f, s.index),
             params=self.dim_params(f),
@@ -275,12 +258,7 @@ class _Encoder:
         prev = self.stage_value(f, s.index - 1, point)
 
         def inv_post(rv: str) -> Expr:
-            def to_result(e: Expr) -> Expr | None:
-                if isinstance(e, FuncAccess) and e.func == f.name and e.args == s.lhs_args:
-                    return Result()
-                return None
-
-            return rewrite(s.invariant_for(rv).expr, to_result)
+            return _as_result(s.invariant_for(rv).expr, FuncAccess(f.name, s.lhs_args))
 
         r1 = rvars[0]
         iv1 = s.rdom.interval(r1)
@@ -297,15 +275,15 @@ class _Encoder:
 
             return rewrite(back, to_call)
 
+        tail = (Var(r1) - 1,) + tuple(Var(r) for r in rvars[1:])
+        step = self_step(s.rhs, tail)
+        if s.guard is not None:
+            step = Select(
+                substitute(s.guard, {r1: Var(r1) - 1}),
+                step,
+                FuncAccess(prefix + r1, point + tail),
+            )
         if len(rvars) == 1:
-            tail = (Var(r1) - 1,)
-            step = self_step(s.rhs, tail)
-            if s.guard is not None:
-                step = Select(
-                    substitute(s.guard, {r1: Var(r1) - 1}),
-                    step,
-                    FuncAccess(prefix + r1, point + tail),
-                )
             return [
                 PureFunctionDecl(
                     name=prefix + r1,
@@ -329,14 +307,6 @@ class _Encoder:
             prev,
             FuncAccess(prefix + r1, point + (Const(iv1.hi_int), Var(r2) - 1)),
         )
-        tail = (Var(r1) - 1, Var(r2))
-        step = self_step(s.rhs, tail)
-        if s.guard is not None:
-            step = Select(
-                substitute(s.guard, {r1: Var(r1) - 1}),
-                step,
-                FuncAccess(prefix + r1, point + tail),
-            )
         inner = PureFunctionDecl(
             name=prefix + r1,
             params=self.dim_params(f) + ((r1, "int"), (r2, "int")),
@@ -392,15 +362,8 @@ class _Encoder:
                 f"{out.name} has no postcondition to derive the pipeline"
                 " contract from",
             )
-        match = [
-            eq(Var(d), arg)
-            for d, arg in zip(out.dim_names(), last.lhs_args)
-            if arg != Var(d)
-        ]
-        body: Expr | None = None
-        for c in last.ensures:
-            body = c.expr if body is None else BinOp("&&", body, c.expr)
-        for m in reversed(match):
+        body = and_(*(c.expr for c in last.ensures))
+        for m in reversed(_pins(out, last)):
             body = BinOp("==>", m, body)
         quants = tuple(
             Quantifier(d, BoundRef(out.name, d, "min"), BoundRef(out.name, d, "max"))
@@ -482,8 +445,6 @@ def check_decreases_static(prog: EncodedProgram) -> list[tuple[str, str]]:
     variable itself while everything before it is passed through unchanged.
     Returns (decl name, reason) pairs.
     """
-    from .lowering import NonAffineAccess, linearize
-
     bad: list[tuple[str, str]] = []
     for d in prog.declarations:
         if d.body is None:
@@ -519,211 +480,242 @@ def check_decreases_static(prog: EncodedProgram) -> list[tuple[str, str]]:
     return bad
 
 
+def _grid(domains) -> dict[str, np.ndarray]:
+    """Every point of the closed ranges ``domains``, flattened, first
+    dimension slowest."""
+    axes = np.meshgrid(*[np.arange(lo, hi + 1) for _, lo, hi in domains], indexing="ij")
+    return {v: a.reshape(-1) for (v, _, _), a in zip(domains, axes)}
+
+
+def _size(domains) -> int:
+    return math.prod(max(hi - lo + 1, 0) for _, lo, hi in domains)
+
+
+def _gather(table: np.ndarray, flat):
+    """Table entries at flat indices; a table the same in every lane gives
+    values without a lane axis."""
+    return table[0, flat] if len(table) == 1 else table[:, flat]
+
+
+def _held(vals, n: int) -> np.ndarray:
+    """Whether a grid value holds, as (lanes or 1, n)."""
+    v = np.asarray(vals) != 0
+    return np.broadcast_to(v, (v.shape[0] if v.ndim == 2 else 1, n))
+
+
 class _FrontEval:
-    """Point-wise evaluator for the encoded program over lane-stacked
-    inputs.  Memoizes per call site; values are (lanes,) arrays."""
+    """The evaluation context of the encoded program over lane-stacked
+    inputs: one (lanes, points) table per declaration, first parameter
+    slowest, built on its first call.  The body runs once over the domain
+    grid or, for a recursive declaration, once per step of its
+    ``decreases`` tuple in lexicographic order, the step's variables
+    scalars and the other parameters the grid.  Buffers are tables from
+    the start.  A call is a clipped gather from the callee's table; a read
+    of a point not built yet is a termination finding and reads 0.
+
+    Over a grid, where a ``Select`` evaluates both branches, a fault only
+    flags its points.  Those are evaluated again one at a time, where a
+    scalar condition takes one branch, and only the faults met there are
+    reported.
+    """
 
     def __init__(self, prog: EncodedProgram, p: Pipeline, inputs):
-        from .lowering import flat_alloc
-
         self.decls = {d.name: d for d in prog.declarations}
-        self.p = p
-        self.mem = {name: arr.astype(np.int64) for name, arr in inputs.items()}
-        self.allocs = {b.name: flat_alloc(b) for b in p.buffers}
-        self.buffers = {b.name: b for b in p.buffers}
-        self.memo: dict = {}
-        self.stack: list[tuple[str, tuple[int, ...]]] = []
+        self.lanes = next(iter(inputs.values())).shape[0]
+        self.tables = {}
+        for b in p.buffers:
+            layout = flat_alloc(b).cell(_grid(self.decls[b.name].domains))
+            self.tables[b.name] = inputs[b.name].astype(np.int64)[:, layout]
+        self.building: dict[str, tuple[int, ...]] = {}  # the step under way
+        self.flagged: np.ndarray | None = None  # over a grid: its flagged points
+        self.site: str | None = None  # the declaration whose body runs
         self.findings: list = []
         self.points = 0
         self.seen: set = set()
 
-    def report(self, kind: str, message: str, dedupe):
+    def report(self, kind: str, message: str, dedupe, site: str = "", lanes=None):
+        """Record a finding, once per ``dedupe`` key (None: always)."""
         from .checker import Finding
 
-        if dedupe in self.seen:
-            return
-        self.seen.add(dedupe)
-        self.findings.append(Finding(kind, message, ""))
-
-    def read_buffer(self, name: str, args: tuple[int, ...]):
-        b = self.buffers[name]
-        point = {}
-        for a, (d, iv) in zip(args, b.dims):
-            lo, hi = iv.lo_int, iv.hi_int
-            if not lo <= a < hi:
-                self.report(
-                    "out_of_bounds",
-                    f"encoded program reads {name} at {d}={a}, outside [{lo}, {hi})",
-                    ("buf", name, d, a),
-                )
-                a = min(max(a, lo), hi - 1)
-            point[d] = a
-        return self.mem[name][:, self.allocs[name].cell(point)]
-
-    def call(self, name: str, args: tuple[int, ...]):
-        """The evaluation context's entity hook: apply a declaration, or
-        read an abstract (buffer) function, at a point."""
-        args = tuple(map(int, args))
-        key = (name, args)
-        if key in self.memo:
-            return self.memo[key]
-        d = self.decls.get(name)
-        if d is None or d.body is None:
-            return self.read_buffer(name, args)
-        env = dict(zip((n for n, _ in d.params), args))
-        if d.decreases and self.stack and self.stack[-1][0] == name:
-            prev = self.stack[-1][1]
-            cur = tuple(int(env[v]) for v in d.decreases)
-            if not cur < prev:
-                self.report(
-                    "termination",
-                    f"{name}{args} recursed without decreasing"
-                    f" ({prev} to {cur})",
-                    ("dec", name),
-                )
-                return np.int64(0)  # cut the recursion instead of diverging
-        if len(self.stack) >= 2048:
-            self.report(
-                "termination",
-                f"evaluating {name} exceeded the recursion depth budget",
-                ("depth",),
-            )
-            return np.int64(0)
-        self.stack.append((name, tuple(int(env[v]) for v in d.decreases)))
-        try:
-            val = self.eval(d.body, env)
-        finally:
-            self.stack.pop()
-        self.points += 1
-        self.memo[key] = val
-        return val
+        if dedupe is not None:
+            if dedupe in self.seen:
+                return
+            self.seen.add(dedupe)
+        self.findings.append(Finding(kind, message, site, lanes))
 
     def eval(self, e: Expr, env):
-        return compiled(e)(env, self)
+        return compiled(e, checked=True)(env, self)
 
+    def check(self, v):
+        """Bodies compute in 32-bit ints: a value beyond them is an
+        overflow.  Exact ints wrap to int64, as arrays do."""
+        if self.site is not None:
+            bad = (v < INT32_MIN) | (v > INT32_MAX)
+            if self.flagged is not None:
+                self.flagged |= bad.any(axis=0) if np.ndim(bad) == 2 else bad
+            elif np.any(bad):
+                lanes = tuple(np.flatnonzero(bad).tolist()) if np.ndim(bad) else None
+                msg = "intermediate value leaves the signed 32-bit range"
+                self.report("overflow", msg, ("overflow", self.site), self.site, lanes)
+        return wrap_int64(v)
 
-def _domain_points(domains):
-    if not domains:
-        yield {}
-        return
-    axes = [range(lo, hi + 1) for _, lo, hi in domains]
-    names = [n for n, _, _ in domains]
-    idx = [0] * len(axes)
-    while True:
-        yield {n: axes[i][idx[i]] for i, n in enumerate(names)}
-        for i in reversed(range(len(axes))):
-            idx[i] += 1
-            if idx[i] < len(axes[i]):
-                break
-            idx[i] = 0
-        else:
+    def table(self, name: str) -> np.ndarray:
+        t = self.tables.get(name)
+        return self.build(self.decls[name]) if t is None else t
+
+    def call(self, name: str, args):
+        """The evaluation context's entity hook: a declaration or an
+        abstract (buffer) function applied at a point, or over the grid."""
+        d = self.decls[name]
+        table = self.table(name)
+        grid = self.flagged is not None
+        if any(np.ndim(a) > grid for a in args):
+            raise EncodeError(
+                "DataDependentIndex", f"{name} is applied at an index that depends on input values"
+            )
+        at = dict(zip((v for v, _, _ in d.domains), args))
+        unbuilt = False
+        step = self.building.get(name)
+        if step is not None:
+            below, same = False, True
+            for v, s in zip(d.decreases, step):
+                below = below | (same & (at[v] < s))
+                same = same & (at[v] == s)
+            unbuilt = np.logical_not(below)
+            if grid:
+                self.flagged |= unbuilt
+            elif unbuilt:
+                point = tuple(map(int, args))
+                cur = tuple(int(at[v]) for v in d.decreases)
+                self.report(
+                    "termination",
+                    f"{name}{point} recursed without decreasing ({step} to {cur})"
+                    if d.decreases
+                    else f"{name}{point} is called while it is being evaluated",
+                    ("dec", name),
+                )
+                return np.int64(0)
+        flat = 0
+        for a, (v, lo, hi) in zip(args, d.domains):
+            outside = (a < lo) | (a > hi)
+            if np.any(outside):
+                if grid:
+                    self.flagged |= outside & np.logical_not(unbuilt)
+                    a = np.clip(a, lo, hi)
+                else:
+                    self.report(
+                        "out_of_bounds",
+                        f"encoded program {'reads' if d.body is None else 'calls'} {name}"
+                        f" at {v}={a}, outside [{lo}, {hi + 1})",
+                        (name, v, int(a)),
+                    )
+                    a = min(max(a, lo), hi)
+            flat = flat * (hi - lo + 1) + (a - lo)
+        vals = _gather(table, np.atleast_1d(flat) if grid else flat)
+        return np.where(unbuilt, 0, vals) if np.any(unbuilt) else vals
+
+    def build(self, d: PureFunctionDecl) -> np.ndarray:
+        """Tabulate ``d``, one step of its measure at a time."""
+        size = _size(d.domains)
+        self.tables[d.name] = np.zeros((1, size), dtype=np.int64)
+        self.points += size
+        free = tuple(r for r in d.domains if r[0] not in d.decreases)
+        grid, n = _grid(free), _size(free)
+        ranges = {v: range(lo, hi + 1) for v, lo, hi in d.domains}
+        body = compiled(d.body, checked=True)
+        outer = self.flagged, self.site
+        for step in itertools.product(*[ranges[v] for v in d.decreases]):
+            self.building[d.name] = step
+            env = grid | dict(zip(d.decreases, step))
+            flat = 0
+            for v, lo, hi in d.domains:
+                flat = flat * (hi - lo + 1) + (env[v] - lo)
+            self.flagged, self.site = np.zeros(n, dtype=bool), d.name
+            vals = body(env, self)
+            flagged, self.flagged = self.flagged, None
+            table = self.tables[d.name]
+            if np.ndim(vals) == 2 and len(table) < len(vals):
+                table = self.tables[d.name] = np.repeat(table, len(vals), axis=0)
+            table[:, np.atleast_1d(flat)] = vals
+            for i in np.flatnonzero(flagged):
+                body(env | {v: int(a[i]) for v, a in grid.items()}, self)
+        del self.building[d.name]
+        self.flagged, self.site = outer
+        return self.tables[d.name]
+
+    def verify(self, domains, requires, ensures, tables, kind, message, site):
+        """Report ``kind`` at the first point over ``domains``, in
+        enumeration order, where the ``requires`` hold and an ``ensures``
+        fails, ``message`` formatted with the point.  ``tables`` bind names
+        to (lanes, points) values over the grid.  Flagged points up to that
+        one are evaluated again one at a time, as a point-by-point check
+        would meet them."""
+        n = _size(domains)
+        if n == 0:
             return
+        grid = _grid(domains)
+        env = grid | tables
+        self.flagged = np.zeros(n, dtype=bool)
+        live = np.ones(n, dtype=bool)
+        for r in requires:
+            live &= _held(self.eval(r, env), n).all(axis=0)
+        held = [_held(self.eval(e, env), n) for e in ensures]
+        flagged, self.flagged = self.flagged, None
+        bad = live & ~np.logical_and.reduce([h.all(axis=0) for h in held])
+        stop = int(np.argmax(bad)) if bad.any() else n - 1
+        for i in np.flatnonzero(flagged[: stop + 1]):
+            point = {v: int(a[i]) for v, a in grid.items()}
+            point |= {k: _gather(t, i) for k, t in tables.items()}
+            if all(np.all(self.eval(r, point) != 0) for r in requires):
+                for e in ensures:
+                    if not np.all(self.eval(e, point) != 0):
+                        break
+        if bad.any():
+            ok = next(h[:, stop] for h in held if not h[:, stop].all())
+            point = tuple(int(a[stop]) for a in grid.values())
+            self.report(kind, message.format(point), None, site, tuple(np.flatnonzero(~ok).tolist()))
+
+
+_MATCHES_REFERENCE = eq(Result(), Var("\\reference"))
 
 
 def check_frontend(prog: EncodedProgram, p: Pipeline, inputs) -> "RunResult":
-    """Evaluate every declaration's contract at every domain point, the
+    """Check every declaration's contract over its domain grid, the
     pipeline lemma, the termination measure, and the encoding against the
     reference semantics."""
-    from .checker import Finding, RunResult, eval_reference
-    from .lowering import flat_alloc
+    from .checker import RunResult, eval_reference
 
     t0 = time.perf_counter()
     ev = _FrontEval(prog, p, inputs)
-
     for name, reason in check_decreases_static(prog):
         ev.report("termination", f"{name}: {reason}", ("static", name, reason))
-
-    def lanes_ok(vals) -> bool:
-        return bool((np.asarray(vals) != 0).all())
-
-    def failing_lanes(vals):
-        v = np.atleast_1d(np.asarray(vals))
-        return tuple(np.flatnonzero(v == 0).tolist())
-
     for d in prog.declarations:
-        if not d.ensures:
-            continue
-        broken = False
-        for env in _domain_points(d.domains):
-            if broken:
-                break
-            if any(
-                not np.asarray(ev.eval(r, env)).all() for r in d.requires
-            ):
-                continue
-            args = tuple(int(env[n]) for n, _ in d.params)
-            env["\\result"] = ev.call(d.name, args)
-            for e in d.ensures:
-                vals = ev.eval(e, env)
-                if not lanes_ok(vals):
-                    ev.findings.append(
-                        Finding(
-                            "contract_violation",
-                            f"postcondition of {d.name} fails at {args}",
-                            d.name,
-                            lanes=failing_lanes(vals) or None,
-                        )
-                    )
-                    broken = True
-                    break
-
-    lemma_live = all(
-        np.asarray(ev.eval(r, {})).all() for r in prog.lemma.requires
-    )
-    if lemma_live:
+        if d.ensures:
+            msg = f"postcondition of {d.name} fails at {{}}"
+            tables = {"\\result": ev.table(d.name)}
+            ev.verify(d.domains, d.requires, d.ensures, tables, "contract_violation", msg, d.name)
+    if all(np.all(ev.eval(r, {}) != 0) for r in prog.lemma.requires):
         for qc in prog.lemma.ensures:
             domains = tuple(
-                (q.var, int(ev.eval(q.lo, {})), int(ev.eval(q.hi, {})) - 1)
-                for q in qc.quants
+                (q.var, int(ev.eval(q.lo, {})), int(ev.eval(q.hi, {})) - 1) for q in qc.quants
             )
-            for env in _domain_points(domains):
-                vals = ev.eval(qc.body, env)
-                if not lanes_ok(vals):
-                    point = tuple(int(env[n]) for n, _, _ in domains)
-                    ev.findings.append(
-                        Finding(
-                            "postcondition_violation",
-                            f"pipeline lemma fails at {point}",
-                            "pipeline",
-                            lanes=failing_lanes(vals) or None,
-                        )
-                    )
-                    break
+            msg = "pipeline lemma fails at {}"
+            ev.verify(domains, (), (qc.body,), {}, "postcondition_violation", msg, "pipeline")
 
     # the encoding must agree with the reference semantics everywhere
-    out = p.output_func
     try:
         reference = eval_reference(p, inputs)[p.output]
     except ValueError as err:
         ev.report("out_of_bounds", f"reference semantics undefined: {err}", ("ref",))
         reference = None
-    alloc = flat_alloc(out)
-    lanes = next(iter(inputs.values())).shape[0]
-    result = np.zeros((lanes, alloc.size), dtype=np.int64)
-    mismatched = False
-    for env in _domain_points(tuple((d, iv.lo_int, iv.hi_int - 1) for d, iv in out.dims)):
-        args = tuple(int(env[d]) for d in out.dim_names())
-        flat = alloc.cell(dict(zip(out.dim_names(), args)))
-        got = ev.call(p.output, args)
-        result[:, flat] = got
-        if reference is None or mismatched:
-            continue
-        bad = np.asarray(got) != reference[:, flat]
-        if bad.any():
-            mismatched = True
-            ev.findings.append(
-                Finding(
-                    "mismatch",
-                    f"encoded {p.output}{args} disagrees with the reference"
-                    " semantics",
-                    p.output,
-                    lanes=tuple(np.flatnonzero(bad).tolist()),
-                )
-            )
-
-    return RunResult(
-        {p.output: result},
-        ev.findings,
-        ev.points,
-        (time.perf_counter() - t0) * 1000,
-    )
+    domains = ev.decls[p.output].domains
+    alloc = flat_alloc(p.output_func)
+    layout = alloc.cell(_grid(domains))
+    got = ev.table(p.output)
+    result = np.zeros((ev.lanes, alloc.size), dtype=np.int64)
+    result[:, layout] = got
+    if reference is not None:
+        msg = f"encoded {p.output}{{}} disagrees with the reference semantics"
+        tables = {"\\result": got, "\\reference": reference[:, layout]}
+        ev.verify(domains, (), (_MATCHES_REFERENCE,), tables, "mismatch", msg, p.output)
+    return RunResult({p.output: result}, ev.findings, ev.points, (time.perf_counter() - t0) * 1000)

@@ -37,6 +37,14 @@ INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
 
+def wrap_int64(v):
+    """An exact int beyond int64 wrapped into it, as int64 arrays wrap;
+    None for anything else.  Fits a checked evaluation's ``ctx.check``."""
+    if isinstance(v, int) and not -(2**63) <= v < 2**63:
+        return (v + 2**63) % 2**64 - 2**63
+    return None
+
+
 def hdiv(x: int, y: int) -> int:
     """Euclidean quotient, total: ``hdiv(x, 0) == 0``.
 
@@ -338,10 +346,6 @@ def eq(a: Expr | int, b: Expr | int) -> Expr:
     return BinOp("==", as_expr(a), as_expr(b))
 
 
-def ne(a: Expr | int, b: Expr | int) -> Expr:
-    return BinOp("!=", as_expr(a), as_expr(b))
-
-
 def and_(*xs: Expr) -> Expr:
     parts = [x for x in xs if x is not None]
     if not parts:
@@ -350,22 +354,6 @@ def and_(*xs: Expr) -> Expr:
     for x in parts[1:]:
         out = BinOp("&&", out, x)
     return out
-
-
-def or_(a: Expr, b: Expr) -> Expr:
-    return BinOp("||", a, b)
-
-
-def implies(a: Expr, b: Expr) -> Expr:
-    return BinOp("==>", a, b)
-
-
-def hdiv_(a: Expr | int, b: Expr | int) -> Expr:
-    return BinOp("hdiv", as_expr(a), as_expr(b))
-
-
-def hmod_(a: Expr | int, b: Expr | int) -> Expr:
-    return BinOp("hmod", as_expr(a), as_expr(b))
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -766,10 +754,6 @@ class Func:
             if n == dim:
                 return iv
         raise KeyError(dim)
-
-    @property
-    def has_updates(self) -> bool:
-        return len(self.stages) > 1
 
 
 @dataclass(frozen=True)

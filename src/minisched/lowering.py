@@ -157,11 +157,6 @@ def fold_divmod(coeffs: dict, const: int) -> tuple[dict, int]:
     return out, const
 
 
-def normalize_affine(e: Expr, order: list[str]) -> Expr:
-    coeffs, const = linearize(e)
-    return poly_expr(coeffs, const, order)
-
-
 def dec(e: Expr) -> Expr:
     """``e - 1`` with the constant folded into an affine tail when possible."""
     match e:

@@ -574,3 +574,38 @@ def test_reports_global_finding_fails_every_seed():
     res = C.RunResult(mem={}, findings=[C.Finding("race", "collision", "f")], points=0, millis=0.5)
     reps = C.to_reports("p", "s", [0, 1, 2], res)
     assert all(r["verdict"] == "fail" for r in reps)
+
+
+def test_annotation_arithmetic_beyond_int64_is_not_an_untyped_error():
+    # the user contract repeats the statement's exact arithmetic, which
+    # leaves int64 at x = 1; every check reports the statement's overflow
+    # and goes on with int64 values, as the reference does
+    from minisched.encoder import check_frontend, encode
+
+    value = "inp(x) + x * 2147483647 * 2147483647 * 2147483647"
+    src = f"""pipeline t(inp) -> out {{
+  buffer inp(x in [0, 8));
+  func out(x in [0, 8)) {{
+    out(x) = {value};
+    out.ensures(out(x) == {value});
+  }}
+}}"""
+    p = parse_pipeline(src).validated()
+    overflow = "intermediate value leaves the signed 32-bit range"
+    for u in (True, False):
+        res = C.check_schedule(p, [], SEEDS, include_user=u)
+        assert [f.to_json() for f in res.findings] == [
+            {"kind": "overflow", "message": overflow, "site": "out.stage0"}
+        ]
+    res = check_frontend(encode(p), p, C.make_inputs(p, SEEDS))
+    assert [f.to_json() for f in res.findings] == [
+        {"kind": "overflow", "message": overflow, "site": "out"}
+    ]
+
+
+def test_instantiation_budget_is_a_pipeline_error():
+    p = load("blur")
+    lp = lower(p, schedule("blur", "rows"))
+    obs = C._AnnObserver(annotate(lp), cap=4)
+    with pytest.raises(PipelineError):
+        C._execute(lp, C.make_inputs(p, SEEDS), obs)

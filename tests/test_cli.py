@@ -44,3 +44,9 @@ def test_annotate_rejects_a_malformed_scale(capsys):
         cli.main(["annotate", "a.hal", "b.sched", "--scale", "w"])
     assert err.value.code == 2
     assert "expected NAME=INT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["count", "blur"])
+def test_encode_matches_golden(capsys, algo):
+    assert cli.main(["encode", str(ROOT / "corpus" / f"{algo}.hal")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{algo}.pvl").read_text()

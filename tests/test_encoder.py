@@ -344,3 +344,95 @@ def test_out_of_domain_buffer_read_is_reported():
     p = parse_pipeline(src).resolve({"n": 8}).validated()
     r = check_frontend(encode(p), p, C.make_inputs(p, SEEDS))
     assert "out_of_bounds" in {f.kind for f in r.findings}
+
+
+# ---------------------------------------------------------------------------
+# Front-end edge cases: call cycles, calls outside a domain, untaken branches
+
+
+def replace_bodies(prog: EncodedProgram, bodies) -> EncodedProgram:
+    decls = tuple(
+        dataclasses.replace(d, body=bodies[d.name]) if d.name in bodies else d
+        for d in prog.declarations
+    )
+    return dataclasses.replace(prog, declarations=decls)
+
+
+def test_self_call_without_a_measure_is_a_termination_finding():
+    p = load("count")
+    bad = replace_bodies(encode(p), {"count": FuncAccess("count", (Var("x"),))})
+    r = check_frontend(bad, p, C.make_inputs(p, SEEDS))
+    messages = [f.message for f in r.findings if f.kind == "termination"]
+    assert messages == [
+        "count: recursive but carries no decreases clause",
+        "count(0,) is called while it is being evaluated",
+    ]
+
+
+def test_mutual_recursion_is_a_termination_finding():
+    p = load("chain3")
+    bodies = {
+        "base": FuncAccess("mid", (Var("x"), Var("y"))),
+        "mid": BinOp("+", FuncAccess("base", (Var("x"), Var("y"))), Var("x")),
+    }
+    bad = replace_bodies(encode(p), bodies)
+    # no declaration calls itself, so only the dynamic check can see the cycle
+    assert check_decreases_static(bad) == []
+    r = check_frontend(bad, p, C.make_inputs(p, SEEDS))
+    assert [f.message for f in r.findings if f.kind == "termination"] == [
+        "base(0, 0) is called while it is being evaluated"
+    ]
+
+
+def test_call_outside_a_declaration_domain_is_out_of_bounds():
+    # f(4, y) lies outside f's domain; the reference reads its flat layout
+    # at a cell that exists, so only the domain check can see the fault
+    src = """
+    pipeline t(inp) -> g {
+      buffer inp(x in [0, 5), y in [0, 4));
+      func f(x in [0, 4), y in [0, 4)) {
+        f(x, y) = inp(x, y);
+      }
+      func g(x in [0, 4), y in [0, 3)) {
+        g(x, y) = f(x + 1, y);
+        g.ensures(g(x, y) == inp(x + 1, y));
+      }
+    }
+    """
+    p = parse_pipeline(src).resolve().validated()
+    r = check_frontend(encode(p), p, C.make_inputs(p, SEEDS))
+    oob = [f.message for f in r.findings if f.kind == "out_of_bounds"]
+    assert oob == ["encoded program calls f at x=4, outside [0, 4)"]
+
+
+def test_untaken_select_branch_reads_are_not_reported():
+    # at x = 7 the untaken branch reads inp(8, y), outside inp's domain
+    src = """
+    pipeline t(inp) -> out {
+      buffer inp(x in [0, 8), y in [0, 4));
+      func out(x in [0, 8), y in [0, 3)) {
+        out(x, y) = select(x < 7, inp(x + 1, y), inp(x, y));
+        out.ensures(out(x, y) == select(x < 7, inp(x + 1, y), inp(x, y)));
+      }
+    }
+    """
+    p = parse_pipeline(src).resolve().validated()
+    r = check_frontend(encode(p), p, C.make_inputs(p, SEEDS))
+    assert r.passed, [f.message for f in r.findings]
+    assert r.points == 8 * 3 + 4
+
+
+def test_data_dependent_index_is_a_typed_error():
+    src = """
+    pipeline t(inp) -> out {
+      buffer inp(x in [0, 4));
+      func out(x in [0, 4)) {
+        out(x) = inp(inp(x));
+        out.ensures(out(x) == inp(inp(x)));
+      }
+    }
+    """
+    p = parse_pipeline(src).resolve().validated()
+    with pytest.raises(EncodeError) as exc:
+        check_frontend(encode(p), p, C.make_inputs(p, SEEDS))
+    assert exc.value.code == "DataDependentIndex"
