@@ -99,7 +99,8 @@ class RegionPerm:
     origin: tuple = ()
 
     def quantified(self) -> Ann:
-        """Render as a quantified permission for emission."""
+        """The box as a quantified permission atom: the form emitted, and
+        the form the checker charges to a parallel loop's ledger."""
         used: set[str] = set()
         for _, lo, _ in self.dim_boxes:
             used |= free_vars(lo)

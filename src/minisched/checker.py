@@ -7,7 +7,8 @@ evaluations is the context passed for the leaves:
 * ``eval_reference`` computes every function of a pipeline directly from
   its definition, stage by stage over full declared domains; it is the
   semantic baseline.  Its reads (``load``) gather whole grids from the
-  declared allocations and reject an out-of-range index.
+  declared allocations; an out-of-range read faults only at the points
+  whose value takes it.
 * ``run_lowered`` executes a built loop nest the way the emitted C would.
   Its ``load`` and ``check`` hooks watch for the things a verifier would
   reject: reads of cells never written, out-of-range indexes, values
@@ -38,12 +39,14 @@ contracts at the iterations their guards keep) is evaluated once, over the
 stacked grid of all its events and quantifier points.  Every write of the
 batch carries a stamp, its iteration and plan position, and each event
 reads storage as it stood at its own time: the batch's pending value where
-the cell's stamp is earlier, the pre-batch value otherwise.  A failing
-instance, an out-of-range annotation read, one event over the
+the cell's stamp is earlier, the pre-batch value otherwise.  A parallel
+loop's permission ledger is charged the same way, every permission a
+quantified atom, once over the stacked grid of all iterations' instances,
+and summed before the commit.  A failing instance, a cell claimed beyond
+a whole permission, an out-of-range annotation read, one event over the
 instantiation cap, or an index that varies by lane drops the batch, and
 the walk reports what it finds.  After the commit the instantiations are
-counted and a parallel loop's permission ledger is charged, iteration by
-iteration.
+counted.
 """
 
 from __future__ import annotations
@@ -62,13 +65,13 @@ from .ir import (
     BinOp,
     Expr,
     MemTarget,
-    PermAtom,
     Pipeline,
     PipelineError,
     Quantifier,
     Select,
     TableRead,
     compiled,
+    domain_grid,
     eval_const,
     free_vars,
     walk,
@@ -149,7 +152,7 @@ def assert_buffer_requires(p: Pipeline, inputs: dict[str, np.ndarray]) -> None:
     allocs = {b.name: flat_alloc(b) for b in p.buffers}
     mem = _Declared({name: arr.astype(np.int64) for name, arr in inputs.items()})
     for b in p.buffers:
-        env = _domain_grid(b, b.dim_names())
+        env = domain_grid(_ranges(b, b.dim_names()))
         for cond in b.requires:
             held = compiled(flatten_storage(p, allocs, cond.expr))(env, mem)
             if not (held != 0).all():
@@ -160,36 +163,43 @@ def assert_buffer_requires(p: Pipeline, inputs: dict[str, np.ndarray]) -> None:
 # Reference semantics
 
 
+class ReferenceFault(ValueError):
+    """A reference value takes a read outside an allocation."""
+
+
 class _Declared:
     """Storage of the reference semantics: one (lanes, size) array per
-    entity in its declared layout.  Reads keep the lane axis leading."""
+    entity in its declared layout.  Reads keep the lane axis leading.  Over
+    a grid an out-of-range read is clipped and flags its points; at one
+    point it raises :class:`ReferenceFault`."""
 
     def __init__(self, mem: dict[str, np.ndarray]):
         self.mem = mem
+        self.flagged: np.ndarray | None = None
 
     def load(self, target: MemTarget, index):
         arr = self.mem[target.name]
         idx = np.atleast_1d(index)
-        if (idx < 0).any() or (idx >= arr.shape[1]).any():
-            raise ValueError(f"reference evaluation reads {target.name} out of bounds")
+        bad = (idx < 0) | (idx >= arr.shape[1])
+        if bad.any():
+            if self.flagged is None:
+                raise ReferenceFault(f"reference evaluation reads {target.name} out of bounds")
+            self.flagged |= bad.any(axis=0) if bad.ndim == 2 else bad
+            idx = np.clip(idx, 0, arr.shape[1] - 1)
         return arr[:, idx]
 
 
-def _domain_grid(entity, dims) -> dict[str, np.ndarray]:
-    """Every point of the named dimensions, flattened, first dimension
-    slowest."""
-    grids = np.meshgrid(
-        *[np.arange(entity.interval(d).lo_int, entity.interval(d).hi_int) for d in dims],
-        indexing="ij",
-    )
-    return {d: g.reshape(-1) for d, g in zip(dims, grids)}
+def _ranges(entity, dims) -> list[tuple[str, int, int]]:
+    """The closed ranges of ``entity``'s named dimensions."""
+    return [(d, entity.interval(d).lo_int, entity.interval(d).hi_int - 1) for d in dims]
 
 
 def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Every function of the pipeline over its full declared domain.
 
     Arrays are (lanes, size) in declared row-minor layout (first dimension
-    has stride 1), exact in int64.
+    has stride 1), exact in int64.  Raises :class:`ReferenceFault` when a
+    value takes a read outside its allocation.
     """
     lanes = next(iter(inputs.values())).shape[0] if inputs else 1
     allocs = {b.name: flat_alloc(b) for b in p.buffers} | {f.name: flat_alloc(f) for f in p.funcs}
@@ -200,7 +210,7 @@ def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.n
         out = mem.mem[f.name] = np.full((lanes, alloc.size), POISON, dtype=np.int64)
         for s in f.stages:
             dims = _stage_loop_dims(f, s)
-            env = _domain_grid(f, dims)
+            env = domain_grid(_ranges(f, dims))
             n = env[dims[0]].size if dims else 1
             point = dict(zip(f.dim_names(), s.lhs_args))
             idx = np.zeros(n, dtype=np.int64) + compiled(alloc.offset(point, list(dims)))(env, mem)
@@ -212,14 +222,20 @@ def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.n
                 rnames = list(reversed(s.rdom.names()))
                 rsteps = [
                     dict(zip(rnames, map(int, step)))
-                    for step in zip(*_domain_grid(s.rdom, rnames).values())
+                    for step in zip(*domain_grid(_ranges(s.rdom, rnames)).values())
                 ]
             for rstep in rsteps:
                 full_env = env | rstep
+                mem.flagged = np.zeros(n, dtype=bool)
                 vals = rhs(full_env, mem)
-                if guard is not None:
-                    vals = np.where(guard(full_env, mem) != 0, vals, out[:, idx])
-                out[:, idx] = vals
+                held = None if guard is None else guard(full_env, mem) != 0
+                flagged, mem.flagged = mem.flagged, None
+                # flagged points again, one at a time: a Select takes one branch
+                for i in np.flatnonzero(flagged):
+                    at = full_env | {d: int(env[d][i]) for d in dims}
+                    if guard is None or np.any(guard(at, mem) != 0):
+                        rhs(at, mem)
+                out[:, idx] = vals if held is None else np.where(held, vals, out[:, idx])
     return mem.mem
 
 
@@ -540,7 +556,7 @@ class _Runner:
             return False
         batch.commit()
         if self.obs is not None:
-            self.obs.commit_batch(loop, lo, env)
+            self.obs.instantiations += self.obs.pending
         self.batched_loops += 1
         return True
 
@@ -713,15 +729,17 @@ class _AnnObserver:
     """Evaluates attached annotations at the runner's boundary events.
 
     Value annotations are checked for truth with quantifiers enumerated
-    over their concrete ranges; permission annotations of parallel block
-    contracts are charged to a per-loop ledger and the fraction sum per
-    cell must not exceed a whole permission.  All arithmetic on fractions
-    is exact.
+    over their concrete ranges.  The permissions of a parallel block's
+    context are charged to the loop's ledger as quantified atoms, a region
+    in its :meth:`RegionPerm.quantified` form, and the fractions claimed on
+    one cell must sum to at most a whole permission.  A ledger counts in
+    integer shares of one common denominator, so its sums are exact.
 
-    A batched loop's value annotations are checked before its batch
-    commits (:meth:`check_batch`), each over the stacked grid of all its
-    events inside the loop; the event entry points then get the loop
-    variable as a vector of events and ``when``, each event's time.
+    A batched loop's annotations are checked, and its ledger charged and
+    summed, before its batch commits (:meth:`check_batch`), each over the
+    stacked grid of all its events inside the loop; the event entry points
+    then get the loop variable as a vector of events and ``when``, each
+    event's time.  The walk calls them with one event.
     """
 
     def __init__(self, ap: AnnotatedPipeline, cap: int = 10_000_000):
@@ -729,7 +747,11 @@ class _AnnObserver:
         self.cap = cap
         self.runner: _Runner | None = None
         self.instantiations = 0
-        self.ledgers: list[tuple[Loop, dict[str, list]]] = []
+        # per parallel loop entered: the loop, its common denominator, and
+        # the offsets claimed per (entity, allocation size, share)
+        self.ledgers: list[tuple[Loop, int, dict[tuple[str, int, int], list]]] = []
+        self.perms: dict[int, tuple[int, list]] = {}  # per annotation set, see _perms
+        self.names: dict[int, set[str]] = {}  # per annotation, the variables of its body
         self.site = ""  # the boundary being checked, for findings
         # under a batched check: the batch, its first iteration and plan
         # length, each grid point's event time, the batch's writes per
@@ -762,16 +784,20 @@ class _AnnObserver:
         the pre-batch value otherwise.  A boundary or block precondition at
         ``v`` has time ``(v - lo)·K``, a statement's precondition
         ``(v - lo)·K + k`` and its postcondition one more, a block
-        postcondition ``(v - lo + 1)·K``.  Raises :class:`_Fired` wherever
-        the walk would report or raise."""
+        postcondition ``(v - lo + 1)·K``.  A parallel loop's ledger is
+        charged with its block preconditions and summed at once.  Raises
+        :class:`_Fired` wherever the walk would report or raise."""
         dim, K = loop.dim, len(plan)
         self.batch, self.staged, self.pending = (batch, lo, K), {}, 0
+        depth = len(self.ledgers)
         try:
             if dim.kind == "parallel":
                 it = np.arange(lo, lo + dim.extent, dtype=np.int64)
                 events = env | {dim.var: it}
+                self.par_enter(loop)
                 self.par_iter_pre(loop, events, (it - lo) * K)
                 self.par_iter_post(loop, events, (it - lo + 1) * K)
+                self.par_exit(loop)
             else:
                 b = np.arange(lo, lo + dim.extent + 1, dtype=np.int64)
                 self.serial_boundary(loop, env | {dim.var: b}, (b - lo) * K)
@@ -782,18 +808,7 @@ class _AnnObserver:
                     self.stmt_post(stmt, events, (kept - lo) * K + k + 1)
         finally:
             self.batch, self.when, self.staged = None, None, {}
-
-    def commit_batch(self, loop: Loop, lo: int, env):
-        """After ``loop``'s batch commits: its instantiations, and for a
-        parallel loop the permission ledger, charged in iteration order."""
-        self.instantiations += self.pending
-        aset = self.aset(loop)
-        if loop.dim.kind == "parallel" and aset is not None:
-            self.par_enter(loop)
-            for v in range(lo, lo + loop.dim.extent):
-                env[loop.dim.var] = v
-                self._charge(aset, env)
-            self.par_exit(loop)
+            del self.ledgers[depth:]
 
     def _staged_read(self, cell: _Cell, idx: np.ndarray):
         """``cell`` at offsets ``idx`` as each grid point's event saw it."""
@@ -826,74 +841,56 @@ class _AnnObserver:
     # the loop variable in ``env`` is a vector of events and ``when`` holds
     # their times.
 
+    def _event(self, node, slots, env, kind: str, site: str, message, when=None):
+        """Check the value annotations in ``slots`` of ``node``'s set."""
+        aset = self.aset(node)
+        if aset is not None:
+            for slot in slots:
+                for a in getattr(aset, slot):
+                    if self._is_value(a):
+                        self._check(a, env, kind, site, message, when)
+
     def serial_boundary(self, loop: Loop, env, when=None):
-        aset = self.aset(loop)
-        if aset is None:
-            return
         d, v = loop.dim.display, env[loop.dim.var]
-        for a in aset.invariants:
-            if self._is_value(a):
-                self._check(
-                    a,
-                    env,
-                    "invariant_violation",
-                    f"loop {d}",
-                    lambda: f"loop invariant does not hold at {d} = {v}",
-                    when,
-                )
+        self._event(
+            loop, ("invariants",), env, "invariant_violation", f"loop {d}",
+            lambda: f"loop invariant does not hold at {d} = {v}", when,
+        )
 
     def par_enter(self, loop: Loop):
-        self.ledgers.append((loop, {}))
+        aset = self.aset(loop)
+        self.ledgers.append((loop, 1 if aset is None else self._perms(aset)[0], {}))
 
     def par_iter_pre(self, loop: Loop, env, when=None):
         aset = self.aset(loop)
-        if aset is None:
-            return
-        if when is None:
-            self._charge(aset, env)
-        elif any(_reads_memory(a) for a in aset.context if not self._is_value(a)):
-            # a batch charges its ledger after the commit, from the final
-            # storage; only a ledger that reads none may wait
-            raise _Fired
+        if aset is not None:
+            self._charge(aset, env, when)
         d, v = loop.dim.display, env[loop.dim.var]
-        for a in aset.requires + [c for c in aset.context if self._is_value(c)]:
-            self._check(
-                a,
-                env,
-                "contract_violation",
-                f"loop {d}",
-                lambda: f"iteration contract fails on entry at {d} = {v}",
-                when,
-            )
+        self._event(
+            loop, ("requires", "context"), env, "contract_violation", f"loop {d}",
+            lambda: f"iteration contract fails on entry at {d} = {v}", when,
+        )
 
     def par_iter_post(self, loop: Loop, env, when=None):
-        aset = self.aset(loop)
-        if aset is None:
-            return
         d, v = loop.dim.display, env[loop.dim.var]
-        for a in aset.ensures + [c for c in aset.context if self._is_value(c)]:
-            self._check(
-                a,
-                env,
-                "contract_violation",
-                f"loop {d}",
-                lambda: f"iteration contract fails on exit at {d} = {v}",
-                when,
-            )
+        self._event(
+            loop, ("ensures", "context"), env, "contract_violation", f"loop {d}",
+            lambda: f"iteration contract fails on exit at {d} = {v}", when,
+        )
 
     def par_exit(self, loop: Loop):
-        loop, ledger = self.ledgers.pop()
-        for name, batches in ledger.items():
-            cell = self.runner.mem.get(name)
-            if cell is None:
-                continue
-            size = cell.arr.shape[1]
-            den = math.lcm(*[f.denominator for _, f in batches])
-            acc = np.zeros(size, dtype=np.int64)
-            for offsets, frac in batches:
-                np.add.at(acc, offsets, den * frac.numerator // frac.denominator)
+        """Sum the ledger of ``loop``: a cell claimed beyond a whole
+        permission is a race."""
+        loop, den, claims = self.ledgers.pop()
+        sums: dict[str, np.ndarray] = {}
+        for (name, size, share), parts in claims.items():
+            counts = np.bincount(np.concatenate(parts), minlength=size)
+            sums[name] = sums.get(name, 0) + share * counts
+        for name, acc in sums.items():
             over = acc > den
             if over.any():
+                if self.batch is not None:
+                    raise _Fired  # the walk reports it
                 off = int(np.flatnonzero(over)[0])
                 total = Fraction(int(acc[off]), den)
                 self.runner.report(
@@ -906,46 +903,22 @@ class _AnnObserver:
                 )
 
     def consume_enter(self, node: Consume, env):
-        aset = self.aset(node)
-        if aset is None:
-            return
-        for a in aset.context:
-            if self._is_value(a):
-                self._check(
-                    a,
-                    env,
-                    "contract_violation",
-                    f"consume {node.func}",
-                    lambda: f"consumed values of {node.func!r} disagree with its definition",
-                )
+        self._event(
+            node, ("context",), env, "contract_violation", f"consume {node.func}",
+            lambda: f"consumed values of {node.func!r} disagree with its definition",
+        )
 
     def stmt_pre(self, node: StoreStmt, env, when=None):
-        aset = self.aset(node)
-        if aset is None:
-            return
-        for a in aset.requires:
-            self._check(
-                a,
-                env,
-                "contract_violation",
-                f"{node.func}.stage{node.stage}",
-                lambda: "statement precondition does not hold",
-                when,
-            )
+        self._event(
+            node, ("requires",), env, "contract_violation", f"{node.func}.stage{node.stage}",
+            lambda: "statement precondition does not hold", when,
+        )
 
     def stmt_post(self, node: StoreStmt, env, when=None):
-        aset = self.aset(node)
-        if aset is None:
-            return
-        for a in aset.ensures:
-            self._check(
-                a,
-                env,
-                "contract_violation",
-                f"{node.func}.stage{node.stage}",
-                lambda: "statement postcondition does not hold",
-                when,
-            )
+        self._event(
+            node, ("ensures",), env, "contract_violation", f"{node.func}.stage{node.stage}",
+            lambda: "statement postcondition does not hold", when,
+        )
 
     def pipeline_post(self):
         """User pipeline postconditions against the final memory state."""
@@ -983,9 +956,9 @@ class _AnnObserver:
 
     def _grid(self, a: Ann, env, when=None):
         """Environment with quantifier variables flattened to index arrays,
-        first quantifier slowest, or None when the grid is empty.  With
-        ``when`` it stacks the grids of all events, event by event, and
-        ``_WHEN`` holds each point's event time."""
+        first quantifier slowest, and its number of points; None for an
+        empty grid.  With ``when`` it stacks the grids of all events, event
+        by event, and ``_WHEN`` holds each point's event time."""
         los = [compiled(q.lo)(env, _CLOSED) for q in a.quants]
         his = [compiled(q.hi)(env, _CLOSED) for q in a.quants]
         envq: dict = dict(env)
@@ -994,32 +967,40 @@ class _AnnObserver:
             total = math.prod(sizes)
             self._budget(total)
             if total == 0:
-                return None
+                return None, 0
             if not sizes:
-                return envq
+                return envq, 1
             r = np.arange(total, dtype=np.int64)
         else:
-            sizes = [np.broadcast_to(np.maximum(hi - lo, 0), when.shape) for lo, hi in zip(los, his)]
-            counts = math.prod(sizes, start=np.ones(when.shape, dtype=np.int64))
+            # a size the same at every event stays a scalar
+            sizes = [np.maximum(hi - lo, 0) for lo, hi in zip(los, his)]
+            sizes = [s.flat[0] if np.ndim(s) and (s == s.flat[0]).all() else s for s in sizes]
+            counts = np.broadcast_to(math.prod(sizes, start=np.int64(1)), when.shape)
             if counts.max(initial=0) > self.cap:
                 raise _Fired  # the walk raises InstantiationBudget
             total = int(counts.sum())
             self.pending += total
             if total == 0:
-                return None
+                return None, 0
             ev = np.repeat(np.arange(len(when)), counts)
+            # the event vectors the annotation reads, one entry per point
+            if id(a) not in self.names:
+                self.names[id(a)] = free_vars(a.body)
             for k, v in env.items():
                 if isinstance(v, np.ndarray):
-                    envq[k] = v[ev]
+                    del envq[k]
+                    if k in self.names[id(a)]:
+                        envq[k] = v[ev]
             envq[_WHEN] = when[ev]
             # each point's rank within its event's grid
-            r = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-            los = [np.broadcast_to(lo, when.shape)[ev] for lo in los]
-            sizes = [size[ev] for size in sizes]
+            r = np.arange(total, dtype=np.int64) - (np.cumsum(counts) - counts)[ev]
+            los = [lo[ev] if np.ndim(lo) else lo for lo in los]
+            sizes = [size[ev] if np.ndim(size) else size for size in sizes]
+            del ev
         for q, lo, size in zip(reversed(a.quants), reversed(los), reversed(sizes)):
             envq[q.var] = lo + r % size
             r = r // size
-        return envq
+        return envq, total
 
     def _check(self, a: Ann, env, kind: str, site: str, message, when=None):
         """Check value annotation ``a`` at one event of the walk, reporting
@@ -1029,7 +1010,7 @@ class _AnnObserver:
         key = (kind, id(a), site)
         if key in self.runner.seen:
             return
-        envq = self._grid(a, env, when)
+        envq, _ = self._grid(a, env, when)
         if envq is None:
             return
         # leading implications are grid guards: restrict the grid to points
@@ -1107,63 +1088,45 @@ class _AnnObserver:
 
     # -- the permission ledger ---------------------------------------------
 
-    def _charge(self, aset, env):
-        _, ledger = self.ledgers[-1]
-        for a in aset.context:
-            if isinstance(a, RegionPerm):
-                offsets = self._region_offsets(a, env)
-                ledger.setdefault(a.target.name, []).append((offsets, a.frac.value()))
-            elif a.perm:
-                inst = self._perm_instances(a, env)
-                if inst is not None:
-                    name, offsets, frac = inst
-                    ledger.setdefault(name, []).append((offsets, frac))
+    def _perms(self, aset) -> tuple[int, list]:
+        """The permissions of a parallel block's context as quantified
+        atoms, built once per annotation set: the ledger's common
+        denominator, and per atom its guards, its ``PermAtom`` and its
+        share of that denominator."""
+        got = self.perms.get(id(aset))
+        if got is None:
+            atoms = []
+            for a in aset.context:
+                if not self._is_value(a):
+                    a = a.quantified() if isinstance(a, RegionPerm) else a
+                    guards, atom = [], a.body
+                    while isinstance(atom, BinOp) and atom.op == "==>":
+                        guards, atom = guards + [atom.left], atom.right
+                    atoms.append((a, guards, atom, atom.frac.value()))
+            den = math.lcm(*(f.denominator for *_, f in atoms))
+            shares = [(a, g, atom, f.numerator * (den // f.denominator)) for a, g, atom, f in atoms]
+            got = self.perms[id(aset)] = (den, shares)
+        return got
 
-    def _region_offsets(self, a: RegionPerm, env) -> np.ndarray:
-        cell = self.runner.mem[a.target.name]
-        size = cell.arr.shape[1]
-        total = 1
-        point = {}
-        for d, lo, ext in a.dim_boxes:
-            point[d] = eval_const(lo, env)
-            total *= ext
-        self._budget(total)
-        base = a.alloc.cell(point, env)
-        offs = np.zeros(1, dtype=np.int64)
-        for d, _, ext in a.dim_boxes:
-            stride = a.alloc.strides[d]
-            offs = (offs[:, None] + stride * np.arange(ext, dtype=np.int64)[None, :]).ravel()
-        offsets = base + offs
-        # a region claims the cells of its box that exist
-        return offsets[(offsets >= 0) & (offsets < size)]
-
-    def _perm_instances(self, a: Ann, env):
-        envq = self._grid(a, env)
-        if envq is None:
-            return None
-        conds = []
-        body = a.body
-        while isinstance(body, BinOp) and body.op == "==>":
-            conds.append(body.left)
-            body = body.right
-        atom: PermAtom = body
-        idx = np.atleast_1d(np.asarray(self._vec(atom.index, envq, ""), dtype=np.int64))
-        keep = np.ones(idx.shape, dtype=bool)
-        for c in conds:
-            cv = np.asarray(self._vec(c, envq, ""))
-            keep &= np.atleast_1d(cv != 0)
-        cell = self.runner.mem.get(atom.target.name)
-        if cell is None:
-            return None
-        size = cell.arr.shape[1]
-        keep &= (idx >= 0) & (idx < size)
-        return atom.target.name, idx[keep], atom.frac.value()
-
-
-def _reads_memory(a) -> bool:
-    if isinstance(a, RegionPerm):
-        return False  # its box and offsets come from loop variables alone
-    return any(_reads(e) for e in [a.body, *(b for q in a.quants for b in (q.lo, q.hi))])
+    def _charge(self, aset, env, when=None):
+        """Charge the permissions of ``aset`` to the innermost ledger, at
+        one event of the walk or, with ``when``, at all the events of a
+        batched loop.  A permission claims the cells of its instances that
+        exist and whose guards hold; one ledger serves every lane, so a
+        guard that reads storage holds where it holds in any lane."""
+        claims = self.ledgers[-1][2]
+        for a, guards, atom, share in self._perms(aset)[1]:
+            envq, n = self._grid(a, env, when)
+            cell = self.runner.mem.get(atom.target.name)
+            if envq is None or cell is None:
+                continue
+            size = cell.arr.shape[1]
+            idx = np.broadcast_to(np.asarray(self._vec(atom.index, envq, ""), dtype=np.int64), (n,))
+            keep = (idx >= 0) & (idx < size)
+            for g in guards:
+                held = np.asarray(self._vec(g, envq, "")) != 0
+                keep &= held.any(axis=0) if held.ndim == 2 else held
+            claims.setdefault((atom.target.name, size, share), []).append(idx[keep])
 
 
 def _execute(lp: LoweredPipeline, inputs: dict[str, np.ndarray], obs: _AnnObserver | None) -> RunResult:
@@ -1209,14 +1172,23 @@ def check_schedule(
     ap = annotate(lp, include_user=include_user)
     inputs = make_inputs(p, seeds)
     assert_buffer_requires(p, inputs)
-    result = check_annotations(lp, ap, inputs)
-    reference = eval_reference(p, inputs)
-    result.findings.extend(compare_to_reference(lp, result, reference))
-    return result
+    return _compared(lp, inputs, check_annotations(lp, ap, inputs))
 
 
 def run_lowered(lp: LoweredPipeline, inputs: dict[str, np.ndarray]) -> RunResult:
     return _execute(lp, inputs, None)
+
+
+def _compared(lp: LoweredPipeline, inputs: dict[str, np.ndarray], result: RunResult) -> RunResult:
+    """``result`` with the comparison against the reference semantics in
+    its findings; a reference that faults is one finding instead."""
+    try:
+        reference = eval_reference(lp.pipeline, inputs)
+    except ReferenceFault as err:
+        result.findings.append(Finding("out_of_bounds", f"reference semantics undefined: {err}"))
+    else:
+        result.findings.extend(compare_to_reference(lp, result, reference))
+    return result
 
 
 def compare_to_reference(
@@ -1253,10 +1225,7 @@ def check_lowered(p: Pipeline, directives, seeds) -> RunResult:
     lp = lower(p, directives)
     inputs = make_inputs(p, seeds)
     assert_buffer_requires(p, inputs)
-    result = run_lowered(lp, inputs)
-    reference = eval_reference(p, inputs)
-    result.findings.extend(compare_to_reference(lp, result, reference))
-    return result
+    return _compared(lp, inputs, run_lowered(lp, inputs))
 
 
 def to_reports(

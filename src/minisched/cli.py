@@ -10,15 +10,24 @@ and ``--no-user`` keeps only the generated memory-safety annotations.
 
 ``minisched encode <algo.hal> [--scale k=v ...]`` prints the algorithm's
 encoding as PVL pure functions with the pipeline lemma.
+
+``minisched check <algo.hal> <file.sched> [--scale k=v ...] [--seeds N ...]
+[--no-user | --plain]`` checks the schedule on one input set per seed and
+prints one JSON report per seed, with its findings and statistics.
+``--no-user`` keeps only the generated memory-safety annotations, and
+``--plain`` runs the nest without annotations.  The exit status is 1 when
+any seed fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from .annotate import AnnotatedPipeline, RegionPerm, annotate
+from .checker import check_lowered, check_schedule, to_reports
 from .encoder import encode
 from .lowering import Chain, Consume, If, Loop, Produce, Store, StoreStmt, lower
 from .parser import parse_pipeline, parse_schedule
@@ -91,19 +100,32 @@ def main(argv=None) -> int:
         help="override a pipeline parameter (repeatable)",
     )
     sub.add_parser("encode", parents=[algo], help="print the PVL encoding of an algorithm")
-    cmd = sub.add_parser("annotate", parents=[algo], help="print the annotated loop nest of a schedule")
-    cmd.add_argument("schedule", type=Path, help="the schedule (.sched)")
-    cmd.add_argument(
-        "--no-user", action="store_true",
-        help="generated memory-safety annotations only",
-    )
+    sched = argparse.ArgumentParser(add_help=False, parents=[algo])
+    sched.add_argument("schedule", type=Path, help="the schedule (.sched)")
+    no_user = dict(action="store_true", help="generated memory-safety annotations only")
+    cmd = sub.add_parser("annotate", parents=[sched], help="print the annotated loop nest of a schedule")
+    cmd.add_argument("--no-user", **no_user)
+    cmd = sub.add_parser("check", parents=[sched], help="check a schedule; print one JSON report per seed")
+    cmd.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2], metavar="N", help="input seeds")
+    mode = cmd.add_mutually_exclusive_group()
+    mode.add_argument("--no-user", **no_user)
+    mode.add_argument("--plain", action="store_true", help="run the nest without annotations")
     args = ap.parse_args(argv)
 
     p = parse_pipeline(args.algo.read_text()).resolve(dict(args.scale)).validated()
     if args.command == "encode":
         sys.stdout.write(encode(p).render())
         return 0
-    lp = lower(p, parse_schedule(args.schedule.read_text()))
+    directives = parse_schedule(args.schedule.read_text())
+    if args.command == "check":
+        if args.plain:
+            result = check_lowered(p, directives, args.seeds)
+        else:
+            result = check_schedule(p, directives, args.seeds, include_user=not args.no_user)
+        reports = to_reports(p.name, args.schedule.stem, args.seeds, result)
+        print(json.dumps(reports, indent=2))
+        return int(any(r["verdict"] == "fail" for r in reports))
+    lp = lower(p, directives)
     for line in annotated_nest(annotate(lp, include_user=not args.no_user)):
         print(line)
     return 0

@@ -43,6 +43,7 @@ from .ir import (
     Var,
     and_,
     compiled,
+    domain_grid,
     eq,
     le,
     lt,
@@ -480,13 +481,6 @@ def check_decreases_static(prog: EncodedProgram) -> list[tuple[str, str]]:
     return bad
 
 
-def _grid(domains) -> dict[str, np.ndarray]:
-    """Every point of the closed ranges ``domains``, flattened, first
-    dimension slowest."""
-    axes = np.meshgrid(*[np.arange(lo, hi + 1) for _, lo, hi in domains], indexing="ij")
-    return {v: a.reshape(-1) for (v, _, _), a in zip(domains, axes)}
-
-
 def _size(domains) -> int:
     return math.prod(max(hi - lo + 1, 0) for _, lo, hi in domains)
 
@@ -524,7 +518,7 @@ class _FrontEval:
         self.lanes = next(iter(inputs.values())).shape[0]
         self.tables = {}
         for b in p.buffers:
-            layout = flat_alloc(b).cell(_grid(self.decls[b.name].domains))
+            layout = flat_alloc(b).cell(domain_grid(self.decls[b.name].domains))
             self.tables[b.name] = inputs[b.name].astype(np.int64)[:, layout]
         self.building: dict[str, tuple[int, ...]] = {}  # the step under way
         self.flagged: np.ndarray | None = None  # over a grid: its flagged points
@@ -620,7 +614,7 @@ class _FrontEval:
         self.tables[d.name] = np.zeros((1, size), dtype=np.int64)
         self.points += size
         free = tuple(r for r in d.domains if r[0] not in d.decreases)
-        grid, n = _grid(free), _size(free)
+        grid, n = domain_grid(free), _size(free)
         ranges = {v: range(lo, hi + 1) for v, lo, hi in d.domains}
         body = compiled(d.body, checked=True)
         outer = self.flagged, self.site
@@ -653,7 +647,7 @@ class _FrontEval:
         n = _size(domains)
         if n == 0:
             return
-        grid = _grid(domains)
+        grid = domain_grid(domains)
         env = grid | tables
         self.flagged = np.zeros(n, dtype=bool)
         live = np.ones(n, dtype=bool)
@@ -683,7 +677,7 @@ def check_frontend(prog: EncodedProgram, p: Pipeline, inputs) -> "RunResult":
     """Check every declaration's contract over its domain grid, the
     pipeline lemma, the termination measure, and the encoding against the
     reference semantics."""
-    from .checker import RunResult, eval_reference
+    from .checker import ReferenceFault, RunResult, eval_reference
 
     t0 = time.perf_counter()
     ev = _FrontEval(prog, p, inputs)
@@ -705,12 +699,12 @@ def check_frontend(prog: EncodedProgram, p: Pipeline, inputs) -> "RunResult":
     # the encoding must agree with the reference semantics everywhere
     try:
         reference = eval_reference(p, inputs)[p.output]
-    except ValueError as err:
+    except ReferenceFault as err:
         ev.report("out_of_bounds", f"reference semantics undefined: {err}", ("ref",))
         reference = None
     domains = ev.decls[p.output].domains
     alloc = flat_alloc(p.output_func)
-    layout = alloc.cell(_grid(domains))
+    layout = alloc.cell(domain_grid(domains))
     got = ev.table(p.output)
     result = np.zeros((ev.lanes, alloc.size), dtype=np.int64)
     result[:, layout] = got

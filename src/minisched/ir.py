@@ -597,6 +597,13 @@ def eval_const(e: Expr, env: dict[str, int] | None = None) -> int:
     return int(compiled(e)(env or {}, _CLOSED))
 
 
+def domain_grid(domains) -> dict[str, np.ndarray]:
+    """Every point of the closed ranges ``domains``, each ``(name, lo, hi)``
+    with ``hi`` included, flattened, first dimension slowest."""
+    axes = np.meshgrid(*[np.arange(lo, hi + 1) for _, lo, hi in domains], indexing="ij")
+    return {v: a.reshape(-1) for (v, _, _), a in zip(domains, axes)}
+
+
 # ---------------------------------------------------------------------------
 # Scheduling directives
 

@@ -18,8 +18,20 @@ from hypothesis import strategies as st
 
 from minisched import PipelineError
 from minisched import checker as C
-from minisched.annotate import Ann, annotate
-from minisched.ir import BinOp, Const, MinOf, Quantifier, TableRead, Var, walk
+from minisched.annotate import Ann, RegionPerm, annotate
+from minisched.ir import (
+    BinOp,
+    Const,
+    Frac,
+    MinOf,
+    PermAtom,
+    Quantifier,
+    Select,
+    TableRead,
+    Var,
+    substitute,
+    walk,
+)
 from minisched.lowering import Consume, Loop, NonAffineAccess, Produce, StoreStmt, lower
 from minisched.parser import parse_pipeline, parse_schedule
 
@@ -481,14 +493,14 @@ def test_replay_counts_on_a_clean_and_a_faulty_schedule():
 # Batched annotation events: checked before commit, through write stamps
 
 
-def annotated_run(algo: str, sizes: dict, sched: str, surgery):
+def annotated_run(algo: str, sizes: dict, sched: str, surgery, include_user: bool = True):
     """Check the annotations of ``algo`` lowered under ``sched`` after
-    ``surgery(ap)``, in functional mode."""
+    ``surgery(ap)``, in functional mode unless ``include_user`` is false."""
     p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
 
     def run():
         lp = lower(p, parse_schedule(sched))
-        ap = annotate(lp, include_user=True)
+        ap = annotate(lp, include_user=include_user)
         surgery(ap)
         return C.check_annotations(lp, ap, C.make_inputs(p, SEEDS))
 
@@ -547,6 +559,127 @@ def test_blur_rows_functional_mode_batches_without_replay():
     assert res.passed and res.batched_loops > 0 and res.replayed_loops == 0
     # the walk's count at this size: every instance is still checked
     assert res.instantiations == 627_584
+
+
+# ---------------------------------------------------------------------------
+# The permission ledger: charged before a batch commits, as the walk does
+
+
+def undivided_reads(count: int):
+    """Surgery: the read regions of parallel blocks claim their fraction
+    in every iteration, not split across the iterations."""
+
+    def surgery(ap):
+        n = 0
+        for aset in ap.node.values():
+            for i, a in enumerate(aset.context):
+                if isinstance(a, RegionPerm) and a.frac.par:
+                    aset.context[i] = dataclasses.replace(a, frac=dataclasses.replace(a.frac, par=()))
+                    n += 1
+        assert n == count
+
+    return surgery
+
+
+def race(loop: str, claim: str) -> dict:
+    return {
+        "kind": "race",
+        "message": f"iterations of parallel loop {loop!r} together claim {claim}"
+        " (fraction sum exceeds a whole permission)",
+        "site": f"loop {loop}",
+    }
+
+
+def test_batched_ledger_race_replays(monkeypatch):
+    # every iteration of blur/fused claims half of its 3x3 box of inp, so
+    # inp[2] is claimed by iterations 0, 1 and 2
+    fused = (CORPUS / "schedules" / "blur" / "fused.sched").read_text()
+    run = annotated_run("blur", {"x": 8, "y": 8}, fused, undivided_reads(1), include_user=False)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops == 1
+    assert [f.to_json() for f in batched.findings] == [race("xy", "3/2 of inp[2]")]
+
+
+def test_walked_ledger_race():
+    # matmul/par's parallel loop holds the reduction loop, so it is walked
+    par = (CORPUS / "schedules" / "matmul" / "par.sched").read_text()
+    res = annotated_run("matmul", {"n": 8}, par, undivided_reads(2), include_user=False)()
+    assert res.batched_loops > 0
+    assert [f.to_json() for f in res.findings] == [race("j", "4 of a[0]")]
+
+
+@pytest.mark.parametrize("written,findings", [(False, []), (True, [race("xy", "241/32 of src[0]")])])
+def test_batched_guard_reads_storage_as_of_its_iteration(monkeypatch, written, findings):
+    # a half permission on src[0] guarded by the cell the previous
+    # iteration wrote, which holds the poison fill before that write; with
+    # the guard true in 15 of 16 iterations, the read region's 1/32 of
+    # src[0] brings the claim to 15/2 + 1/32
+    def surgery(ap):
+        (loop,) = [n for n in nodes(ap.lp.root) if isinstance(n, Loop) and n.dim.kind == "parallel"]
+        (stmt,) = stores(loop, "lift")
+        prev = Select(BinOp("<", Const(0), Var("xy")), BinOp("-", Var("xy"), Const(1)), Const(0))
+        cell = TableRead(stmt.target, substitute(stmt.index, {"xy": prev}))
+        guard = BinOp("<", cell, Const(10**6)) if written else BinOp("<", Const(10**6), cell)
+        src = next(a.target for a in ap.at(loop).context if isinstance(a, RegionPerm))
+        atom = PermAtom(src, Const(0), Frac(1, 2))
+        ap.at(loop).context.append(Ann("context", (), BinOp("==>", guard, atom), perm=True))
+
+    batched, walked = declined(monkeypatch, annotated_run("chain3", {"n": 4}, FUSED, surgery, False))
+    assert_same_run(batched, walked)
+    assert (batched.batched_loops, batched.replayed_loops) == ((0, 1) if written else (1, 0))
+    assert [f.to_json() for f in batched.findings] == findings
+
+
+# ---------------------------------------------------------------------------
+# Reference semantics that read out of bounds
+
+
+def one_stage(body: str):
+    return parse_pipeline(
+        f"""pipeline t(inp) -> out {{
+  buffer inp(x in [0, 8));
+  func out(x in [0, 8)) {{
+    out(x) = {body};
+  }}
+}}"""
+    ).validated()
+
+
+def modes(p):
+    yield C.check_lowered(p, [], SEEDS)
+    for u in (True, False):
+        yield C.check_schedule(p, [], SEEDS, include_user=u)
+
+
+def test_reference_skips_reads_of_an_untaken_branch():
+    # at x = 7 the untaken branch reads inp[8]
+    p = one_stage("select(x < 7, inp(x + 1), inp(x))")
+    inp = C.make_inputs(p, SEEDS)["inp"]
+    want = np.concatenate([inp[:, 1:], inp[:, 7:]], axis=1)
+    assert np.array_equal(C.eval_reference(p, {"inp": inp})["out"], want)
+    for res in modes(p):
+        assert res.passed, [f.message for f in res.findings]
+        assert np.array_equal(res.mem["out"], want)
+
+
+def test_reference_read_out_of_bounds_is_a_finding():
+    p = one_stage("inp(x + 1)")
+    with pytest.raises(C.ReferenceFault):
+        C.eval_reference(p, C.make_inputs(p, SEEDS))
+    for res in modes(p):
+        assert [f.to_json() for f in res.findings] == [
+            {
+                "kind": "out_of_bounds",
+                "message": "read of inp[8] outside its 8-cell allocation",
+                "site": "out.stage0",
+            },
+            {
+                "kind": "out_of_bounds",
+                "message": "reference semantics undefined: reference evaluation reads inp out of bounds",
+                "site": "",
+            },
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
@@ -50,3 +51,35 @@ def test_annotate_rejects_a_malformed_scale(capsys):
 def test_encode_matches_golden(capsys, algo):
     assert cli.main(["encode", str(ROOT / "corpus" / f"{algo}.hal")]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{algo}.pvl").read_text()
+
+
+def check(capsys, algo: str, schedule: pathlib.Path, *flags: str) -> tuple[int, list[dict]]:
+    status = cli.main(["check", str(ROOT / "corpus" / f"{algo}.hal"), str(schedule), *flags])
+    reports = json.loads(capsys.readouterr().out)
+    for r in reports:
+        del r["stats"]["millis"]
+    return status, reports
+
+
+def test_check_prints_one_report_per_seed(capsys):
+    status, reports = check(
+        capsys, "count", ROOT / "corpus" / "schedules" / "count" / "par.sched", "--scale", "w=4"
+    )
+    assert status == 0
+    stats = {"points": 44, "instantiations": 160, "batched_loops": 1, "replayed_loops": 0}
+    assert reports == [
+        {"pipeline": "count", "schedule": "par", "seed": s, "verdict": "pass", "findings": [], "stats": stats}
+        for s in (0, 1, 2)
+    ]
+
+
+def test_check_fails_with_status_one(capsys, tmp_path):
+    # a tail split reads src[90] outside its 90-cell allocation
+    sched = tmp_path / "tail.sched"
+    sched.write_text("lift.split(y, o1, i1, 5); base.unroll(y);")
+    status, reports = check(capsys, "chain3", sched, "--scale", "n=9", "--plain", "--seeds", "7")
+    assert status == 1
+    assert [(r["seed"], r["verdict"]) for r in reports] == [(7, "fail")]
+    assert "read of src[90] outside its 90-cell allocation" in [
+        f["message"] for f in reports[0]["findings"]
+    ]
