@@ -7,8 +7,8 @@ evaluations is the context passed for the leaves:
 * ``eval_reference`` computes every function of a pipeline directly from
   its definition, stage by stage over full declared domains; it is the
   semantic baseline.  Its reads (``load``) gather whole grids from the
-  declared allocations; an out-of-range read faults only at the points
-  whose value takes it.
+  declared allocations; a read outside the callee's declared domain faults
+  only at the points whose value takes it.
 * ``run_lowered`` executes a built loop nest the way the emitted C would.
   Its ``load`` and ``check`` hooks watch for the things a verifier would
   reject: reads of cells never written, out-of-range indexes, values
@@ -16,37 +16,44 @@ evaluations is the context passed for the leaves:
   that would collide if a parallel loop really ran in parallel.
 * ``check_annotations`` runs the same execution and evaluates every
   annotation at its boundaries over its quantifier grid; its ``load``
-  reports and clips out-of-range reads.
+  clips out-of-range reads and reports those a point-by-point evaluation
+  takes.
 
 All of them evaluate all random seeds at once: control flow never depends
 on data (guards mention loop variables only), so one walk of the nest
 carries an entire batch of input sets as a leading lane axis.
 
 The runner executes a non-unrolled loop as one batch, each statement
-evaluated once over the loop's whole iteration vector, when the nest shows
-the iterations independent (:func:`batch_plan`): looking through ``If``
-and unrolled loops its body holds only store statements, no entity is both
-read and written in it, and its guards read no memory.  Every detector
-then runs on the batch's offset arrays, and the batch is committed only if
-none fires.  Otherwise it is dropped, with no state touched, and the loop
-is walked statement by statement, which reports the findings in the
+evaluated once over a whole iteration space, when the nest shows the
+iterations independent (:func:`batch_plan`).  The batch looks through a
+perfect nest: each inner loop that is serial and the only node of its
+parent's body joins it, and the space is the flattened product of the
+nest, its iterations ranked in walk order (the lexicographic order of the
+nest's variables), each variable a vector over the ranks.  Looking through
+``If`` and unrolled loops the innermost body holds only store statements,
+no entity is both read and written in it, and its guards read no memory.
+Every detector then runs on the batch's offset arrays, and the batch is
+committed only if none fires.  Otherwise it is dropped, with no state
+touched, and the nest's outermost loop is walked statement by statement,
+each inner loop trying its own batch, which reports the findings in the
 order, and with the messages, of a walk that never tried the batch.
 
 Under annotation checking, a batch's events are checked before it commits.
-Each value annotation that fires inside the loop (serial invariants at
-every boundary, parallel block contracts at every iteration, statement
-contracts at the iterations their guards keep) is evaluated once, over the
-stacked grid of all its events and quantifier points.  Every write of the
-batch carries a stamp, its iteration and plan position, and each event
-reads storage as it stood at its own time: the batch's pending value where
-the cell's stamp is earlier, the pre-batch value otherwise.  A parallel
-loop's permission ledger is charged the same way, every permission a
-quantified atom, once over the stacked grid of all iterations' instances,
-and summed before the commit.  A failing instance, a cell claimed beyond
-a whole permission, an out-of-range annotation read, one event over the
-instantiation cap, or an index that varies by lane drops the batch, and
-the walk reports what it finds.  After the commit the instantiations are
-counted.
+Each value annotation that fires inside the nest (serial invariants at
+every boundary of every loop instance, parallel block contracts at every
+iteration, statement contracts at the iterations their guards keep) is
+evaluated once, over the stacked grid of all its events and quantifier
+points, in chunks of a bounded number of points.  Every write of the batch
+carries a stamp, its iteration's rank and plan position, and each event
+reads storage as it stood at its own time, a rank too: the batch's pending
+value where the cell's stamp is earlier, the pre-batch value otherwise.  A
+parallel outermost loop's permission ledger is charged the same way, every
+permission a quantified atom, over the stacked grid of all iterations'
+instances, and summed before the commit.  A failing instance, a cell
+claimed beyond a whole permission, an out-of-range annotation read, one
+event over the instantiation cap, or an index that varies by lane drops
+the batch, and the walk reports what it finds.  After the commit the
+instantiations are counted.
 """
 
 from __future__ import annotations
@@ -63,7 +70,10 @@ from .ir import (
     INT32_MAX,
     INT32_MIN,
     BinOp,
+    BufAccess,
+    Const,
     Expr,
+    FuncAccess,
     MemTarget,
     Pipeline,
     PipelineError,
@@ -78,6 +88,10 @@ from .ir import (
     wrap_int64,
     _CLOSED,
     _resolve_bound_refs,
+    and_,
+    le,
+    lt,
+    rewrite,
 )
 from .lowering import (
     Chain,
@@ -164,7 +178,7 @@ def assert_buffer_requires(p: Pipeline, inputs: dict[str, np.ndarray]) -> None:
 
 
 class ReferenceFault(ValueError):
-    """A reference value takes a read outside an allocation."""
+    """A reference value takes a read outside its callee's declared domain."""
 
 
 class _Declared:
@@ -194,12 +208,31 @@ def _ranges(entity, dims) -> list[tuple[str, int, int]]:
     return [(d, entity.interval(d).lo_int, entity.interval(d).hi_int - 1) for d in dims]
 
 
+def _declared_reads(p: Pipeline, allocs, e: Expr) -> Expr:
+    """``e`` with entity accesses flattened to declared storage, as
+    :func:`flatten_storage` does; a read at a point outside the entity's
+    declared domain reads offset -1, outside every allocation."""
+
+    def repl(n: Expr) -> Expr | None:
+        if isinstance(n, FuncAccess):
+            entity = p.func(n.func)
+        elif isinstance(n, BufAccess):
+            entity = p.buffer(n.buf)
+        else:
+            return None
+        read = flatten_storage(p, allocs, n)
+        inside = and_(*(and_(le(iv.lo_int, a), lt(a, iv.hi_int)) for (_, iv), a in zip(entity.dims, n.args)))
+        return TableRead(read.target, Select(inside, read.index, Const(-1)))
+
+    return rewrite(e, repl)
+
+
 def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Every function of the pipeline over its full declared domain.
 
     Arrays are (lanes, size) in declared row-minor layout (first dimension
     has stride 1), exact in int64.  Raises :class:`ReferenceFault` when a
-    value takes a read outside its allocation.
+    value takes a read outside its callee's declared domain.
     """
     lanes = next(iter(inputs.values())).shape[0] if inputs else 1
     allocs = {b.name: flat_alloc(b) for b in p.buffers} | {f.name: flat_alloc(f) for f in p.funcs}
@@ -214,8 +247,8 @@ def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.n
             n = env[dims[0]].size if dims else 1
             point = dict(zip(f.dim_names(), s.lhs_args))
             idx = np.zeros(n, dtype=np.int64) + compiled(alloc.offset(point, list(dims)))(env, mem)
-            rhs = compiled(flatten_storage(p, allocs, s.rhs))
-            guard = None if s.guard is None else compiled(flatten_storage(p, allocs, s.guard))
+            rhs = compiled(_declared_reads(p, allocs, s.rhs))
+            guard = None if s.guard is None else compiled(_declared_reads(p, allocs, s.guard))
             rsteps = [{}]
             if s.rdom is not None:
                 # last declared variable is the outer loop
@@ -537,8 +570,8 @@ class _Runner:
                 obs.serial_boundary(loop, env)
 
     def _batched(self, loop: Loop, lo: int, env: dict[str, int]) -> bool:
-        """Run ``loop`` as one batch when its plan allows and no detector
-        fires; False leaves every piece of state as it was."""
+        """Run the nest ``loop`` heads as one batch when its plan allows and
+        no detector fires; False leaves every piece of state as it was."""
         plan = loop.__dict__.get("_batch_plan", _UNPLANNED)
         if plan is _UNPLANNED:
             plan = loop._batch_plan = batch_plan(loop)
@@ -546,9 +579,9 @@ class _Runner:
             return False
         batch = _Batch(self)
         try:
-            batch.run(plan, loop.dim.var, np.arange(lo, lo + loop.dim.extent, dtype=np.int64), env)
+            batch.run(plan, lo, env)
             if self.obs is not None:
-                self.obs.check_batch(loop, lo, plan, batch, env)
+                self.obs.check_batch(plan, lo, batch, env)
         except Exception:
             # a detector fired, an annotation failed, or evaluation failed;
             # the walk meets any of them in its own order
@@ -569,24 +602,70 @@ def _reads(e: Expr) -> set[str]:
     return {n.target.name for n in walk(e) if isinstance(n, TableRead)}
 
 
-def batch_plan(loop: Loop) -> list[tuple[tuple[Expr, ...], StoreStmt]] | None:
-    """The store statements of ``loop``, each with the ``If`` guards above
-    it, when the loop may run as one batch; None when it must be walked.
+@dataclass(frozen=True)
+class BatchPlan:
+    """A perfect loop nest that runs as one batch over its flattened
+    iteration space.  ``loops`` run outermost first, each inner one the
+    only node of its parent's body; ``entries`` are the store statements of
+    the innermost body, each with the ``If`` guards above it.  An
+    iteration's rank is its position in walk order, the lexicographic
+    order of the nest's variables."""
 
-    Its body, looking through ``If`` and unrolled loops, holds only store
-    statements; no entity is both read and written in it; guards and store
-    indexes read no memory.  Iterations then share no memory dependence,
-    so the order of a batch's reads and writes changes no value.  A select
-    whose condition varies with the loop alone (so a walk takes one branch
-    per iteration) must not read memory in its branches, so that the batch
-    reads exactly the cells the walk reads.
+    loops: tuple[Loop, ...]
+    entries: tuple[tuple[tuple[Expr, ...], StoreStmt], ...]
+
+    @property
+    def strides(self) -> list[int]:
+        """Per loop, the ranks one of its iterations spans."""
+        out = [1]
+        for loop in reversed(self.loops[1:]):
+            out.append(out[-1] * loop.dim.extent)
+        return out[::-1]
+
+    @property
+    def size(self) -> int:
+        return self.strides[0] * self.loops[0].dim.extent
+
+    def values(self, env, lo: int, ranks: np.ndarray, depth: int | None = None) -> dict:
+        """``env`` with the variables of the outermost ``depth`` loops (all
+        by default) as vectors over the iterations of rank ``ranks``; the
+        outermost loop starts at ``lo``, an inner one at its ``lo``
+        evaluated over the outer vectors."""
+        out = dict(env)
+        for i, (loop, stride) in enumerate(zip(self.loops[:depth], self.strides)):
+            start = lo if i == 0 else compiled(loop.dim.lo)(out, _CLOSED)
+            step = ranks // stride
+            out[loop.dim.var] = start + (step % loop.dim.extent if i else step)
+        return out
+
+
+def batch_plan(loop: Loop) -> BatchPlan | None:
+    """The batch plan of the nest ``loop`` heads; None when it must be
+    walked.
+
+    The nest looks through each inner loop that is serial, not unrolled,
+    non-empty and the only node of its parent's body; ``loop`` itself may
+    be parallel, and an inner parallel loop heads a batch of its own.  The
+    innermost body, looking through ``If`` and unrolled loops, holds only
+    store statements; no entity is both read and written in it; guards and
+    store indexes read no memory.  Iterations then share no memory
+    dependence, so the order of a batch's reads and writes changes no
+    value.  A select whose condition varies with the nest alone (so a walk
+    takes one branch per iteration) must not read memory in its branches,
+    so that the batch reads exactly the cells the walk reads.
     """
-    plan: list[tuple[tuple[Expr, ...], StoreStmt]] = []
+    loops = [loop]
+    while len(loops[-1].body) == 1:
+        inner = loops[-1].body[0]
+        if not (isinstance(inner, Loop) and inner.dim.kind == "serial" and inner.dim.extent > 0):
+            break
+        loops.append(inner)
+    entries: list[tuple[tuple[Expr, ...], StoreStmt]] = []
 
     def collect(nodes, guards: tuple[Expr, ...]) -> bool:
         for n in nodes:
             if isinstance(n, StoreStmt):
-                plan.append((guards, n))
+                entries.append((guards, n))
             elif isinstance(n, If):
                 if not collect(n.body, guards + (n.cond,)):
                     return False
@@ -597,21 +676,41 @@ def batch_plan(loop: Loop) -> list[tuple[tuple[Expr, ...], StoreStmt]] | None:
                 return False
         return True
 
-    if not collect(loop.body, ()):
+    if not collect(loops[-1].body, ()):
         return None
-    written = {s.target.name for _, s in plan}
-    for guards, s in plan:
+    written = {s.target.name for _, s in entries}
+    nest = {n.dim.var for n in loops}
+    for guards, s in entries:
         if any(_reads(g) for g in guards) or _reads(s.index) or _reads(s.value) & written:
             return None
         for n in walk(s.value):
             if (
                 isinstance(n, Select)
-                and loop.dim.var in free_vars(n.cond)
+                and nest & free_vars(n.cond)
                 and not _reads(n.cond)
                 and (_reads(n.if_true) or _reads(n.if_false))
             ):
                 return None
-    return plan
+    return BatchPlan(tuple(loops), tuple(entries))
+
+
+def batch_heads(root) -> dict[int, int]:
+    """The loops of the nest under ``root`` that the runner tries as one
+    batch, by ``id``, each with the depth of its flattened nest: each loop
+    with a plan that no enclosing batch covers."""
+    heads: dict[int, int] = {}
+
+    def visit(n):
+        if isinstance(n, Loop) and n.dim.kind != "unrolled":
+            plan = batch_plan(n)
+            if plan is not None:
+                heads[id(n)] = len(plan.loops)
+                return
+        for c in getattr(n, "body", ()):
+            visit(c)
+
+    visit(root)
+    return heads
 
 
 class _Fired(Exception):
@@ -619,7 +718,7 @@ class _Fired(Exception):
 
 
 class _Batch:
-    """One loop's statements evaluated over its whole iteration vector, as
+    """One nest's statements evaluated over its flattened iteration space, as
     the evaluation context of :func:`compiled`: the runner's detectors run
     on offset arrays, and any finding raises :class:`_Fired`.  No state
     changes before :meth:`commit`."""
@@ -627,30 +726,35 @@ class _Batch:
     def __init__(self, runner: _Runner):
         self.runner = runner
         self.n = 0  # iterations of the statement being evaluated
-        self.kept: list[np.ndarray] = []  # per plan entry, the iterations its guards keep
+        self.kept: list[np.ndarray] = []  # per plan entry, the ranks its guards keep
         self.reads: list[tuple[_Cell, np.ndarray]] = []
         # (cell, offsets, values, plan index) of each statement's writes
         self.writes: list[tuple[_Cell, np.ndarray, object, int]] = []
         self.points = 0
 
-    def run(self, plan, var: str, iters: np.ndarray, env: dict[str, int]):
-        env = dict(env)
-        for k, (guards, stmt) in enumerate(plan):
-            # guards narrow the vector first: masked iterations read nothing
-            env[var] = iters
+    def run(self, plan: BatchPlan, lo: int, env: dict[str, int]):
+        ranks = np.arange(plan.size, dtype=np.int64)
+        nest = plan.values(env, lo, ranks)
+        names = [n.dim.var for n in plan.loops]
+        for k, (guards, stmt) in enumerate(plan.entries):
+            # guards narrow the nest's vectors together first: masked
+            # iterations read nothing
+            kept, envk = ranks, nest
             for g in guards:
-                keep = compiled(g)(env, self) != 0
-                if np.ndim(keep):
-                    env[var] = env[var][keep]
-                elif not keep:
-                    env[var] = iters[:0]
-            self.kept.append(env[var])
-            self.n = len(env[var])
+                keep = compiled(g)(envk, self) != 0
+                if not np.ndim(keep):
+                    if keep:
+                        continue
+                    keep = np.zeros(len(kept), dtype=bool)
+                kept = kept[keep]
+                envk = envk | {v: envk[v][keep] for v in names}
+            self.kept.append(kept)
+            self.n = len(kept)
             if not self.n:
                 continue
-            vals = compiled(stmt.value, checked=True)(env, self)
+            vals = compiled(stmt.value, checked=True)(envk, self)
             self.check(vals)
-            offsets = self._offsets(compiled(stmt.index)(env, self))
+            offsets = self._offsets(compiled(stmt.index)(envk, self))
             cell = self._access(stmt.target.name, offsets, write=True)
             self.writes.append((cell, offsets, vals, k))
             self.points += self.n
@@ -723,6 +827,9 @@ class InstantiationBudget(PipelineError):
 
 # The key under which a stacked grid keeps each point's event time.
 _WHEN = "\\when"
+# The points of one chunk of a stacked grid, unless one event has more: a
+# chunk's working set stays near that of a single loop's batch.
+_CHUNK = 1 << 12
 
 
 class _AnnObserver:
@@ -735,10 +842,10 @@ class _AnnObserver:
     one cell must sum to at most a whole permission.  A ledger counts in
     integer shares of one common denominator, so its sums are exact.
 
-    A batched loop's annotations are checked, and its ledger charged and
+    A batched nest's annotations are checked, and its ledger charged and
     summed, before its batch commits (:meth:`check_batch`), each over the
-    stacked grid of all its events inside the loop; the event entry points
-    then get the loop variable as a vector of events and ``when``, each
+    stacked grid of all its events inside the nest; the event entry points
+    then get the nest's variables as vectors of events and ``when``, each
     event's time.  The walk calls them with one event.
     """
 
@@ -748,19 +855,23 @@ class _AnnObserver:
         self.runner: _Runner | None = None
         self.instantiations = 0
         # per parallel loop entered: the loop, its common denominator, and
-        # the offsets claimed per (entity, allocation size, share)
-        self.ledgers: list[tuple[Loop, int, dict[tuple[str, int, int], list]]] = []
+        # the cells claimed per (entity, allocation size, share)
+        self.ledgers: list[tuple[Loop, int, dict[tuple[str, int, int], _Claims]]] = []
         self.perms: dict[int, tuple[int, list]] = {}  # per annotation set, see _perms
         self.names: dict[int, set[str]] = {}  # per annotation, the variables of its body
         self.site = ""  # the boundary being checked, for findings
-        # under a batched check: the batch, its first iteration and plan
-        # length, each grid point's event time, the batch's writes per
-        # cell instance sorted by offset, and the instantiations to add
-        # on commit; the walk reads storage as it stands
-        self.batch: tuple[_Batch, int, int] | None = None
+        # under a batched check: the batch and its plan length, each grid
+        # point's event time, the batch's writes per cell instance sorted
+        # by offset, and the instantiations to add on commit; the walk
+        # reads storage as it stands
+        self.batch: tuple[_Batch, int] | None = None
         self.when: np.ndarray | None = None
         self.staged: dict[int, tuple | None] = {}
         self.pending = 0
+        # on the walk: the grid points whose reads left an allocation, and
+        # the entities whose out-of-range read this evaluation reported
+        self.flagged: np.ndarray | None = None
+        self.reported: set[str] = set()
 
     def aset(self, node):
         return self.ap.node.get(id(node))
@@ -774,38 +885,51 @@ class _AnnObserver:
 
     # -- batched loops -----------------------------------------------------
 
-    def check_batch(self, loop: Loop, lo: int, plan, batch: _Batch, env):
-        """Every value annotation that fires inside ``loop``, checked before
-        ``batch`` commits, each once over the stacked grid of its events.
+    def check_batch(self, plan: BatchPlan, lo: int, batch: _Batch, env):
+        """Every value annotation that fires inside ``plan``'s nest, checked
+        before ``batch`` commits, each once over the stacked grid of its
+        events.
 
-        The write of plan entry ``k`` at iteration ``v`` is stamped
-        ``(v - lo)·K + k`` with ``K = len(plan)``; an event reads the
-        batch's pending value of a cell whose stamp is below its time, and
-        the pre-batch value otherwise.  A boundary or block precondition at
-        ``v`` has time ``(v - lo)·K``, a statement's precondition
-        ``(v - lo)·K + k`` and its postcondition one more, a block
-        postcondition ``(v - lo + 1)·K``.  A parallel loop's ledger is
-        charged with its block preconditions and summed at once.  Raises
-        :class:`_Fired` wherever the walk would report or raise."""
-        dim, K = loop.dim, len(plan)
-        self.batch, self.staged, self.pending = (batch, lo, K), {}, 0
+        Times count in the nest's flattened rank.  The write of plan entry
+        ``k`` at the iteration of rank ``r`` is stamped ``r·K + k`` with
+        ``K = len(plan.entries)``; an event reads the batch's pending value
+        of a cell whose stamp is below its time, and the pre-batch value
+        otherwise.  A statement's precondition is at ``r·K + k`` and its
+        postcondition one more.  An event of a nest loop takes its time
+        from the rank ``r0`` of its instance's first iteration and the
+        ranks ``s`` one of its iterations spans: boundary or block
+        precondition ``j`` at ``(r0 + j·s)·K``, and a block postcondition
+        ``j`` or the one-past-the-end boundary at ``(r0 + (j + 1)·s)·K``,
+        after the writes of its last iteration.  A parallel outermost
+        loop's ledger is charged with its block preconditions and summed at
+        once.  Raises :class:`_Fired` wherever the walk would report or
+        raise."""
+        K = len(plan.entries)
+        self.batch, self.staged, self.pending = (batch, K), {}, 0
         depth = len(self.ledgers)
         try:
-            if dim.kind == "parallel":
-                it = np.arange(lo, lo + dim.extent, dtype=np.int64)
-                events = env | {dim.var: it}
-                self.par_enter(loop)
-                self.par_iter_pre(loop, events, (it - lo) * K)
-                self.par_iter_post(loop, events, (it - lo + 1) * K)
-                self.par_exit(loop)
-            else:
-                b = np.arange(lo, lo + dim.extent + 1, dtype=np.int64)
-                self.serial_boundary(loop, env | {dim.var: b}, (b - lo) * K)
-            for k, ((_, stmt), kept) in enumerate(zip(plan, batch.kept)):
-                if len(kept):
-                    events = env | {dim.var: kept}
-                    self.stmt_pre(stmt, events, (kept - lo) * K + k)
-                    self.stmt_post(stmt, events, (kept - lo) * K + k + 1)
+            for i, (loop, s) in enumerate(zip(plan.loops, plan.strides)):
+                e = loop.dim.extent
+                if loop.dim.kind == "parallel":  # the outermost loop only
+                    j = np.arange(e, dtype=np.int64)
+                    events = env | {loop.dim.var: lo + j}
+                    self.par_enter(loop)
+                    self.par_iter_pre(loop, events, j * s * K)
+                    self.par_iter_post(loop, events, (j + 1) * s * K)
+                    self.par_exit(loop)
+                elif self._values_at(loop, ("invariants",)):
+                    # every boundary of every instance, instance by instance
+                    instances = math.prod(n.dim.extent for n in plan.loops[:i])
+                    r0 = np.repeat(np.arange(instances, dtype=np.int64) * (e * s), e + 1)
+                    j = np.tile(np.arange(e + 1, dtype=np.int64), instances)
+                    events = plan.values(env, lo, r0, i + 1)
+                    events[loop.dim.var] = events[loop.dim.var] + j
+                    self.serial_boundary(loop, events, (r0 + j * s) * K)
+            for k, ((_, stmt), kept) in enumerate(zip(plan.entries, batch.kept)):
+                if len(kept) and self._values_at(stmt, ("requires", "ensures")):
+                    events = plan.values(env, lo, kept)
+                    self.stmt_pre(stmt, events, kept * K + k)
+                    self.stmt_post(stmt, events, kept * K + k + 1)
         finally:
             self.batch, self.when, self.staged = None, None, {}
             del self.ledgers[depth:]
@@ -825,8 +949,8 @@ class _AnnObserver:
     def _stage(self, cell: _Cell):
         """The batch's writes to ``cell`` sorted by offset: offsets, stamps
         and (lanes, writes) values; None when it writes none."""
-        batch, lo, K = self.batch
-        parts = [(o, (batch.kept[k] - lo) * K + k, v) for c, o, v, k in batch.writes if c is cell]
+        batch, K = self.batch
+        parts = [(o, batch.kept[k] * K + k, v) for c, o, v, k in batch.writes if c is cell]
         if not parts:
             return None
         offs = np.concatenate([o for o, _, _ in parts])
@@ -841,14 +965,17 @@ class _AnnObserver:
     # the loop variable in ``env`` is a vector of events and ``when`` holds
     # their times.
 
+    def _values_at(self, node, slots) -> list[Ann]:
+        """The value annotations in ``slots`` of ``node``'s set."""
+        aset = self.aset(node)
+        if aset is None:
+            return []
+        return [a for slot in slots for a in getattr(aset, slot) if self._is_value(a)]
+
     def _event(self, node, slots, env, kind: str, site: str, message, when=None):
         """Check the value annotations in ``slots`` of ``node``'s set."""
-        aset = self.aset(node)
-        if aset is not None:
-            for slot in slots:
-                for a in getattr(aset, slot):
-                    if self._is_value(a):
-                        self._check(a, env, kind, site, message, when)
+        for a in self._values_at(node, slots):
+            self._check(a, env, kind, site, message, when)
 
     def serial_boundary(self, loop: Loop, env, when=None):
         d, v = loop.dim.display, env[loop.dim.var]
@@ -883,9 +1010,8 @@ class _AnnObserver:
         permission is a race."""
         loop, den, claims = self.ledgers.pop()
         sums: dict[str, np.ndarray] = {}
-        for (name, size, share), parts in claims.items():
-            counts = np.bincount(np.concatenate(parts), minlength=size)
-            sums[name] = sums.get(name, 0) + share * counts
+        for (name, _, share), claim in claims.items():
+            sums[name] = sums.get(name, 0) + share * claim.counts()
         for name, acc in sums.items():
             over = acc > den
             if over.any():
@@ -954,53 +1080,65 @@ class _AnnObserver:
     def _is_value(a) -> bool:
         return not isinstance(a, RegionPerm) and not a.perm
 
-    def _grid(self, a: Ann, env, when=None):
-        """Environment with quantifier variables flattened to index arrays,
-        first quantifier slowest, and its number of points; None for an
-        empty grid.  With ``when`` it stacks the grids of all events, event
-        by event, and ``_WHEN`` holds each point's event time."""
+    def _grids(self, a: Ann, env, when=None):
+        """Environments with quantifier variables flattened to index arrays,
+        first quantifier slowest, each with its number of points; none for
+        an empty grid.  The walk's grid is one environment.  With ``when``
+        the grids of all events are stacked, event by event, in chunks of
+        whole events of at most ``_CHUNK`` points where one event fits, and
+        ``_WHEN`` holds each point's event time."""
         los = [compiled(q.lo)(env, _CLOSED) for q in a.quants]
         his = [compiled(q.hi)(env, _CLOSED) for q in a.quants]
-        envq: dict = dict(env)
         if when is None:
             sizes = [max(hi - lo, 0) for lo, hi in zip(los, his)]
             total = math.prod(sizes)
             self._budget(total)
-            if total == 0:
-                return None, 0
-            if not sizes:
-                return envq, 1
-            r = np.arange(total, dtype=np.int64)
-        else:
-            # a size the same at every event stays a scalar
-            sizes = [np.maximum(hi - lo, 0) for lo, hi in zip(los, his)]
-            sizes = [s.flat[0] if np.ndim(s) and (s == s.flat[0]).all() else s for s in sizes]
-            counts = np.broadcast_to(math.prod(sizes, start=np.int64(1)), when.shape)
-            if counts.max(initial=0) > self.cap:
-                raise _Fired  # the walk raises InstantiationBudget
-            total = int(counts.sum())
-            self.pending += total
-            if total == 0:
-                return None, 0
-            ev = np.repeat(np.arange(len(when)), counts)
-            # the event vectors the annotation reads, one entry per point
-            if id(a) not in self.names:
-                self.names[id(a)] = free_vars(a.body)
-            for k, v in env.items():
-                if isinstance(v, np.ndarray):
-                    del envq[k]
-                    if k in self.names[id(a)]:
-                        envq[k] = v[ev]
-            envq[_WHEN] = when[ev]
-            # each point's rank within its event's grid
-            r = np.arange(total, dtype=np.int64) - (np.cumsum(counts) - counts)[ev]
-            los = [lo[ev] if np.ndim(lo) else lo for lo in los]
-            sizes = [size[ev] if np.ndim(size) else size for size in sizes]
-            del ev
+            if total:
+                r = np.arange(total, dtype=np.int64) if sizes else None
+                yield self._points(a, dict(env), r, los, sizes), total
+            return
+        # a size the same at every event stays a scalar
+        sizes = [np.maximum(hi - lo, 0) for lo, hi in zip(los, his)]
+        sizes = [s.flat[0] if np.ndim(s) and (s == s.flat[0]).all() else s for s in sizes]
+        counts = np.broadcast_to(math.prod(sizes, start=np.int64(1)), when.shape)
+        if counts.max(initial=0) > self.cap:
+            raise _Fired  # the walk raises InstantiationBudget
+        self.pending += int(counts.sum())
+        if id(a) not in self.names:
+            self.names[id(a)] = free_vars(a.body)
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(counts):
+            stop = int(np.searchsorted(ends, ends[start] - counts[start] + _CHUNK, side="right"))
+            stop = max(stop, start + 1)
+            part = counts[start:stop]
+            total = int(part.sum())
+            if total:
+                ev = np.repeat(np.arange(start, stop), part)
+                # the event vectors the annotation reads, one entry per point
+                envq = {
+                    k: v[ev] if isinstance(v, np.ndarray) else v
+                    for k, v in env.items()
+                    if not isinstance(v, np.ndarray) or k in self.names[id(a)]
+                }
+                envq[_WHEN] = when[ev]
+                # each point's rank within its event's grid
+                r = np.arange(total, dtype=np.int64) - (np.cumsum(part) - part)[ev - start]
+                yield self._points(
+                    a, envq, r,
+                    [lo[ev] if np.ndim(lo) else lo for lo in los],
+                    [size[ev] if np.ndim(size) else size for size in sizes],
+                ), total
+            start = stop
+
+    @staticmethod
+    def _points(a: Ann, envq, r, los, sizes):
+        """``envq`` with each quantifier variable at the points of rank
+        ``r`` within their grids."""
         for q, lo, size in zip(reversed(a.quants), reversed(los), reversed(sizes)):
             envq[q.var] = lo + r % size
             r = r // size
-        return envq, total
+        return envq
 
     def _check(self, a: Ann, env, kind: str, site: str, message, when=None):
         """Check value annotation ``a`` at one event of the walk, reporting
@@ -1010,24 +1148,31 @@ class _AnnObserver:
         key = (kind, id(a), site)
         if key in self.runner.seen:
             return
-        envq, _ = self._grid(a, env, when)
-        if envq is None:
-            return
+        for envq, _ in self._grids(a, env, when):
+            lanes = self._failing(a.body, envq, site)
+            if lanes is not False:
+                if when is not None:
+                    raise _Fired
+                self.runner.report(kind, message(), site, lanes=lanes, dedupe=key)
+                return
+
+    def _failing(self, body: Expr, envq, site: str):
+        """False when ``body`` holds at every point of ``envq``; otherwise
+        the lanes it fails in, None when it fails in every lane."""
         # leading implications are grid guards: restrict the grid to points
         # they keep, so excluded points are never read at all
-        body = a.body
         while isinstance(body, BinOp) and body.op == "==>":
             cv = np.asarray(self._vec(body.left, envq, site))
             if cv.ndim >= 2:
                 break  # data-dependent guard; evaluate in place
             if cv.ndim == 0:
                 if cv == 0:
-                    return
+                    return False
                 body = body.right
                 continue
             keep = cv != 0
             if not keep.any():
-                return
+                return False
             if not keep.all():
                 envq = {
                     k: v[keep]
@@ -1039,23 +1184,35 @@ class _AnnObserver:
         vals = np.asarray(self._vec(body, envq, site))
         if vals.ndim == 2:
             ok = (vals != 0).all(axis=1)
-            if ok.all():
-                return
-            lanes = tuple(np.flatnonzero(~ok).tolist())
-        else:
-            if (vals != 0).all():
-                return
-            lanes = None
-        if when is not None:
-            raise _Fired
-        self.runner.report(kind, message(), site, lanes=lanes, dedupe=key)
+            return False if ok.all() else tuple(np.flatnonzero(~ok).tolist())
+        return False if (vals != 0).all() else None
 
     def _vec(self, e: Expr, envq, site: str):
         """Annotation body over a quantifier grid, lanes leading when any
-        storage is read.  Shapes are scalar, (points,), or (lanes, points)."""
+        storage is read.  Shapes are scalar, (points,), or (lanes, points).
+
+        On the walk, where a ``Select`` over the grid evaluates both
+        branches, an out-of-range read only flags its points; those are
+        evaluated again one at a time, where a scalar condition takes one
+        branch, and the first read taken out of range per entity is
+        reported."""
         self.site = site
         self.when = envq.get(_WHEN)
-        return compiled(e, checked=True)(envq, self)
+        fn = compiled(e, checked=True)
+        if self.when is not None:
+            return fn(envq, self)
+        self.reported = set()
+        n = next((v.size for v in envq.values() if isinstance(v, np.ndarray)), 0)
+        if not n:
+            return fn(envq, self)
+        self.flagged = np.zeros(n, dtype=bool)
+        try:
+            vals = fn(envq, self)
+        finally:
+            flagged, self.flagged = self.flagged, None
+        for i in np.flatnonzero(flagged):
+            fn({k: v[i] if isinstance(v, np.ndarray) else v for k, v in envq.items()}, self)
+        return vals
 
     @staticmethod
     def check(v):
@@ -1075,14 +1232,19 @@ class _AnnObserver:
                 raise _Fired
             return self._staged_read(cell, np.broadcast_to(idx, self.when.shape))
         if bad.any():
-            off = int(idx[bad][0])
-            self.runner.report(
-                "out_of_bounds",
-                f"annotation reads {target.name}[{off}] outside its"
-                f" {size}-cell allocation",
-                self.site,
-                dedupe=("ann_oob", target.name, off, self.site),
-            )
+            if self.flagged is not None:
+                hit = bad.any(axis=0) if bad.ndim == 2 else bad
+                self.flagged |= hit if hit.shape == self.flagged.shape else True
+            elif target.name not in self.reported:
+                self.reported.add(target.name)
+                off = int(idx[bad][0])
+                self.runner.report(
+                    "out_of_bounds",
+                    f"annotation reads {target.name}[{off}] outside its"
+                    f" {size}-cell allocation",
+                    self.site,
+                    dedupe=("ann_oob", target.name, off, self.site),
+                )
             idx = np.clip(idx, 0, size - 1)
         return cell.arr[:, idx]
 
@@ -1111,22 +1273,48 @@ class _AnnObserver:
     def _charge(self, aset, env, when=None):
         """Charge the permissions of ``aset`` to the innermost ledger, at
         one event of the walk or, with ``when``, at all the events of a
-        batched loop.  A permission claims the cells of its instances that
+        batched nest.  A permission claims the cells of its instances that
         exist and whose guards hold; one ledger serves every lane, so a
         guard that reads storage holds where it holds in any lane."""
         claims = self.ledgers[-1][2]
         for a, guards, atom, share in self._perms(aset)[1]:
-            envq, n = self._grid(a, env, when)
             cell = self.runner.mem.get(atom.target.name)
-            if envq is None or cell is None:
-                continue
-            size = cell.arr.shape[1]
-            idx = np.broadcast_to(np.asarray(self._vec(atom.index, envq, ""), dtype=np.int64), (n,))
-            keep = (idx >= 0) & (idx < size)
-            for g in guards:
-                held = np.asarray(self._vec(g, envq, "")) != 0
-                keep &= held.any(axis=0) if held.ndim == 2 else held
-            claims.setdefault((atom.target.name, size, share), []).append(idx[keep])
+            for envq, n in self._grids(a, env, when):
+                if cell is None:
+                    continue  # its instances still count
+                size = cell.arr.shape[1]
+                idx = np.broadcast_to(np.asarray(self._vec(atom.index, envq, ""), dtype=np.int64), (n,))
+                keep = (idx >= 0) & (idx < size)
+                for g in guards:
+                    held = np.asarray(self._vec(g, envq, "")) != 0
+                    keep &= held.any(axis=0) if held.ndim == 2 else held
+                key = (atom.target.name, size, share)
+                claims.setdefault(key, _Claims(size)).add(idx[keep])
+
+
+class _Claims:
+    """The cells of one allocation claimed at one share: a count per cell,
+    and the offsets not counted yet, folded into the counts once they
+    outnumber the cells."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.folded = 0
+        self.offsets: list[np.ndarray] = []
+        self.pending = 0
+
+    def add(self, offsets: np.ndarray):
+        self.offsets.append(offsets)
+        self.pending += len(offsets)
+        if self.pending > self.size:
+            self.folded = self.counts()
+            self.offsets, self.pending = [], 0
+
+    def counts(self) -> np.ndarray:
+        """The claims on each cell."""
+        if not self.offsets:
+            return self.folded
+        return self.folded + np.bincount(np.concatenate(self.offsets), minlength=self.size)
 
 
 def _execute(lp: LoweredPipeline, inputs: dict[str, np.ndarray], obs: _AnnObserver | None) -> RunResult:

@@ -11,6 +11,11 @@ and ``--no-user`` keeps only the generated memory-safety annotations.
 ``minisched encode <algo.hal> [--scale k=v ...]`` prints the algorithm's
 encoding as PVL pure functions with the pipeline lemma.
 
+``minisched nest <algo.hal> <file.sched> [--scale k=v ...]`` prints the
+plain loop nest that the schedule lowers to.  Each loop that the checker
+runs as one batch is marked with the depth of its flattened nest; the
+loops inside it run in that batch.
+
 ``minisched check <algo.hal> <file.sched> [--scale k=v ...] [--seeds N ...]
 [--no-user | --plain]`` checks the schedule on one input set per seed and
 prints one JSON report per seed, with its findings and statistics.
@@ -27,9 +32,9 @@ import sys
 from pathlib import Path
 
 from .annotate import AnnotatedPipeline, RegionPerm, annotate
-from .checker import check_lowered, check_schedule, to_reports
+from .checker import batch_heads, check_lowered, check_schedule, to_reports
 from .encoder import encode
-from .lowering import Chain, Consume, If, Loop, Produce, Store, StoreStmt, lower
+from .lowering import Chain, Consume, If, Loop, Produce, Store, StoreStmt, lower, print_loop_nest
 from .parser import parse_pipeline, parse_schedule
 from .printing import ExprPrinter, quantified
 
@@ -103,6 +108,7 @@ def main(argv=None) -> int:
     sched = argparse.ArgumentParser(add_help=False, parents=[algo])
     sched.add_argument("schedule", type=Path, help="the schedule (.sched)")
     no_user = dict(action="store_true", help="generated memory-safety annotations only")
+    sub.add_parser("nest", parents=[sched], help="print the loop nest of a schedule, marking its batches")
     cmd = sub.add_parser("annotate", parents=[sched], help="print the annotated loop nest of a schedule")
     cmd.add_argument("--no-user", **no_user)
     cmd = sub.add_parser("check", parents=[sched], help="check a schedule; print one JSON report per seed")
@@ -126,6 +132,15 @@ def main(argv=None) -> int:
         print(json.dumps(reports, indent=2))
         return int(any(r["verdict"] == "fail" for r in reports))
     lp = lower(p, directives)
+    if args.command == "nest":
+        heads = batch_heads(lp.root)
+
+        def mark(loop) -> str:
+            depth = heads.get(id(loop))
+            return "" if depth is None else f"  # batch, depth {depth}"
+
+        sys.stdout.write(print_loop_nest(lp, mark))
+        return 0
     for line in annotated_nest(annotate(lp, include_user=not args.no_user)):
         print(line)
     return 0

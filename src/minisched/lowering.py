@@ -1001,7 +1001,9 @@ def loop_range(dim: LoopDim) -> tuple[Expr, Expr]:
     return dim.lo, dec(BinOp("+", dim.lo, Const(dim.extent)))
 
 
-def print_loop_nest(lp: LoweredPipeline) -> str:
+def print_loop_nest(lp: LoweredPipeline, note=None) -> str:
+    """The loop nest as indented text; ``note(loop)``, when given, is
+    appended to each loop's line."""
     from .printing import ExprPrinter
 
     pr = ExprPrinter("dsl")
@@ -1028,7 +1030,8 @@ def print_loop_nest(lp: LoweredPipeline) -> str:
             case Loop(dim, _, body):
                 word = {"serial": "for", "parallel": "parallel", "unrolled": "unrolled"}[dim.kind]
                 lo, hi = loop_range(dim)
-                lines.append(f"{pad}{word} {dim.display} in [{pr(lo)}, {pr(hi)}]:")
+                tail = "" if note is None else note(n)
+                lines.append(f"{pad}{word} {dim.display} in [{pr(lo)}, {pr(hi)}]:{tail}")
                 for c in body:
                     emit(c, depth + 1)
             case If(cond, _, body):

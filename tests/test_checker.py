@@ -742,3 +742,230 @@ def test_instantiation_budget_is_a_pipeline_error():
     obs = C._AnnObserver(annotate(lp), cap=4)
     with pytest.raises(PipelineError):
         C._execute(lp, C.make_inputs(p, SEEDS), obs)
+
+
+# ---------------------------------------------------------------------------
+# Perfect loop nests: one batch over the flattened iteration space
+
+
+NEST_PLAN = C.batch_plan
+
+
+def single_loop_plans(loop):
+    """Plans that never look through an inner loop: each batch is one loop."""
+    plan = NEST_PLAN(loop)
+    return plan if plan is None or len(plan.loops) == 1 else None
+
+
+@pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)
+def test_flattened_nests_equal_single_loop_batches_and_the_walk(monkeypatch, algo, sched):
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
+    d = schedule(algo, sched)
+    runs = [lambda: C.check_lowered(p, d, [0, 1])] + [
+        lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
+    ]
+    for run in runs:
+        flattened, walked = declined(monkeypatch, run)
+        with monkeypatch.context() as m:
+            m.setattr(C, "batch_plan", single_loop_plans)
+            single = run()
+        assert_same_run(flattened, walked)
+        assert_same_run(flattened, single)
+        assert flattened.batched_loops <= single.batched_loops
+        assert flattened.replayed_loops == 0 or not flattened.passed
+
+
+def test_blur_tail_runs_as_one_batch():
+    # split(y, yo, yi, 7).reorder(yi, x, yo): one batch over (yo, x, yi),
+    # where single-loop batches take one per (yo, x)
+    res = C.check_lowered(load("blur"), schedule("blur", "tail"), SEEDS)
+    assert res.passed
+    assert (res.batched_loops, res.replayed_loops) == (1, 0)
+
+
+def blur_run(sizes: dict, sched: str, surgery):
+    """Run blur lowered under ``sched`` after ``surgery(lp)``."""
+    p = parse_pipeline((CORPUS / "blur.hal").read_text()).resolve(sizes).validated()
+
+    def run():
+        lp = lower(p, parse_schedule(sched))
+        surgery(lp)
+        return C.run_lowered(lp, C.make_inputs(p, SEEDS))
+
+    return run
+
+
+TAIL = (CORPUS / "schedules" / "blur" / "tail.sched").read_text()
+
+
+def test_flattened_out_of_bounds_store_replays(monkeypatch):
+    # every cell shifts by one: only the last iteration of the nest
+    # (yo = 1, x = 7, yi = 0) writes outside blur_y, and cell 0 stays unwritten
+    def surgery(lp):
+        for n in stores(lp.root, "blur_y"):
+            n.index = BinOp("+", n.index, Const(1))
+
+    batched, walked = declined(monkeypatch, blur_run({"x": 8, "y": 8}, TAIL, surgery))
+    assert_same_run(batched, walked)
+    # dropped: the (yo, x, yi) nest, the (x, yi) nest at yo = 1, and the yi
+    # loop at x = 7; the (x, yi) nest at yo = 0 and seven yi loops commit
+    assert (batched.batched_loops, batched.replayed_loops) == (8, 3)
+    assert [f.kind for f in batched.findings] == ["out_of_bounds", "mismatch"]
+
+
+def test_flattened_duplicate_write_across_the_parallel_loop_replays(monkeypatch):
+    # iteration (y = 1, x = 0) of lift's parallel (y, x) nest writes the cell
+    # of (y = 0, x = 0)
+    def surgery(lp):
+        for n in stores(lp.root, "lift"):
+            clash = BinOp("&&", BinOp("==", Var("y"), Const(1)), BinOp("==", Var("x"), Const(0)))
+            n.index = Select(clash, Const(0), n.index)
+
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    # dropped: the (y, x) nest and the x loop at y = 1; mid's nest and the
+    # other seven x loops commit
+    assert (batched.batched_loops, batched.replayed_loops) == (8, 2)
+    assert [f.to_json() for f in batched.findings] == [
+        {
+            "kind": "race",
+            "message": "iterations 0 and 1 of parallel loop 'y' touch the same cell"
+            " (write collides with earlier access)",
+            "site": "lift.stage0",
+        },
+        {"kind": "mismatch", "message": "1 cell(s) of the output 'lift' were never written", "site": "lift"},
+    ]
+
+
+def grid_stage(body: str):
+    return parse_pipeline(
+        f"""pipeline t(inp) -> out {{
+  buffer inp(x in [0, 8), y in [0, 8));
+  func out(x in [0, 8), y in [0, 8)) {{
+    out(x, y) = {body};
+  }}
+}}"""
+    ).validated()
+
+
+@pytest.mark.parametrize(
+    "body,batched_loops",
+    [
+        # varies with the outer y: each inner x loop batches, y scalar
+        ("select(y < 7, inp(x, y + 1), inp(x, y))", 8),
+        # varies with the inner x: no loop batches
+        ("select(x < 7, inp(x + 1, y), inp(x, y))", 0),
+    ],
+)
+def test_select_on_a_nest_variable_declines_flattening(monkeypatch, body, batched_loops):
+    # over the flattened nest the untaken branch would read row or column 8
+    p = grid_stage(body)
+    for run in (lambda: C.check_lowered(p, [], SEEDS), lambda: C.check_schedule(p, [], SEEDS)):
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        assert batched.passed, [f.message for f in batched.findings]
+        assert (batched.batched_loops, batched.replayed_loops) == (batched_loops, 0)
+
+
+def test_flattened_invariant_reads_storage_as_of_its_boundary(monkeypatch):
+    # xf < x becomes xf < x + (x == 3) in the x loop of the (yo, x, yi) nest:
+    # at boundary x = 3 of each yo the invariant reads column 3, which the
+    # batch has staged at later ranks than the boundary's time
+    def surgery(ap):
+        count = 0
+        for aset in ap.node.values():
+            for i, a in enumerate(aset.invariants):
+                if isinstance(a, Ann) and a.origin[:2] == ("stage", "blur_y") and len(a.quants) == 2:
+                    q, rest = a.quants[0], a.quants[1:]
+                    if q.hi == Var("x"):
+                        hi = BinOp("+", q.hi, BinOp("==", q.hi, Const(3)))
+                        aset.invariants[i] = dataclasses.replace(a, quants=(Quantifier(q.var, q.lo, hi),) + rest)
+                        count += 1
+        assert count == 1
+
+    batched, walked = declined(monkeypatch, annotated_run("blur", {"x": 10, "y": 9}, TAIL, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops >= 1
+    assert [f.message for f in batched.findings] == ["loop invariant does not hold at x = 3"]
+
+
+@pytest.mark.parametrize("include_user", [True, False])
+def test_chunked_event_grids_equal_the_walk(monkeypatch, include_user):
+    # grids of at most 5 points, where one event fits: every stacked grid
+    # splits, and the ledger sums its claims across chunks
+    run = annotated_run("blur", {"x": 10, "y": 7}, TAIL, lambda ap: None, include_user)
+    whole = run()
+    monkeypatch.setattr(C, "_CHUNK", 5)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert_same_run(batched, whole)
+    assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (1, 0)
+    fused = (CORPUS / "schedules" / "blur" / "fused.sched").read_text()
+    run = annotated_run("blur", {"x": 8, "y": 8}, fused, undivided_reads(1), include_user=False)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops == 1
+    assert [f.to_json() for f in batched.findings] == [race("xy", "3/2 of inp[2]")]
+
+
+# ---------------------------------------------------------------------------
+# Annotation reads of an untaken branch, and calls outside a domain
+
+
+def ensured_stage(body: str, ensures: str):
+    return parse_pipeline(
+        f"""pipeline t(inp) -> out {{
+  buffer inp(x in [0, 8));
+  func out(x in [0, 8)) {{
+    out(x) = {body};
+    out.ensures(out(x) == {ensures});
+  }}
+}}"""
+    ).validated()
+
+
+def test_annotation_skips_reads_of_an_untaken_branch():
+    # at x = 7 the untaken branch reads inp[8], in the statement and in the
+    # loop invariant that quantifies over the statement's postcondition
+    value = "select(x < 7, inp(x + 1), inp(x))"
+    for res in modes(ensured_stage(value, value)):
+        assert res.passed, [f.message for f in res.findings]
+
+
+def test_annotation_read_of_a_taken_branch_out_of_bounds():
+    # at x = 7 the annotation takes the branch that reads inp[8]
+    p = ensured_stage("inp(x)", "select(x < 7, inp(x), inp(x + 1))")
+    oob = "annotation reads inp[8] outside its 8-cell allocation"
+    res = C.check_schedule(p, [], SEEDS, include_user=True)
+    assert [f.to_json() for f in res.findings] == [
+        {"kind": "out_of_bounds", "message": oob, "site": "out.stage0"},
+        {"kind": "out_of_bounds", "message": oob, "site": "loop x"},
+    ]
+    for res in (C.check_lowered(p, [], SEEDS), C.check_schedule(p, [], SEEDS, include_user=False)):
+        assert res.passed
+
+
+def test_reference_call_outside_a_domain_is_out_of_bounds():
+    # f(4, y) lies outside f's domain; its flat offset is f(0, y + 1)
+    p = parse_pipeline(
+        """pipeline t(inp) -> g {
+  buffer inp(x in [0, 5), y in [0, 4));
+  func f(x in [0, 4), y in [0, 4)) {
+    f(x, y) = inp(x, y);
+  }
+  func g(x in [0, 4), y in [0, 3)) {
+    g(x, y) = f(x + 1, y);
+    g.ensures(g(x, y) == inp(x + 1, y));
+  }
+}"""
+    ).resolve().validated()
+    with pytest.raises(C.ReferenceFault):
+        C.eval_reference(p, C.make_inputs(p, SEEDS))
+    for res in modes(p):
+        assert [f.to_json() for f in res.findings] == [
+            {
+                "kind": "out_of_bounds",
+                "message": "reference semantics undefined: reference evaluation reads f out of bounds",
+                "site": "",
+            }
+        ]

@@ -83,3 +83,17 @@ def test_check_fails_with_status_one(capsys, tmp_path):
     assert "read of src[90] outside its 90-cell allocation" in [
         f["message"] for f in reports[0]["findings"]
     ]
+
+
+def test_nest_marks_the_loops_that_head_a_batch(capsys):
+    argv = [
+        "nest",
+        str(ROOT / "corpus" / "blur.hal"),
+        str(ROOT / "corpus" / "schedules" / "blur" / "tail.sched"),
+        "--scale",
+        "x=8",
+        "--scale",
+        "y=8",
+    ]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "blur_tail_nest.txt").read_text()
