@@ -24,35 +24,44 @@ on data (guards mention loop variables only), so one walk of the nest
 carries an entire batch of input sets as a leading lane axis.
 
 The runner executes a non-unrolled loop as one batch, each statement
-evaluated once over a whole iteration space, when the nest shows the
-iterations independent (:func:`batch_plan`).  The batch looks through a
-perfect nest: each inner loop that is serial and the only node of its
-parent's body joins it, and the space is the flattened product of the
-nest, its iterations ranked in walk order (the lexicographic order of the
-nest's variables), each variable a vector over the ranks.  Looking through
-``If`` and unrolled loops the innermost body holds only store statements,
-no entity is both read and written in it, and its guards read no memory.
-Every detector then runs on the batch's offset arrays, and the batch is
-committed only if none fires.  Otherwise it is dropped, with no state
-touched, and the nest's outermost loop is walked statement by statement,
-each inner loop trying its own batch, which reports the findings in the
-order, and with the messages, of a walk that never tried the batch.
+evaluated once over many iterations, when the nest shows the iterations
+independent (:func:`batch_plan`).  The batch looks through a perfect nest:
+each inner loop that is serial and the only node of its parent's body
+joins it.  Its *pure* loops span the flattened product of their ranges,
+the pure iterations, ranked in walk order (the lexicographic order of the
+loops' variables), each variable a vector over the ranks.  Serial loops
+inside the innermost body, and the trailing loops of the nest that no
+store index mentions, are *step loops*: a reduction's loops, run as Python
+loops over their extents, each step one evaluation over all pure
+iterations.  Looking through ``If``, unrolled and step loops the innermost
+body holds only store statements, its guards read no memory, and an entity
+written in it is read only at the index where the reading statement
+writes it (a read-modify-write), so that a cell written by one pure
+iteration only is touched by no other.  Every detector then runs on the
+batch's offset arrays, a cell written by two pure iterations fires too,
+and the batch is committed only if none fires.  Otherwise it is dropped,
+with no state touched, and the nest's outermost loop is walked statement
+by statement, each inner loop trying its own batch, which reports the
+findings in the order, and with the messages, of a walk that never tried
+the batch.
 
 Under annotation checking, a batch's events are checked before it commits.
 Each value annotation that fires inside the nest (serial invariants at
-every boundary of every loop instance, parallel block contracts at every
-iteration, statement contracts at the iterations their guards keep) is
-evaluated once, over the stacked grid of all its events and quantifier
-points, in chunks of a bounded number of points.  Every write of the batch
-carries a stamp, its iteration's rank and plan position, and each event
-reads storage as it stood at its own time, a rank too: the batch's pending
-value where the cell's stamp is earlier, the pre-batch value otherwise.  A
+every boundary of every loop instance, step loops included, parallel block
+contracts at every iteration, statement contracts at the iterations their
+guards keep) is evaluated once, over the stacked grid of all its events
+and quantifier points, in chunks of a bounded number of points.  Time
+counts statement slots in walk order, ``rank·T + slot`` with ``T`` the
+slots of one pure iteration.  Every write of the batch is stamped with its
+slot's time, so a cell that several steps rewrite has several versions,
+and each event reads storage as it stood at its own time: the latest
+version stamped before it, or the pre-batch value where there is none.  A
 parallel outermost loop's permission ledger is charged the same way, every
 permission a quantified atom, over the stacked grid of all iterations'
 instances, and summed before the commit.  A failing instance, a cell
-claimed beyond a whole permission, an out-of-range annotation read, one
-event over the instantiation cap, or an index that varies by lane drops
-the batch, and the walk reports what it finds.  After the commit the
+claimed beyond a whole permission, an annotation read taken out of range,
+one event over the instantiation cap, or an index that varies by lane
+drops the batch, and the walk reports what it finds.  After the commit the
 instantiations are counted.
 """
 
@@ -577,9 +586,9 @@ class _Runner:
             plan = loop._batch_plan = batch_plan(loop)
         if plan is None:
             return False
-        batch = _Batch(self)
+        batch = _Batch(self, plan)
         try:
-            batch.run(plan, lo, env)
+            batch.run(lo, env)
             if self.obs is not None:
                 self.obs.check_batch(plan, lo, batch, env)
         except Exception:
@@ -604,15 +613,28 @@ def _reads(e: Expr) -> set[str]:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """A perfect loop nest that runs as one batch over its flattened
-    iteration space.  ``loops`` run outermost first, each inner one the
-    only node of its parent's body; ``entries`` are the store statements of
-    the innermost body, each with the ``If`` guards above it.  An
-    iteration's rank is its position in walk order, the lexicographic
-    order of the nest's variables."""
+    """A loop nest that runs as one batch.  ``loops``, outermost first, are
+    its pure perfect nest, each inner one the only node of its parent's
+    body.  Their iterations, the *pure iterations*, are ranked in walk
+    order, the lexicographic order of the loops' variables.  The innermost
+    loop's body is what one pure iteration runs: store statements under
+    ``If`` guards, unrolled loops and serial *step loops*.  ``entries`` are
+    its store statements, each with the guards and step loops above it,
+    outermost first.  ``spans`` gives the statement slots of one execution
+    of each node of that body, by ``id``, and ``slots`` those of one pure
+    iteration; an iteration of a step loop takes the slots of its body.
+    ``rmw`` names the entities the nest reads and writes."""
 
     loops: tuple[Loop, ...]
-    entries: tuple[tuple[tuple[Expr, ...], StoreStmt], ...]
+    entries: tuple[tuple[tuple[Expr | Loop, ...], StoreStmt], ...]
+    spans: dict[int, int]
+    slots: int
+    rmw: frozenset[str]
+
+    @property
+    def stepped(self) -> bool:
+        """Whether a pure iteration runs step loops."""
+        return any(isinstance(x, Loop) for path, _ in self.entries for x in path)
 
     @property
     def strides(self) -> list[int]:
@@ -646,13 +668,20 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
     The nest looks through each inner loop that is serial, not unrolled,
     non-empty and the only node of its parent's body; ``loop`` itself may
     be parallel, and an inner parallel loop heads a batch of its own.  The
-    innermost body, looking through ``If`` and unrolled loops, holds only
-    store statements; no entity is both read and written in it; guards and
-    store indexes read no memory.  Iterations then share no memory
-    dependence, so the order of a batch's reads and writes changes no
-    value.  A select whose condition varies with the nest alone (so a walk
-    takes one branch per iteration) must not read memory in its branches,
-    so that the batch reads exactly the cells the walk reads.
+    trailing loops of that nest whose variables no store index mentions
+    are step loops, as are the serial loops inside the innermost body; no
+    store index beneath a step loop mentions its variable.  That body,
+    looking through ``If``, unrolled and step loops, holds only store
+    statements; guards and store indexes read no memory.  An entity
+    written in the nest is read only by a statement that writes it, at
+    exactly that statement's store index (a read-modify-write), and such a
+    statement's index mentions every pure loop of more than one iteration.
+    Pure iterations then share no memory dependence as long as no cell is
+    written by two of them, which the batch checks, so the order of their
+    reads and writes changes no value.  A select whose condition varies
+    with the nest alone (so a walk takes one branch per iteration) must not
+    read memory in its branches, so that the batch reads exactly the cells
+    the walk reads.
     """
     loops = [loop]
     while len(loops[-1].body) == 1:
@@ -660,51 +689,79 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
         if not (isinstance(inner, Loop) and inner.dim.kind == "serial" and inner.dim.extent > 0):
             break
         loops.append(inner)
-    entries: list[tuple[tuple[Expr, ...], StoreStmt]] = []
+    entries: list[tuple[tuple[Expr | Loop, ...], StoreStmt]] = []
+    spans: dict[int, int] = {}
 
-    def collect(nodes, guards: tuple[Expr, ...]) -> bool:
+    def collect(nodes, path: tuple) -> int | None:
+        """The slots of ``nodes``; None when a batch cannot run them."""
+        total = 0
         for n in nodes:
             if isinstance(n, StoreStmt):
-                entries.append((guards, n))
+                entries.append((path, n))
+                span = 1
             elif isinstance(n, If):
-                if not collect(n.body, guards + (n.cond,)):
-                    return False
+                span = collect(n.body, path + (n.cond,))
             elif isinstance(n, Loop) and n.dim.kind == "unrolled":
-                if not collect(n.body, guards):
-                    return False
+                span = collect(n.body, path)
+            elif isinstance(n, Loop) and n.dim.kind == "serial":
+                span = collect(n.body, path + (n,))
+                span = None if span is None else span * n.dim.extent
             else:
-                return False
-        return True
+                return None
+            if span is None:
+                return None
+            spans[id(n)] = span
+            total += span
+        return total
 
-    if not collect(loops[-1].body, ()):
+    if collect(loops[-1].body, ()) is None:
         return None
+    indexed = set().union(*(free_vars(s.index) for _, s in entries))
+    while len(loops) > 1 and loops[-1].dim.var not in indexed:
+        step = loops.pop()
+        spans[id(step)] = step.dim.extent * sum(spans[id(n)] for n in step.body)
+        entries = [((step,) + path, s) for path, s in entries]
     written = {s.target.name for _, s in entries}
-    nest = {n.dim.var for n in loops}
-    for guards, s in entries:
-        if any(_reads(g) for g in guards) or _reads(s.index) or _reads(s.value) & written:
+    nest = {n.dim.var for n in loops} | {x.dim.var for path, _ in entries for x in path if isinstance(x, Loop)}
+    rmw = set()
+    for path, s in entries:
+        if any(_reads(x) for x in path if not isinstance(x, Loop)) or _reads(s.index):
             return None
+        if any(isinstance(x, Loop) and x.dim.var in free_vars(s.index) for x in path):
+            return None  # a loop over cells, each iteration its own evaluation: batch it alone
         for n in walk(s.value):
-            if (
+            if isinstance(n, TableRead) and n.target.name in written:
+                if n.target.name != s.target.name or n.index != s.index:
+                    return None
+                rmw.add(n.target.name)
+            elif (
                 isinstance(n, Select)
                 and nest & free_vars(n.cond)
                 and not _reads(n.cond)
                 and (_reads(n.if_true) or _reads(n.if_false))
             ):
                 return None
-    return BatchPlan(tuple(loops), tuple(entries))
+        # two pure iterations that differ only in an unmentioned loop
+        # would read and write one cell
+        if s.target.name in rmw and any(
+            n.dim.extent > 1 and n.dim.var not in free_vars(s.index) for n in loops
+        ):
+            return None
+    slots = sum(spans[id(n)] for n in loops[-1].body)
+    return BatchPlan(tuple(loops), tuple(entries), spans, slots, frozenset(rmw))
 
 
-def batch_heads(root) -> dict[int, int]:
+def batch_heads(root) -> dict[int, BatchPlan]:
     """The loops of the nest under ``root`` that the runner tries as one
-    batch, by ``id``, each with the depth of its flattened nest: each loop
-    with a plan that no enclosing batch covers."""
-    heads: dict[int, int] = {}
+    batch, by ``id``, each with its plan: each loop with a plan that no
+    enclosing batch covers."""
+    heads: dict[int, BatchPlan] = {}
 
     def visit(n):
         if isinstance(n, Loop) and n.dim.kind != "unrolled":
             plan = batch_plan(n)
             if plan is not None:
-                heads[id(n)] = len(plan.loops)
+                heads[id(n)] = plan
                 return
         for c in getattr(n, "body", ()):
             visit(c)
@@ -718,62 +775,139 @@ class _Fired(Exception):
 
 
 class _Batch:
-    """One nest's statements evaluated over its flattened iteration space, as
-    the evaluation context of :func:`compiled`: the runner's detectors run
-    on offset arrays, and any finding raises :class:`_Fired`.  No state
-    changes before :meth:`commit`."""
+    """One nest's statements evaluated over its pure iterations, as the
+    evaluation context of :func:`compiled`: the runner's detectors run on
+    offset arrays, and any finding raises :class:`_Fired`.  No state
+    changes before :meth:`commit`.
 
-    def __init__(self, runner: _Runner):
+    The batch goes in walk order: each pure iteration is an entry of the
+    nest's vectors, a step loop is a Python loop over its extent, and a
+    store statement is one evaluation over the pure iterations its guards
+    keep, at the slot it takes in one pure iteration.  A read of an entity
+    the nest writes gives the cell's latest pending value, or its stored
+    value while the batch has not written it.  A cell written by two pure
+    iterations fires."""
+
+    def __init__(self, runner: _Runner, plan: BatchPlan):
         self.runner = runner
-        self.n = 0  # iterations of the statement being evaluated
-        self.kept: list[np.ndarray] = []  # per plan entry, the ranks its guards keep
+        self.plan = plan
+        self.n = 0  # pure iterations of the statement being evaluated
+        # (cell, offsets) of each read, kept only for an enclosing parallel
+        # loop's tracker
         self.reads: list[tuple[_Cell, np.ndarray]] = []
-        # (cell, offsets, values, plan index) of each statement's writes
-        self.writes: list[tuple[_Cell, np.ndarray, object, int]] = []
+        # (cell, offsets, values, ranks, slot) of each statement's writes
+        self.writes: list[tuple[_Cell, np.ndarray, object, np.ndarray, int]] = []
+        # per cell instance of a read-and-written entity: its written
+        # offsets, sorted, and their latest (lanes, offsets) values
+        self.pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # under an observer, the events inside the nest: (node, ranks, step
+        # variables, slot) of each statement evaluated and each step loop
+        # boundary
+        self.marks: list | None = None if runner.obs is None else []
         self.points = 0
 
-    def run(self, plan: BatchPlan, lo: int, env: dict[str, int]):
+    def run(self, lo: int, env: dict[str, int]):
+        plan = self.plan
         ranks = np.arange(plan.size, dtype=np.int64)
-        nest = plan.values(env, lo, ranks)
-        names = [n.dim.var for n in plan.loops]
-        for k, (guards, stmt) in enumerate(plan.entries):
-            # guards narrow the nest's vectors together first: masked
-            # iterations read nothing
-            kept, envk = ranks, nest
-            for g in guards:
-                keep = compiled(g)(envk, self) != 0
-                if not np.ndim(keep):
-                    if keep:
-                        continue
-                    keep = np.zeros(len(kept), dtype=bool)
-                kept = kept[keep]
-                envk = envk | {v: envk[v][keep] for v in names}
-            self.kept.append(kept)
-            self.n = len(kept)
-            if not self.n:
-                continue
-            vals = compiled(stmt.value, checked=True)(envk, self)
-            self.check(vals)
-            offsets = self._offsets(compiled(stmt.index)(envk, self))
-            cell = self._access(stmt.target.name, offsets, write=True)
-            self.writes.append((cell, offsets, vals, k))
-            self.points += self.n
-        written: dict[int, list[np.ndarray]] = {}
-        for cell, offsets, _, _ in self.writes:
-            written.setdefault(cell.instance, []).append(offsets)
-        for parts in written.values():
-            offs = np.sort(np.concatenate(parts))
-            if (offs[1:] == offs[:-1]).any():
-                raise _Fired  # a cell written twice: order matters, or a race
+        self._walk(plan.loops[-1].body, ranks, plan.values(env, lo, ranks), (), 0)
+        self._owned()
+
+    def _walk(self, nodes, kept: np.ndarray, envk: dict, steps: tuple[str, ...], t: int) -> int:
+        """Run ``nodes`` from slot ``t`` for the pure iterations of rank
+        ``kept``, with the vectors of ``envk`` over them and the step loop
+        variables ``steps``; the slot after them."""
+        for n in nodes:
+            if not len(kept):
+                t += self.plan.spans[id(n)]
+            elif isinstance(n, StoreStmt):
+                self._store(n, kept, envk, steps, t)
+                t += 1
+            elif isinstance(n, If):
+                # guards narrow the vectors together first: masked
+                # iterations read nothing
+                keep = compiled(n.cond)(envk, self) != 0
+                if np.ndim(keep):
+                    narrowed = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in envk.items()}
+                    self._walk(n.body, kept[keep], narrowed, steps, t)
+                elif keep:
+                    self._walk(n.body, kept, envk, steps, t)
+                t += self.plan.spans[id(n)]
+            elif n.dim.kind == "unrolled":
+                t = self._walk(n.body, kept, envk, steps, t)
+            else:
+                start = compiled(n.dim.lo)(envk, _CLOSED)
+                inner = steps + (n.dim.var,)
+                for j in range(n.dim.extent):
+                    at = envk | {n.dim.var: start + j}
+                    self._mark(n, kept, at, inner, t)
+                    t = self._walk(n.body, kept, at, inner, t)
+                # one-past-the-end boundary closes the loop
+                self._mark(n, kept, envk | {n.dim.var: start + n.dim.extent}, inner, t)
+        return t
+
+    def _mark(self, node, kept: np.ndarray, envk: dict, steps: tuple[str, ...], t: int):
+        """Under an observer, note an event of ``node`` at slot ``t``."""
+        if self.marks is not None:
+            self.marks.append((node, kept, {v: envk[v] for v in steps}, t))
+
+    def _store(self, stmt: StoreStmt, kept: np.ndarray, envk: dict, steps: tuple[str, ...], t: int):
+        self.n = len(kept)
+        vals = compiled(stmt.value, checked=True)(envk, self)
+        self.check(vals)
+        offsets = self._offsets(compiled(stmt.index)(envk, self))
+        cell = self._access(stmt.target.name, offsets, write=True)
+        self.writes.append((cell, offsets, vals, kept, t))
+        if stmt.target.name in self.plan.rmw:
+            self._pend(cell, offsets, vals)
+        self._mark(stmt, kept, envk, steps, t)
+        self.points += self.n
+
+    def _pend(self, cell: _Cell, offsets: np.ndarray, vals):
+        """Make ``vals`` the latest pending values of ``cell`` at ``offsets``."""
+        vals = np.broadcast_to(vals, (cell.arr.shape[0], len(offsets)))
+        got = self.pending.get(cell.instance)
+        if got is not None:
+            offs, latest = got
+            pos = np.minimum(np.searchsorted(offs, offsets), len(offs) - 1)
+            hit = offs[pos] == offsets
+            latest[:, pos[hit]] = vals[:, hit]
+            if hit.all():
+                return
+            offsets = np.concatenate([offs, offsets[~hit]])
+            vals = np.concatenate([latest, vals[:, ~hit]], axis=1)
+        order = np.argsort(offsets, kind="stable")
+        self.pending[cell.instance] = (offsets[order], vals[:, order])
+
+    def _owned(self):
+        """Fire unless every cell the batch writes is written by one pure
+        iteration only."""
+        parts: dict[int, list[tuple[_Cell, np.ndarray, np.ndarray]]] = {}
+        for cell, offsets, _, kept, _ in self.writes:
+            parts.setdefault(cell.instance, []).append((cell, offsets, kept))
+        size = self.plan.size
+        for part in parts.values():
+            if len(part) == 1:
+                offs = np.sort(part[0][1])
+                clash = offs[1:] == offs[:-1]
+            else:
+                if part[0][0].arr.shape[1] * size >= 1 << 62:
+                    raise _Fired  # the (offset, rank) keys would leave int64
+                # one key per (offset, rank) pair, sorted: two ranks of one
+                # offset are neighbours with different keys
+                keys = np.sort(np.concatenate([o * size + k for _, o, k in part]))
+                offs = keys // size
+                clash = (offs[1:] == offs[:-1]) & (keys[1:] != keys[:-1])
+            if clash.any():
+                raise _Fired  # a cell written by two iterations: order matters, or a race
 
     def commit(self):
-        for cell, offsets, vals, _ in self.writes:
+        for cell, offsets, vals, _, _ in self.writes:
             cell.arr[:, offsets] = vals
             cell.init[offsets] = True
         for tr in self.runner.trackers:
             for cell, offsets in self.reads:
                 tr.record(cell, offsets, write=False)
-            for cell, offsets, _, _ in self.writes:
+            for cell, offsets, *_ in self.writes:
                 tr.record(cell, offsets, write=True)
         self.runner.points += self.points
 
@@ -785,7 +919,9 @@ class _Batch:
             raise _Fired  # an index that varies by lane
         return offsets
 
-    def _access(self, name: str, offsets: np.ndarray, write: bool) -> _Cell:
+    def _access(self, name: str, offsets: np.ndarray, write: bool, fresh=None) -> _Cell:
+        """The cell of ``name``, once the detectors pass on ``offsets``; a
+        read needs stored values at the ``fresh`` offsets (all by default)."""
         r = self.runner
         cell = r.mem[name]
         lo, hi = offsets.min(), offsets.max()
@@ -798,7 +934,7 @@ class _Batch:
                 covered |= (a <= offsets) & (offsets < b)
             if not covered.all():
                 raise _Fired
-        if not (write or cell.init[offsets].all()):
+        if not (write or cell.init[offsets if fresh is None else offsets[fresh]].all()):
             raise _Fired
         for tr in r.trackers:
             if tr.races(cell, offsets, write).any():
@@ -809,9 +945,21 @@ class _Batch:
 
     def load(self, target: MemTarget, index):
         offsets = self._offsets(index)
-        cell = self._access(target.name, offsets, write=False)
-        self.reads.append((cell, offsets))
-        return cell.arr[:, offsets]
+        got = None
+        if target.name in self.plan.rmw:
+            got = self.pending.get(self.runner.mem[target.name].instance)
+        if got is None:
+            cell = self._access(target.name, offsets, write=False)
+            vals = cell.arr[:, offsets]
+        else:
+            offs, latest = got
+            pos = np.minimum(np.searchsorted(offs, offsets), len(offs) - 1)
+            hit = offs[pos] == offsets
+            cell = self._access(target.name, offsets, write=False, fresh=~hit)
+            vals = np.where(hit, latest[:, pos], cell.arr[:, offsets])
+        if self.runner.trackers:
+            self.reads.append((cell, offsets))
+        return vals
 
     def check(self, v):
         if isinstance(v, np.ndarray):
@@ -844,9 +992,10 @@ class _AnnObserver:
 
     A batched nest's annotations are checked, and its ledger charged and
     summed, before its batch commits (:meth:`check_batch`), each over the
-    stacked grid of all its events inside the nest; the event entry points
-    then get the nest's variables as vectors of events and ``when``, each
-    event's time.  The walk calls them with one event.
+    stacked grid of all its events inside the nest, step loops' boundaries
+    included; the event entry points then get the nest's variables as
+    vectors of events and ``when``, each event's time in statement slots.
+    The walk calls them with one event.
     """
 
     def __init__(self, ap: AnnotatedPipeline, cap: int = 10_000_000):
@@ -860,15 +1009,15 @@ class _AnnObserver:
         self.perms: dict[int, tuple[int, list]] = {}  # per annotation set, see _perms
         self.names: dict[int, set[str]] = {}  # per annotation, the variables of its body
         self.site = ""  # the boundary being checked, for findings
-        # under a batched check: the batch and its plan length, each grid
-        # point's event time, the batch's writes per cell instance sorted
-        # by offset, and the instantiations to add on commit; the walk
-        # reads storage as it stands
-        self.batch: tuple[_Batch, int] | None = None
+        # under a batched check: the batch, each grid point's event time,
+        # the batch's writes per cell instance sorted by offset and stamp,
+        # and the instantiations to add on commit; the walk reads storage
+        # as it stands
+        self.batch: _Batch | None = None
         self.when: np.ndarray | None = None
         self.staged: dict[int, tuple | None] = {}
         self.pending = 0
-        # on the walk: the grid points whose reads left an allocation, and
+        # the grid points whose reads left an allocation, and on the walk
         # the entities whose out-of-range read this evaluation reported
         self.flagged: np.ndarray | None = None
         self.reported: set[str] = set()
@@ -890,22 +1039,27 @@ class _AnnObserver:
         before ``batch`` commits, each once over the stacked grid of its
         events.
 
-        Times count in the nest's flattened rank.  The write of plan entry
-        ``k`` at the iteration of rank ``r`` is stamped ``r·K + k`` with
-        ``K = len(plan.entries)``; an event reads the batch's pending value
-        of a cell whose stamp is below its time, and the pre-batch value
-        otherwise.  A statement's precondition is at ``r·K + k`` and its
-        postcondition one more.  An event of a nest loop takes its time
+        An event's time is the number of statement slots before it in walk
+        order: ``r·T + t`` for slot ``t`` of the pure iteration of rank
+        ``r``, with ``T = plan.slots``.  A write is stamped with its slot's
+        time, and a cell has a version per write.  An event reads the
+        latest version of a cell stamped before its time, or the pre-batch
+        value where there is none.  A statement's precondition is at its
+        slot's time and its postcondition one more; a step loop's boundary
+        is at the time of the slot the walk reaches it at, its
+        one-past-the-end boundary after its last iteration's writes, each
+        stacked over the pure iterations that reach it.  An event of a pure
+        loop takes its time
         from the rank ``r0`` of its instance's first iteration and the
         ranks ``s`` one of its iterations spans: boundary or block
-        precondition ``j`` at ``(r0 + j·s)·K``, and a block postcondition
-        ``j`` or the one-past-the-end boundary at ``(r0 + (j + 1)·s)·K``,
+        precondition ``j`` at ``(r0 + j·s)·T``, and a block postcondition
+        ``j`` or the one-past-the-end boundary at ``(r0 + (j + 1)·s)·T``,
         after the writes of its last iteration.  A parallel outermost
         loop's ledger is charged with its block preconditions and summed at
         once.  Raises :class:`_Fired` wherever the walk would report or
         raise."""
-        K = len(plan.entries)
-        self.batch, self.staged, self.pending = (batch, K), {}, 0
+        T = plan.slots
+        self.batch, self.staged, self.pending = batch, {}, 0
         depth = len(self.ledgers)
         try:
             for i, (loop, s) in enumerate(zip(plan.loops, plan.strides)):
@@ -914,8 +1068,8 @@ class _AnnObserver:
                     j = np.arange(e, dtype=np.int64)
                     events = env | {loop.dim.var: lo + j}
                     self.par_enter(loop)
-                    self.par_iter_pre(loop, events, j * s * K)
-                    self.par_iter_post(loop, events, (j + 1) * s * K)
+                    self.par_iter_pre(loop, events, j * s * T)
+                    self.par_iter_post(loop, events, (j + 1) * s * T)
                     self.par_exit(loop)
                 elif self._values_at(loop, ("invariants",)):
                     # every boundary of every instance, instance by instance
@@ -924,40 +1078,69 @@ class _AnnObserver:
                     j = np.tile(np.arange(e + 1, dtype=np.int64), instances)
                     events = plan.values(env, lo, r0, i + 1)
                     events[loop.dim.var] = events[loop.dim.var] + j
-                    self.serial_boundary(loop, events, (r0 + j * s) * K)
-            for k, ((_, stmt), kept) in enumerate(zip(plan.entries, batch.kept)):
-                if len(kept) and self._values_at(stmt, ("requires", "ensures")):
-                    events = plan.values(env, lo, kept)
-                    self.stmt_pre(stmt, events, kept * K + k)
-                    self.stmt_post(stmt, events, kept * K + k + 1)
+                    self.serial_boundary(loop, events, (r0 + j * s) * T)
+            marks: dict[int, tuple] = {}
+            for node, kept, steps, t in batch.marks:
+                marks.setdefault(id(node), (node, []))[1].append((kept, steps, t))
+            for node, group in marks.values():
+                if isinstance(node, StoreStmt):
+                    if self._values_at(node, ("requires", "ensures")):
+                        events, when = self._stacked(plan, lo, env, group)
+                        self.stmt_pre(node, events, when)
+                        self.stmt_post(node, events, when + 1)
+                elif self._values_at(node, ("invariants",)):
+                    self.serial_boundary(node, *self._stacked(plan, lo, env, group))
         finally:
             self.batch, self.when, self.staged = None, None, {}
             del self.ledgers[depth:]
 
+    @staticmethod
+    def _stacked(plan: BatchPlan, lo: int, env, group):
+        """The events of ``group``, (ranks, step variables, slot) triples,
+        stacked: the nest's variables as vectors of events, and each
+        event's time."""
+        ranks = np.concatenate([r for r, _, _ in group])
+        events = plan.values(env, lo, ranks)
+        for v in group[0][1]:
+            events[v] = np.concatenate([np.broadcast_to(steps[v], len(r)) for r, steps, _ in group])
+        slots = np.concatenate([np.full(len(r), t, dtype=np.int64) for r, _, t in group])
+        return events, ranks * plan.slots + slots
+
     def _staged_read(self, cell: _Cell, idx: np.ndarray):
-        """``cell`` at offsets ``idx`` as each grid point's event saw it."""
+        """``cell`` at offsets ``idx`` as each grid point's event saw it:
+        the latest batch write to the cell stamped before the event's time,
+        or the pre-batch value where there is none."""
+        idx, when = np.broadcast_arrays(idx, np.atleast_1d(self.when))
         if cell.instance not in self.staged:
             self.staged[cell.instance] = self._stage(cell)
         staged = self.staged[cell.instance]
         if staged is None:
             return cell.arr[:, idx]
-        offs, stamps, vals = staged
-        pos = np.minimum(np.searchsorted(offs, idx), len(offs) - 1)
-        pending = (offs[pos] == idx) & (stamps[pos] < self.when)
-        return np.where(pending, vals[:, pos], cell.arr[:, idx])
+        keys, vals, clock = staged
+        pos = np.searchsorted(keys, idx * clock + when) - 1
+        got = pos >= 0
+        pos = np.maximum(pos, 0)
+        got &= keys[pos] // clock == idx
+        return np.where(got, vals[:, pos], cell.arr[:, idx])
 
     def _stage(self, cell: _Cell):
-        """The batch's writes to ``cell`` sorted by offset: offsets, stamps
-        and (lanes, writes) values; None when it writes none."""
-        batch, K = self.batch
-        parts = [(o, batch.kept[k] * K + k, v) for c, o, v, k in batch.writes if c is cell]
+        """The batch's writes to ``cell`` sorted by (offset, stamp): one key
+        ``offset·clock + stamp`` per write, with ``clock`` above every
+        time, the (lanes, writes) values and ``clock``; None when it
+        writes none."""
+        batch = self.batch
+        T = batch.plan.slots
+        parts = [(o, k * T + t, v) for c, o, v, k, t in batch.writes if c is cell]
         if not parts:
             return None
-        offs = np.concatenate([o for o, _, _ in parts])
-        order = np.argsort(offs)
+        clock = batch.plan.size * T + 1
+        if cell.arr.shape[1] * clock >= 1 << 62:
+            raise _Fired  # the keys would leave int64
+        keys = np.concatenate([o * clock + s for o, s, _ in parts])
+        order = np.argsort(keys)
         lanes = cell.arr.shape[0]
         vals = np.concatenate([np.broadcast_to(v, (lanes, len(o))) for o, _, v in parts], axis=1)
-        return offs[order], np.concatenate([s for _, s, _ in parts])[order], vals[:, order]
+        return keys[order], vals[:, order], clock
 
     # -- event entry points ------------------------------------------------
     #
@@ -1191,16 +1374,14 @@ class _AnnObserver:
         """Annotation body over a quantifier grid, lanes leading when any
         storage is read.  Shapes are scalar, (points,), or (lanes, points).
 
-        On the walk, where a ``Select`` over the grid evaluates both
-        branches, an out-of-range read only flags its points; those are
-        evaluated again one at a time, where a scalar condition takes one
-        branch, and the first read taken out of range per entity is
-        reported."""
+        Where a ``Select`` over the grid evaluates both branches, an
+        out-of-range read only flags its points; those are evaluated again
+        one at a time, where a scalar condition takes one branch.  The walk
+        reports the first read taken out of range per entity; a batched
+        check fires on it."""
         self.site = site
         self.when = envq.get(_WHEN)
         fn = compiled(e, checked=True)
-        if self.when is not None:
-            return fn(envq, self)
         self.reported = set()
         n = next((v.size for v in envq.values() if isinstance(v, np.ndarray)), 0)
         if not n:
@@ -1211,7 +1392,9 @@ class _AnnObserver:
         finally:
             flagged, self.flagged = self.flagged, None
         for i in np.flatnonzero(flagged):
-            fn({k: v[i] if isinstance(v, np.ndarray) else v for k, v in envq.items()}, self)
+            point = {k: v[i] if isinstance(v, np.ndarray) else v for k, v in envq.items()}
+            self.when = point.get(_WHEN)
+            fn(point, self)
         return vals
 
     @staticmethod
@@ -1224,17 +1407,15 @@ class _AnnObserver:
         idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
         cell = self.runner.mem[target.name]
         size = cell.arr.shape[1]
+        if self.when is not None and idx.ndim > 1:
+            raise _Fired  # the walk meets an index that varies by lane one event at a time
         bad = (idx < 0) | (idx >= size)
-        if self.when is not None:
-            # a batched check: the walk reports this read, or meets an index
-            # that varies by lane one event at a time
-            if idx.ndim > 1 or bad.any():
-                raise _Fired
-            return self._staged_read(cell, np.broadcast_to(idx, self.when.shape))
         if bad.any():
             if self.flagged is not None:
                 hit = bad.any(axis=0) if bad.ndim == 2 else bad
                 self.flagged |= hit if hit.shape == self.flagged.shape else True
+            elif self.when is not None:
+                raise _Fired  # the walk reports this read
             elif target.name not in self.reported:
                 self.reported.add(target.name)
                 off = int(idx[bad][0])
@@ -1246,6 +1427,8 @@ class _AnnObserver:
                     dedupe=("ann_oob", target.name, off, self.site),
                 )
             idx = np.clip(idx, 0, size - 1)
+        if self.when is not None:
+            return self._staged_read(cell, idx)
         return cell.arr[:, idx]
 
     # -- the permission ledger ---------------------------------------------

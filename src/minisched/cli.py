@@ -13,8 +13,9 @@ encoding as PVL pure functions with the pipeline lemma.
 
 ``minisched nest <algo.hal> <file.sched> [--scale k=v ...]`` prints the
 plain loop nest that the schedule lowers to.  Each loop that the checker
-runs as one batch is marked with the depth of its flattened nest; the
-loops inside it run in that batch.
+runs as one batch is marked with the depth of its flattened pure nest; the
+loops inside it run in that batch.  A batch whose pure iterations run step
+loops also shows ``steps M``, the statement slots of one pure iteration.
 
 ``minisched check <algo.hal> <file.sched> [--scale k=v ...] [--seeds N ...]
 [--no-user | --plain]`` checks the schedule on one input set per seed and
@@ -136,8 +137,11 @@ def main(argv=None) -> int:
         heads = batch_heads(lp.root)
 
         def mark(loop) -> str:
-            depth = heads.get(id(loop))
-            return "" if depth is None else f"  # batch, depth {depth}"
+            plan = heads.get(id(loop))
+            if plan is None:
+                return ""
+            steps = f", steps {plan.slots}" if plan.stepped else ""
+            return f"  # batch, depth {len(plan.loops)}{steps}"
 
         sys.stdout.write(print_loop_nest(lp, mark))
         return 0

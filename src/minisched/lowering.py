@@ -832,7 +832,30 @@ def build_loop_nest(sp: ScheduledPipeline, fps: dict[str, Footprint]) -> Lowered
     for name in reversed(roots[:-1]):
         nest = [builder.produce(name, []), Consume(name, nest)]
     root: Node = nest[0] if len(nest) == 1 else Chain(nest)
+    _check_closed(root, frozenset())
     return LoweredPipeline(p, sp, fps, allocs, root, builder.renames)
+
+
+def _check_closed(n: Node, bound: frozenset[str]) -> None:
+    """Raise a ScheduleError when a loop bound, guard, store index or stored
+    value under ``n`` names a variable that no enclosing loop binds."""
+    match n:
+        case Loop(dim, owner, _):
+            exprs, who = (dim.lo,), f"loop {dim.display} of {owner[0]}"
+        case If(cond, owner, _):
+            exprs, who = (cond,), f"a guard of {owner[0]}"
+        case StoreStmt():
+            exprs, who = (n.index, n.value), f"a store of {n.func}.stage{n.stage}"
+        case _:
+            exprs, who = (), ""
+    for e in exprs:
+        free = free_vars(e) - bound
+        if free:
+            raise _err("UnboundVariable", f"{who} uses {min(free)!r}, which no enclosing loop binds")
+    if isinstance(n, Loop):
+        bound = bound | {n.dim.var}
+    for c in getattr(n, "body", ()):
+        _check_closed(c, bound)
 
 
 class _Builder:

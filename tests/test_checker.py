@@ -602,7 +602,7 @@ def test_batched_ledger_race_replays(monkeypatch):
 
 
 def test_walked_ledger_race():
-    # matmul/par's parallel loop holds the reduction loop, so it is walked
+    # the race drops matmul/par's reduction batch, and the walk reports it
     par = (CORPUS / "schedules" / "matmul" / "par.sched").read_text()
     res = annotated_run("matmul", {"n": 8}, par, undivided_reads(2), include_user=False)()
     assert res.batched_loops > 0
@@ -969,3 +969,145 @@ def test_reference_call_outside_a_domain_is_out_of_bounds():
                 "site": "",
             }
         ]
+
+
+# ---------------------------------------------------------------------------
+# Step batches: reduction nests batch over their pure loops, one step at a
+# time
+
+
+def lowered_run(algo: str, sizes: dict, sched: str, surgery):
+    """Run ``algo`` lowered under ``sched`` after ``surgery(lp)``."""
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
+
+    def run():
+        lp = lower(p, parse_schedule(sched))
+        surgery(lp)
+        return C.run_lowered(lp, C.make_inputs(p, SEEDS))
+
+    return run
+
+
+def stepped_heads(lp) -> list:
+    """The plans of the batches whose pure iterations run step loops."""
+    return [plan for plan in C.batch_heads(lp.root).values() if plan.stepped]
+
+
+@pytest.mark.parametrize("algo,sched", [("matmul", "par"), ("conv1d", "par"), ("count", "tail")])
+def test_reduction_nests_commit_as_step_batches(monkeypatch, algo, sched):
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
+    d = schedule(algo, sched)
+    (plan,) = stepped_heads(lower(p, d))
+    assert plan.rmw == {p.output}
+    runs = [lambda: C.check_lowered(p, d, [0, 1])] + [
+        lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
+    ]
+    for run in runs:
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        # the pure stage's nest and the reduction's
+        assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (2, 0)
+
+
+def update_stmt(lp, func: str) -> StoreStmt:
+    (stmt,) = [n for n in stores(lp.root, func) if n.stage == 1]
+    return stmt
+
+
+def test_step_overflow_of_a_multiplied_accumulator_replays(monkeypatch):
+    # prod = prod * 1000 + a * b stays in range for two steps and leaves it
+    # at the third
+    def surgery(lp):
+        stmt = update_stmt(lp, "prod")
+        acc, term = stmt.value.left, stmt.value.right
+        stmt.value = BinOp("+", BinOp("*", acc, Const(1000)), term)
+
+    run = lowered_run("matmul", SMALL["matmul"], "", surgery)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops >= 1
+    over = [f for f in batched.findings if f.kind == "overflow"]
+    assert len(over) == 1 and over[0].lanes is not None
+
+
+def test_step_batch_duplicate_write_across_pure_iterations_replays(monkeypatch):
+    # iterations x = 0 and x = 1 of conv1d's parallel reduction both
+    # accumulate into out[0]
+    def surgery(lp):
+        stmt = update_stmt(lp, "out")
+        clash = Select(BinOp("==", Var("x"), Const(1)), Const(0), stmt.index)
+        stmt.value = substitute_read(stmt.value, stmt.index, clash)
+        stmt.index = clash
+
+    run = lowered_run("conv1d", SMALL["conv1d"], "out.parallel(x);", surgery)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops == 1
+    assert [f.to_json() for f in batched.findings] == [
+        {
+            "kind": "race",
+            "message": "iterations 0 and 1 of parallel loop 'x' touch the same cell"
+            " (read races against earlier access)",
+            "site": "out.stage1",
+        }
+    ]
+
+
+def substitute_read(e, index, new):
+    """``e`` with its reads at ``index`` moved to ``new``."""
+    if isinstance(e, TableRead):
+        return TableRead(e.target, new) if e.index == index else e
+    if isinstance(e, BinOp):
+        return BinOp(e.op, substitute_read(e.left, index, new), substitute_read(e.right, index, new))
+    if isinstance(e, Select):
+        return Select(*(substitute_read(x, index, new) for x in (e.cond, e.if_true, e.if_false)))
+    return e
+
+
+def test_step_invariant_broken_at_one_step_replays(monkeypatch):
+    # prod.invariant(rk, ...) also claims prod(1, 1) == 0 at boundary
+    # rk = 3 of rt = 0, after three products have been added
+    def surgery(ap):
+        count = 0
+        for aset in ap.node.values():
+            for i, a in enumerate(aset.invariants):
+                if isinstance(a, Ann) and a.origin == ("rinv", "prod", 1, "rk"):
+                    read = next(e for e in walk(a.body) if isinstance(e, TableRead))
+                    at = BinOp("&&", BinOp("==", Var("i"), Const(1)), BinOp("==", Var("j"), Const(1)))
+                    at = BinOp("&&", at, BinOp("&&", BinOp("==", Var("rt"), Const(0)), BinOp("==", Var("rk"), Const(3))))
+                    broken = BinOp("==>", at, BinOp("==", read, Const(0)))
+                    aset.invariants[i] = dataclasses.replace(a, body=BinOp("&&", a.body, broken))
+                    count += 1
+        assert count == 1
+
+    batched, walked = declined(monkeypatch, annotated_run("matmul", SMALL["matmul"], "", surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops >= 1
+    assert [f.to_json() for f in batched.findings] == [
+        {
+            "kind": "invariant_violation",
+            "message": "loop invariant does not hold at rk = 3",
+            "site": "loop rk",
+            "lanes": [0, 1, 2],
+        }
+    ]
+
+
+def test_batched_annotation_skips_reads_of_an_untaken_branch(monkeypatch):
+    # at x = 7 the untaken branch reads inp[8]: the batch evaluates that
+    # point again alone and commits
+    p = ensured_stage("inp(x)", "select(x < 8, inp(x), inp(x + 1))")
+    batched, walked = declined(monkeypatch, lambda: C.check_schedule(p, [], SEEDS, include_user=True))
+    assert_same_run(batched, walked)
+    assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (1, 0)
+
+
+def test_loops_over_cells_stay_batches_of_their_own(monkeypatch):
+    # unrolled xo holds two xi loops whose variable the store index
+    # mentions: each is its own batch, not a step loop of y's
+    p = grid_stage("inp(x, y) + 1")
+    d = parse_schedule("out.split(x, xo, xi, 4).unroll(xo);")
+    assert not stepped_heads(lower(p, d))
+    batched, walked = declined(monkeypatch, lambda: C.check_lowered(p, d, SEEDS))
+    assert_same_run(batched, walked)
+    assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (16, 0)

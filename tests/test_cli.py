@@ -66,7 +66,7 @@ def test_check_prints_one_report_per_seed(capsys):
         capsys, "count", ROOT / "corpus" / "schedules" / "count" / "par.sched", "--scale", "w=4"
     )
     assert status == 0
-    stats = {"points": 44, "instantiations": 160, "batched_loops": 1, "replayed_loops": 0}
+    stats = {"points": 44, "instantiations": 160, "batched_loops": 2, "replayed_loops": 0}
     assert reports == [
         {"pipeline": "count", "schedule": "par", "seed": s, "verdict": "pass", "findings": [], "stats": stats}
         for s in (0, 1, 2)
@@ -97,3 +97,17 @@ def test_nest_marks_the_loops_that_head_a_batch(capsys):
     ]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / "blur_tail_nest.txt").read_text()
+
+
+def test_nest_shows_the_step_loops_of_a_batch(capsys):
+    # the update's pure nest (j, io) batches; each pure iteration runs the
+    # unrolled pair of (rt, rk) reductions, 2 * 2 * 4 statement slots
+    argv = [
+        "nest",
+        str(ROOT / "corpus" / "matmul.hal"),
+        str(ROOT / "corpus" / "schedules" / "matmul" / "unroll.sched"),
+        "--scale",
+        "n=4",
+    ]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "matmul_unroll_nest.txt").read_text()

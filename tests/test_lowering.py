@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -18,7 +19,9 @@ from minisched.lowering import (
     Store,
     StoreStmt,
     apply_directives,
+    build_loop_nest,
     fold_divmod,
+    infer_bounds,
     linearize,
     lower,
     poly_expr,
@@ -360,3 +363,20 @@ pipeline sq(inp) -> out {
     p = parse_pipeline(src).validated()
     with pytest.raises(NonAffineAccess):
         lower(p, [])
+
+
+def test_nest_with_a_free_variable_is_rejected():
+    # out(x) reads its value at a point named by a variable no loop binds
+    src = """
+pipeline t(inp) -> out {
+  buffer inp(x in [0, 8));
+  func out(x in [0, 8)) { out(x) = inp(x); }
+}
+"""
+    sp = apply_directives(parse_pipeline(src).validated(), [])
+    fps = infer_bounds(sp)
+    sp.funcs["out"] = dataclasses.replace(sp.funcs["out"], origin={"x": Var("ghost")})
+    with pytest.raises(ScheduleError) as exc:
+        build_loop_nest(sp, fps)
+    assert exc.value.code == "UnboundVariable"
+    assert "'ghost'" in str(exc.value)
