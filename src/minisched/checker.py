@@ -618,23 +618,18 @@ class BatchPlan:
     body.  Their iterations, the *pure iterations*, are ranked in walk
     order, the lexicographic order of the loops' variables.  The innermost
     loop's body is what one pure iteration runs: store statements under
-    ``If`` guards, unrolled loops and serial *step loops*.  ``entries`` are
-    its store statements, each with the guards and step loops above it,
-    outermost first.  ``spans`` gives the statement slots of one execution
-    of each node of that body, by ``id``, and ``slots`` those of one pure
-    iteration; an iteration of a step loop takes the slots of its body.
-    ``rmw`` names the entities the nest reads and writes."""
+    ``If`` guards, unrolled loops and serial *step loops*; ``stepped``
+    tells whether it runs any step loop.  ``spans`` gives the statement
+    slots of one execution of each node of that body, by ``id``, and
+    ``slots`` those of one pure iteration; an iteration of a step loop
+    takes the slots of its body.  ``rmw`` names the entities the nest reads
+    and writes."""
 
     loops: tuple[Loop, ...]
-    entries: tuple[tuple[tuple[Expr | Loop, ...], StoreStmt], ...]
+    stepped: bool
     spans: dict[int, int]
     slots: int
     rmw: frozenset[str]
-
-    @property
-    def stepped(self) -> bool:
-        """Whether a pure iteration runs step loops."""
-        return any(isinstance(x, Loop) for path, _ in self.entries for x in path)
 
     @property
     def strides(self) -> list[int]:
@@ -748,7 +743,8 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
         ):
             return None
     slots = sum(spans[id(n)] for n in loops[-1].body)
-    return BatchPlan(tuple(loops), tuple(entries), spans, slots, frozenset(rmw))
+    stepped = any(isinstance(x, Loop) for path, _ in entries for x in path)
+    return BatchPlan(tuple(loops), stepped, spans, slots, frozenset(rmw))
 
 
 def batch_heads(root) -> dict[int, BatchPlan]:
@@ -783,10 +779,13 @@ class _Batch:
     The batch goes in walk order: each pure iteration is an entry of the
     nest's vectors, a step loop is a Python loop over its extent, and a
     store statement is one evaluation over the pure iterations its guards
-    keep, at the slot it takes in one pure iteration.  A read of an entity
-    the nest writes gives the cell's latest pending value, or its stored
-    value while the batch has not written it.  A cell written by two pure
-    iterations fires."""
+    keep, at the slot it takes in one pure iteration.  Every write becomes
+    its cells' latest pending value, kept with the rank of the pure
+    iteration that owns the cell, and a cell written by two pure iterations
+    fires.  A read of an entity the nest writes gives the cell's latest
+    pending value, or its stored value while the batch has not written it.
+    The commit stores the latest values; an observer's stamp view also
+    gets every version (``writes``)."""
 
     def __init__(self, runner: _Runner, plan: BatchPlan):
         self.runner = runner
@@ -795,22 +794,22 @@ class _Batch:
         # (cell, offsets) of each read, kept only for an enclosing parallel
         # loop's tracker
         self.reads: list[tuple[_Cell, np.ndarray]] = []
-        # (cell, offsets, values, ranks, slot) of each statement's writes
-        self.writes: list[tuple[_Cell, np.ndarray, object, np.ndarray, int]] = []
-        # per cell instance of a read-and-written entity: its written
-        # offsets, sorted, and their latest (lanes, offsets) values
-        self.pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # under an observer, the events inside the nest: (node, ranks, step
-        # variables, slot) of each statement evaluated and each step loop
-        # boundary
-        self.marks: list | None = None if runner.obs is None else []
+        # per written cell instance: the cell, its written offsets, sorted,
+        # the rank that owns each and their latest (lanes, offsets) values
+        self.pending: dict[int, tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]] = {}
+        # under an observer, (cell, offsets, values, ranks, slot) of each
+        # statement's writes, and the events inside the nest: (node, ranks,
+        # step variables, slot) of each statement evaluated and each step
+        # loop boundary
+        observed = runner.obs is not None
+        self.writes: list[tuple[_Cell, np.ndarray, object, np.ndarray, int]] | None = [] if observed else None
+        self.marks: list | None = [] if observed else None
         self.points = 0
 
     def run(self, lo: int, env: dict[str, int]):
         plan = self.plan
         ranks = np.arange(plan.size, dtype=np.int64)
         self._walk(plan.loops[-1].body, ranks, plan.values(env, lo, ranks), (), 0)
-        self._owned()
 
     def _walk(self, nodes, kept: np.ndarray, envk: dict, steps: tuple[str, ...], t: int) -> int:
         """Run ``nodes`` from slot ``t`` for the pure iterations of rank
@@ -856,58 +855,46 @@ class _Batch:
         self.check(vals)
         offsets = self._offsets(compiled(stmt.index)(envk, self))
         cell = self._access(stmt.target.name, offsets, write=True)
-        self.writes.append((cell, offsets, vals, kept, t))
-        if stmt.target.name in self.plan.rmw:
-            self._pend(cell, offsets, vals)
+        self._pend(cell, offsets, vals, kept)
+        if self.writes is not None:
+            self.writes.append((cell, offsets, vals, kept, t))
         self._mark(stmt, kept, envk, steps, t)
         self.points += self.n
 
-    def _pend(self, cell: _Cell, offsets: np.ndarray, vals):
-        """Make ``vals`` the latest pending values of ``cell`` at ``offsets``."""
-        vals = np.broadcast_to(vals, (cell.arr.shape[0], len(offsets)))
+    def _pend(self, cell: _Cell, offsets: np.ndarray, vals, kept: np.ndarray):
+        """Make ``vals`` the latest pending values of ``cell`` at
+        ``offsets``, written by the pure iterations of rank ``kept``; fire
+        unless each cell is written by one pure iteration only."""
+        order = np.argsort(offsets, kind="stable")
+        offsets, kept = offsets[order], kept[order]
+        vals = np.broadcast_to(vals, (cell.arr.shape[0], len(order))).take(order, axis=1)
+        if (offsets[1:] == offsets[:-1]).any():
+            raise _Fired  # a cell written by two iterations: order matters, or a race
         got = self.pending.get(cell.instance)
         if got is not None:
-            offs, latest = got
+            _, offs, owner, latest = got
             pos = np.minimum(np.searchsorted(offs, offsets), len(offs) - 1)
             hit = offs[pos] == offsets
+            if (owner[pos[hit]] != kept[hit]).any():
+                raise _Fired  # a cell another pure iteration wrote
             latest[:, pos[hit]] = vals[:, hit]
             if hit.all():
                 return
             offsets = np.concatenate([offs, offsets[~hit]])
+            kept = np.concatenate([owner, kept[~hit]])
             vals = np.concatenate([latest, vals[:, ~hit]], axis=1)
-        order = np.argsort(offsets, kind="stable")
-        self.pending[cell.instance] = (offsets[order], vals[:, order])
-
-    def _owned(self):
-        """Fire unless every cell the batch writes is written by one pure
-        iteration only."""
-        parts: dict[int, list[tuple[_Cell, np.ndarray, np.ndarray]]] = {}
-        for cell, offsets, _, kept, _ in self.writes:
-            parts.setdefault(cell.instance, []).append((cell, offsets, kept))
-        size = self.plan.size
-        for part in parts.values():
-            if len(part) == 1:
-                offs = np.sort(part[0][1])
-                clash = offs[1:] == offs[:-1]
-            else:
-                if part[0][0].arr.shape[1] * size >= 1 << 62:
-                    raise _Fired  # the (offset, rank) keys would leave int64
-                # one key per (offset, rank) pair, sorted: two ranks of one
-                # offset are neighbours with different keys
-                keys = np.sort(np.concatenate([o * size + k for _, o, k in part]))
-                offs = keys // size
-                clash = (offs[1:] == offs[:-1]) & (keys[1:] != keys[:-1])
-            if clash.any():
-                raise _Fired  # a cell written by two iterations: order matters, or a race
+            order = np.argsort(offsets, kind="stable")
+            offsets, kept, vals = offsets[order], kept[order], vals[:, order]
+        self.pending[cell.instance] = (cell, offsets, kept, vals)
 
     def commit(self):
-        for cell, offsets, vals, _, _ in self.writes:
+        for cell, offsets, _, vals in self.pending.values():
             cell.arr[:, offsets] = vals
             cell.init[offsets] = True
         for tr in self.runner.trackers:
             for cell, offsets in self.reads:
                 tr.record(cell, offsets, write=False)
-            for cell, offsets, *_ in self.writes:
+            for cell, offsets, *_ in self.pending.values():
                 tr.record(cell, offsets, write=True)
         self.runner.points += self.points
 
@@ -952,7 +939,7 @@ class _Batch:
             cell = self._access(target.name, offsets, write=False)
             vals = cell.arr[:, offsets]
         else:
-            offs, latest = got
+            _, offs, _, latest = got
             pos = np.minimum(np.searchsorted(offs, offsets), len(offs) - 1)
             hit = offs[pos] == offsets
             cell = self._access(target.name, offsets, write=False, fresh=~hit)

@@ -1053,6 +1053,26 @@ def test_step_batch_duplicate_write_across_pure_iterations_replays(monkeypatch):
     ]
 
 
+def test_step_batch_write_into_another_iterations_cell_replays(monkeypatch):
+    # under matmul/unroll each pure iteration (j, io) accumulates two cells
+    # in two statements; io = 0's second statement is pointed at the cell
+    # of io = 1's first, so two statements of two pure iterations share it
+    def surgery(lp):
+        stmt = [n for n in stores(lp.root, "prod") if n.stage == 1][1]
+        first = BinOp("+", BinOp("*", Var("j"), Const(4)), Const(2))
+        clash = Select(BinOp("==", Var("io"), Const(0)), first, stmt.index)
+        stmt.value = substitute_read(stmt.value, stmt.index, clash)
+        stmt.index = clash
+
+    unroll = (CORPUS / "schedules" / "matmul" / "unroll.sched").read_text()
+    run = lowered_run("matmul", {"n": 4}, unroll, surgery)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    # the reduction nest replays, and so does each j's io loop; only the
+    # pure stage's nest commits
+    assert (batched.batched_loops, batched.replayed_loops) == (1, 5)
+
+
 def substitute_read(e, index, new):
     """``e`` with its reads at ``index`` moved to ``new``."""
     if isinstance(e, TableRead):
