@@ -13,7 +13,10 @@ evaluations is the context passed for the leaves:
   Its ``load`` and ``check`` hooks watch for the things a verifier would
   reject: reads of cells never written, out-of-range indexes, values
   escaping 32-bit range, accesses outside a held permission, and accesses
-  that would collide if a parallel loop really ran in parallel.
+  that would collide if a parallel loop really ran in parallel.  The walk
+  and a batch run one access checker (``_Runner.access``) and one range
+  check (``_Runner.check32``): the walk reports each hit, a batch fires on
+  the first.
 * ``check_annotations`` runs the same execution and evaluates every
   annotation at its boundaries over its quantifier grid; its ``load``
   clips out-of-range reads and reports those a point-by-point evaluation
@@ -37,13 +40,13 @@ iterations.  Looking through ``If``, unrolled and step loops the innermost
 body holds only store statements, its guards read no memory, and an entity
 written in it is read only at the index where the reading statement
 writes it (a read-modify-write), so that a cell written by one pure
-iteration only is touched by no other.  Every detector then runs on the
-batch's offset arrays, a cell written by two pure iterations fires too,
-and the batch is committed only if none fires.  Otherwise it is dropped,
-with no state touched, and the nest's outermost loop is walked statement
-by statement, each inner loop trying its own batch, which reports the
-findings in the order, and with the messages, of a walk that never tried
-the batch.
+iteration only is touched by no other.  The walk's detectors then run on
+the batch's offset arrays and fire where the walk would report, a cell
+written by two pure iterations fires too, and the batch is committed only
+if none fires.  Otherwise it is dropped, with no state touched, and the
+nest's outermost loop is walked statement by statement, each inner loop
+trying its own batch, which reports the findings in the order, and with
+the messages, of a walk that never tried the batch.
 
 Under annotation checking, a batch's events are checked before it commits.
 Each value annotation that fires inside the nest (serial invariants at
@@ -305,8 +308,8 @@ class _Tracker:
     order, so an access races exactly when its cell was first touched by
     another iteration and the access, or an earlier one, wrote.
 
-    ``races`` and ``record`` take one offset or an array of offsets, all
-    accessed by the current iteration."""
+    ``races`` and ``record`` take the walk's one offset or a batch's array
+    of offsets, all accessed by the current iteration."""
 
     var: str
     iteration: int = -1
@@ -353,7 +356,9 @@ class _Runner:
         self.replayed_loops = 0
         self.next_instance = 0
         self.trackers: list[_Tracker] = []
-        self.grants: dict[str, list[tuple[bool, int, int]]] = {}
+        # per entity, a stack of the held permissions' modes: each grant
+        # spans the whole allocation, for writing or for reading only
+        self.grants: dict[str, list[bool]] = {}
         self.site = ""  # the statement being executed, for findings
         self.obs = observer
         if observer is not None:
@@ -362,7 +367,7 @@ class _Runner:
         for bname, arr in inputs.items():
             cell = _Cell(arr.astype(np.int64), np.ones(arr.shape[1], dtype=bool), self._fresh())
             self.mem[bname] = cell
-            self.grants[bname] = [(False, 0, arr.shape[1])]
+            self.grants[bname] = [False]
         sited = {name for name, sf in lp.scheduled.funcs.items() if sf.compute_site is not None}
         for name in lp.scheduled.realized:
             if name not in sited:
@@ -386,105 +391,109 @@ class _Runner:
         self.seen.add(key)
         self.findings.append(Finding(kind, message, site, lanes))
 
-    # -- memory traffic ---------------------------------------------------
+    # -- the memory detectors ---------------------------------------------
 
-    def _touch(self, cell: _Cell, offset: int, write: bool, site: str):
+    def access(self, name: str, offset, write: bool, fire: bool = False, fresh=None) -> _Cell | None:
+        """The cell of ``name`` once the memory detectors have run on an
+        access at ``offset``, in walk order: allocation bounds, permission
+        scope, initialisation (reads only, of the offsets ``fresh`` selects,
+        all by default), then races against each entered parallel loop.
+
+        The walk passes one int offset: each hit is reported, the access is
+        recorded in the trackers, and an access outside the allocation
+        gives None.  A batch passes an array of offsets and ``fire``: the
+        first hit raises :class:`_Fired`, and nothing is recorded before
+        its commit."""
+        cell = self.mem[name]
+        size = cell.arr.shape[1]
+        lo, hi = (offset.min(), offset.max()) if fire else (offset, offset)
+        if lo < 0 or hi >= size:
+            if fire:
+                raise _Fired
+            mode = "write" if write else "read"
+            self.report(
+                "out_of_bounds",
+                f"{mode} of {name}[{offset}] outside its {size}-cell allocation",
+                self.site,
+                dedupe=("oob_w" if write else "oob_r", name, offset, self.site),
+            )
+            return None
+        if not any(is_write or not write for is_write in self.grants.get(name, ())):
+            if fire:
+                raise _Fired
+            mode = "write to" if write else "read of"
+            self.report(
+                "uncovered_access",
+                f"{mode} {name}[{offset}] outside any held permission scope",
+                self.site,
+                dedupe=("uncov", name, offset, write, self.site),
+            )
+        if not (write or cell.init[offset if fresh is None else offset[fresh]].all()):
+            if fire:
+                raise _Fired
+            self.report(
+                "uninitialized_read",
+                f"{name}[{offset}] is read before any write",
+                self.site,
+                dedupe=("uninit", name, cell.instance, offset),
+            )
         for tr in self.trackers:
-            if tr.races(cell, offset, write):
+            if tr.races(cell, offset, write).any():
+                if fire:
+                    raise _Fired
                 it = int(tr.log(cell)[0][offset])
                 what = "write collides with" if write else "read races against"
                 self.report(
                     "race",
                     f"iterations {it} and {tr.iteration} of parallel loop {tr.var!r}"
                     f" touch the same cell ({what} earlier access)",
-                    site,
+                    self.site,
                     dedupe=("race", tr.var, cell.instance, offset),
                 )
-            tr.record(cell, offset, write)
+            if not fire:
+                tr.record(cell, offset, write)
+        return cell
 
-    def _covered(self, name: str, offset: int, write: bool, site: str):
-        for is_write, lo, hi in self.grants.get(name, ()):
-            if lo <= offset < hi and (is_write or not write):
-                return
-        mode = "write to" if write else "read of"
+    def check32(self, v, fire: bool = False) -> bool:
+        """Whether ``v`` leaves the signed 32-bit range.  The walk reports
+        it, with the lanes it leaves in; a batch (``fire``) raises
+        :class:`_Fired`."""
+        if isinstance(v, np.ndarray):
+            out = v.min() < INT32_MIN or v.max() > INT32_MAX
+        else:
+            out = not INT32_MIN <= v <= INT32_MAX
+        if not out:
+            return False
+        if fire:
+            raise _Fired
+        # a value that depends on the inputs has one entry per lane; a
+        # scalar does not, and overflows in every lane
+        bad = (v < INT32_MIN) | (v > INT32_MAX)
+        lanes = tuple(np.flatnonzero(bad).tolist()) if np.ndim(bad) else None
         self.report(
-            "uncovered_access",
-            f"{mode} {name}[{offset}] outside any held permission scope",
-            site,
-            dedupe=("uncov", name, offset, write, site),
+            "overflow",
+            "intermediate value leaves the signed 32-bit range",
+            self.site,
+            lanes=lanes,
+            dedupe=("overflow", self.site),
         )
+        return True
 
-    def read(self, name: str, offset, site: str):
-        cell = self.mem[name]
-        size = cell.arr.shape[1]
-        offset = int(offset)
-        if offset < 0 or offset >= size:
-            self.report(
-                "out_of_bounds",
-                f"read of {name}[{offset}] outside its {size}-cell allocation",
-                site,
-                dedupe=("oob_r", name, offset, site),
-            )
-            return np.zeros(self.lanes, dtype=np.int64)
-        self._covered(name, offset, write=False, site=site)
-        init = cell.init[offset]
-        if not init:
-            self.report(
-                "uninitialized_read",
-                f"{name}[{offset}] is read before any write",
-                site,
-                dedupe=("uninit", name, cell.instance, offset),
-            )
-        self._touch(cell, offset, write=False, site=site)
-        if not init:
+    # -- evaluation context of statement values ---------------------------
+
+    def load(self, target: MemTarget, index):
+        offset = int(index)
+        cell = self.access(target.name, offset, write=False)
+        if cell is None or not cell.init[offset]:
             # like an out-of-range read, go on with zeros: the poison fill
             # would be reported a second time, as an overflow
             return np.zeros(self.lanes, dtype=np.int64)
         return cell.arr[:, offset]
 
-    def write(self, name: str, offset, vals, site: str):
-        cell = self.mem[name]
-        size = cell.arr.shape[1]
-        offset = int(offset)
-        if offset < 0 or offset >= size:
-            self.report(
-                "out_of_bounds",
-                f"write of {name}[{offset}] outside its {size}-cell allocation",
-                site,
-                dedupe=("oob_w", name, offset, site),
-            )
-            return
-        self._covered(name, offset, write=True, site=site)
-        self._touch(cell, offset, write=True, site=site)
-        cell.arr[:, offset] = vals
-        cell.init[offset] = True
-
-    # -- evaluation context of statement values ---------------------------
-
-    def load(self, target: MemTarget, index):
-        return self.read(target.name, index, self.site)
-
     def check(self, v):
         # exact loop-variable arithmetic that leaves int64 goes on wrapped,
         # as the int64 arithmetic of storage values and the reference does
-        return wrap_int64(v) if self._check32(v, self.site) else None
-
-    def _check32(self, v, site: str) -> bool:
-        """Report ``v`` if it leaves the signed 32-bit range; whether it does."""
-        bad = (v < INT32_MIN) | (v > INT32_MAX)
-        if np.any(bad):
-            # a value that depends on the inputs has one entry per lane; a
-            # scalar does not, and overflows in every lane
-            lanes = tuple(np.flatnonzero(bad).tolist()) if np.ndim(bad) else None
-            self.report(
-                "overflow",
-                "intermediate value leaves the signed 32-bit range",
-                site,
-                lanes=lanes,
-                dedupe=("overflow", site),
-            )
-            return True
-        return False
+        return wrap_int64(v) if self.check32(v) else None
 
     # -- statements and control -------------------------------------------
 
@@ -494,16 +503,12 @@ class _Runner:
                 for c in body:
                     self.run(c, env)
             case Produce(func, body):
-                self.grants.setdefault(func, []).append(
-                    (True, 0, self.mem[func].arr.shape[1])
-                )
+                self.grants.setdefault(func, []).append(True)
                 for c in body:
                     self.run(c, env)
                 self.grants[func].pop()
             case Consume(func, body):
-                self.grants.setdefault(func, []).append(
-                    (False, 0, self.mem[func].arr.shape[1])
-                )
+                self.grants.setdefault(func, []).append(False)
                 if self.obs is not None:
                     self.obs.consume_enter(node, env)
                 for c in body:
@@ -538,8 +543,12 @@ class _Runner:
                 if self.obs is not None:
                     self.obs.stmt_pre(node, env)
                 vals = compiled(value, checked=True)(env, self)
-                self._check32(vals, self.site)
-                self.write(target.name, eval_const(index, env), vals, self.site)
+                self.check32(vals)
+                offset = eval_const(index, env)
+                cell = self.access(target.name, offset, write=True)
+                if cell is not None:
+                    cell.arr[:, offset] = vals
+                    cell.init[offset] = True
                 if self.obs is not None:
                     self.obs.stmt_post(node, env)
             case _:
@@ -772,9 +781,10 @@ class _Fired(Exception):
 
 class _Batch:
     """One nest's statements evaluated over its pure iterations, as the
-    evaluation context of :func:`compiled`: the runner's detectors run on
-    offset arrays, and any finding raises :class:`_Fired`.  No state
-    changes before :meth:`commit`.
+    evaluation context of :func:`compiled`.  It runs the walk's access
+    checker and range check on offset and value arrays, and where the walk
+    reports they raise :class:`_Fired`.  No state changes before
+    :meth:`commit`.
 
     The batch goes in walk order: each pure iteration is an entry of the
     nest's vectors, a step loop is a Python loop over its extent, and a
@@ -854,7 +864,7 @@ class _Batch:
         vals = compiled(stmt.value, checked=True)(envk, self)
         self.check(vals)
         offsets = self._offsets(compiled(stmt.index)(envk, self))
-        cell = self._access(stmt.target.name, offsets, write=True)
+        cell = self.runner.access(stmt.target.name, offsets, write=True, fire=True)
         self._pend(cell, offsets, vals, kept)
         if self.writes is not None:
             self.writes.append((cell, offsets, vals, kept, t))
@@ -906,28 +916,6 @@ class _Batch:
             raise _Fired  # an index that varies by lane
         return offsets
 
-    def _access(self, name: str, offsets: np.ndarray, write: bool, fresh=None) -> _Cell:
-        """The cell of ``name``, once the detectors pass on ``offsets``; a
-        read needs stored values at the ``fresh`` offsets (all by default)."""
-        r = self.runner
-        cell = r.mem[name]
-        lo, hi = offsets.min(), offsets.max()
-        if lo < 0 or hi >= cell.arr.shape[1]:
-            raise _Fired
-        grants = [(a, b) for is_write, a, b in r.grants.get(name, ()) if is_write or not write]
-        if not any(a <= lo and hi < b for a, b in grants):
-            covered = np.zeros(self.n, dtype=bool)
-            for a, b in grants:
-                covered |= (a <= offsets) & (offsets < b)
-            if not covered.all():
-                raise _Fired
-        if not (write or cell.init[offsets if fresh is None else offsets[fresh]].all()):
-            raise _Fired
-        for tr in r.trackers:
-            if tr.races(cell, offsets, write).any():
-                raise _Fired
-        return cell
-
     # -- evaluation context of statement values ---------------------------
 
     def load(self, target: MemTarget, index):
@@ -936,24 +924,20 @@ class _Batch:
         if target.name in self.plan.rmw:
             got = self.pending.get(self.runner.mem[target.name].instance)
         if got is None:
-            cell = self._access(target.name, offsets, write=False)
+            cell = self.runner.access(target.name, offsets, write=False, fire=True)
             vals = cell.arr[:, offsets]
         else:
             _, offs, _, latest = got
             pos = np.minimum(np.searchsorted(offs, offsets), len(offs) - 1)
             hit = offs[pos] == offsets
-            cell = self._access(target.name, offsets, write=False, fresh=~hit)
+            cell = self.runner.access(target.name, offsets, write=False, fire=True, fresh=~hit)
             vals = np.where(hit, latest[:, pos], cell.arr[:, offsets])
         if self.runner.trackers:
             self.reads.append((cell, offsets))
         return vals
 
     def check(self, v):
-        if isinstance(v, np.ndarray):
-            if v.min() < INT32_MIN or v.max() > INT32_MAX:
-                raise _Fired
-        elif not INT32_MIN <= v <= INT32_MAX:
-            raise _Fired
+        self.runner.check32(v, fire=True)
 
 
 class InstantiationBudget(PipelineError):

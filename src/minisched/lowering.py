@@ -34,11 +34,13 @@ from .ir import (
     as_expr,
     eval_const,
     free_vars,
+    hdiv,
     lt,
     rewrite,
     substitute,
     walk,
 )
+from .printing import ExprPrinter
 
 MAX_UNROLL = 256
 
@@ -659,9 +661,7 @@ def _atom_bound(sp, consumer: str, atom: BinOp, freeset: set[str], fps, want_ato
     ic, ik = _extreme(sp, consumer, atom.left, list(freeset), fps, want_max=want_atom_max)
     if ic:
         raise NonAffineAccess(f"{consumer}: cannot bound {atom.op} over a mix of inner and outer loop variables")
-    from .ir import hdiv as _hdiv
-
-    return _hdiv(ik, e)
+    return hdiv(ik, e)
 
 
 def _var_bounds(sp, consumer: str, v: str, fps) -> tuple[Expr, Expr]:
@@ -1027,8 +1027,6 @@ def loop_range(dim: LoopDim) -> tuple[Expr, Expr]:
 def print_loop_nest(lp: LoweredPipeline, note=None) -> str:
     """The loop nest as indented text; ``note(loop)``, when given, is
     appended to each loop's line."""
-    from .printing import ExprPrinter
-
     pr = ExprPrinter("dsl")
     lines: list[str] = []
 

@@ -20,7 +20,7 @@ exception.  See docs/grammar.ebnf for the grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ir import (
     BinOp,
@@ -48,6 +48,7 @@ from .ir import (
     Var,
     rewrite,
 )
+from .printing import ExprPrinter
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -529,8 +530,6 @@ def _resolve_buffer_accesses(p: Pipeline) -> Pipeline:
     def fix_cond(c: Cond) -> Cond:
         return Cond(fix(c.expr), c.span)
 
-    from dataclasses import replace
-
     funcs = []
     for f in p.funcs:
         stages = []
@@ -577,8 +576,6 @@ def parse_schedule(text: str) -> list[Directive]:
 
 
 def print_pipeline(p: Pipeline) -> str:
-    from .printing import ExprPrinter
-
     pr = ExprPrinter("dsl")
 
     def iv(i: Interval) -> str:

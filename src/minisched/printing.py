@@ -27,6 +27,9 @@ from .ir import (
     Select,
     TableRead,
     Var,
+    and_,
+    le,
+    lt,
 )
 
 # Higher binds tighter.  Select ("?:") and "==>" sit below "||"; both are
@@ -158,8 +161,6 @@ def quantified(
 ) -> str:
     """``(\\forall int x, int y; guard; body)`` with guard defaulting to the
     conjunction of the quantifier ranges."""
-    from .ir import and_, le, lt
-
     decls = ", ".join(f"int {q.var}" for q in quants)
     if guard is None:
         parts = [and_(le(q.lo, Var(q.var)), lt(Var(q.var), q.hi)) for q in quants]

@@ -29,10 +29,11 @@ from minisched.ir import (
     Select,
     TableRead,
     Var,
+    rewrite,
     substitute,
     walk,
 )
-from minisched.lowering import Consume, Loop, NonAffineAccess, Produce, StoreStmt, lower
+from minisched.lowering import Chain, Consume, Loop, NonAffineAccess, Produce, StoreStmt, lower
 from minisched.parser import parse_pipeline, parse_schedule
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -397,6 +398,39 @@ def test_batched_out_of_bounds_store(monkeypatch):
     assert_same_run(batched, walked)
     assert batched.replayed_loops == 1
     assert any(f.kind == "out_of_bounds" for f in batched.findings)
+
+
+def test_batched_out_of_bounds_read(monkeypatch):
+    def surgery(lp):
+        # lift reads mid one whole allocation past the cell it should
+        size = lp.allocs["mid"].size
+        for n in stores(lp.root, "lift"):
+            read = next(e for e in walk(n.value) if isinstance(e, TableRead) and e.target.name == "mid")
+            n.value = rewrite(
+                n.value, lambda e: TableRead(e.target, BinOp("+", e.index, Const(size))) if e == read else None
+            )
+
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    assert {f.kind for f in batched.findings} == {"out_of_bounds"}
+    assert all(f.message.startswith("read of mid[") for f in batched.findings)
+
+
+@pytest.mark.parametrize("grant", [Chain, lambda body: Consume("mid", body)], ids=["none", "read"])
+def test_batched_uncovered_write(monkeypatch, grant):
+    def surgery(lp):
+        # mid's producer runs outside its Produce: with no permission of
+        # mid, or with the read permission of a Consume only
+        produce = lp.root.body[0]
+        assert isinstance(produce, Produce) and produce.func == "mid"
+        lp.root.body[0] = grant(produce.body)
+
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    assert {f.kind for f in batched.findings} == {"uncovered_access"}
+    assert all(f.message.startswith("write to mid[") for f in batched.findings)
 
 
 def test_batched_uninitialized_read(monkeypatch):
