@@ -393,7 +393,7 @@ class _Runner:
 
     # -- the memory detectors ---------------------------------------------
 
-    def access(self, name: str, offset, write: bool, fire: bool = False, fresh=None) -> _Cell | None:
+    def access(self, name: str, offset, write: bool, fresh=None) -> _Cell | None:
         """The cell of ``name`` once the memory detectors have run on an
         access at ``offset``, in walk order: allocation bounds, permission
         scope, initialisation (reads only, of the offsets ``fresh`` selects,
@@ -401,9 +401,10 @@ class _Runner:
 
         The walk passes one int offset: each hit is reported, the access is
         recorded in the trackers, and an access outside the allocation
-        gives None.  A batch passes an array of offsets and ``fire``: the
-        first hit raises :class:`_Fired`, and nothing is recorded before
-        its commit."""
+        gives None.  A batch passes an array of offsets: the first hit
+        raises :class:`_Fired`, and nothing is recorded before its
+        commit."""
+        fire = isinstance(offset, np.ndarray)
         cell = self.mem[name]
         size = cell.arr.shape[1]
         lo, hi = (offset.min(), offset.max()) if fire else (offset, offset)
@@ -864,7 +865,7 @@ class _Batch:
         vals = compiled(stmt.value, checked=True)(envk, self)
         self.check(vals)
         offsets = self._offsets(compiled(stmt.index)(envk, self))
-        cell = self.runner.access(stmt.target.name, offsets, write=True, fire=True)
+        cell = self.runner.access(stmt.target.name, offsets, write=True)
         self._pend(cell, offsets, vals, kept)
         if self.writes is not None:
             self.writes.append((cell, offsets, vals, kept, t))
@@ -924,13 +925,13 @@ class _Batch:
         if target.name in self.plan.rmw:
             got = self.pending.get(self.runner.mem[target.name].instance)
         if got is None:
-            cell = self.runner.access(target.name, offsets, write=False, fire=True)
+            cell = self.runner.access(target.name, offsets, write=False)
             vals = cell.arr[:, offsets]
         else:
             _, offs, _, latest = got
             pos = np.minimum(np.searchsorted(offs, offsets), len(offs) - 1)
             hit = offs[pos] == offsets
-            cell = self.runner.access(target.name, offsets, write=False, fire=True, fresh=~hit)
+            cell = self.runner.access(target.name, offsets, write=False, fresh=~hit)
             vals = np.where(hit, latest[:, pos], cell.arr[:, offsets])
         if self.runner.trackers:
             self.reads.append((cell, offsets))

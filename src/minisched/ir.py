@@ -396,7 +396,29 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """
     if not mapping:
         return e
-    return rewrite(e, lambda n: mapping.get(n.name) if isinstance(n, Var) else None)
+    match e:
+        case Var(name):
+            return mapping.get(name, e)
+        case BinOp(op, l, r):
+            return _fold(BinOp(op, substitute(l, mapping), substitute(r, mapping)))
+        case Not(x):
+            return Not(substitute(x, mapping))
+        case Select(c, t, f):
+            return Select(substitute(c, mapping), substitute(t, mapping), substitute(f, mapping))
+        case MinOf(l, r):
+            return MinOf(substitute(l, mapping), substitute(r, mapping))
+        case MaxOf(l, r):
+            return MaxOf(substitute(l, mapping), substitute(r, mapping))
+        case FuncAccess(f, args):
+            return FuncAccess(f, tuple(substitute(a, mapping) for a in args))
+        case BufAccess(b, args):
+            return BufAccess(b, tuple(substitute(a, mapping) for a in args))
+        case TableRead(t, idx):
+            return TableRead(t, substitute(idx, mapping))
+        case PermAtom(t, idx, frac):
+            return PermAtom(t, substitute(idx, mapping), frac)
+        case _:
+            return e
 
 
 def rewrite(e: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:

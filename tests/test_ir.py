@@ -41,6 +41,18 @@ def test_substitute_erases_additive_zero():
     assert substitute(e, {"x": Var("y")}) == Var("y")
 
 
+def test_substitute_is_simultaneous_when_folding_exposes_a_key():
+    # r := r - 1 in r + 1 folds back to r, which must not be substituted again
+    e = BinOp("+", Var("r"), Const(1))
+    assert substitute(e, {"r": BinOp("-", Var("r"), Const(1))}) == Var("r")
+
+
+def test_substitute_does_not_chain_through_values():
+    # x := y, y := 0 in x + y gives y + 0 = y, not 0
+    e = BinOp("+", Var("x"), Var("y"))
+    assert substitute(e, {"x": Var("y"), "y": Const(0)}) == Var("y")
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_folding_preserves_value(a: int, b: int, c: int):
     e = BinOp("+", BinOp("-", BinOp("+", Var("x"), Const(a)), Const(b)), Const(c))
