@@ -15,7 +15,9 @@ not: a sliding window read overlaps itself across iterations, and claiming
 one fraction per origin point would sum past a whole permission on interior
 cells.  They are kept in region form instead, a box in the producer's own
 coordinates that widens as each loop is crossed, so every cell is claimed
-once per nesting level no matter how the reads overlap.
+once per nesting level no matter how the reads overlap.  The box widens
+through bounds inference's range engine, ``lowering.form_range``, under the
+guards it has passed, so a split's padded tail claims no cell past them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .ir import (
     Frac,
     FuncAccess,
     MemTarget,
+    MinOf,
     PermAtom,
     PipelineError,
     Quantifier,
@@ -37,7 +40,6 @@ from .ir import (
     TableRead,
     Var,
     free_vars,
-    hdiv,
     substitute,
     walk,
 )
@@ -53,8 +55,10 @@ from .lowering import (
     Store,
     StoreStmt,
     flatten_storage,
+    form_range,
     inline_expr,
     linearize,
+    loop_range,
     poly_expr,
     storage_target,
 )
@@ -89,6 +93,10 @@ class RegionPerm:
 
     ``dim_boxes`` pairs each entity dimension with the box's low corner (an
     expression over still-free loop variables) and a constant extent.
+    ``guards`` are the guards the permission has passed on its way out of
+    the nest; widening reads them, so a dimension they cap stays inside
+    them.  A constant box folds its cap into its extent; ``caps`` holds the
+    inclusive upper bound of each capped dimension whose box is parametric.
     """
 
     target: MemTarget
@@ -97,6 +105,8 @@ class RegionPerm:
     frac: Frac
     write: bool = False
     origin: tuple = ()
+    guards: tuple[Expr, ...] = ()
+    caps: tuple[tuple[str, int], ...] = ()
 
     def quantified(self) -> Ann:
         """The box as a quantified permission atom: the form emitted, and
@@ -106,10 +116,12 @@ class RegionPerm:
             used |= free_vars(lo)
         quants = []
         point: dict[str, Expr] = {}
+        caps = dict(self.caps)
         for d, lo, ext in self.dim_boxes:
             v = _fresh_name(d, used)
             used.add(v)
-            quants.append(Quantifier(v, lo, lo + Const(ext)))
+            hi = lo + Const(ext)
+            quants.append(Quantifier(v, lo, MinOf(hi, Const(caps[d] + 1)) if d in caps else hi))
             point[d] = Var(v)
         index = self.alloc.offset(point, [q.var for q in quants])
         return Ann(
@@ -190,42 +202,6 @@ def _quantify_full(a: Ann, v: str, lo: Expr, extent: int) -> Ann:
     return replace(a, quants=(Quantifier(vf, lo, lo + Const(extent)),) + a.quants)
 
 
-def _widen_box(lo: Expr, ext: int, v: str, vlo: Expr, vextent: int) -> tuple[Expr, int]:
-    """Range of the box ``[lo, lo+ext)`` as ``v`` sweeps ``[vlo, vlo+vextent)``."""
-    coeffs, const = linearize(lo)
-    lo_form: dict = {}
-    lo_k = hi_k = const
-    vlo_c, vlo_k = linearize(vlo)
-    for key, c in coeffs.items():
-        if key == v:
-            for bk, bc in vlo_c.items():
-                lo_form[bk] = lo_form.get(bk, 0) + bc * c
-            lo_k += c * vlo_k + min(0, c * (vextent - 1))
-            hi_k += c * vlo_k + max(0, c * (vextent - 1))
-        elif not isinstance(key, str) and v in free_vars(key):
-            alo, ahi = _atom_range(key, v, vlo, vextent)
-            lo_k += c * alo if c > 0 else c * ahi
-            hi_k += c * ahi if c > 0 else c * alo
-        else:
-            lo_form[key] = lo_form.get(key, 0) + c
-    order = sorted(k for k in lo_form if isinstance(k, str))
-    return poly_expr(lo_form, lo_k, order), ext + (hi_k - lo_k)
-
-
-def _atom_range(atom: BinOp, v: str, vlo: Expr, vextent: int) -> tuple[int, int]:
-    """Numeric range of a division atom as its only variable sweeps a range."""
-    e = atom.right.value
-    if atom.op == "hmod":
-        return 0, e - 1
-    lc, lk = linearize(atom.left)
-    vc, vk = linearize(vlo)
-    if vc or set(lc) != {v}:
-        raise NonAffineAccess(f"cannot bound {atom.op} atom while widening over {v!r}")
-    c = lc[v]
-    ends = (lk + c * vk, lk + c * (vk + vextent - 1))
-    return hdiv(min(ends), e), hdiv(max(ends), e)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +214,7 @@ class _Annotator:
         self.node: dict[int, AnnSet] = {}
         self.allocs: dict[str, FlatAlloc] = lp.allocs
         self.passed_r: dict[tuple[str, int], list[str]] = {}
+        self.box: dict[str, tuple[Expr, Expr]] = {}  # enclosing loops, outermost first
 
     def run(self) -> AnnotatedPipeline:
         top = self.walk_node(self.lp.root)
@@ -405,12 +382,12 @@ class _Annotator:
             case If(cond, _, body):
                 return [self.guard_ann(a, cond) for a in self.walk_list(body)]
             case Loop(dim, _, body):
+                self.box[dim.var] = loop_range(dim)
                 inner = self.walk_list(n.symbolic if n.symbolic is not None else body)
-                if dim.kind == "serial":
-                    return self.through_serial(n, inner)
-                if dim.kind == "parallel":
-                    return self.through_parallel(n, inner)
-                return self.through_unrolled(n, inner)
+                through = {"serial": self.through_serial, "parallel": self.through_parallel}
+                out = through.get(dim.kind, self.through_unrolled)(n, inner)
+                del self.box[dim.var]
+                return out
             case Consume(g, body):
                 state = self.walk_list(body)
                 if self.include_user:
@@ -439,7 +416,7 @@ class _Annotator:
 
     def guard_ann(self, a, cond: Expr):
         if isinstance(a, RegionPerm):
-            return a  # the box over-approximates the guarded body
+            return replace(a, guards=a.guards + (cond,))  # read when the box widens
         return replace(a, body=BinOp("==>", cond, a.body))
 
     def stage_value_of(self, a, f: str) -> bool:
@@ -475,7 +452,7 @@ class _Annotator:
         value_lines: list = []
         for a in state:
             if isinstance(a, RegionPerm):
-                widened = self.widen_region(a, v, lo, ext)
+                widened = self.widen_region(a, v)
                 perm_lines.append(widened)
                 out.append(widened)
                 continue
@@ -512,7 +489,7 @@ class _Annotator:
                 held = a if a.write else replace(a, frac=replace(a.frac, par=a.frac.par + (ext,)))
                 aset.context.append(held)
                 # iterations hold split fractions; the join returns them whole
-                out.append(self.widen_region(a, v, lo, ext))
+                out.append(self.widen_region(a, v))
                 continue
             step = self.reduction_step(a, loop, parallel=True)
             if step is not None:
@@ -538,7 +515,7 @@ class _Annotator:
         out = []
         for a in state:
             if isinstance(a, RegionPerm):
-                out.append(self.widen_region(a, dim.var, dim.lo, dim.extent))
+                out.append(self.widen_region(a, dim.var))
             elif not a.live:
                 out.append(self.wake(a, loop))
             else:
@@ -550,11 +527,22 @@ class _Annotator:
             return replace(a, until=None)
         return a
 
-    def widen_region(self, a: RegionPerm, v: str, lo: Expr, ext: int) -> RegionPerm:
-        if not any(v in free_vars(b_lo) for _, b_lo, _ in a.dim_boxes):
-            return a
-        boxes = tuple((d, *_widen_box(b_lo, b_ext, v, lo, ext)) for d, b_lo, b_ext in a.dim_boxes)
-        return replace(a, dim_boxes=boxes)
+    def widen_region(self, a: RegionPerm, v: str) -> RegionPerm:
+        """``a`` over every iteration of the innermost enclosing loop, ``v``."""
+        boxes, caps = [], dict(a.caps)
+        for d, b_lo, ext in a.dim_boxes:
+            if v not in free_vars(b_lo):
+                boxes.append((d, b_lo, ext))
+                continue
+            (lc, lk), (_, hk), cap = form_range(b_lo, self.box, a.guards, set(self.box) - {v})
+            hk += ext - 1
+            if cap is not None:
+                caps[d] = min(caps.get(d, cap + ext - 1), cap + ext - 1)
+            if not lc and d in caps:
+                hk = min(hk, caps.pop(d))
+            order = sorted(k for k in lc if isinstance(k, str))
+            boxes.append((d, poly_expr(lc, lk, order), hk - lk + 1))
+        return replace(a, dim_boxes=tuple(boxes), caps=tuple(caps.items()))
 
     def reduction_step(self, a, loop: Loop, parallel: bool = False):
         """Invariant threading for reductions; None when ``a`` is uninvolved.

@@ -54,9 +54,6 @@ class NonAffineAccess(ScheduleError):
         super().__init__("NonAffineAccess", message, span)
 
 
-Term = "str | Expr"  # a loop variable, or an opaque hdiv/hmod atom
-
-
 def linearize(e: Expr) -> tuple[dict, int]:
     """Decompose ``e`` as sum(coeff * term) + const, or raise NonAffineAccess.
 
@@ -171,6 +168,65 @@ def dec(e: Expr) -> Expr:
         case BinOp("-", l, Const(v)):
             return BinOp("-", l, Const(v + 1))
     return BinOp("-", e, Const(1))
+
+
+# ---------------------------------------------------------------------------
+# Ranges
+
+
+def form_range(e: Expr, box: dict, guards, keep: set[str]) -> tuple[tuple[dict, int], tuple[dict, int], int | None]:
+    """Inclusive (lo, hi) of the affine ``e`` over ``box`` (each loop or
+    reduction variable to its inclusive lo and hi) where ``guards`` hold, as
+    linear forms in the ``keep`` variables, and a constant cap on hi or None.
+
+    Other variables give way to the end of their range that pushes the form
+    outward.  A guard ``G < N`` bounds a part ``m*G`` of the form by
+    ``m*(N - 1)``: in place once ``G`` keeps no variable, else as the cap
+    while the form is ``m*G + k``.  ``hmod`` atoms lie in ``[0, e - 1]``; an
+    ``hdiv`` atom not kept whole is closed numerically over the full box.
+    """
+    tails = []
+    for g in guards:
+        try:  # a guard that reads memory bounds no box
+            gc, gk = linearize(BinOp("-", g.left, g.right)) if getattr(g, "op", "") == "<" else ({}, 0)
+        except NonAffineAccess:
+            continue
+        if gc:
+            tails.append((gc, -1 - gk))
+
+    def side(coeffs: dict, const: int, s: int, keep: set[str]) -> tuple[dict, int, int | None]:
+        def kept(t) -> bool:
+            return t in keep if isinstance(t, str) else free_vars(t) <= keep
+
+        coeffs, cap = dict(coeffs), None
+        for _ in range(1000):  # a loop whose range names itself never closes
+            for gc, top in tails:
+                t0, c0 = next(iter(gc.items()))
+                m = s * coeffs.get(t0, 0) // c0  # the multiple of G in the form
+                if m > 0 and all(coeffs.get(t) == s * m * c for t, c in gc.items()):
+                    if not any(kept(t) for t in gc):
+                        coeffs, const = _merge(coeffs, {t: m * c for t, c in gc.items()}, -s), const + s * m * top
+                    elif s > 0 and len(coeffs) == len(gc):
+                        cap = m * top + const if cap is None else min(cap, m * top + const)
+            loose = [t for t in coeffs if not kept(t)]
+            if not loose:
+                return coeffs, const, cap
+            c = coeffs.pop(t := loose[0])
+            up = c * s > 0
+            if isinstance(t, str):
+                if t not in box:
+                    raise NonAffineAccess(f"access mentions unknown variable {t!r}")
+                bc, bk = linearize(box[t][1] if up else box[t][0])
+                coeffs, const = _merge(coeffs, {v: c * x for v, x in bc.items()}, 1), const + c * bk
+            elif t.op == "hmod":
+                const += c * (t.right.value - 1 if up else 0)
+            else:
+                const += c * hdiv(side(*linearize(t.left), 1 if up else -1, set())[1], t.right.value)
+        raise NonAffineAccess("could not close access bounds over loop variables")
+
+    lc, lk, _ = side(*linearize(e), -1, keep)
+    hc, hk, cap = side(*linearize(e), 1, keep)
+    return (lc, lk), (hc, hk), cap
 
 
 # ---------------------------------------------------------------------------
@@ -596,95 +652,36 @@ def _collect_accesses(sp, name: str, inline_body: dict[str, Expr]) -> list[tuple
     return out
 
 
-def _axis_range(sp, fname: str, ax: Axis, fps) -> tuple[Expr, Expr]:
-    """Inclusive (lo, hi) of one loop, possibly in outer-loop variables."""
-    if ax.original:
-        fd = fps[fname].compute[ax.root]
-        return fd.lo, dec(fd.hi)
-    return Const(0), Const(ax.extent - 1)
+def _loop_box(sp, consumer: str, fps) -> dict[str, tuple[Expr, Expr]]:
+    """Inclusive (lo, hi) of every loop and reduction variable of
+    ``consumer``, possibly in outer-loop variables."""
+    sf = sp.funcs[consumer]
+    dims = {r: s.rdom.interval(r) for s in sf.func.stages if s.rdom is not None for r in s.rdom.names()}
+    for ax in sf.axes:
+        dims[ax.var] = fps[consumer].compute[ax.root] if ax.original else FootDim(Const(0), ax.extent)
+    return {v: (d.lo, dec(d.lo + d.extent)) for v, d in dims.items()}
 
 
 def _region(sp, sf: ScheduledFunc, accesses, free: list[str], fps) -> dict[str, FootDim]:
     region: dict[str, FootDim] = {}
     split_roots = {r for a in sf.axes if not a.original for r in a.roots}
+    boxes = {consumer: _loop_box(sp, consumer, fps) for consumer, _ in accesses}
     for idx, (dname, iv) in enumerate(sf.func.dims):
         if dname in split_roots:
             # A split or fused dimension iterates over its declared range, so
             # the storage must cover it regardless of what consumers touch.
             region[dname] = FootDim(iv.lo, iv.extent)
             continue
-        mins = []
-        maxs = []
-        for consumer, args in accesses:
-            mins.append(_extreme(sp, consumer, args[idx], free, fps, want_max=False))
-            maxs.append(_extreme(sp, consumer, args[idx], free, fps, want_max=True))
-        lo_c, lo_k = _combine(mins, take_max=False, who=sf.func.name)
-        hi_c, hi_k = _combine(maxs, take_max=True, who=sf.func.name)
-        if _merge(hi_c, lo_c, -1):
-            raise NonAffineAccess(f"{sf.func.name}.{dname}: footprint extent is not constant")
-        region[dname] = FootDim(poly_expr(lo_c, lo_k, free), hi_k - lo_k + 1)
+        los, his = zip(*(
+            form_range(args[idx], boxes[consumer], sp.funcs[consumer].guards, set(free))[:2]
+            for consumer, args in accesses
+        ))
+        shape = los[0][0]
+        if any(c != shape for c, _ in los + his):
+            raise NonAffineAccess(f"{sf.func.name}.{dname}: footprint bounds differ in shape; its extent is not constant")
+        lo_k, hi_k = min(k for _, k in los), max(k for _, k in his)
+        region[dname] = FootDim(poly_expr(shape, lo_k, free), hi_k - lo_k + 1)
     return region
-
-
-def _extreme(sp, consumer: str, e: Expr, free: list[str], fps, want_max: bool) -> tuple[dict, int]:
-    """Extremal value of an affine access over all loops not in ``free``."""
-    coeffs, const = linearize(e)
-    freeset = set(free)
-
-    def is_free(k) -> bool:
-        if isinstance(k, str):
-            return k in freeset
-        return free_vars(k) <= freeset
-
-    for _ in range(1000):
-        inner = [k for k in coeffs if not is_free(k)]
-        if not inner:
-            return coeffs, const
-        k = inner[0]
-        c = coeffs.pop(k)
-        if isinstance(k, str):
-            lo, hi = _var_bounds(sp, consumer, k, fps)
-            bound = hi if (c > 0) == want_max else lo
-            bc, bk = linearize(bound)
-            coeffs = _merge(coeffs, {bv: bcv * c for bv, bcv in bc.items()}, 1)
-            const += c * bk
-        else:
-            const += c * _atom_bound(sp, consumer, k, freeset, fps, want_atom_max=(c > 0) == want_max)
-    raise NonAffineAccess(f"{consumer}: could not close access bounds over loop variables")
-
-
-def _atom_bound(sp, consumer: str, atom: BinOp, freeset: set[str], fps, want_atom_max: bool) -> int:
-    """Numeric extreme of a division or remainder atom over non-free loops."""
-    e = atom.right.value
-    if atom.op == "hmod":
-        return e - 1 if want_atom_max else 0
-    ic, ik = _extreme(sp, consumer, atom.left, list(freeset), fps, want_max=want_atom_max)
-    if ic:
-        raise NonAffineAccess(f"{consumer}: cannot bound {atom.op} over a mix of inner and outer loop variables")
-    return hdiv(ik, e)
-
-
-def _var_bounds(sp, consumer: str, v: str, fps) -> tuple[Expr, Expr]:
-    """Inclusive bounds of a loop or reduction variable of ``consumer``."""
-    sf = sp.funcs[consumer]
-    for ax in sf.axes:
-        if ax.var == v:
-            return _axis_range(sp, consumer, ax, fps)
-    for s in sf.func.stages:
-        if s.rdom is not None and v in s.rdom.names():
-            iv = s.rdom.interval(v)
-            return iv.lo, Const(iv.lo_int + iv.extent - 1)
-    raise NonAffineAccess(f"{consumer}: access mentions unknown variable {v!r}")
-
-
-def _combine(forms, take_max: bool, who: str) -> tuple[dict[str, int], int]:
-    best = forms[0]
-    for c, k in forms[1:]:
-        if c != best[0]:
-            raise NonAffineAccess(f"{who}: consumer accesses disagree in shape; cannot union footprints")
-        if (k > best[1]) == take_max:
-            best = (c, k)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +937,11 @@ class _Builder:
                 gsf = self.sp.funcs[g]
                 if gsf.store_site == gsf.compute_site:
                     inner = [Store(g, self.allocs[g], inner)]
+            if site in self.at_site:
+                # a padded tail iteration of the consumer runs nothing, so
+                # neither do the producers computed inside it
+                for c in reversed(self.tail_guards(name, inner_scope, ren)):
+                    inner = [If(c, (name, s.index), inner)]
             for g in reversed(self.store_only_site.get(site, [])):
                 inner = [Store(g, self.allocs[g], inner)]
 
@@ -954,6 +956,11 @@ class _Builder:
             loop.body = copies
         return [loop]
 
+    def tail_guards(self, name: str, scope: list[str], ren: dict[str, Expr]) -> list[Expr]:
+        """The split guards of ``name`` whose loops are all in ``scope``."""
+        guards = (substitute(g, ren) for g in self.sp.funcs[name].guards)
+        return [g for g in guards if free_vars(g) <= set(scope)]
+
     def stmts(self, name: str, s: Stage, scope: list[str], ren: dict[str, Expr]) -> list[Node]:
         sf = self.sp.funcs[name]
         alloc = self.allocs[name]
@@ -964,12 +971,7 @@ class _Builder:
         index = alloc.offset(point, scope)
         value = self.lower_value(name, s.rhs, scope, ren)
         nodes: list[Node] = [StoreStmt(name, s.index, storage_target(self.p, name), index, value, point)]
-        conds: list[Expr] = []
-        in_scope = set(scope)
-        for g in sf.guards:
-            g = substitute(g, ren)
-            if free_vars(g) <= in_scope:
-                conds.append(g)
+        conds = self.tail_guards(name, scope, ren)
         if s.guard is not None:
             conds.append(self.lower_value(name, s.guard, scope, ren))
         for c in reversed(conds):

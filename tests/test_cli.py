@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -53,8 +56,10 @@ def test_encode_matches_golden(capsys, algo):
     assert capsys.readouterr().out == (GOLDEN / f"{algo}.pvl").read_text()
 
 
-def check(capsys, algo: str, schedule: pathlib.Path, *flags: str) -> tuple[int, list[dict]]:
-    status = cli.main(["check", str(ROOT / "corpus" / f"{algo}.hal"), str(schedule), *flags])
+def check(capsys, algo: str | pathlib.Path, schedule: pathlib.Path, *flags: str) -> tuple[int, list[dict]]:
+    """``algo`` names a corpus algorithm or is the path of one."""
+    hal = algo if isinstance(algo, pathlib.Path) else ROOT / "corpus" / f"{algo}.hal"
+    status = cli.main(["check", str(hal), str(schedule), *flags])
     reports = json.loads(capsys.readouterr().out)
     for r in reports:
         del r["stats"]["millis"]
@@ -74,15 +79,38 @@ def test_check_prints_one_report_per_seed(capsys):
 
 
 def test_check_fails_with_status_one(capsys, tmp_path):
-    # a tail split reads src[90] outside its 90-cell allocation
-    sched = tmp_path / "tail.sched"
-    sched.write_text("lift.split(y, o1, i1, 5); base.unroll(y);")
-    status, reports = check(capsys, "chain3", sched, "--scale", "n=9", "--plain", "--seeds", "7")
+    # the algorithm itself reads inp[8] outside its 8-cell allocation
+    algo = tmp_path / "shift.hal"
+    algo.write_text(
+        "pipeline shift(inp) -> out {\n"
+        "  buffer inp(x in [0, 8));\n"
+        "  func out(x in [0, 8)) { out(x) = inp(x + 1); }\n"
+        "}\n"
+    )
+    sched = tmp_path / "root.sched"
+    sched.write_text("")
+    status, reports = check(capsys, algo, sched, "--plain", "--seeds", "7")
     assert status == 1
     assert [(r["seed"], r["verdict"]) for r in reports] == [(7, "fail")]
-    assert "read of src[90] outside its 90-cell allocation" in [
-        f["message"] for f in reports[0]["findings"]
+    messages = [f["message"] for f in reports[0]["findings"]]
+    assert "read of inp[8] outside its 8-cell allocation" in messages
+    assert "reference semantics undefined: reference evaluation reads inp out of bounds" in messages
+
+
+def test_python_m_minisched_runs_the_command():
+    argv = [
+        "annotate",
+        str(ROOT / "corpus" / "count.hal"),
+        str(ROOT / "corpus" / "schedules" / "count" / "par.sched"),
+        "--scale",
+        "w=4",
     ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "minisched", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / "count_par_annotate.txt").read_text()
 
 
 def test_nest_marks_the_loops_that_head_a_batch(capsys):

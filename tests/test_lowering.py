@@ -6,10 +6,10 @@ import dataclasses
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minisched.ir import BinOp, Const, ScheduleError, Var, eval_const
+from minisched.ir import BinOp, Const, MemTarget, ScheduleError, TableRead, Var, eval_const, free_vars, lt
 from minisched.lowering import (
     Consume,
     If,
@@ -21,6 +21,7 @@ from minisched.lowering import (
     apply_directives,
     build_loop_nest,
     fold_divmod,
+    form_range,
     infer_bounds,
     linearize,
     lower,
@@ -93,6 +94,87 @@ def test_divmod_folding_requires_matching_stride():
     div = BinOp("hdiv", Var("v"), Const(4))
     coeffs, const = fold_divmod({mod: 1, div: 5}, 0)
     assert mod in coeffs and div in coeffs
+
+
+# -- the range engine ---------------------------------------------------------
+#
+# A split of n by f: o in [0, ceil(n/f)), i in [0, f), tail guard o*f + i < n,
+# plus a loop z whose range moves with o, as a producer's loop under a site.
+
+
+def split_box(n: int, f: int, zlo: int = 0, zw: int = 0) -> dict:
+    o = Var("o")
+    return {
+        "o": (Const(0), Const(-(-n // f) - 1)),
+        "i": (Const(0), Const(f - 1)),
+        "z": (o + zlo, o + (zlo + zw)),
+    }
+
+
+def tail(n: int, f: int):
+    return lt(Var("o") * f + Var("i"), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 4), st.integers(-3, 3), st.integers(0, 3),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    st.sampled_from(["none", "hdiv", "hmod"]), st.lists(st.integers(-2, 3), min_size=4, max_size=4),
+    st.integers(1, 4), st.booleans(), st.sets(st.sampled_from("oiz")), st.integers(-2, 3),
+)
+def test_form_range_holds_at_every_guarded_point(n, f, zlo, zw, cs, atom, ac, e, guarded, keep, g):
+    o, i, z = Var("o"), Var("i"), Var("z")
+    form = (o * f + i) * g + o * cs[0] + i * cs[1] + z * cs[2] + cs[3]
+    if atom != "none":
+        form = form + BinOp(atom, o * ac[0] + i * ac[1] + z * ac[2] + ac[3], Const(e)) * cs[4]
+    box = split_box(n, f, zlo, zw)
+    guards = [tail(n, f)] if guarded else []
+    (lc, lk), (hc, hk), cap = form_range(form, box, guards, set(keep))
+    assert all((free_vars(t) if isinstance(t, BinOp) else {t}) <= keep for t in (*lc, *hc))
+    for ov in range(-(-n // f)):
+        for iv in range(f):
+            if guarded and ov * f + iv >= n:
+                continue
+            for zv in range(ov + zlo, ov + zlo + zw + 1):
+                env = {"o": ov, "i": iv, "z": zv}
+                value = eval_const(form, env)
+                assert eval_const(poly_expr(lc, lk, []), env) <= value
+                assert value <= eval_const(poly_expr(hc, hk, []), env)
+                assert cap is None or value <= cap
+
+
+@given(st.integers(1, 30), st.integers(1, 6), st.integers(-5, 5), st.integers(1, 5), st.integers(1, 3))
+def test_form_range_is_exact_on_a_tail_guard_form(n, f, k, e, m):
+    # m times the guard's form plus a constant, as a split of the outer
+    # half of an evenly divided split gives
+    form = (Var("o") * f + Var("i")) * m + k
+    box, guards = split_box(n, f), [tail(n, f)]
+    assert form_range(form, box, guards, set()) == (({}, k), ({}, m * (n - 1) + k), None)
+    # with the outer loop kept, the hi stays affine and the guard is the cap
+    kept = form_range(form, box, guards, {"o"})
+    assert kept == (({"o": m * f}, k), ({"o": m * f}, m * (f - 1) + k), m * (n - 1) + k)
+    # the guard holds inside an hdiv atom that the box closes numerically
+    lo, hi, _ = form_range(BinOp("hdiv", form, Const(e)), box, guards, set())
+    assert (lo, hi) == (({}, k // e), ({}, (m * (n - 1) + k) // e))
+
+
+def test_form_range_ignores_a_guard_that_reads_memory():
+    data = lt(TableRead(MemTarget("buffer", "inp"), Var("i")), 3)
+    assert form_range(Var("i"), split_box(4, 4), [data], set()) == (({}, 0), ({}, 3), None)
+
+
+def test_a_loop_range_that_names_itself_is_a_typed_error():
+    # mid's loop x ranges over [x, x + 1] in lift's own x: bounds for base
+    # never close, and lowering says so instead of looping
+    with pytest.raises(NonAffineAccess):
+        lower(load("chain3", {"n": 9}), sched("mid.compute_at(lift, x); base.parallel(x);"))
+
+
+def test_compute_at_producer_runs_inside_the_consumer_tail_guard():
+    lp = lower(load("chain3", {"n": 9}), sched("lift.split(y, yo, yi, 4); mid.compute_at(lift, yi);"))
+    guard = next(n for n in walk_nodes(lp.root) if isinstance(n, If) and n.owner == ("lift", 0))
+    (store,) = guard.body
+    assert isinstance(store, Store) and [type(n) for n in store.body] == [Produce, Consume]
 
 
 # -- the reference blur schedule --------------------------------------------
