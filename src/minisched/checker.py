@@ -7,8 +7,9 @@ evaluations is the context passed for the leaves:
 * ``eval_reference`` computes every function of a pipeline directly from
   its definition, stage by stage over full declared domains; it is the
   semantic baseline.  Its reads (``load``) gather whole grids from the
-  declared allocations; a read outside the callee's declared domain faults
-  only at the points whose value takes it.
+  declared allocations; a read outside the callee's declared domain
+  faults.  The evaluator reads an untaken ``select`` branch at no point, so
+  only a read that a point's value takes can fault.
 * ``run_lowered`` executes a built loop nest the way the emitted C would.
   Its ``load`` and ``check`` hooks watch for the things a verifier would
   reject: reads of cells never written, out-of-range indexes, values
@@ -19,8 +20,9 @@ evaluations is the context passed for the leaves:
   the first.
 * ``check_annotations`` runs the same execution and evaluates every
   annotation at its boundaries over its quantifier grid; its ``load``
-  clips out-of-range reads and reports those a point-by-point evaluation
-  takes.
+  reports an out-of-range read and clips it.  Untaken ``select`` branches
+  and right sides of ``==>`` are not read, so every read it reports is
+  taken.
 
 All of them evaluate all random seeds at once: control flow never depends
 on data (guards mention loop variables only), so one walk of the nest
@@ -96,6 +98,7 @@ from .ir import (
     domain_grid,
     eval_const,
     free_vars,
+    narrow,
     walk,
     wrap_int64,
     _CLOSED,
@@ -195,23 +198,17 @@ class ReferenceFault(ValueError):
 
 class _Declared:
     """Storage of the reference semantics: one (lanes, size) array per
-    entity in its declared layout.  Reads keep the lane axis leading.  Over
-    a grid an out-of-range read is clipped and flags its points; at one
-    point it raises :class:`ReferenceFault`."""
+    entity in its declared layout.  Reads keep the lane axis leading; an
+    out-of-range read raises :class:`ReferenceFault`."""
 
     def __init__(self, mem: dict[str, np.ndarray]):
         self.mem = mem
-        self.flagged: np.ndarray | None = None
 
-    def load(self, target: MemTarget, index):
+    def load(self, target: MemTarget, index, env):
         arr = self.mem[target.name]
         idx = np.atleast_1d(index)
-        bad = (idx < 0) | (idx >= arr.shape[1])
-        if bad.any():
-            if self.flagged is None:
-                raise ReferenceFault(f"reference evaluation reads {target.name} out of bounds")
-            self.flagged |= bad.any(axis=0) if bad.ndim == 2 else bad
-            idx = np.clip(idx, 0, arr.shape[1] - 1)
+        if ((idx < 0) | (idx >= arr.shape[1])).any():
+            raise ReferenceFault(f"reference evaluation reads {target.name} out of bounds")
         return arr[:, idx]
 
 
@@ -271,16 +268,16 @@ def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.n
                 ]
             for rstep in rsteps:
                 full_env = env | rstep
-                mem.flagged = np.zeros(n, dtype=bool)
-                vals = rhs(full_env, mem)
-                held = None if guard is None else guard(full_env, mem) != 0
-                flagged, mem.flagged = mem.flagged, None
-                # flagged points again, one at a time: a Select takes one branch
-                for i in np.flatnonzero(flagged):
-                    at = full_env | {d: int(env[d][i]) for d in dims}
-                    if guard is None or np.any(guard(at, mem) != 0):
-                        rhs(at, mem)
-                out[:, idx] = vals if held is None else np.where(held, vals, out[:, idx])
+                if guard is None:
+                    out[:, idx] = rhs(full_env, mem)
+                    continue
+                held = np.broadcast_to(guard(full_env, mem) != 0, (lanes, n))
+                # a point runs where any lane holds its guard
+                keep = held.any(axis=0)
+                if keep.any():
+                    at = idx[keep]
+                    vals = rhs(narrow(full_env, keep), mem)
+                    out[:, at] = np.where(held[:, keep], vals, out[:, at])
     return mem.mem
 
 
@@ -482,7 +479,7 @@ class _Runner:
 
     # -- evaluation context of statement values ---------------------------
 
-    def load(self, target: MemTarget, index):
+    def load(self, target: MemTarget, index, env):
         offset = int(index)
         cell = self.access(target.name, offset, write=False)
         if cell is None or not cell.init[offset]:
@@ -601,9 +598,9 @@ class _Runner:
             batch.run(lo, env)
             if self.obs is not None:
                 self.obs.check_batch(plan, lo, batch, env)
-        except Exception:
-            # a detector fired, an annotation failed, or evaluation failed;
-            # the walk meets any of them in its own order
+        except _Fired:
+            # a detector fired or an annotation failed; the walk meets it
+            # in its own order
             self.replayed_loops += 1
             return False
         batch.commit()
@@ -683,10 +680,7 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
     statement's index mentions every pure loop of more than one iteration.
     Pure iterations then share no memory dependence as long as no cell is
     written by two of them, which the batch checks, so the order of their
-    reads and writes changes no value.  A select whose condition varies
-    with the nest alone (so a walk takes one branch per iteration) must not
-    read memory in its branches, so that the batch reads exactly the cells
-    the walk reads.
+    reads and writes changes no value.
     """
     loops = [loop]
     while len(loops[-1].body) == 1:
@@ -727,7 +721,6 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
         spans[id(step)] = step.dim.extent * sum(spans[id(n)] for n in step.body)
         entries = [((step,) + path, s) for path, s in entries]
     written = {s.target.name for _, s in entries}
-    nest = {n.dim.var for n in loops} | {x.dim.var for path, _ in entries for x in path if isinstance(x, Loop)}
     rmw = set()
     for path, s in entries:
         if any(_reads(x) for x in path if not isinstance(x, Loop)) or _reads(s.index):
@@ -739,13 +732,6 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
                 if n.target.name != s.target.name or n.index != s.index:
                     return None
                 rmw.add(n.target.name)
-            elif (
-                isinstance(n, Select)
-                and nest & free_vars(n.cond)
-                and not _reads(n.cond)
-                and (_reads(n.if_true) or _reads(n.if_false))
-            ):
-                return None
         # two pure iterations that differ only in an unmentioned loop
         # would read and write one cell
         if s.target.name in rmw and any(
@@ -801,7 +787,6 @@ class _Batch:
     def __init__(self, runner: _Runner, plan: BatchPlan):
         self.runner = runner
         self.plan = plan
-        self.n = 0  # pure iterations of the statement being evaluated
         # (cell, offsets) of each read, kept only for an enclosing parallel
         # loop's tracker
         self.reads: list[tuple[_Cell, np.ndarray]] = []
@@ -837,8 +822,7 @@ class _Batch:
                 # iterations read nothing
                 keep = compiled(n.cond)(envk, self) != 0
                 if np.ndim(keep):
-                    narrowed = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in envk.items()}
-                    self._walk(n.body, kept[keep], narrowed, steps, t)
+                    self._walk(n.body, kept[keep], narrow(envk, keep), steps, t)
                 elif keep:
                     self._walk(n.body, kept, envk, steps, t)
                 t += self.plan.spans[id(n)]
@@ -861,16 +845,15 @@ class _Batch:
             self.marks.append((node, kept, {v: envk[v] for v in steps}, t))
 
     def _store(self, stmt: StoreStmt, kept: np.ndarray, envk: dict, steps: tuple[str, ...], t: int):
-        self.n = len(kept)
         vals = compiled(stmt.value, checked=True)(envk, self)
         self.check(vals)
-        offsets = self._offsets(compiled(stmt.index)(envk, self))
+        offsets = np.broadcast_to(self._offsets(compiled(stmt.index)(envk, self)), kept.shape)
         cell = self.runner.access(stmt.target.name, offsets, write=True)
         self._pend(cell, offsets, vals, kept)
         if self.writes is not None:
             self.writes.append((cell, offsets, vals, kept, t))
         self._mark(stmt, kept, envk, steps, t)
-        self.points += self.n
+        self.points += len(kept)
 
     def _pend(self, cell: _Cell, offsets: np.ndarray, vals, kept: np.ndarray):
         """Make ``vals`` the latest pending values of ``cell`` at
@@ -909,17 +892,17 @@ class _Batch:
                 tr.record(cell, offsets, write=True)
         self.runner.points += self.points
 
-    def _offsets(self, index) -> np.ndarray:
-        offsets = np.asarray(index, dtype=np.int64)
-        if offsets.ndim == 0:
-            return np.full(self.n, offsets)
-        if offsets.shape != (self.n,):
+    @staticmethod
+    def _offsets(index) -> np.ndarray:
+        """An index as offsets over the points, one where it is a scalar."""
+        offsets = np.atleast_1d(np.asarray(index, dtype=np.int64))
+        if offsets.ndim > 1:
             raise _Fired  # an index that varies by lane
         return offsets
 
     # -- evaluation context of statement values ---------------------------
 
-    def load(self, target: MemTarget, index):
+    def load(self, target: MemTarget, index, env):
         offsets = self._offsets(index)
         got = None
         if target.name in self.plan.rmw:
@@ -981,17 +964,15 @@ class _AnnObserver:
         self.perms: dict[int, tuple[int, list]] = {}  # per annotation set, see _perms
         self.names: dict[int, set[str]] = {}  # per annotation, the variables of its body
         self.site = ""  # the boundary being checked, for findings
-        # under a batched check: the batch, each grid point's event time,
-        # the batch's writes per cell instance sorted by offset and stamp,
-        # and the instantiations to add on commit; the walk reads storage
-        # as it stands
+        # under a batched check: the batch, its writes per cell instance
+        # sorted by offset and stamp, and the instantiations to add on
+        # commit; each grid point's event time travels in the environment
+        # (``_WHEN``), and the walk reads storage as it stands
         self.batch: _Batch | None = None
-        self.when: np.ndarray | None = None
         self.staged: dict[int, tuple | None] = {}
         self.pending = 0
-        # the grid points whose reads left an allocation, and on the walk
-        # the entities whose out-of-range read this evaluation reported
-        self.flagged: np.ndarray | None = None
+        # on the walk, the entities whose out-of-range read this evaluation
+        # reported
         self.reported: set[str] = set()
 
     def aset(self, node):
@@ -1063,7 +1044,7 @@ class _AnnObserver:
                 elif self._values_at(node, ("invariants",)):
                     self.serial_boundary(node, *self._stacked(plan, lo, env, group))
         finally:
-            self.batch, self.when, self.staged = None, None, {}
+            self.batch, self.staged = None, {}
             del self.ledgers[depth:]
 
     @staticmethod
@@ -1078,11 +1059,11 @@ class _AnnObserver:
         slots = np.concatenate([np.full(len(r), t, dtype=np.int64) for r, _, t in group])
         return events, ranks * plan.slots + slots
 
-    def _staged_read(self, cell: _Cell, idx: np.ndarray):
-        """``cell`` at offsets ``idx`` as each grid point's event saw it:
-        the latest batch write to the cell stamped before the event's time,
-        or the pre-batch value where there is none."""
-        idx, when = np.broadcast_arrays(idx, np.atleast_1d(self.when))
+    def _staged_read(self, cell: _Cell, idx: np.ndarray, when: np.ndarray):
+        """``cell`` at offsets ``idx`` as each grid point's event saw it at
+        its time ``when``: the latest batch write to the cell stamped
+        before that time, or the pre-batch value where there is none."""
+        idx, when = np.broadcast_arrays(idx, when)
         if cell.instance not in self.staged:
             self.staged[cell.instance] = self._stage(cell)
         staged = self.staged[cell.instance]
@@ -1314,28 +1295,6 @@ class _AnnObserver:
     def _failing(self, body: Expr, envq, site: str):
         """False when ``body`` holds at every point of ``envq``; otherwise
         the lanes it fails in, None when it fails in every lane."""
-        # leading implications are grid guards: restrict the grid to points
-        # they keep, so excluded points are never read at all
-        while isinstance(body, BinOp) and body.op == "==>":
-            cv = np.asarray(self._vec(body.left, envq, site))
-            if cv.ndim >= 2:
-                break  # data-dependent guard; evaluate in place
-            if cv.ndim == 0:
-                if cv == 0:
-                    return False
-                body = body.right
-                continue
-            keep = cv != 0
-            if not keep.any():
-                return False
-            if not keep.all():
-                envq = {
-                    k: v[keep]
-                    if isinstance(v, np.ndarray) and v.shape == keep.shape
-                    else v
-                    for k, v in envq.items()
-                }
-            body = body.right
         vals = np.asarray(self._vec(body, envq, site))
         if vals.ndim == 2:
             ok = (vals != 0).all(axis=1)
@@ -1346,28 +1305,13 @@ class _AnnObserver:
         """Annotation body over a quantifier grid, lanes leading when any
         storage is read.  Shapes are scalar, (points,), or (lanes, points).
 
-        Where a ``Select`` over the grid evaluates both branches, an
-        out-of-range read only flags its points; those are evaluated again
-        one at a time, where a scalar condition takes one branch.  The walk
-        reports the first read taken out of range per entity; a batched
-        check fires on it."""
+        Every read is taken: the evaluator reads an untaken ``select``
+        branch, or the right side of ``==>`` where the left fails, at no
+        point.  The walk reports the first read out of range per entity; a
+        batched check fires on it."""
         self.site = site
-        self.when = envq.get(_WHEN)
-        fn = compiled(e, checked=True)
         self.reported = set()
-        n = next((v.size for v in envq.values() if isinstance(v, np.ndarray)), 0)
-        if not n:
-            return fn(envq, self)
-        self.flagged = np.zeros(n, dtype=bool)
-        try:
-            vals = fn(envq, self)
-        finally:
-            flagged, self.flagged = self.flagged, None
-        for i in np.flatnonzero(flagged):
-            point = {k: v[i] if isinstance(v, np.ndarray) else v for k, v in envq.items()}
-            self.when = point.get(_WHEN)
-            fn(point, self)
-        return vals
+        return compiled(e, checked=True)(envq, self)
 
     @staticmethod
     def check(v):
@@ -1375,22 +1319,20 @@ class _AnnObserver:
         # batch's arrays; a statement that overflows reports it
         return wrap_int64(v)
 
-    def load(self, target: MemTarget, index):
+    def load(self, target: MemTarget, index, env):
         idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
         cell = self.runner.mem[target.name]
         size = cell.arr.shape[1]
-        if self.when is not None and idx.ndim > 1:
+        when = env.get(_WHEN)
+        if when is not None and idx.ndim > 1:
             raise _Fired  # the walk meets an index that varies by lane one event at a time
         bad = (idx < 0) | (idx >= size)
         if bad.any():
-            if self.flagged is not None:
-                hit = bad.any(axis=0) if bad.ndim == 2 else bad
-                self.flagged |= hit if hit.shape == self.flagged.shape else True
-            elif self.when is not None:
+            if when is not None:
                 raise _Fired  # the walk reports this read
-            elif target.name not in self.reported:
+            if target.name not in self.reported:
                 self.reported.add(target.name)
-                off = int(idx[bad][0])
+                off = int(idx.T[bad.T][0])  # at the first point, then lane
                 self.runner.report(
                     "out_of_bounds",
                     f"annotation reads {target.name}[{off}] outside its"
@@ -1399,8 +1341,8 @@ class _AnnObserver:
                     dedupe=("ann_oob", target.name, off, self.site),
                 )
             idx = np.clip(idx, 0, size - 1)
-        if self.when is not None:
-            return self._staged_read(cell, idx)
+        if when is not None:
+            return self._staged_read(cell, idx, when)
         return cell.arr[:, idx]
 
     # -- the permission ledger ---------------------------------------------

@@ -47,6 +47,7 @@ from .ir import (
     eq,
     le,
     lt,
+    narrow,
     rewrite,
     substitute,
     walk,
@@ -487,14 +488,19 @@ def _size(domains) -> int:
 
 def _gather(table: np.ndarray, flat):
     """Table entries at flat indices; a table the same in every lane gives
-    values without a lane axis."""
-    return table[0, flat] if len(table) == 1 else table[:, flat]
+    values without a lane axis, any other keeps the lane axis leading."""
+    return table[0, flat] if len(table) == 1 else table[:, np.atleast_1d(flat)]
 
 
 def _held(vals, n: int) -> np.ndarray:
     """Whether a grid value holds, as (lanes or 1, n)."""
     v = np.asarray(vals) != 0
     return np.broadcast_to(v, (v.shape[0] if v.ndim == 2 else 1, n))
+
+
+def _first(a, i: int) -> int:
+    """Entry ``i`` of a points vector, or the scalar ``a``."""
+    return int(a[i]) if np.ndim(a) else int(a)
 
 
 class _FrontEval:
@@ -507,10 +513,9 @@ class _FrontEval:
     the start.  A call is a clipped gather from the callee's table; a read
     of a point not built yet is a termination finding and reads 0.
 
-    Over a grid, where a ``Select`` evaluates both branches, a fault only
-    flags its points.  Those are evaluated again one at a time, where a
-    scalar condition takes one branch, and only the faults met there are
-    reported.
+    The evaluator reads an untaken ``select`` branch, or the right side of
+    ``==>`` where the left fails, at no point, so every fault met over a
+    grid is taken and reported, at its first point.
     """
 
     def __init__(self, prog: EncodedProgram, p: Pipeline, inputs):
@@ -521,7 +526,6 @@ class _FrontEval:
             layout = flat_alloc(b).cell(domain_grid(self.decls[b.name].domains))
             self.tables[b.name] = inputs[b.name].astype(np.int64)[:, layout]
         self.building: dict[str, tuple[int, ...]] = {}  # the step under way
-        self.flagged: np.ndarray | None = None  # over a grid: its flagged points
         self.site: str | None = None  # the declaration whose body runs
         self.findings: list = []
         self.points = 0
@@ -542,13 +546,14 @@ class _FrontEval:
 
     def check(self, v):
         """Bodies compute in 32-bit ints: a value beyond them is an
-        overflow.  Exact ints wrap to int64, as arrays do."""
+        overflow, reported with the lanes of its first point.  Exact ints
+        wrap to int64, as arrays do."""
         if self.site is not None:
             bad = (v < INT32_MIN) | (v > INT32_MAX)
-            if self.flagged is not None:
-                self.flagged |= bad.any(axis=0) if np.ndim(bad) == 2 else bad
-            elif np.any(bad):
-                lanes = tuple(np.flatnonzero(bad).tolist()) if np.ndim(bad) else None
+            if np.any(bad):
+                lanes = None
+                if np.ndim(bad) == 2:
+                    lanes = tuple(np.flatnonzero(bad[:, np.argmax(bad.any(axis=0))]).tolist())
                 msg = "intermediate value leaves the signed 32-bit range"
                 self.report("overflow", msg, ("overflow", self.site), self.site, lanes)
         return wrap_int64(v)
@@ -562,8 +567,8 @@ class _FrontEval:
         abstract (buffer) function applied at a point, or over the grid."""
         d = self.decls[name]
         table = self.table(name)
-        grid = self.flagged is not None
-        if any(np.ndim(a) > grid for a in args):
+        # values that depend on the inputs keep a lane axis
+        if any(np.ndim(a) > 1 for a in args):
             raise EncodeError(
                 "DataDependentIndex", f"{name} is applied at an index that depends on input values"
             )
@@ -576,11 +581,10 @@ class _FrontEval:
                 below = below | (same & (at[v] < s))
                 same = same & (at[v] == s)
             unbuilt = np.logical_not(below)
-            if grid:
-                self.flagged |= unbuilt
-            elif unbuilt:
-                point = tuple(map(int, args))
-                cur = tuple(int(at[v]) for v in d.decreases)
+            if np.any(unbuilt):
+                i = int(np.argmax(unbuilt)) if np.ndim(unbuilt) else 0
+                point = tuple(_first(a, i) for a in args)
+                cur = tuple(_first(at[v], i) for v in d.decreases)
                 self.report(
                     "termination",
                     f"{name}{point} recursed without decreasing ({step} to {cur})"
@@ -588,24 +592,22 @@ class _FrontEval:
                     else f"{name}{point} is called while it is being evaluated",
                     ("dec", name),
                 )
-                return np.int64(0)
         flat = 0
         for a, (v, lo, hi) in zip(args, d.domains):
             outside = (a < lo) | (a > hi)
             if np.any(outside):
-                if grid:
-                    self.flagged |= outside & np.logical_not(unbuilt)
-                    a = np.clip(a, lo, hi)
-                else:
+                # a point not built yet reads 0 and faults no further
+                a, outside = np.broadcast_arrays(a, outside & np.logical_not(unbuilt))
+                for value in dict.fromkeys(a[outside].tolist()):
                     self.report(
                         "out_of_bounds",
                         f"encoded program {'reads' if d.body is None else 'calls'} {name}"
-                        f" at {v}={a}, outside [{lo}, {hi + 1})",
-                        (name, v, int(a)),
+                        f" at {v}={value}, outside [{lo}, {hi + 1})",
+                        (name, v, value),
                     )
-                    a = min(max(a, lo), hi)
+                a = np.clip(a, lo, hi)
             flat = flat * (hi - lo + 1) + (a - lo)
-        vals = _gather(table, np.atleast_1d(flat) if grid else flat)
+        vals = _gather(table, flat)
         return np.where(unbuilt, 0, vals) if np.any(unbuilt) else vals
 
     def build(self, d: PureFunctionDecl) -> np.ndarray:
@@ -613,60 +615,48 @@ class _FrontEval:
         size = _size(d.domains)
         self.tables[d.name] = np.zeros((1, size), dtype=np.int64)
         self.points += size
-        free = tuple(r for r in d.domains if r[0] not in d.decreases)
-        grid, n = domain_grid(free), _size(free)
+        grid = domain_grid(tuple(r for r in d.domains if r[0] not in d.decreases))
         ranges = {v: range(lo, hi + 1) for v, lo, hi in d.domains}
         body = compiled(d.body, checked=True)
-        outer = self.flagged, self.site
+        outer, self.site = self.site, d.name
         for step in itertools.product(*[ranges[v] for v in d.decreases]):
             self.building[d.name] = step
             env = grid | dict(zip(d.decreases, step))
             flat = 0
             for v, lo, hi in d.domains:
                 flat = flat * (hi - lo + 1) + (env[v] - lo)
-            self.flagged, self.site = np.zeros(n, dtype=bool), d.name
             vals = body(env, self)
-            flagged, self.flagged = self.flagged, None
             table = self.tables[d.name]
             if np.ndim(vals) == 2 and len(table) < len(vals):
                 table = self.tables[d.name] = np.repeat(table, len(vals), axis=0)
             table[:, np.atleast_1d(flat)] = vals
-            for i in np.flatnonzero(flagged):
-                body(env | {v: int(a[i]) for v, a in grid.items()}, self)
         del self.building[d.name]
-        self.flagged, self.site = outer
+        self.site = outer
         return self.tables[d.name]
 
     def verify(self, domains, requires, ensures, tables, kind, message, site):
         """Report ``kind`` at the first point over ``domains``, in
         enumeration order, where the ``requires`` hold and an ``ensures``
         fails, ``message`` formatted with the point.  ``tables`` bind names
-        to (lanes, points) values over the grid.  Flagged points up to that
-        one are evaluated again one at a time, as a point-by-point check
-        would meet them."""
+        to (lanes, points) values over the grid.  The ``ensures`` are
+        evaluated only at the points where the ``requires`` hold."""
         n = _size(domains)
         if n == 0:
             return
-        grid = domain_grid(domains)
-        env = grid | tables
-        self.flagged = np.zeros(n, dtype=bool)
+        env = domain_grid(domains) | tables
         live = np.ones(n, dtype=bool)
         for r in requires:
             live &= _held(self.eval(r, env), n).all(axis=0)
-        held = [_held(self.eval(e, env), n) for e in ensures]
-        flagged, self.flagged = self.flagged, None
-        bad = live & ~np.logical_and.reduce([h.all(axis=0) for h in held])
-        stop = int(np.argmax(bad)) if bad.any() else n - 1
-        for i in np.flatnonzero(flagged[: stop + 1]):
-            point = {v: int(a[i]) for v, a in grid.items()}
-            point |= {k: _gather(t, i) for k, t in tables.items()}
-            if all(np.all(self.eval(r, point) != 0) for r in requires):
-                for e in ensures:
-                    if not np.all(self.eval(e, point) != 0):
-                        break
+        if not live.any():
+            return
+        env = narrow(env, live)
+        k = int(live.sum())
+        held = [_held(self.eval(e, env), k) for e in ensures]
+        bad = ~np.logical_and.reduce([h.all(axis=0) for h in held])
         if bad.any():
+            stop = int(np.argmax(bad))
             ok = next(h[:, stop] for h in held if not h[:, stop].all())
-            point = tuple(int(a[stop]) for a in grid.values())
+            point = tuple(int(env[v][stop]) for v, _, _ in domains)
             self.report(kind, message.format(point), None, site, tuple(np.flatnonzero(~ok).tolist()))
 
 

@@ -491,13 +491,21 @@ def compiled(e: Expr, checked: bool = False) -> Callable:
     ``env`` maps variable names to ints or int64 arrays; the closure
     broadcasts, so one tree evaluates at a point, over ``(points,)`` or over
     ``(lanes, points)``.  ``ctx`` supplies the leaves that need storage:
-    ``ctx.load(target, index)`` for a :class:`TableRead`, and
+    ``ctx.load(target, index, env)`` for a :class:`TableRead`, and
     ``ctx.call(name, args)`` for function and buffer applications and bound
     references (``entity_dim_end``, no arguments).  With ``checked`` every
     ``+ - * hdiv`` result goes through ``ctx.check(v)``, and a value other
     than None that it returns replaces the result; indices of table reads
-    never do.  A :class:`Select` with a scalar condition evaluates
-    one branch only.
+    never do.
+
+    A read in ``c ? a : b`` or ``g ==> e`` need be well-defined only where
+    it is taken, so an untaken operand is not evaluated.  A :class:`Select`
+    with a scalar condition evaluates one branch.  One whose condition reads
+    no storage and varies over the points evaluates each branch on the
+    environment :func:`narrow`-ed to the points that take it, and scatters
+    the results back; ``a ==> b`` with such an ``a`` is
+    ``select(a, b != 0, 1)``.  A condition that reads storage, or varies by
+    lane, has lanes that may disagree at a point, and takes both branches.
 
     The closure is built once per node and kept on it; trees are frozen
     and the cache is not a field, so equality and hashing ignore it.
@@ -527,13 +535,15 @@ def _compile(e: Expr, checked: bool) -> Callable:
             return lambda env, ctx: env["\\result"]
         case TableRead(target, index):
             at = compiled(index)
-            return lambda env, ctx: ctx.load(target, at(env, ctx))
+            return lambda env, ctx: ctx.load(target, at(env, ctx), env)
         case FuncAccess(name, args) | BufAccess(name, args):
             fns = [compiled(a) for a in args]
             return lambda env, ctx: ctx.call(name, tuple(f(env, ctx) for f in fns))
         case BoundRef(entity, dim, end):
             fname = f"{entity}_{dim}_{end}"
             return lambda env, ctx: ctx.call(fname, ())
+        case BinOp("==>", l, r) if not _reads_storage(l):
+            return _compile(Select(l, BinOp("!=", r, Const(0)), Const(1)), checked)
         case BinOp(op, l, r):
             if op not in _BINARY:
                 raise ValueError(f"unknown operator {op!r}")
@@ -555,12 +565,25 @@ def _compile(e: Expr, checked: bool) -> Callable:
             return lambda env, ctx: (xf(env, ctx) == 0) * 1
         case Select(c, t, f):
             cf, tf, ff = compiled(c, checked), compiled(t, checked), compiled(f, checked)
+            masked = not _reads_storage(c)
 
             def select(env, ctx):
                 cv = cf(env, ctx)
-                if isinstance(cv, np.ndarray):
+                if not isinstance(cv, np.ndarray):
+                    return tf(env, ctx) if cv else ff(env, ctx)
+                if not masked or cv.ndim != 1:
                     return np.where(cv != 0, tf(env, ctx), ff(env, ctx))
-                return tf(env, ctx) if cv else ff(env, ctx)
+                keep = cv != 0
+                if keep.all():
+                    return tf(env, ctx)
+                if not keep.any():
+                    return ff(env, ctx)
+                tv, fv = tf(narrow(env, keep), ctx), ff(narrow(env, ~keep), ctx)
+                lanes = [np.shape(v)[0] for v in (tv, fv) if np.ndim(v) == 2]
+                out = np.empty((max(lanes), *keep.shape) if lanes else keep.shape, dtype=np.int64)
+                out[..., keep] = tv
+                out[..., ~keep] = fv
+                return out
 
             return select
         case MinOf(l, r) | MaxOf(l, r):
@@ -575,10 +598,22 @@ def _compile(e: Expr, checked: bool) -> Callable:
     return opaque
 
 
+def _reads_storage(e: Expr) -> bool:
+    return any(isinstance(n, (TableRead, FuncAccess, BufAccess, Result)) for n in walk(e))
+
+
+def narrow(env: dict, keep: np.ndarray) -> dict:
+    """``env`` at the points ``keep`` selects: each array narrowed on its
+    last axis, the points axis."""
+    if keep.all():
+        return env
+    return {k: v[..., keep] if isinstance(v, np.ndarray) and v.ndim else v for k, v in env.items()}
+
+
 class _Closed:
     """The context of :func:`eval_const`: no storage and no functions."""
 
-    def load(self, target: "MemTarget", index):
+    def load(self, target: "MemTarget", index, env):
         raise ValueError(f"not a constant expression: reads {target.name}")
 
     def call(self, name: str, args):

@@ -476,6 +476,9 @@ def _resolve_placements(p: Pipeline, state: dict[str, ScheduledFunc]) -> dict[st
         if sc != consumer:
             raise _err("StorePlacementUnsupported", f"{name}: store_at and compute_at must name the same func")
         cvars = [a.var for a in out[consumer].axes]
+        for v in (var, svar):
+            if v not in cvars:
+                raise _err("UnknownDim", f"{name}: placed at loop {v!r} of {consumer!r}, which a later directive removes")
         if cvars.index(svar) > cvars.index(var):
             raise _err("StoreBelowCompute", f"{name}: storage at {svar!r} sits inside the compute loop {var!r}")
 

@@ -26,6 +26,7 @@ from minisched.ir import (
     MinOf,
     PermAtom,
     Quantifier,
+    ScheduleError,
     Select,
     TableRead,
     Var,
@@ -196,6 +197,25 @@ def test_split_of_a_fused_axis_keeps_its_loops(n, factor, tail):
     for include_user in (True, False):
         res = C.check_schedule(p, d, SEEDS, include_user=include_user)
         assert res.passed, [f.to_json() for f in res.findings]
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        "blur_x.compute_at(blur_y, y); blur_y.split(y, o3, i3, 2);",
+        "blur_x.compute_at(blur_y, x); blur_x.store_at(blur_y, y); blur_y.split(y, o3, i3, 2);",
+    ],
+)
+def test_placement_at_a_loop_a_later_directive_removes_is_a_typed_error(sched):
+    # the split replaces blur_y's loop y, where blur_x is computed or stored
+    p = parse_pipeline((CORPUS / "blur.hal").read_text()).resolve({"x": 10, "y": 7}).validated()
+    d = parse_schedule(sched)
+    runs = [lambda: C.check_lowered(p, d, SEEDS)]
+    runs += [lambda u=u: C.check_schedule(p, d, SEEDS, include_user=u) for u in (True, False)]
+    for run in runs:
+        with pytest.raises(ScheduleError, match="loop 'y' of 'blur_y'") as exc:
+            run()
+        assert exc.value.code == "UnknownDim"
 
 
 def test_run_reports_statement_count():
@@ -949,22 +969,23 @@ def grid_stage(body: str):
 
 
 @pytest.mark.parametrize(
-    "body,batched_loops",
+    "body",
     [
-        # varies with the outer y: each inner x loop batches, y scalar
-        ("select(y < 7, inp(x, y + 1), inp(x, y))", 8),
-        # varies with the inner x: no loop batches
-        ("select(x < 7, inp(x + 1, y), inp(x, y))", 0),
+        # varies with the outer y
+        "select(y < 7, inp(x, y + 1), inp(x, y))",
+        # varies with the inner x
+        "select(x < 7, inp(x + 1, y), inp(x, y))",
     ],
 )
-def test_select_on_a_nest_variable_declines_flattening(monkeypatch, body, batched_loops):
-    # over the flattened nest the untaken branch would read row or column 8
+def test_select_on_a_nest_variable_batches_as_one_flattened_nest(monkeypatch, body):
+    # the untaken branch would read row or column 8; over the flattened nest
+    # each branch is read only at the iterations that take it
     p = grid_stage(body)
     for run in (lambda: C.check_lowered(p, [], SEEDS), lambda: C.check_schedule(p, [], SEEDS)):
         batched, walked = declined(monkeypatch, run)
         assert_same_run(batched, walked)
         assert batched.passed, [f.message for f in batched.findings]
-        assert (batched.batched_loops, batched.replayed_loops) == (batched_loops, 0)
+        assert (batched.batched_loops, batched.replayed_loops) == (1, 0)
 
 
 def test_flattened_invariant_reads_storage_as_of_its_boundary(monkeypatch):
@@ -1214,12 +1235,47 @@ def test_step_invariant_broken_at_one_step_replays(monkeypatch):
 
 
 def test_batched_annotation_skips_reads_of_an_untaken_branch(monkeypatch):
-    # at x = 7 the untaken branch reads inp[8]: the batch evaluates that
-    # point again alone and commits
+    # at x = 7 the untaken branch reads inp[8]: the batch reads each branch
+    # only at the points that take it, and commits
     p = ensured_stage("inp(x)", "select(x < 8, inp(x), inp(x + 1))")
     batched, walked = declined(monkeypatch, lambda: C.check_schedule(p, [], SEEDS, include_user=True))
     assert_same_run(batched, walked)
     assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (1, 0)
+
+
+def test_batched_branches_read_storage_as_of_their_own_events(monkeypatch):
+    # each branch reads storage as of the events of the points that take
+    # it: the event times narrow with the points
+    p = ensured_stage("inp(x)", "select(x < 4, inp(x), inp(x))")
+    batched, walked = declined(monkeypatch, lambda: C.check_schedule(p, [], SEEDS, include_user=True))
+    assert_same_run(batched, walked)
+    assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (1, 0)
+
+
+def test_nested_implication_reads_its_right_side_only_where_the_left_holds():
+    # at x = 7 the right side of the implication would read inp[8]
+    p = parse_pipeline(
+        """pipeline t(inp) -> out {
+  buffer inp(x in [0, 8));
+  func out(x in [0, 8)) {
+    out(x) = inp(x);
+    out.ensures(out(x) == inp(x) && (x < 7 ==> inp(x + 1) > -1000));
+  }
+}"""
+    ).validated()
+    for u in (True, False):
+        res = C.check_schedule(p, [], SEEDS, include_user=u)
+        assert res.passed, [f.message for f in res.findings]
+
+
+def test_a_fault_in_the_batch_code_is_not_a_replay(monkeypatch):
+    # only a detector's _Fired drops a batch; any other exception is a bug
+    def broken(*args):
+        raise TypeError("broken store")
+
+    monkeypatch.setattr(C._Batch, "_store", broken)
+    with pytest.raises(TypeError, match="broken store"):
+        C.check_lowered(grid_stage("inp(x, y)"), [], SEEDS)
 
 
 def test_loops_over_cells_stay_batches_of_their_own(monkeypatch):

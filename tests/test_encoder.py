@@ -436,3 +436,44 @@ def test_data_dependent_index_is_a_typed_error():
     with pytest.raises(EncodeError) as exc:
         check_frontend(encode(p), p, C.make_inputs(p, SEEDS))
     assert exc.value.code == "DataDependentIndex"
+
+
+# ---------------------------------------------------------------------------
+# Contracts: an ensures is read only where its requires hold
+
+ONE_ROW = """
+pipeline t(inp) -> out {
+  buffer inp(x in [0, 8));
+  func out(x in [0, 8)) {
+    out(x) = inp(x);
+    out.ensures(out(x) == inp(x));
+  }
+}
+"""
+
+# reads inp at x = 8, outside its domain, at the point x = 7
+READS_PAST_THE_END = BinOp("<", Const(-1000), FuncAccess("inp", (Var("x") + 1,)))
+
+
+def with_contract(requires, ensures):
+    p = parse_pipeline(ONE_ROW).resolve().validated()
+    prog = encode(p)
+    decls = tuple(
+        dataclasses.replace(d, requires=requires, ensures=ensures) if d.name == "out" else d
+        for d in prog.declarations
+    )
+    return check_frontend(dataclasses.replace(prog, declarations=decls), p, C.make_inputs(p, SEEDS))
+
+
+def test_ensures_is_not_read_where_its_requires_fail():
+    r = with_contract((BinOp("<", Var("x"), Const(7)),), (READS_PAST_THE_END,))
+    assert r.passed, [f.message for f in r.findings]
+
+
+def test_ensures_fault_after_the_first_failing_point_is_reported():
+    # the postcondition fails at x = 2; the read at x = 7 is taken all the same
+    r = with_contract((), (BinOp("!=", Var("x"), Const(2)), READS_PAST_THE_END))
+    assert [(f.kind, f.message) for f in r.findings] == [
+        ("out_of_bounds", "encoded program reads inp at x=8, outside [0, 8)"),
+        ("contract_violation", "postcondition of out fails at (2,)"),
+    ]

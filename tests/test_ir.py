@@ -90,7 +90,7 @@ class Recorder:
         self.loads: list = []
         self.checked: list = []
 
-    def load(self, target, index):
+    def load(self, target, index, env):
         self.loads.append(index)
         return self.table[..., index]
 
@@ -130,9 +130,40 @@ def test_select_on_a_scalar_condition_evaluates_one_branch():
     e = Select(BinOp("==", Var("r"), Const(0)), taken, skipped)
     assert compiled(e)({"r": 0}, ctx).tolist() == [8, 10]
     assert ctx.loads == [1]
-    # an array condition selects elementwise from both branches
+    # an array condition selects elementwise, each branch at its own points
     e = Select(BinOp("<", Var("x"), Const(1)), Const(1), Var("x"))
     assert compiled(e)({"x": np.array([0, 5])}, None).tolist() == [1, 5]
+
+
+T = MemTarget("buffer", "t")
+
+
+def test_select_reads_each_branch_only_at_the_points_that_take_it():
+    ctx = Recorder(np.arange(100, 120))
+    e = Select(BinOp("<", Var("x"), Const(2)), TableRead(T, Var("x")), TableRead(T, Var("x") + 10))
+    assert compiled(e)({"x": np.arange(4)}, ctx).tolist() == [100, 101, 112, 113]
+    assert [i.tolist() for i in ctx.loads] == [[0, 1], [12, 13]]
+    # all points on one side: the other branch is not read at all
+    ctx.loads.clear()
+    assert compiled(e)({"x": np.arange(2)}, ctx).tolist() == [100, 101]
+    assert [i.tolist() for i in ctx.loads] == [[0, 1]]
+
+
+def test_select_on_a_storage_condition_reads_both_branches():
+    ctx = Recorder(np.arange(20))
+    cond = BinOp("<", TableRead(T, Var("x")), Const(2))
+    e = Select(cond, TableRead(T, Var("x")), TableRead(T, Var("x") + 10))
+    assert compiled(e)({"x": np.arange(4)}, ctx).tolist() == [0, 1, 12, 13]
+    assert [i.tolist() for i in ctx.loads] == [[0, 1, 2, 3]] * 2 + [[10, 11, 12, 13]]
+
+
+def test_implication_reads_its_right_side_only_where_the_left_holds():
+    ctx = Recorder(np.arange(20))
+    e = BinOp("==>", BinOp("<", Var("x"), Const(3)), BinOp("<", TableRead(T, Var("x") + 10), Const(11)))
+    assert compiled(e)({"x": np.arange(5)}, ctx).tolist() == [1, 0, 0, 1, 1]
+    assert [i.tolist() for i in ctx.loads] == [[10, 11, 12]]
+    ctx.loads.clear()
+    assert compiled(e)({"x": 4}, ctx) == 1 and ctx.loads == []
 
 
 MINIMAL = """
