@@ -13,9 +13,13 @@ encoding as PVL pure functions with the pipeline lemma.
 
 ``minisched nest <algo.hal> <file.sched> [--scale k=v ...]`` prints the
 plain loop nest that the schedule lowers to.  Each loop that the checker
-runs as one batch is marked with the depth of its flattened pure nest; the
-loops inside it run in that batch.  A batch whose pure iterations run step
-loops also shows ``steps M``, the statement slots of one pure iteration.
+runs in batches is marked with the depth of its flattened pure nest;
+everything beneath it, producer-consumer sequences and their private
+storage included, runs in those batches and is not marked.  There a
+serial loop whose variable a store index mentions runs its iterations side
+by side, and any other, a step loop, one iteration at a time; a batch with
+step loops also shows ``steps M``, the statement slots of one pure
+iteration.
 
 ``minisched check <algo.hal> <file.sched> [--scale k=v ...] [--seeds N ...]
 [--no-user | --plain]`` checks the schedule on one input set per seed and

@@ -598,6 +598,8 @@ def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
         accesses = _collect_accesses(sp, name, inline_body)
         if not accesses:
             raise NonAffineAccess(f"{name} is realized but never read; nothing to infer bounds from")
+        if sf.compute_site is not None:
+            _check_site_guards(sp, sf, accesses, _free_axes(sp, compute_path), fps)
         fps[name] = Footprint(
             compute=_region(sp, sf, accesses, _free_axes(sp, compute_path), fps),
             store=_region(sp, sf, accesses, _free_axes(sp, store_path), fps),
@@ -663,6 +665,30 @@ def _loop_box(sp, consumer: str, fps) -> dict[str, tuple[Expr, Expr]]:
     for ax in sf.axes:
         dims[ax.var] = fps[consumer].compute[ax.root] if ax.original else FootDim(Const(0), ax.extent)
     return {v: (d.lo, dec(d.lo + d.extent)) for v, d in dims.items()}
+
+
+def _check_site_guards(sp, sf: ScheduledFunc, accesses, free: list[str], fps):
+    """Reject a producer computed at a site whose footprint stays inside its
+    consumer's declared domain only under a tail guard that names a loop not
+    bound at the site: the guard cannot wrap the producer, and its loops of
+    constant extent would run past the guard (Halide clamps them instead)."""
+    split_roots = {r for a in sf.axes if not a.original for r in a.roots}
+    for consumer, args in accesses:
+        guards = sp.funcs[consumer].guards
+        inside = [g for g in guards if free_vars(g) <= set(free)]
+        box = _loop_box(sp, consumer, fps)
+        for g in (g for g in guards if g not in inside):
+            for (dname, _), arg in zip(sf.func.dims, args):
+                if dname in split_roots:
+                    continue
+                cap = form_range(arg, box, [g], set(free))[2]
+                if cap is not None and form_range(arg, box, inside, set())[1][1] > cap:
+                    raise _err(
+                        "GuardOutsideSite",
+                        f"{sf.func.name}: computed inside {consumer!r}, its {dname!r} footprint"
+                        f" runs past the tail guard {ExprPrinter('dsl').print(g)}, which names"
+                        " a loop inside the site",
+                    )
 
 
 def _region(sp, sf: ScheduledFunc, accesses, free: list[str], fps) -> dict[str, FootDim]:

@@ -1119,7 +1119,6 @@ def test_reduction_nests_commit_as_step_batches(monkeypatch, algo, sched):
     p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
     d = schedule(algo, sched)
     (plan,) = stepped_heads(lower(p, d))
-    assert plan.rmw == {p.output}
     runs = [lambda: C.check_lowered(p, d, [0, 1])] + [
         lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
     ]
@@ -1278,12 +1277,210 @@ def test_a_fault_in_the_batch_code_is_not_a_replay(monkeypatch):
         C.check_lowered(grid_stage("inp(x, y)"), [], SEEDS)
 
 
-def test_loops_over_cells_stay_batches_of_their_own(monkeypatch):
+def test_loops_over_cells_expand_in_the_heads_batch(monkeypatch):
     # unrolled xo holds two xi loops whose variable the store index
-    # mentions: each is its own batch, not a step loop of y's
+    # mentions: they expand in y's batch, not as step loops of y's
     p = grid_stage("inp(x, y) + 1")
     d = parse_schedule("out.split(x, xo, xi, 4).unroll(xo);")
     assert not stepped_heads(lower(p, d))
     batched, walked = declined(monkeypatch, lambda: C.check_lowered(p, d, SEEDS))
     assert_same_run(batched, walked)
-    assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (16, 0)
+    assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Whole-nest batches: a compute_at nest, producer and consumer, in one batch
+
+
+def test_producer_past_a_tail_guard_outside_its_site_is_a_typed_error():
+    # the guard yo * 4 + yi < 9 names yi, inside mid's site: mid's rows
+    # [yo * 4, yo * 4 + 3] would run to row 11 and read src[90]
+    p = parse_pipeline((CORPUS / "chain3.hal").read_text()).resolve({"n": 9}).validated()
+    d = parse_schedule("lift.split(y, yo, yi, 4); mid.compute_at(lift, yo);")
+    runs = [lambda: C.check_lowered(p, d, SEEDS)]
+    runs += [lambda u=u: C.check_schedule(p, d, SEEDS, include_user=u) for u in (True, False)]
+    for run in runs:
+        with pytest.raises(ScheduleError, match="tail guard yo \\* 4 \\+ yi < 9") as exc:
+            run()
+        assert exc.value.code == "GuardOutsideSite"
+
+
+@pytest.mark.parametrize("n", [11, 32])
+@pytest.mark.parametrize("sched", ["root", "par"])
+def test_in_place_update_batches_by_stamp(monkeypatch, sched, n):
+    # grid(x, 0) = grid(x, 0) + grid(x, 3): each iteration reads the cell it
+    # rewrites and a row the nest never writes, so its loop heads a batch
+    # that commits
+    p = parse_pipeline((CORPUS / "update2.hal").read_text()).resolve({"n": n}).validated()
+    d = schedule("update2", sched)
+    lp = lower(p, d)
+    (update,) = [s for s in stores(lp.root, "grid") if s.stage == 1]
+    assert any(update in nodes(plan.loops[0]) for plan in C.batch_heads(lp.root).values())
+    runs = [lambda: C.check_lowered(p, d, SEEDS)] + [
+        lambda u=u: C.check_schedule(p, d, SEEDS, include_user=u) for u in (True, False)
+    ]
+    for run in runs:
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        assert batched.passed and batched.replayed_loops == 0
+
+
+ROWS_SMALL = {"x": 10, "y": 7}
+
+
+def producer_loop(lp, func: str) -> Loop:
+    (produce,) = [n for n in nodes(lp.root) if isinstance(n, Produce) and n.func == func]
+    return produce.body[0]
+
+
+def test_whole_nest_read_of_an_unwritten_private_cell(monkeypatch):
+    # blur_x's producer computes two of the three rows each blur_y row reads
+    def surgery(lp):
+        loop = producer_loop(lp, "blur_x")
+        loop.dim = dataclasses.replace(loop.dim, extent=2)
+
+    batched, walked = declined(monkeypatch, blur_run(ROWS_SMALL, ROWS, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    assert {f.kind for f in batched.findings} == {"uninitialized_read"}
+    assert all(f.message.startswith("blur_x[") for f in batched.findings)
+
+
+def test_whole_nest_write_past_private_storage(monkeypatch):
+    # each row's producer writes one allocation past its own blur_x
+    def surgery(lp):
+        size = lp.allocs["blur_x"].size
+        for n in stores(lp.root, "blur_x"):
+            n.index = BinOp("+", n.index, Const(size))
+
+    batched, walked = declined(monkeypatch, blur_run(ROWS_SMALL, ROWS, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    assert {f.kind for f in batched.findings} >= {"out_of_bounds"}
+    assert all(f.message.startswith("write of blur_x[") for f in batched.findings if f.kind == "out_of_bounds")
+
+
+def test_storage_shared_across_a_parallel_loop_races(monkeypatch):
+    # blur_x stored at yo but computed in each iteration of the parallel yi:
+    # one instance serves them all, and neighbouring rows rewrite its rows
+    sched = "blur_y.split(y, yo, yi, 4).parallel(yi); blur_x.store_at(blur_y, yo).compute_at(blur_y, yi);"
+    batched, walked = declined(monkeypatch, blur_run(ROWS_SMALL, sched, lambda lp: None))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    assert any(f.kind == "race" and "parallel loop 'y.yi'" in f.message for f in batched.findings)
+
+
+def test_consumer_before_its_producer_fires_and_replays(monkeypatch):
+    # blur/ref's window: with each row's consumer moved before its producer,
+    # two of the rows it reads are written by the previous row's producer,
+    # later in body order but earlier in time; the third is not yet written
+    ref = (CORPUS / "schedules" / "blur" / "ref.sched").read_text()
+
+    def surgery(lp):
+        (guard,) = [n for n in nodes(lp.root) if any(isinstance(c, Produce) for c in getattr(n, "body", ()))]
+        guard.body.reverse()
+        assert isinstance(guard.body[0], Consume)
+
+    batched, walked = declined(monkeypatch, blur_run(ROWS_SMALL, ref, surgery))
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    assert {f.kind for f in batched.findings} == {"uninitialized_read"}
+
+
+def test_read_of_a_write_later_in_body_order_fires_and_replays(monkeypatch):
+    # update2's update also reads row 1, and a second statement after it
+    # rewrites row 1 one column on: iteration x reads the cell iteration
+    # x - 1 rewrote, later in body order but earlier in time; the batch reads
+    # the filled value first, so the whole log disagrees and it replays
+    def surgery(lp):
+        update = update_stmt(lp, "grid")
+        row1 = TableRead(update.target, BinOp("+", Var("x"), Const(11)))
+        update.value = BinOp("+", update.value, row1)
+        rewrite_next = StoreStmt("grid", 1, update.target, BinOp("+", Var("x"), Const(12)), Const(5), {})
+        loop = next(n for n in nodes(lp.root) if isinstance(n, Loop) and update in n.body)
+        loop.body.append(rewrite_next)
+
+    batched, walked = declined(monkeypatch, lowered_run("update2", SMALL["update2"], "", surgery))
+    assert_same_run(batched, walked)
+    assert batched.findings == [] and batched.replayed_loops == 1
+
+
+def test_replayed_whole_nest_batches_its_inner_nests(monkeypatch):
+    # only row 3's consumer writes outside blur_y: the whole-nest batch
+    # fires, and the walk batches both inner nests of every row but that
+    # consumer's
+    def surgery(lp):
+        for n in stores(lp.root, "blur_y"):
+            n.index = BinOp("+", n.index, BinOp("*", BinOp("==", Var("y"), Const(3)), Const(1000)))
+
+    batched, walked = declined(monkeypatch, blur_run(ROWS_SMALL, ROWS, surgery))
+    assert_same_run(batched, walked)
+    assert (batched.batched_loops, batched.replayed_loops) == (13, 2)
+    assert {f.kind for f in batched.findings} == {"out_of_bounds", "mismatch"}
+
+
+def blocks_of(monkeypatch, run, slots: int):
+    """``run()`` with batches of at most ``slots`` statement slots."""
+    with monkeypatch.context() as m:
+        m.setattr(C, "_BLOCK", slots)
+        return run()
+
+
+@pytest.mark.parametrize("include_user", [None, True, False])
+@pytest.mark.parametrize(
+    "algo,sizes,sched,slots,count",
+    [
+        # blur/rows at 10x7 takes 40 slots per row: blocks of two rows of
+        # its parallel head
+        ("blur", ROWS_SMALL, "rows", 80, 4),
+        # chain3/window at n=9: one iteration of its serial head per block
+        ("chain3", {"n": 9}, "window", 1, 3),
+    ],
+)
+def test_blocks_equal_one_block(monkeypatch, algo, sizes, sched, slots, count, include_user):
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
+    d = schedule(algo, sched)
+
+    def run():
+        if include_user is None:
+            return C.check_lowered(p, d, SEEDS)
+        return C.check_schedule(p, d, SEEDS, include_user=include_user)
+
+    whole, walked = declined(monkeypatch, run)
+    blocks = blocks_of(monkeypatch, run, slots)
+    assert_same_run(blocks, whole)
+    assert_same_run(blocks, walked)
+    assert blocks.passed and (whole.batched_loops, blocks.batched_loops, blocks.replayed_loops) == (1, count, 0)
+
+
+def test_race_across_blocks_of_a_parallel_head(monkeypatch):
+    # row 5 of blur/rows writes row 0's cells: blocks of two rows commit
+    # rows 0 to 3, and the block of rows 4 and 5 finds the clash in the
+    # head's tracker; the walk goes on from row 4, batching each row's two
+    # inner nests, of which row 5's consumer fires
+    def surgery(lp):
+        for n in stores(lp.root, "blur_y"):
+            n.index = Select(BinOp("==", Var("y"), Const(5)), substitute(n.index, {"y": Const(0)}), n.index)
+
+    run = blur_run(ROWS_SMALL, ROWS, surgery)
+    whole, walked = declined(monkeypatch, run)
+    blocks = blocks_of(monkeypatch, run, 80)
+    assert_same_run(blocks, whole)
+    assert_same_run(blocks, walked)
+    assert (blocks.batched_loops, blocks.replayed_loops) == (2 + 3 * 2 - 1, 2)
+    assert {f.kind for f in blocks.findings} == {"race", "mismatch"}
+    assert "iterations 0 and 5 of parallel loop 'y'" in blocks.findings[0].message
+
+
+def test_ledger_race_across_blocks_of_a_parallel_head(monkeypatch):
+    # blur/fused claims half of each 3x3 box of inp in every iteration: the
+    # claims sum past a whole permission over blocks, and the last block
+    # replays
+    fused = (CORPUS / "schedules" / "blur" / "fused.sched").read_text()
+    run = annotated_run("blur", {"x": 8, "y": 8}, fused, undivided_reads(1), include_user=False)
+    whole, walked = declined(monkeypatch, run)
+    blocks = blocks_of(monkeypatch, run, 16)
+    assert_same_run(blocks, whole)
+    assert_same_run(blocks, walked)
+    assert (blocks.batched_loops, blocks.replayed_loops) == (3, 1)
+    assert [f.to_json() for f in blocks.findings] == [race("xy", "3/2 of inp[2]")]

@@ -139,3 +139,35 @@ def test_nest_shows_the_step_loops_of_a_batch(capsys):
     ]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / "matmul_unroll_nest.txt").read_text()
+
+
+def test_nest_marks_one_batch_for_a_compute_at_nest(capsys):
+    # blur_x computed in each row of blur_y's parallel loop: the whole nest,
+    # producer and consumer, is one batch, with nothing marked beneath it
+    argv = [
+        "nest",
+        str(ROOT / "corpus" / "blur.hal"),
+        str(ROOT / "corpus" / "schedules" / "blur" / "rows.sched"),
+        "--scale",
+        "x=64",
+        "--scale",
+        "y=64",
+    ]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "blur_rows_nest.txt").read_text()
+    assert [line.strip() for line in out.splitlines() if "# batch" in line] == [
+        "parallel y in [0, 63]:  # batch, depth 1"
+    ]
+
+
+def test_check_report_counts_are_json_numbers(capsys, tmp_path):
+    # the quantified region permission of a parallel block nested in a
+    # parallel split bounds its grid through min/max: its instance count
+    # comes out of numpy, and the report still serialises
+    sched = tmp_path / "s.sched"
+    sched.write_text("out.parallel(x); out.split(x, o2, i2, 4); out.parallel(i2);\n")
+    status, reports = check(capsys, "conv1d", sched, "--scale", "n=13")
+    assert status == 0
+    assert all(r["verdict"] == "pass" for r in reports)
+    assert all(type(r["stats"]["instantiations"]) is int for r in reports)
