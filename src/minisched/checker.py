@@ -188,7 +188,7 @@ class _Declared:
         idx = np.atleast_1d(index)
         if ((idx < 0) | (idx >= arr.shape[1])).any():
             raise ReferenceFault(f"reference evaluation reads {target.name} out of bounds")
-        return arr[:, idx]
+        return arr.take(idx, axis=1)
 
 
 def _ranges(entity, dims) -> list[tuple[str, int, int]]:
@@ -491,7 +491,7 @@ class _Runner:
             # like an out-of-range read, go on with zeros: the poison fill
             # would be reported a second time, as an overflow
             return np.zeros(self.lanes, dtype=np.int64)
-        return cell.arr[:, offset]
+        return cell.arr.take(offset, axis=1)
 
     def check(self, v):
         # exact loop-variable arithmetic that leaves int64 goes on wrapped,
@@ -1488,7 +1488,7 @@ class _AnnObserver:
             idx = np.clip(idx, 0, size - 1)
         if when is not None:
             return self.batch.read(cell, idx if base is None else idx + base, when)
-        return cell.arr[:, idx]
+        return cell.arr.take(idx, axis=1)
 
     # -- the permission ledger ---------------------------------------------
 

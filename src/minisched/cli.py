@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     mode.add_argument("--plain", action="store_true", help="run the nest without annotations")
     args = ap.parse_args(argv)
 
-    p = parse_pipeline(args.algo.read_text()).resolve(dict(args.scale)).validated()
+    p = parse_pipeline(args.algo.read_text()).validated(dict(args.scale))
     if args.command == "encode":
         sys.stdout.write(encode(p).render())
         return 0

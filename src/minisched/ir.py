@@ -22,6 +22,15 @@ Conventions that the rest of the package relies on:
   domain variable itself or an expression free of domain variables.  This is
   what makes the in-place imperative execution agree with the pointwise
   functional encoding.
+* Each expression type has one row in the node-shape table ``_SHAPES``: its
+  children, how to rebuild it from new ones, and its closure.  ``walk``,
+  ``free_vars``, ``rewrite``, ``substitute`` and ``compiled`` dispatch
+  through it.  What is computed from a node is cached in its ``__dict__``,
+  never as a field, so equality, hashing and printing ignore it and
+  ``dataclasses.replace`` starts without it: the closures (``_fn``,
+  ``_checked_fn``) and ``_facts`` (free variables, whether it reads
+  storage, whether it is folded).  A rewrite keeps an unchanged subtree,
+  so its caches carry over.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -311,7 +320,8 @@ def _plus_const(e: Expr, k: int) -> Expr:
 
 def _fold(e: BinOp) -> Expr:
     """Constant-fold the arithmetic operators used by lowering so generated
-    indices stay readable (``x + 0`` never survives, constant tails merge)."""
+    indices stay readable (``x + 0`` never survives, constant tails merge).
+    A node that folding leaves equal comes back as itself."""
     l, r = e.left, e.right
     if isinstance(l, Const) and isinstance(r, Const):
         if e.op == "+":
@@ -321,6 +331,8 @@ def _fold(e: BinOp) -> Expr:
         if e.op == "*":
             return Const(l.value * r.value)
     if e.op in ("+", "-") and isinstance(r, Const):
+        if r.value > 0 and not (isinstance(l, BinOp) and l.op in ("+", "-") and isinstance(l.right, Const)):
+            return e
         return _plus_const(l, r.value if e.op == "+" else -r.value)
     if e.op == "+" and isinstance(l, Const) and l.value == 0:
         return r
@@ -356,39 +368,50 @@ def and_(*xs: Expr) -> Expr:
     return out
 
 
-def children(e: Expr) -> tuple[Expr, ...]:
-    match e:
-        case BinOp(_, l, r) | MinOf(l, r) | MaxOf(l, r):
-            return (l, r)
-        case Not(x):
-            return (x,)
-        case Select(c, t, f):
-            return (c, t, f)
-        case FuncAccess(_, args) | BufAccess(_, args):
-            return args
-        case TableRead(_, idx):
-            return (idx,)
-        case PermAtom(_, idx, _):
-            return (idx,)
-        case _:
-            return ()
-
-
 def walk(e: Expr) -> Iterator[Expr]:
     """Yield every node of the tree, parents before children."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(children(node))
+        stack.extend(_SHAPES[type(node)].kids(node))
+
+
+def _facts(e: Expr) -> tuple[frozenset[str], bool, bool]:
+    """``e``'s free variables, whether it reads storage, and whether it is
+    folded: every BinOp in it equals its own :func:`_fold`."""
+    facts = e.__dict__.get("_facts")
+    if facts is None:
+        kind = type(e)
+        free = frozenset((e.name,)) if kind is Var else frozenset()
+        reads, folded = kind in (TableRead, FuncAccess, BufAccess, Result), True
+        for k in _SHAPES[kind].kids(e):
+            kfree, kreads, kfolded = _facts(k)
+            if not kfree <= free:
+                free = free | kfree if free else kfree
+            reads, folded = reads or kreads, folded and kfolded
+        folded = folded and (kind is not BinOp or _fold(e) is e)
+        facts = e.__dict__["_facts"] = (free, reads, folded)
+    return facts
 
 
 def free_vars(e: Expr) -> set[str]:
-    return {n.name for n in walk(e) if isinstance(n, Var)}
+    return set(_facts(e)[0])
+
+
+def _reads_storage(e: Expr) -> bool:
+    return _facts(e)[1]
+
+
+def _rebuilt(e: Expr, old: tuple, new: tuple) -> Expr:
+    """``e`` with children ``new`` for ``old``, a BinOp folded."""
+    if all(map(operator.is_, old, new)):
+        return _fold(e) if type(e) is BinOp else e
+    return _SHAPES[type(e)].make(e, new)
 
 
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Replace free variables by expressions.
+    """Replace free variables by expressions, folding every BinOp rebuilt.
 
     Expressions carry no binders (quantifiers live on annotations), so this
     is a plain structural rewrite.  Callers that substitute under a
@@ -396,57 +419,23 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """
     if not mapping:
         return e
-    match e:
-        case Var(name):
-            return mapping.get(name, e)
-        case BinOp(op, l, r):
-            return _fold(BinOp(op, substitute(l, mapping), substitute(r, mapping)))
-        case Not(x):
-            return Not(substitute(x, mapping))
-        case Select(c, t, f):
-            return Select(substitute(c, mapping), substitute(t, mapping), substitute(f, mapping))
-        case MinOf(l, r):
-            return MinOf(substitute(l, mapping), substitute(r, mapping))
-        case MaxOf(l, r):
-            return MaxOf(substitute(l, mapping), substitute(r, mapping))
-        case FuncAccess(f, args):
-            return FuncAccess(f, tuple(substitute(a, mapping) for a in args))
-        case BufAccess(b, args):
-            return BufAccess(b, tuple(substitute(a, mapping) for a in args))
-        case TableRead(t, idx):
-            return TableRead(t, substitute(idx, mapping))
-        case PermAtom(t, idx, frac):
-            return PermAtom(t, substitute(idx, mapping), frac)
-        case _:
-            return e
+    free, _, folded = _facts(e)
+    if folded and free.isdisjoint(mapping):
+        return e
+    if type(e) is Var:
+        return mapping.get(e.name, e)
+    kids = _SHAPES[type(e)].kids(e)
+    return _rebuilt(e, kids, tuple(substitute(k, mapping) for k in kids))
 
 
 def rewrite(e: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
     """Bottom-up rewrite: ``fn`` sees each rebuilt node and may replace it
     (return None to keep it)."""
-    match e:
-        case BinOp(op, l, r):
-            e2: Expr = _fold(BinOp(op, rewrite(l, fn), rewrite(r, fn)))
-        case Not(x):
-            e2 = Not(rewrite(x, fn))
-        case Select(c, t, f):
-            e2 = Select(rewrite(c, fn), rewrite(t, fn), rewrite(f, fn))
-        case MinOf(l, r):
-            e2 = MinOf(rewrite(l, fn), rewrite(r, fn))
-        case MaxOf(l, r):
-            e2 = MaxOf(rewrite(l, fn), rewrite(r, fn))
-        case FuncAccess(f, args):
-            e2 = FuncAccess(f, tuple(rewrite(a, fn) for a in args))
-        case BufAccess(b, args):
-            e2 = BufAccess(b, tuple(rewrite(a, fn) for a in args))
-        case TableRead(t, idx):
-            e2 = TableRead(t, rewrite(idx, fn))
-        case PermAtom(t, idx, frac):
-            e2 = PermAtom(t, rewrite(idx, fn), frac)
-        case _:
-            e2 = e
-    out = fn(e2)
-    return e2 if out is None else out
+    kids = _SHAPES[type(e)].kids(e)
+    if kids:
+        e = _rebuilt(e, kids, tuple(rewrite(k, fn) for k in kids))
+    out = fn(e)
+    return e if out is None else out
 
 
 def vhdiv(x, y):
@@ -506,90 +495,99 @@ def compiled(e: Expr, checked: bool = False) -> Callable:
     the results back; ``a ==> b`` with such an ``a`` is
     ``select(a, b != 0, 1)``.  A condition that reads storage, or varies by
     lane, has lanes that may disagree at a point, and takes both branches.
-
-    The closure is built once per node and kept on it; trees are frozen
-    and the cache is not a field, so equality and hashing ignore it.
     """
     key = "_checked_fn" if checked else "_fn"
     fn = e.__dict__.get(key)
     if fn is None:
-        fn = _compile(e, checked)
-        object.__setattr__(e, key, fn)
+        fn = e.__dict__[key] = _SHAPES[type(e)].compile(e, checked)
     return fn
 
 
-def _compile(e: Expr, checked: bool) -> Callable:
-    match e:
-        case Const(v):
-            return lambda env, ctx: v
-        case Var(name):
+def _compile_const(e: Const, checked: bool) -> Callable:
+    v = e.value
+    return lambda env, ctx: v
 
-            def var(env, ctx):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise ValueError(f"variable {name!r} is not a compile-time constant") from None
 
-            return var
-        case Result():
-            return lambda env, ctx: env["\\result"]
-        case TableRead(target, index):
-            at = compiled(index)
-            return lambda env, ctx: ctx.load(target, at(env, ctx), env)
-        case FuncAccess(name, args) | BufAccess(name, args):
-            fns = [compiled(a) for a in args]
-            return lambda env, ctx: ctx.call(name, tuple(f(env, ctx) for f in fns))
-        case BoundRef(entity, dim, end):
-            fname = f"{entity}_{dim}_{end}"
-            return lambda env, ctx: ctx.call(fname, ())
-        case BinOp("==>", l, r) if not _reads_storage(l):
-            return _compile(Select(l, BinOp("!=", r, Const(0)), Const(1)), checked)
-        case BinOp(op, l, r):
-            if op not in _BINARY:
-                raise ValueError(f"unknown operator {op!r}")
-            apply = _BINARY[op]
-            if op in ("hdiv", "hmod") and isinstance(r, Const) and r.value > 0:
-                apply = operator.floordiv if op == "hdiv" else operator.mod
-            lf, rf = compiled(l, checked), compiled(r, checked)
-            if checked and op in _CHECKED_OPS:
+def _compile_var(e: Var, checked: bool) -> Callable:
+    name = e.name
 
-                def checked_op(env, ctx):
-                    v = apply(lf(env, ctx), rf(env, ctx))
-                    w = ctx.check(v)
-                    return v if w is None else w
+    def var(env, ctx):
+        try:
+            return env[name]
+        except KeyError:
+            raise ValueError(f"variable {name!r} is not a compile-time constant") from None
 
-                return checked_op
-            return lambda env, ctx: apply(lf(env, ctx), rf(env, ctx))
-        case Not(x):
-            xf = compiled(x, checked)
-            return lambda env, ctx: (xf(env, ctx) == 0) * 1
-        case Select(c, t, f):
-            cf, tf, ff = compiled(c, checked), compiled(t, checked), compiled(f, checked)
-            masked = not _reads_storage(c)
+    return var
 
-            def select(env, ctx):
-                cv = cf(env, ctx)
-                if not isinstance(cv, np.ndarray):
-                    return tf(env, ctx) if cv else ff(env, ctx)
-                if not masked or cv.ndim != 1:
-                    return np.where(cv != 0, tf(env, ctx), ff(env, ctx))
-                keep = cv != 0
-                if keep.all():
-                    return tf(env, ctx)
-                if not keep.any():
-                    return ff(env, ctx)
-                tv, fv = tf(narrow(env, keep), ctx), ff(narrow(env, ~keep), ctx)
-                lanes = [np.shape(v)[0] for v in (tv, fv) if np.ndim(v) == 2]
-                out = np.empty((max(lanes), *keep.shape) if lanes else keep.shape, dtype=np.int64)
-                out[..., keep] = tv
-                out[..., ~keep] = fv
-                return out
 
-            return select
-        case MinOf(l, r) | MaxOf(l, r):
-            pick = np.minimum if isinstance(e, MinOf) else np.maximum
-            lf, rf = compiled(l, checked), compiled(r, checked)
-            return lambda env, ctx: pick(lf(env, ctx), rf(env, ctx))
+def _compile_call(name: str, args: tuple[Expr, ...]) -> Callable:
+    fns = [compiled(a) for a in args]
+    return lambda env, ctx: ctx.call(name, tuple(f(env, ctx) for f in fns))
+
+
+def _compile_read(e: TableRead, checked: bool) -> Callable:
+    target, at = e.target, compiled(e.index)
+    return lambda env, ctx: ctx.load(target, at(env, ctx), env)
+
+
+def _compile_not(e: Not, checked: bool) -> Callable:
+    xf = compiled(e.operand, checked)
+    return lambda env, ctx: (xf(env, ctx) == 0) * 1
+
+
+def _compile_binop(e: BinOp, checked: bool) -> Callable:
+    op, l, r = e.op, e.left, e.right
+    if op == "==>" and not _reads_storage(l):
+        return _compile_select(Select(l, BinOp("!=", r, Const(0)), Const(1)), checked)
+    if op not in _BINARY:
+        raise ValueError(f"unknown operator {op!r}")
+    apply = _BINARY[op]
+    if op in ("hdiv", "hmod") and isinstance(r, Const) and r.value > 0:
+        apply = operator.floordiv if op == "hdiv" else operator.mod
+    lf, rf = compiled(l, checked), compiled(r, checked)
+    if checked and op in _CHECKED_OPS:
+
+        def checked_op(env, ctx):
+            v = apply(lf(env, ctx), rf(env, ctx))
+            w = ctx.check(v)
+            return v if w is None else w
+
+        return checked_op
+    return lambda env, ctx: apply(lf(env, ctx), rf(env, ctx))
+
+
+def _compile_select(e: Select, checked: bool) -> Callable:
+    cf, tf, ff = (compiled(k, checked) for k in (e.cond, e.if_true, e.if_false))
+    masked = not _reads_storage(e.cond)
+
+    def select(env, ctx):
+        cv = cf(env, ctx)
+        if not isinstance(cv, np.ndarray):
+            return tf(env, ctx) if cv else ff(env, ctx)
+        if not masked or cv.ndim != 1:
+            return np.where(cv != 0, tf(env, ctx), ff(env, ctx))
+        keep = cv != 0
+        if keep.all():
+            return tf(env, ctx)
+        if not keep.any():
+            return ff(env, ctx)
+        tv, fv = tf(narrow(env, keep), ctx), ff(narrow(env, ~keep), ctx)
+        lanes = [np.shape(v)[0] for v in (tv, fv) if np.ndim(v) == 2]
+        out = np.empty((max(lanes), *keep.shape) if lanes else keep.shape, dtype=np.int64)
+        out[..., keep] = tv
+        out[..., ~keep] = fv
+        return out
+
+    return select
+
+
+def _compile_pick(e: MinOf | MaxOf, checked: bool) -> Callable:
+    pick = np.minimum if type(e) is MinOf else np.maximum
+    lf, rf = compiled(e.left, checked), compiled(e.right, checked)
+    return lambda env, ctx: pick(lf(env, ctx), rf(env, ctx))
+
+
+def _compile_opaque(e: Expr, checked: bool) -> Callable:
     kind = type(e).__name__
 
     def opaque(env, ctx):
@@ -598,8 +596,39 @@ def _compile(e: Expr, checked: bool) -> Callable:
     return opaque
 
 
-def _reads_storage(e: Expr) -> bool:
-    return any(isinstance(n, (TableRead, FuncAccess, BufAccess, Result)) for n in walk(e))
+class _Shape(NamedTuple):
+    """A node type's row: its children, how to rebuild it from new ones,
+    and its closure."""
+
+    kids: Callable[[Expr], tuple[Expr, ...]]
+    make: Callable[[Expr, tuple[Expr, ...]], Expr] | None
+    compile: Callable[[Expr, bool], Callable]
+
+
+def _leaf(compile: Callable) -> _Shape:
+    return _Shape(lambda e: (), None, compile)
+
+
+def _pair(e: BinOp | MinOf | MaxOf) -> tuple[Expr, Expr]:
+    return (e.left, e.right)
+
+
+_SHAPES: dict[type, _Shape] = {
+    Const: _leaf(_compile_const),
+    Var: _leaf(_compile_var),
+    Result: _leaf(lambda e, checked: lambda env, ctx: env["\\result"]),
+    BoundRef: _leaf(lambda e, checked: _compile_call(f"{e.entity}_{e.dim}_{e.end}", ())),
+    Frac: _leaf(_compile_opaque),
+    BinOp: _Shape(_pair, lambda e, k: _fold(BinOp(e.op, *k)), _compile_binop),
+    MinOf: _Shape(_pair, lambda e, k: MinOf(*k), _compile_pick),
+    MaxOf: _Shape(_pair, lambda e, k: MaxOf(*k), _compile_pick),
+    Not: _Shape(lambda e: (e.operand,), lambda e, k: Not(*k), _compile_not),
+    Select: _Shape(lambda e: (e.cond, e.if_true, e.if_false), lambda e, k: Select(*k), _compile_select),
+    FuncAccess: _Shape(lambda e: e.args, lambda e, k: FuncAccess(e.func, k), lambda e, checked: _compile_call(e.func, e.args)),
+    BufAccess: _Shape(lambda e: e.args, lambda e, k: BufAccess(e.buf, k), lambda e, checked: _compile_call(e.buf, e.args)),
+    TableRead: _Shape(lambda e: (e.index,), lambda e, k: TableRead(e.target, *k), _compile_read),
+    PermAtom: _Shape(lambda e: (e.index,), lambda e, k: PermAtom(e.target, *k, e.frac), _compile_opaque),
+}
 
 
 def narrow(env: dict, keep: np.ndarray) -> dict:
@@ -765,6 +794,23 @@ class Stage:
                 return c
         return None
 
+    def mapped(self, fn: Callable[[Expr], Expr], **changes) -> "Stage":
+        """This stage with ``fn`` applied to each of its expressions."""
+
+        def cond(c: Cond) -> Cond:
+            return Cond(fn(c.expr), c.span)
+
+        return replace(
+            self,
+            lhs_args=tuple(fn(a) for a in self.lhs_args),
+            rhs=fn(self.rhs),
+            guard=None if self.guard is None else fn(self.guard),
+            requires=tuple(cond(c) for c in self.requires),
+            ensures=tuple(cond(c) for c in self.ensures),
+            invariants=tuple((n, cond(c)) for n, c in self.invariants),
+            **changes,
+        )
+
 
 @dataclass(frozen=True)
 class Buffer:
@@ -874,9 +920,6 @@ class Pipeline:
         def sub_interval(iv: Interval, shadow: set[str]) -> Interval:
             return Interval(Const(eval_const(sub_expr(iv.lo, shadow))), Const(eval_const(sub_expr(iv.hi, shadow))))
 
-        def sub_cond(c: Cond, shadow: set[str]) -> Cond:
-            return Cond(sub_expr(c.expr, shadow), c.span)
-
         buffers = []
         for b in self.buffers:
             shadow = set(b.dim_names())
@@ -884,7 +927,7 @@ class Pipeline:
                 replace(
                     b,
                     dims=tuple((n, sub_interval(iv, set())) for n, iv in b.dims),
-                    requires=tuple(sub_cond(c, shadow) for c in b.requires),
+                    requires=tuple(Cond(sub_expr(c.expr, shadow), c.span) for c in b.requires),
                 )
             )
         funcs = []
@@ -897,18 +940,7 @@ class Pipeline:
                 if s.rdom is not None:
                     rdom = RDom(tuple((n, sub_interval(iv, shadow)) for n, iv in s.rdom.vars))
                     shadow |= set(s.rdom.names())
-                stages.append(
-                    replace(
-                        s,
-                        lhs_args=tuple(sub_expr(a, shadow) for a in s.lhs_args),
-                        rhs=sub_expr(s.rhs, shadow),
-                        rdom=rdom,
-                        guard=None if s.guard is None else sub_expr(s.guard, shadow),
-                        requires=tuple(sub_cond(c, shadow) for c in s.requires),
-                        ensures=tuple(sub_cond(c, shadow) for c in s.ensures),
-                        invariants=tuple((n, sub_cond(c, shadow)) for n, c in s.invariants),
-                    )
-                )
+                stages.append(s.mapped(lambda e: sub_expr(e, shadow), rdom=rdom))
             funcs.append(replace(f, dims=tuple((n, sub_interval(iv, set())) for n, iv in f.dims), stages=tuple(stages)))
         ensures = []
         for q in self.ensures:
@@ -942,7 +974,7 @@ class Pipeline:
 
 
 def _is_var_free_of(e: Expr, names: set[str]) -> bool:
-    return not (free_vars(e) & names)
+    return _facts(e)[0].isdisjoint(names)
 
 
 def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
@@ -968,9 +1000,8 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
 
     for b in p.buffers:
         _check_dims(b.name, b.dims, diags)
-        point = {n for n, _ in b.dims}
         for c in b.requires:
-            _check_value_spec(b.name, b.dim_names(), c, point, diags)
+            _check_value_spec(b.name, b.dim_names(), c, diags)
 
     defined: set[str] = {b.name for b in p.buffers}
     for f in p.funcs:
@@ -1086,39 +1117,39 @@ def _validate_stage(p: Pipeline, f: Func, s: Stage, defined: set[str], diags: li
 
     def check_expr(e: Expr, where: str, span: Span, self_rule: str) -> None:
         for n in walk(e):
-            match n:
-                case Var(name) if name not in scope:
-                    diags.append(Diagnostic("UnboundVar", f"{f.name} stage {s.index} {where}: unknown variable {name!r}", span))
-                case BufAccess(b, args):
-                    try:
-                        buf = p.buffer(b)
-                    except KeyError:
-                        diags.append(Diagnostic("UnknownFunc", f"{f.name} stage {s.index} {where}: unknown buffer {b!r}", span))
-                        continue
-                    if len(args) != len(buf.dims):
-                        diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {b} takes {len(buf.dims)} arguments", span))
-                case FuncAccess(g, args):
-                    if g == f.name:
-                        if self_rule == "forbid":
-                            diags.append(Diagnostic("SelfReference", f"{f.name}: pure stage may not reference {f.name}", span))
-                        elif self_rule == "canonical" and args != canonical:
-                            diags.append(
-                                Diagnostic(
-                                    "SelfReferenceNotCanonical",
-                                    f"{f.name} stage {s.index} {where}: reduction self-reference must be at the updated point",
-                                    span,
-                                )
+            if isinstance(n, Var) and n.name not in scope:
+                diags.append(Diagnostic("UnboundVar", f"{f.name} stage {s.index} {where}: unknown variable {n.name!r}", span))
+            elif isinstance(n, BufAccess):
+                try:
+                    buf = p.buffer(n.buf)
+                except KeyError:
+                    diags.append(Diagnostic("UnknownFunc", f"{f.name} stage {s.index} {where}: unknown buffer {n.buf!r}", span))
+                    continue
+                if len(n.args) != len(buf.dims):
+                    diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {n.buf} takes {len(buf.dims)} arguments", span))
+            elif isinstance(n, FuncAccess):
+                g, args = n.func, n.args
+                if g == f.name:
+                    if self_rule == "forbid":
+                        diags.append(Diagnostic("SelfReference", f"{f.name}: pure stage may not reference {f.name}", span))
+                    elif self_rule == "canonical" and args != canonical:
+                        diags.append(
+                            Diagnostic(
+                                "SelfReferenceNotCanonical",
+                                f"{f.name} stage {s.index} {where}: reduction self-reference must be at the updated point",
+                                span,
                             )
-                        if len(args) != len(dim_names):
-                            diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {g} takes {len(dim_names)} arguments", span))
-                        continue
-                    if g not in defined:
-                        kind = "forward reference to" if any(h.name == g for h in p.funcs) else "unknown func"
-                        diags.append(Diagnostic("UnknownFunc", f"{f.name} stage {s.index} {where}: {kind} {g!r}", span))
-                        continue
-                    gf = p.func(g)
-                    if len(args) != len(gf.dims):
-                        diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {g} takes {len(gf.dims)} arguments", span))
+                        )
+                    if len(args) != len(dim_names):
+                        diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {g} takes {len(dim_names)} arguments", span))
+                    continue
+                if g not in defined:
+                    kind = "forward reference to" if any(h.name == g for h in p.funcs) else "unknown func"
+                    diags.append(Diagnostic("UnknownFunc", f"{f.name} stage {s.index} {where}: {kind} {g!r}", span))
+                    continue
+                gf = p.func(g)
+                if len(args) != len(gf.dims):
+                    diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {g} takes {len(gf.dims)} arguments", span))
 
     self_rule = {"pure": "forbid", "update": "any", "reduction": "canonical"}[s.kind]
     check_expr(s.rhs, "rhs", s.span, self_rule)
@@ -1162,21 +1193,14 @@ def _validate_stage(p: Pipeline, f: Func, s: Stage, defined: set[str], diags: li
         diags.append(Diagnostic("UnknownRVar", f"{f.name} stage {s.index}: invariants belong to reduction stages", s.span))
 
 
-def _check_value_spec(
-    owner: str,
-    dims: tuple[str, ...],
-    c: Cond,
-    point: set[str],
-    diags: list[Diagnostic],
-) -> None:
+def _check_value_spec(owner: str, dims: tuple[str, ...], c: Cond, diags: list[Diagnostic]) -> None:
     for n in walk(c.expr):
-        match n:
-            case Var(name) if name not in point:
-                diags.append(Diagnostic("UnboundVar", f"{owner} requires: unknown variable {name!r}", c.span))
-            case BufAccess(b, args):
-                if b != owner:
-                    diags.append(Diagnostic("PipelineSpecScope", f"{owner} requires may only constrain {owner}", c.span))
-                elif tuple(args) != tuple(Var(d) for d in dims):
-                    diags.append(Diagnostic("SpecNotCanonical", f"{owner} requires must constrain the cell ({', '.join(dims)})", c.span))
-            case FuncAccess(_, _):
-                diags.append(Diagnostic("PipelineSpecScope", f"{owner} requires may not call functions", c.span))
+        if isinstance(n, Var) and n.name not in dims:
+            diags.append(Diagnostic("UnboundVar", f"{owner} requires: unknown variable {n.name!r}", c.span))
+        elif isinstance(n, BufAccess):
+            if n.buf != owner:
+                diags.append(Diagnostic("PipelineSpecScope", f"{owner} requires may only constrain {owner}", c.span))
+            elif tuple(n.args) != tuple(Var(d) for d in dims):
+                diags.append(Diagnostic("SpecNotCanonical", f"{owner} requires must constrain the cell ({', '.join(dims)})", c.span))
+        elif isinstance(n, FuncAccess):
+            diags.append(Diagnostic("PipelineSpecScope", f"{owner} requires may not call functions", c.span))

@@ -20,7 +20,9 @@ exception.  See docs/grammar.ebnf for the grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from bisect import bisect
+from dataclasses import replace
+from typing import NamedTuple
 
 from .ir import (
     BinOp,
@@ -51,11 +53,12 @@ from .ir import (
 from .printing import ExprPrinter
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*)
-      | (?P<int>\d+)
+    r"""\s* (?://[^\n]*\s*)*
+    (?: (?P<int>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>==>|==|!=|<=|>=|&&|\|\||[-+*/%!<>=(){}\[\],;.])
+      | (?P<bad>.)
+      | (?P<eof>\Z))
     """,
     re.VERBOSE,
 )
@@ -65,34 +68,31 @@ _RESERVED = _BUILTINS | {"forall"}
 _STMT_KEYWORDS = {"pipeline", "param", "buffer", "func", "requires", "ensures", "forall", "over", "if", "in"}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "eof"
     text: str
-    span: Span
+    off: int
+    newlines: list[int]  # the offset of every newline in the source
+
+    @property
+    def span(self) -> Span:
+        line = bisect(self.newlines, self.off)
+        return Span(line + 1, self.off - (self.newlines[line - 1] if line else -1))
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    """One scan: each match skips whitespace and comments, then takes a
+    token, an unexpected character, or the end."""
+    newlines = [m.start() for m in re.finditer("\n", text)]
     toks: list[_Tok] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", Span(line, col))
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, lexeme, Span(line, col)))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Tok("eof", "", Span(line, col)))
-    return toks
+        tok = _Tok(kind, m[kind], m.start(kind), newlines)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.span)
+        toks.append(tok)
+        if kind == "eof":
+            return toks
 
 
 class _Parser:
@@ -112,12 +112,13 @@ class _Parser:
             self.pos += 1
         return t
 
+    # The end token's text is "", which no caller asks for.
     def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind != "eof"
+        return self.toks[self.pos].text == text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        if self.toks[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
@@ -328,16 +329,14 @@ class _Parser:
                     raise ParseError(f"buffer {bname!r} redeclared", t.span)
                 buffers[bname] = Buffer(bname, dims)
             elif self.eat("requires"):
-                span = t.span
-                pipe_req.append(Cond(self.expr(), span))
+                pipe_req.append(Cond(self.expr(), t.span))
                 self.expect(";")
             elif self.eat("ensures"):
-                span = t.span
                 quants: tuple[Quantifier, ...] = ()
                 if self.at("forall"):
                     self.advance()
                     quants = tuple(Quantifier(n, iv.lo, iv.hi) for n, iv in self.dim_list())
-                pipe_ens.append(QuantCond(quants, self.expr(), span))
+                pipe_ens.append(QuantCond(quants, self.expr(), t.span))
                 self.expect(";")
             elif self.eat("func"):
                 funcs.append(self._func_block())
@@ -434,11 +433,11 @@ class _Parser:
         self.expect(";")
         s = stages[-1]
         if kw.text == "requires":
-            stages[-1] = Stage(**{**_stage_fields(s), "requires": s.requires + (cond,)})
+            stages[-1] = replace(s, requires=s.requires + (cond,))
         elif kw.text == "ensures":
-            stages[-1] = Stage(**{**_stage_fields(s), "ensures": s.ensures + (cond,)})
+            stages[-1] = replace(s, ensures=s.ensures + (cond,))
         else:
-            stages[-1] = Stage(**{**_stage_fields(s), "invariants": s.invariants + ((rvar, cond),)})
+            stages[-1] = replace(s, invariants=s.invariants + ((rvar, cond),))
 
     # -- schedules ---------------------------------------------------------
 
@@ -498,21 +497,6 @@ class _Parser:
         raise ParseError(f"unknown directive {kind!r}", span)
 
 
-def _stage_fields(s: Stage) -> dict:
-    return {
-        "func": s.func,
-        "index": s.index,
-        "lhs_args": s.lhs_args,
-        "rhs": s.rhs,
-        "rdom": s.rdom,
-        "guard": s.guard,
-        "requires": s.requires,
-        "ensures": s.ensures,
-        "invariants": s.invariants,
-        "span": s.span,
-    }
-
-
 def _resolve_buffer_accesses(p: Pipeline) -> Pipeline:
     """The grammar cannot distinguish buffer reads from func calls, so the
     parser emits FuncAccess everywhere and this pass retargets the names
@@ -530,27 +514,12 @@ def _resolve_buffer_accesses(p: Pipeline) -> Pipeline:
     def fix_cond(c: Cond) -> Cond:
         return Cond(fix(c.expr), c.span)
 
-    funcs = []
-    for f in p.funcs:
-        stages = []
-        for s in f.stages:
-            stages.append(
-                replace(
-                    s,
-                    lhs_args=tuple(fix(a) for a in s.lhs_args),
-                    rhs=fix(s.rhs),
-                    guard=None if s.guard is None else fix(s.guard),
-                    requires=tuple(fix_cond(c) for c in s.requires),
-                    ensures=tuple(fix_cond(c) for c in s.ensures),
-                    invariants=tuple((n, fix_cond(c)) for n, c in s.invariants),
-                )
-            )
-        funcs.append(replace(f, stages=tuple(stages)))
+    funcs = tuple(replace(f, stages=tuple(s.mapped(fix) for s in f.stages)) for f in p.funcs)
     buffers = tuple(replace(b, requires=tuple(fix_cond(c) for c in b.requires)) for b in p.buffers)
     return replace(
         p,
         buffers=buffers,
-        funcs=tuple(funcs),
+        funcs=funcs,
         requires=tuple(fix_cond(c) for c in p.requires),
         ensures=tuple(QuantCond(q.quants, fix(q.body), q.span) for q in p.ensures),
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,13 +12,20 @@ import numpy as np
 
 from minisched.ir import (
     BinOp,
+    BufAccess,
     Const,
+    Frac,
+    FuncAccess,
+    MaxOf,
     MemTarget,
+    MinOf,
     Not,
+    PermAtom,
     Select,
     TableRead,
     ValidationError,
     Var,
+    _fold,
     compiled,
     eval_const,
     free_vars,
@@ -51,6 +60,93 @@ def test_substitute_does_not_chain_through_values():
     # x := y, y := 0 in x + y gives y + 0 = y, not 0
     e = BinOp("+", Var("x"), Var("y"))
     assert substitute(e, {"x": Var("y"), "y": Const(0)}) == Var("y")
+
+
+def reference_substitute(e, mapping):
+    """The match-ladder substitute that the node-shape table replaced: it
+    rebuilds the whole tree and folds every BinOp, hit or miss."""
+    if not mapping:
+        return e
+    match e:
+        case Var(name):
+            return mapping.get(name, e)
+        case BinOp(op, l, r):
+            return _fold(BinOp(op, reference_substitute(l, mapping), reference_substitute(r, mapping)))
+        case Not(x):
+            return Not(reference_substitute(x, mapping))
+        case Select(c, t, f):
+            return Select(*(reference_substitute(x, mapping) for x in (c, t, f)))
+        case MinOf(l, r):
+            return MinOf(reference_substitute(l, mapping), reference_substitute(r, mapping))
+        case MaxOf(l, r):
+            return MaxOf(reference_substitute(l, mapping), reference_substitute(r, mapping))
+        case FuncAccess(f, args):
+            return FuncAccess(f, tuple(reference_substitute(a, mapping) for a in args))
+        case BufAccess(b, args):
+            return BufAccess(b, tuple(reference_substitute(a, mapping) for a in args))
+        case TableRead(t, idx):
+            return TableRead(t, reference_substitute(idx, mapping))
+        case PermAtom(t, idx, frac):
+            return PermAtom(t, reference_substitute(idx, mapping), frac)
+        case _:
+            return e
+
+
+TABLE = MemTarget("buffer", "t")
+# Raw trees, built without folding, so ``x + 0``, ``1 + 2`` and ``x * 1``
+# occur as they come from the parser.
+raw_trees = st.recursive(
+    st.one_of(st.sampled_from([Var("x"), Var("y"), Var("z")]), st.integers(-2, 3).map(Const)),
+    lambda kids: st.one_of(
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "hdiv", "<", "&&"]), kids, kids),
+        st.builds(Not, kids),
+        st.builds(Select, kids, kids, kids),
+        st.builds(MinOf, kids, kids),
+        st.builds(MaxOf, kids, kids),
+        st.builds(FuncAccess, st.just("f"), st.tuples(kids, kids)),
+        st.builds(BufAccess, st.just("b"), st.tuples(kids)),
+        st.builds(TableRead, st.just(TABLE), kids),
+        st.builds(PermAtom, st.just(TABLE), kids, st.just(Frac(1, 2))),
+    ),
+    max_leaves=12,
+)
+# Keys that occur (x, y) and one that never does (w).
+mappings = st.dictionaries(st.sampled_from(["x", "y", "w"]), raw_trees, max_size=3)
+
+
+@given(raw_trees, mappings)
+def test_substitute_matches_the_reference(e, mapping):
+    want = reference_substitute(e, mapping)
+    assert substitute(e, mapping) == want
+    assert substitute(e, mapping) == want  # again, with the node facts cached
+    miss = {"w": Const(7)}
+    if reference_substitute(e, miss) == e:  # e is folded
+        assert substitute(e, miss) is e
+
+
+def test_substitute_returns_a_folded_tree_that_the_mapping_misses():
+    e = Select(Var("c"), BinOp("+", BinOp("*", Var("x"), Const(4)), Const(3)), TableRead(TABLE, Var("x")))
+    assert substitute(e, {"y": Const(1)}) is e
+    # a raw tree still comes out folded, hit or miss
+    raw = BinOp("*", BinOp("+", Var("x"), Const(0)), BinOp("+", Const(1), Const(2)))
+    assert substitute(raw, {"y": Const(1)}) == BinOp("*", Var("x"), Const(3))
+    assert substitute(raw, {"x": Var("y")}) == BinOp("*", Var("y"), Const(3))
+
+
+def test_node_caches_are_invisible():
+    def build():
+        return BinOp("+", BinOp("*", Var("x"), Const(2)), Select(Var("c"), TableRead(TABLE, Var("x")), Const(1)))
+
+    e, twin = build(), build()
+    compiled(e)
+    names = free_vars(e)
+    assert {"_fn", "_facts"} <= e.__dict__.keys()
+    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+    copy = dataclasses.replace(e)
+    assert copy == e and not {"_fn", "_facts"} & copy.__dict__.keys()
+    names.add("w")
+    names.discard("x")
+    assert free_vars(e) == {"x", "c"}
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))

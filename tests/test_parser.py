@@ -133,13 +133,27 @@ def test_unterminated_statement_rejected():
         parse_pipeline(SKEL.format(expr="1").replace("out(x) = 1;", "out(x) = 1"))
 
 
-def test_error_carries_location():
-    try:
-        parse_pipeline("pipeline p(inp) -> out {\n  param n = ;\n}")
-    except ParseError as e:
-        assert e.span.line == 2
-    else:
-        raise AssertionError("expected a parse error")
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("pipeline p(inp) -> out {\n  param n = ;\n}", 2, 13),
+        # an unexpected character after a comment line
+        ("pipeline p(inp) -> out {\n  // a comment line\n  param n = 4 $ 2;\n}", 3, 15),
+        # a tab counts as one column
+        ("pipeline p(inp) -> out {\n\tparam n = 1;\n\t\tparam m = ;\n}", 3, 13),
+        # the end of a last line with no trailing newline
+        ("pipeline p(inp) -> out {\n  param n = 1;\n  param m = 2 +", 3, 16),
+        # the end of an unterminated block, after its last newline
+        ("pipeline p(inp) -> out {\n  param n = 1;\n", 3, 1),
+        ("pipeline p(inp) -> out {\n  func out(x in [0, 4)) {\n    out(x) = 1;\n", 4, 1),
+        # carriage returns are whitespace; only newlines start a line
+        ("pipeline p(inp) -> out {\r\n  param n = 1; // tail\r\n  out(x) = inp(x) @ 1;\r\n}\r\n", 3, 19),
+    ],
+)
+def test_error_carries_location(text, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_pipeline(text)
+    assert (info.value.span.line, info.value.span.col) == (line, col)
 
 
 @settings(max_examples=300, deadline=None)
