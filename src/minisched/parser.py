@@ -48,7 +48,7 @@ from .ir import (
     Span,
     Stage,
     Var,
-    rewrite,
+    _fold,
 )
 from .printing import ExprPrinter
 
@@ -99,6 +99,11 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        # A body expression is folded as it is built, and its calls of the
+        # pipeline's inputs read the buffer; a parameter value or an
+        # interval bound is kept as written.
+        self.inputs: set[str] = set()
+        self.as_written = False
 
     # -- token plumbing ----------------------------------------------------
 
@@ -150,6 +155,16 @@ class _Parser:
     def expr(self) -> Expr:
         return self._implies()
 
+    def written_expr(self) -> Expr:
+        self.as_written = True
+        e = self.expr()
+        self.as_written = False
+        return e
+
+    def _arith(self, op: str, left: Expr, right: Expr) -> Expr:
+        e = BinOp(op, left, right)
+        return e if self.as_written else _fold(e)
+
     def _implies(self) -> Expr:
         left = self._or()
         if self.eat("==>"):
@@ -197,7 +212,7 @@ class _Parser:
         e = self._mul()
         while self.cur.text in ("+", "-") and self.cur.kind == "op":
             op = self.advance().text
-            e = BinOp(op, e, self._mul())
+            e = self._arith(op, e, self._mul())
         return e
 
     def _mul(self) -> Expr:
@@ -205,7 +220,7 @@ class _Parser:
         while self.cur.text in ("*", "/", "%") and self.cur.kind == "op":
             op = self.advance().text
             op = {"*": "*", "/": "hdiv", "%": "hmod"}[op]
-            e = BinOp(op, e, self._unary())
+            e = self._arith(op, e, self._unary())
         return e
 
     def _unary(self) -> Expr:
@@ -215,7 +230,7 @@ class _Parser:
             inner = self._unary()
             if isinstance(inner, Const):
                 return Const(-inner.value)
-            return BinOp("-", Const(0), inner)
+            return self._arith("-", Const(0), inner)
         return self._atom()
 
     def _atom(self) -> Expr:
@@ -234,6 +249,8 @@ class _Parser:
             if self.at("("):
                 self.advance()
                 args = self._expr_list(")")
+                if name in self.inputs and not self.as_written:
+                    return BufAccess(name, args)
                 return FuncAccess(name, args)
             if self.at("."):
                 self.advance()
@@ -273,9 +290,9 @@ class _Parser:
 
     def interval(self) -> Interval:
         self.expect("[")
-        lo = self.expr()
+        lo = self.written_expr()
         self.expect(",")
-        hi = self.expr()
+        hi = self.written_expr()
         self.expect(")")
         return Interval(lo, hi)
 
@@ -305,6 +322,7 @@ class _Parser:
         self.expect(">")
         output = self.ident("output func name").text
         self.expect("{")
+        self.inputs = set(inputs)
 
         params: list[tuple[str, Expr]] = []
         buffers: dict[str, Buffer] = {}
@@ -319,7 +337,7 @@ class _Parser:
             if self.eat("param"):
                 pname = self.decl_ident("parameter name").text
                 self.expect("=")
-                params.append((pname, self.expr()))
+                params.append((pname, self.written_expr()))
                 self.expect(";")
             elif self.eat("buffer"):
                 bname = self.decl_ident("buffer name").text
@@ -368,7 +386,7 @@ class _Parser:
             if b not in inputs:
                 raise ParseError(f"buffer {b!r} is not listed in the pipeline inputs", Span(1, 1))
 
-        p = Pipeline(
+        return Pipeline(
             name=name,
             params=tuple(params),
             buffers=tuple(buffers[b] for b in inputs),
@@ -377,7 +395,6 @@ class _Parser:
             requires=tuple(pipe_req),
             ensures=tuple(pipe_ens),
         )
-        return _resolve_buffer_accesses(p)
 
     def _func_block(self) -> Func:
         fname = self.decl_ident("func name").text
@@ -495,34 +512,6 @@ class _Parser:
             close()
             return Directive(kind, func, (consumer, dim), span)
         raise ParseError(f"unknown directive {kind!r}", span)
-
-
-def _resolve_buffer_accesses(p: Pipeline) -> Pipeline:
-    """The grammar cannot distinguish buffer reads from func calls, so the
-    parser emits FuncAccess everywhere and this pass retargets the names
-    that are declared buffers."""
-    buf_names = {b.name for b in p.buffers}
-
-    def fix(e: Expr) -> Expr:
-        def repl(n: Expr) -> Expr | None:
-            if isinstance(n, FuncAccess) and n.func in buf_names:
-                return BufAccess(n.func, n.args)
-            return None
-
-        return rewrite(e, repl)
-
-    def fix_cond(c: Cond) -> Cond:
-        return Cond(fix(c.expr), c.span)
-
-    funcs = tuple(replace(f, stages=tuple(s.mapped(fix) for s in f.stages)) for f in p.funcs)
-    buffers = tuple(replace(b, requires=tuple(fix_cond(c) for c in b.requires)) for b in p.buffers)
-    return replace(
-        p,
-        buffers=buffers,
-        funcs=funcs,
-        requires=tuple(fix_cond(c) for c in p.requires),
-        ensures=tuple(QuantCond(q.quants, fix(q.body), q.span) for q in p.ensures),
-    )
 
 
 def parse_pipeline(text: str) -> Pipeline:
