@@ -794,23 +794,6 @@ class Stage:
                 return c
         return None
 
-    def mapped(self, fn: Callable[[Expr], Expr], **changes) -> "Stage":
-        """This stage with ``fn`` applied to each of its expressions."""
-
-        def cond(c: Cond) -> Cond:
-            return Cond(fn(c.expr), c.span)
-
-        return replace(
-            self,
-            lhs_args=tuple(fn(a) for a in self.lhs_args),
-            rhs=fn(self.rhs),
-            guard=None if self.guard is None else fn(self.guard),
-            requires=tuple(cond(c) for c in self.requires),
-            ensures=tuple(cond(c) for c in self.ensures),
-            invariants=tuple((n, cond(c)) for n, c in self.invariants),
-            **changes,
-        )
-
 
 @dataclass(frozen=True)
 class Buffer:
@@ -920,6 +903,9 @@ class Pipeline:
         def sub_interval(iv: Interval, shadow: set[str]) -> Interval:
             return Interval(Const(eval_const(sub_expr(iv.lo, shadow))), Const(eval_const(sub_expr(iv.hi, shadow))))
 
+        def sub_cond(c: Cond, shadow: set[str]) -> Cond:
+            return Cond(sub_expr(c.expr, shadow), c.span)
+
         buffers = []
         for b in self.buffers:
             shadow = set(b.dim_names())
@@ -927,7 +913,7 @@ class Pipeline:
                 replace(
                     b,
                     dims=tuple((n, sub_interval(iv, set())) for n, iv in b.dims),
-                    requires=tuple(Cond(sub_expr(c.expr, shadow), c.span) for c in b.requires),
+                    requires=tuple(sub_cond(c, shadow) for c in b.requires),
                 )
             )
         funcs = []
@@ -940,7 +926,18 @@ class Pipeline:
                 if s.rdom is not None:
                     rdom = RDom(tuple((n, sub_interval(iv, shadow)) for n, iv in s.rdom.vars))
                     shadow |= set(s.rdom.names())
-                stages.append(s.mapped(lambda e: sub_expr(e, shadow), rdom=rdom))
+                stages.append(
+                    replace(
+                        s,
+                        lhs_args=tuple(sub_expr(a, shadow) for a in s.lhs_args),
+                        rhs=sub_expr(s.rhs, shadow),
+                        rdom=rdom,
+                        guard=None if s.guard is None else sub_expr(s.guard, shadow),
+                        requires=tuple(sub_cond(c, shadow) for c in s.requires),
+                        ensures=tuple(sub_cond(c, shadow) for c in s.ensures),
+                        invariants=tuple((n, sub_cond(c, shadow)) for n, c in s.invariants),
+                    )
+                )
             funcs.append(replace(f, dims=tuple((n, sub_interval(iv, set())) for n, iv in f.dims), stages=tuple(stages)))
         ensures = []
         for q in self.ensures:
