@@ -491,7 +491,7 @@ class _Runner:
             # like an out-of-range read, go on with zeros: the poison fill
             # would be reported a second time, as an overflow
             return np.zeros(self.lanes, dtype=np.int64)
-        return cell.arr.take(offset, axis=1)
+        return cell.arr[:, offset]
 
     def check(self, v):
         # exact loop-variable arithmetic that leaves int64 goes on wrapped,

@@ -149,6 +149,7 @@ def test_unterminated_statement_rejected():
         # carriage returns are whitespace; only newlines start a line
         ("pipeline p(inp) -> out {\r\n  param n = 1; // tail\r\n  out(x) = inp(x) @ 1;\r\n}\r\n", 3, 19),
     ],
+    ids=["param-value", "after-comment", "tab", "no-final-newline", "open-pipeline", "open-func", "carriage-return"],
 )
 def test_error_carries_location(text, line, col):
     with pytest.raises(ParseError) as info:
