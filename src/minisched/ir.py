@@ -380,7 +380,7 @@ def walk(e: Expr) -> Iterator[Expr]:
 def _facts(e: Expr) -> tuple[frozenset[str], bool, bool]:
     """``e``'s free variables, whether it reads storage, and whether it is
     folded: every BinOp in it equals its own :func:`_fold`."""
-    facts = e.__dict__.get("_facts")
+    facts = getattr(e, "_facts", None)
     if facts is None:
         kind = type(e)
         free = frozenset((e.name,)) if kind is Var else frozenset()
@@ -391,7 +391,8 @@ def _facts(e: Expr) -> tuple[frozenset[str], bool, bool]:
                 free = free | kfree if free else kfree
             reads, folded = reads or kreads, folded and kfolded
         folded = folded and (kind is not BinOp or _fold(e) is e)
-        facts = e.__dict__["_facts"] = (free, reads, folded)
+        facts = (free, reads, folded)
+        object.__setattr__(e, "_facts", facts)
     return facts
 
 
@@ -497,9 +498,10 @@ def compiled(e: Expr, checked: bool = False) -> Callable:
     lane, has lanes that may disagree at a point, and takes both branches.
     """
     key = "_checked_fn" if checked else "_fn"
-    fn = e.__dict__.get(key)
+    fn = getattr(e, key, None)
     if fn is None:
-        fn = e.__dict__[key] = _SHAPES[type(e)].compile(e, checked)
+        fn = _SHAPES[type(e)].compile(e, checked)
+        object.__setattr__(e, key, fn)
     return fn
 
 
