@@ -412,7 +412,8 @@ def _rebuilt(e: Expr, old: tuple, new: tuple) -> Expr:
 
 
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Replace free variables by expressions, folding every BinOp rebuilt.
+    """Replace free variables by expressions, folding every BinOp rebuilt;
+    a folded tree that no mapped variable occurs in comes back as itself.
 
     Expressions carry no binders (quantifiers live on annotations), so this
     is a plain structural rewrite.  Callers that substitute under a
