@@ -31,15 +31,18 @@ carries an entire batch of input sets as a leading lane axis.
 The runner executes a non-unrolled loop in batches (:func:`batch_plan`,
 :class:`_Batch`).  A batch covers a block of whole iterations of the loop
 and everything beneath it, producer-consumer sequences included, and
-evaluates each statement once over all its points.  Every write is stamped
-with its walk time in one log, which the batch's reads and the observer's
-share.  The walk's detectors run on the batch's offset arrays and fire
-where the walk would report, and the batch commits only if none fires and
-every read saw the write the walk gives it.  Otherwise it is dropped, with
-no state touched, and the rest of the loop is walked statement by
-statement, each inner loop trying its own batch, which reports the
-findings in the order, and with the messages, of a walk that never tried
-the batch.
+evaluates each statement once over all its points.  The points start as
+the head loop's iterations; an inner serial loop whose variable a store
+index names repeats them, one per iteration, and any other runs one
+iteration at a time.  Each point carries its walk time, in statement slots
+from the block's start.  Every write is stamped with its walk time in one
+log, which the batch's reads and the observer's share.  The walk's
+detectors run on the batch's offset arrays and fire where the walk would
+report, and the batch commits only if none fires and every read saw the
+write the walk gives it.  Otherwise it is dropped, with no state touched,
+and the rest of the loop is walked statement by statement, each inner
+loop trying its own batch, which reports the findings in the order, and
+with the messages, of a walk that never tried the batch.
 
 Under annotation checking, a batch's events are checked before it commits
 (:meth:`_AnnObserver.check_batch`).  Each value annotation that fires in
@@ -397,6 +400,8 @@ class _Runner:
         access at ``offset``, in walk order: allocation bounds, permission
         scope, initialisation (reads only, of the offsets ``fresh`` selects,
         all by default), then races against each entered parallel loop.
+        An access out of bounds, or outside any held permission, is reported
+        once per entity, mode and statement, its first offset the witness.
 
         The walk passes one int offset: each hit is reported, the access is
         recorded in the trackers, and an access outside the allocation
@@ -417,7 +422,7 @@ class _Runner:
                 "out_of_bounds",
                 f"{mode} of {name}[{offset}] outside its {size}-cell allocation",
                 self.site,
-                dedupe=("oob_w" if write else "oob_r", name, offset, self.site),
+                dedupe=("out_of_bounds", write, name, self.site),
             )
             return None
         if not any(is_write or not write for is_write in self.grants.get(name, ())):
@@ -428,7 +433,7 @@ class _Runner:
                 "uncovered_access",
                 f"{mode} {name}[{offset}] outside any held permission scope",
                 self.site,
-                dedupe=("uncov", name, offset, write, self.site),
+                dedupe=("uncovered_access", write, name, self.site),
             )
         at = offset + base if isinstance(base, np.ndarray) else offset
         if not (write or cell.init[at if fresh is None else at[fresh]].all()):
@@ -602,9 +607,9 @@ class _Runner:
         end = lo + loop.dim.extent
         if plan is None or end == lo:
             return lo
-        block = max(1, _BLOCK // max(1, plan.slots * plan.strides[0]))
+        block = max(1, _BLOCK // max(1, plan.slots))
         for first in range(lo, end, block):
-            batch = _Batch(self, plan, first, min(block, end - first), first + block >= end)
+            batch = _Batch(self, loop, plan, first, min(block, end - first), first + block >= end)
             try:
                 batch.run(env)
                 if self.obs is not None:
@@ -639,72 +644,39 @@ def _reads(e: Expr) -> set[str]:
 @dataclass(frozen=True)
 class BatchPlan:
     """A loop nest that runs as batches of whole iterations of its head.
-    ``loops``, outermost first, are its pure perfect nest, each inner one
-    the only node of its parent's body.  Their iterations, the *pure
-    iterations*, are ranked in walk order, the lexicographic order of the
-    loops' variables.  The innermost loop's body is what one pure
-    iteration runs: store statements under ``If`` guards, ``Chain``,
-    ``Produce``, ``Consume`` and ``Store`` nodes, unrolled loops and serial
-    loops.  A serial loop there is *expanded* (``expanded``, by ``id``)
-    when a store index beneath it mentions its variable: its iterations
-    run side by side, as more points.  Any other is a *step loop*, run one
-    iteration at a time, and ``stepped`` tells whether there is one.
-    ``written`` names the entities the nest's statements write.  ``spans``
-    gives the statement slots of one execution of each node of that body,
-    by ``id``, and ``slots`` those of one pure iteration; a serial loop
-    takes its extent times the slots of its body."""
+    One head iteration runs the head's body: store statements under ``If``
+    guards, ``Chain``, ``Produce``, ``Consume`` and ``Store`` nodes,
+    unrolled loops and serial loops.  A serial loop there is *expanded*
+    (``expanded``, by ``id``) when a store index beneath it mentions its
+    variable: its iterations run side by side, as more points.  Any other
+    is a *step loop*, run one iteration at a time, and ``stepped`` tells
+    whether there is one.  ``written`` names the entities the nest's
+    statements write.  ``spans`` gives the statement slots of one execution
+    of each node beneath the head, by ``id``, and ``slots`` those of one
+    head iteration; a serial loop takes its extent times the slots of its
+    body."""
 
-    loops: tuple[Loop, ...]
     stepped: bool
     expanded: frozenset[int]
     written: frozenset[str]
     spans: dict[int, int]
     slots: int
 
-    @property
-    def strides(self) -> list[int]:
-        """Per loop, the ranks one of its iterations spans."""
-        out = [1]
-        for loop in reversed(self.loops[1:]):
-            out.append(out[-1] * loop.dim.extent)
-        return out[::-1]
-
-    def values(self, env, lo: int, ranks: np.ndarray, depth: int | None = None) -> dict:
-        """``env`` with the variables of the outermost ``depth`` loops (all
-        by default) as vectors over the iterations of rank ``ranks``; the
-        outermost loop starts at ``lo``, an inner one at its ``lo``
-        evaluated over the outer vectors."""
-        out = dict(env)
-        for i, (loop, stride) in enumerate(zip(self.loops[:depth], self.strides)):
-            start = lo if i == 0 else compiled(loop.dim.lo)(out, _CLOSED)
-            step = ranks // stride
-            out[loop.dim.var] = start + (step % loop.dim.extent if i else step)
-        return out
-
 
 def batch_plan(loop: Loop) -> BatchPlan | None:
     """The batch plan of the nest ``loop`` heads; None when it must be
     walked.
 
-    The perfect nest looks through each inner loop that is serial, not
-    unrolled, non-empty and the only node of its parent's body; ``loop``
-    itself may be parallel.  The trailing loops of that nest whose
-    variables no store index mentions are step loops.  Beneath the nest
-    every node is a store statement, an ``If`` whose guard reads no
-    memory, a ``Chain``, ``Produce``, ``Consume`` or ``Store``, or an
-    unrolled or serial loop; an inner parallel loop heads a batch of its
-    own.  No store index reads memory, and one mentions a serial ``loop``:
-    otherwise its iterations rewrite the same cells and it is walked, one
-    step at a time.  Nothing more is required here: a batch stamps every
-    write with its walk time and commits only if every read saw the write
-    the walk gives it (:class:`_Batch`).
+    ``loop`` may be parallel or serial.  Beneath it every node is a store
+    statement, an ``If`` whose guard reads no memory, a ``Chain``,
+    ``Produce``, ``Consume`` or ``Store``, or an unrolled or serial loop;
+    an inner parallel loop heads a batch of its own.  No store index reads
+    memory, and one mentions a serial ``loop``: otherwise its iterations
+    rewrite the same cells and it is walked, one step at a time.  Nothing
+    more is required here: a batch stamps every write with its walk time
+    and commits only if every read saw the write the walk gives it
+    (:class:`_Batch`).
     """
-    loops = [loop]
-    while len(loops[-1].body) == 1:
-        inner = loops[-1].body[0]
-        if not (isinstance(inner, Loop) and inner.dim.kind == "serial" and inner.dim.extent > 0):
-            break
-        loops.append(inner)
     entries: list[tuple[tuple[Loop, ...], StoreStmt]] = []
     spans: dict[int, int] = {}
 
@@ -732,20 +704,15 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
             total += span
         return total
 
-    if collect(loops[-1].body, ()) is None:
+    slots = collect(loop.body, ())
+    if slots is None:
         return None
-    indexed = set().union(*(free_vars(s.index) for _, s in entries))
-    while len(loops) > 1 and loops[-1].dim.var not in indexed:
-        step = loops.pop()
-        spans[id(step)] = step.dim.extent * sum(spans[id(n)] for n in step.body)
-        entries = [((step,) + path, s) for path, s in entries]
-    if loop.dim.kind == "serial" and loop.dim.var not in indexed:
+    if loop.dim.kind == "serial" and all(loop.dim.var not in free_vars(s.index) for _, s in entries):
         return None
     expanded = frozenset(id(x) for path, s in entries for x in path if x.dim.var in free_vars(s.index))
     serial = {id(x) for path, _ in entries for x in path}
-    slots = sum(spans[id(n)] for n in loops[-1].body)
     written = frozenset(s.target.name for _, s in entries)
-    return BatchPlan(tuple(loops), bool(serial - expanded), expanded, written, spans, slots)
+    return BatchPlan(bool(serial - expanded), expanded, written, spans, slots)
 
 
 def batch_heads(root) -> dict[int, BatchPlan]:
@@ -845,13 +812,14 @@ class _Batch:
     on offset and value arrays, and where the walk reports they raise
     :class:`_Fired`.  No state changes before :meth:`commit`.
 
-    A point is a pure iteration at first; a ``Store`` gives each point its
-    own private storage, and an expanded loop repeats the points, one per
-    iteration, its variable a vector over them.  ``If`` narrows the points;
-    ``Produce`` and ``Consume`` push and pop the grants as the walk does.
-    A step loop runs one iteration at a time.  Every point carries its walk
-    time (``_WHEN``), ``r·T + t`` for slot ``t`` of the pure iteration of
-    rank ``r``, ``T = plan.slots``.
+    A point is an iteration of the head at first, the head's variable a
+    vector over them; a ``Store`` gives each point its own private storage,
+    and an expanded loop repeats the points, one per iteration, its
+    variable a vector over them.  ``If`` narrows the points; ``Produce`` and
+    ``Consume`` push and pop the grants as the walk does.  A step loop runs
+    one iteration at a time.  Every point carries its walk time
+    (``_WHEN``), the statement slots before it in the block: ``j·T + t``
+    for slot ``t`` of head iteration ``j``, ``T = plan.slots``.
 
     Private storage is one cell of all its executions' allocations side
     by side, poisoned and uninitialised as the walk's fresh instance, and
@@ -868,33 +836,35 @@ class _Batch:
     its iterations is touched by another, a race on the walk.  The commit
     stores each cell's latest-stamped value."""
 
-    def __init__(self, runner: _Runner, plan: BatchPlan, lo: int, count: int, closes: bool):
+    def __init__(self, runner: _Runner, loop: Loop, plan: BatchPlan, lo: int, count: int, closes: bool):
         self.runner = runner
-        self.plan = plan
+        self.loop, self.plan = loop, plan
         # the head loop's iterations from ``lo``, and whether they are its last
         self.lo, self.count, self.closes = lo, count, closes
-        self.size = count * plan.strides[0]  # pure iterations
-        self.period = plan.strides[0] * plan.slots  # slots per head iteration
-        self.clock = self.size * plan.slots + 1
+        self.clock = count * plan.slots + 1
         self.log: dict[int, _Stamped] = {}  # per cell instance
         self.private: dict[str, _Cell] = {}
         self.executions = 0  # of private stores, each a walk's instance
         # a parallel head's tracker logs the committed blocks before this one
-        self.tracker = runner.trackers[-1] if plan.loops[0].dim.kind == "parallel" else None
+        self.tracker = runner.trackers[-1] if loop.dim.kind == "parallel" else None
         # whether parallel loops outside the nest log its accesses
         self.outer = len(runner.trackers) > (self.tracker is not None)
-        # under an observer, the events inside the nest: (node, environment)
-        # of each annotated statement evaluated, consume entered and inner
-        # loop boundary
+        # under an observer, the events of the block: (node, environment)
+        # of each annotated statement evaluated, consume entered and serial
+        # loop boundary, the head's included
         self.marks: list | None = [] if runner.obs is not None else None
         self.points = 0
 
     def run(self, env: dict[str, int]):
         if self.tracker is not None:
             self.tracker.iteration = self.lo  # every access it logged clashes
-        ranks = np.arange(self.size, dtype=np.int64)
-        envk = self.plan.values(env, self.lo, ranks) | {_WHEN: ranks * self.plan.slots}
-        self._walk(self.plan.loops[-1].body, envk)
+        var, slots = self.loop.dim.var, self.plan.slots
+        if self.loop.dim.kind == "serial":
+            # the head's boundaries, its one-past-the-end one in its last block
+            j = np.arange(self.count + self.closes, dtype=np.int64)
+            self._mark(self.loop, env | {var: self.lo + j, _WHEN: j * slots}, "invariants")
+        j = np.arange(self.count, dtype=np.int64)
+        self._walk(self.loop.body, env | {var: self.lo + j, _WHEN: j * slots})
         self._settle()
 
     def _walk(self, nodes, envk: dict):
@@ -1029,7 +999,7 @@ class _Batch:
                     raise _Fired  # a write evaluated after a later read that needs it
             if racing and log.added and not log.cell.private:
                 offsets, when, wrote = log.accesses()
-                pairs = np.sort(offsets * self.count + when // self.period)
+                pairs = np.sort(offsets * self.count + when // self.plan.slots)
                 cells = pairs[np.append(True, pairs[1:] != pairs[:-1])] // self.count
                 shared = cells[1:][cells[1:] == cells[:-1]]
                 if len(shared) and np.isin(shared, offsets[wrote]).any():
@@ -1050,7 +1020,7 @@ class _Batch:
             if trackers and (log.added or log.reads):
                 offsets, when, wrote = log.accesses()
                 for tr in trackers:
-                    head = self.lo + when // self.period if tr is self.tracker else None
+                    head = self.lo + when // self.plan.slots if tr is self.tracker else None
                     tr.record(cell, offsets, wrote, head)
         runner.points += self.points
         runner.next_instance += self.executions
@@ -1152,53 +1122,38 @@ class _AnnObserver:
     # -- batched loops -----------------------------------------------------
 
     def check_batch(self, batch: _Batch, env):
-        """Every value annotation that fires inside ``batch``'s block of its
+        """Every value annotation that fires in ``batch``'s block of its
         nest, checked before it commits, each once over the stacked grid of
         its events.
 
         An event's time is the number of statement slots before it in walk
-        order within the block, ``r·T + t`` for slot ``t`` of the pure
-        iteration of rank ``r``, with ``T = plan.slots``; an event reads
-        storage through the batch's log as of that time
-        (:meth:`_Batch.read`), and inside a private store at its
-        execution's base.  A statement's precondition is at its slot's time
-        and its postcondition one more; an inner serial loop's boundary, of
-        a step or an expanded loop, is at the time the walk reaches it, its
-        one-past-the-end boundary after its last iteration's writes, and a
+        order within the block, ``j·T + t`` for slot ``t`` of head iteration
+        ``j``, with ``T = plan.slots``; an event reads storage through the
+        batch's log as of that time (:meth:`_Batch.read`), and inside a
+        private store at its execution's base.  A statement's precondition
+        is at its slot's time and its postcondition one more; a serial
+        loop's boundary, of the head, a step or an expanded loop, is at the
+        time the walk reaches it, its one-past-the-end boundary after its
+        last iteration's writes (the head's only in its last block), and a
         ``Consume``'s context at its entry; the batch marks them all
-        (``batch.marks``).  An event of a pure loop takes its time from the
-        rank ``r0`` of its instance's first iteration and the ranks ``s``
-        one of its iterations spans: boundary or block precondition ``j``
-        at ``(r0 + j·s)·T``, and a block postcondition ``j`` or the
-        one-past-the-end boundary at ``(r0 + (j + 1)·s)·T``, after the
-        writes of its last iteration; the head loop's one-past-the-end
-        boundary only in its last block.  A parallel head's iterations are
-        charged to a ledger of the block's own: in the last block it is
+        (``batch.marks``).  A parallel head's iteration ``j`` has its
+        precondition at ``j·T`` and its postcondition at ``(j + 1)·T``, and
+        is charged to a ledger of the block's own: in the last block it is
         summed with the loop's ledger, which it closes, and otherwise
         folded into it.
         Raises :class:`_Fired` wherever the walk would report or raise."""
-        plan, T = batch.plan, batch.plan.slots
+        loop, T = batch.loop, batch.plan.slots
         self.batch, self.pending = batch, 0
         depth = len(self.ledgers)
         block = None
         try:
-            for i, (loop, s) in enumerate(zip(plan.loops, plan.strides)):
-                if loop.dim.kind == "parallel":  # the head only
-                    self.ledgers.append((loop, self.ledgers[-1][1], {}))
-                    j = np.arange(batch.count, dtype=np.int64)
-                    events = env | {loop.dim.var: batch.lo + j}
-                    self.par_iter_pre(loop, events, j * s * T)
-                    self.par_iter_post(loop, events, (j + 1) * s * T)
-                    block = self.ledgers.pop()[2]
-                elif self._values_at(loop, ("invariants",)):
-                    # every boundary of every instance, instance by instance
-                    e = loop.dim.extent if i else batch.count
-                    ends = e + 1 if i or batch.closes else e
-                    r0 = np.repeat(np.arange(batch.size // (e * s), dtype=np.int64) * (e * s), ends)
-                    j = np.tile(np.arange(ends, dtype=np.int64), batch.size // (e * s))
-                    events = plan.values(env, batch.lo, r0, i + 1)
-                    events[loop.dim.var] = events[loop.dim.var] + j
-                    self.serial_boundary(loop, events, (r0 + j * s) * T)
+            if loop.dim.kind == "parallel":
+                self.ledgers.append((loop, self.ledgers[-1][1], {}))
+                j = np.arange(batch.count, dtype=np.int64)
+                events = env | {loop.dim.var: batch.lo + j}
+                self.par_iter_pre(loop, events, j * T)
+                self.par_iter_post(loop, events, (j + 1) * T)
+                block = self.ledgers.pop()[2]
             marks: dict[int, tuple] = {}
             for node, envk in batch.marks:
                 marks.setdefault(id(node), (node, []))[1].append(envk)

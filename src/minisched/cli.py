@@ -13,13 +13,15 @@ encoding as PVL pure functions with the pipeline lemma.
 
 ``minisched nest <algo.hal> <file.sched> [--scale k=v ...]`` prints the
 plain loop nest that the schedule lowers to.  Each loop that the checker
-runs in batches is marked with the depth of its flattened pure nest;
-everything beneath it, producer-consumer sequences and their private
-storage included, runs in those batches and is not marked.  There a
-serial loop whose variable a store index mentions runs its iterations side
-by side, and any other, a step loop, one iteration at a time; a batch with
-step loops also shows ``steps M``, the statement slots of one pure
-iteration.
+runs in batches is marked; everything beneath it, producer-consumer
+sequences and their private storage included, runs in those batches and
+is not marked.  There a serial loop whose variable a store index mentions
+runs its iterations side by side, and any other, a step loop, one
+iteration at a time.  The mark shows ``depth N``, the batch's loop and the
+chain of side-by-side loops below it that are each the only node of their
+parent's body; a batch with step loops also shows ``steps M``, the
+statement slots of one execution of the body of that chain's innermost
+loop.
 
 ``minisched check <algo.hal> <file.sched> [--scale k=v ...] [--seeds N ...]
 [--no-user | --plain]`` checks the schedule on one input set per seed and
@@ -144,8 +146,11 @@ def main(argv=None) -> int:
             plan = heads.get(id(loop))
             if plan is None:
                 return ""
-            steps = f", steps {plan.slots}" if plan.stepped else ""
-            return f"  # batch, depth {len(plan.loops)}{steps}"
+            chain = [loop]
+            while len(chain[-1].body) == 1 and id(chain[-1].body[0]) in plan.expanded:
+                chain.append(chain[-1].body[0])
+            steps = sum(plan.spans[id(c)] for c in chain[-1].body)
+            return f"  # batch, depth {len(chain)}" + (f", steps {steps}" if plan.stepped else "")
 
         sys.stdout.write(print_loop_nest(lp, mark))
         return 0

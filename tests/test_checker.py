@@ -421,17 +421,23 @@ def test_batched_out_of_bounds_store(monkeypatch):
     assert any(f.kind == "out_of_bounds" for f in batched.findings)
 
 
-def test_batched_out_of_bounds_read(monkeypatch):
-    def surgery(lp):
-        # lift reads mid one whole allocation past the cell it should
-        size = lp.allocs["mid"].size
-        for n in stores(lp.root, "lift"):
-            read = next(e for e in walk(n.value) if isinstance(e, TableRead) and e.target.name == "mid")
-            n.value = rewrite(
-                n.value, lambda e: TableRead(e.target, BinOp("+", e.index, Const(size))) if e == read else None
-            )
+def shifted_mid_read(lp):
+    """lift reads mid one whole allocation past the cell it should."""
+    size = lp.allocs["mid"].size
+    for n in stores(lp.root, "lift"):
+        read = next(e for e in walk(n.value) if isinstance(e, TableRead) and e.target.name == "mid")
+        n.value = rewrite(
+            n.value, lambda e: TableRead(e.target, BinOp("+", e.index, Const(size))) if e == read else None
+        )
 
-    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+
+def ungranted_mid(lp):
+    """mid's producer runs outside its Produce."""
+    lp.root.body[0] = Chain(lp.root.body[0].body)
+
+
+def test_batched_out_of_bounds_read(monkeypatch):
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, shifted_mid_read))
     assert_same_run(batched, walked)
     assert batched.replayed_loops > 0
     assert {f.kind for f in batched.findings} == {"out_of_bounds"}
@@ -452,6 +458,23 @@ def test_batched_uncovered_write(monkeypatch, grant):
     assert batched.replayed_loops > 0
     assert {f.kind for f in batched.findings} == {"uncovered_access"}
     assert all(f.message.startswith("write to mid[") for f in batched.findings)
+
+
+@pytest.mark.parametrize(
+    "surgery,finding",
+    [
+        (shifted_mid_read, ("out_of_bounds", "read of mid[73] outside its 72-cell allocation", "lift.stage0")),
+        (ungranted_mid, ("uncovered_access", "write to mid[0] outside any held permission scope", "mid.stage0")),
+    ],
+    ids=["out_of_bounds", "uncovered_access"],
+)
+def test_access_fault_is_reported_once_per_statement(monkeypatch, surgery, finding):
+    # every read of lift's, and every write of mid's, hits the same fault;
+    # the first offset is the witness
+    batched, walked = declined(monkeypatch, chain3_run(STAGED, surgery))
+    assert_same_run(batched, walked)
+    kind, message, site = finding
+    assert [f.to_json() for f in batched.findings] == [{"kind": kind, "message": message, "site": site}]
 
 
 def test_batched_uninitialized_read(monkeypatch):
@@ -542,6 +565,78 @@ pipeline shift(inp) -> out {
   func out(x in [0, 8)) { out(x) = inp(x + 1); }
 }
 """
+
+
+FUZZED = {
+    algo: parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
+    for algo, sizes in SMALL.items()
+}
+DIRECTIVES = ("split", "fuse", "reorder", "parallel", "unroll", "compute_at", "store_at")
+
+
+@st.composite
+def directive_chains(draw):
+    """A pipeline of ``FUZZED`` and a chain of 1-4 directives on it, as
+    schedule text.  Each directive names loops its func has at that point
+    of the chain, so most chains lower; the rest are typed rejections."""
+    algo = draw(st.sampled_from(sorted(FUZZED)))
+    # each func's loops, outermost first
+    loops = {f.name: [d for d, _ in reversed(f.dims)] for f in FUZZED[algo].funcs}
+    lines = []
+    for k in range(1, draw(st.integers(1, 4)) + 1):
+        func = draw(st.sampled_from(sorted(loops)))
+        mine, others = loops[func], sorted(set(loops) - {func})
+        # a fuse needs two loops, a placement another func
+        kinds = [d for d in DIRECTIVES if (d != "fuse" or len(mine) > 1) and (others or not d.endswith("_at"))]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "split":
+            i = draw(st.integers(0, len(mine) - 1))
+            args = (mine[i], f"o{k}", f"i{k}", draw(st.integers(2, 5)))
+            mine[i : i + 1] = [f"o{k}", f"i{k}"]
+        elif kind == "fuse":
+            i = draw(st.integers(1, len(mine) - 1))
+            args = (mine[i], mine[i - 1], f"fz{k}")  # inner, then the loop just outside it
+            mine[i - 1 : i + 1] = [f"fz{k}"]
+        elif kind == "reorder":
+            args = tuple(draw(st.permutations(mine)))  # innermost first
+            mine[:] = reversed(args)
+        elif kind in ("parallel", "unroll"):
+            args = (draw(st.sampled_from(mine)),)
+        else:
+            consumer = draw(st.sampled_from(others))
+            args = (consumer, draw(st.sampled_from(loops[consumer])))
+        lines.append(f"{func}.{kind}({', '.join(map(str, args))});")
+    return algo, " ".join(lines)
+
+
+def outcome(run):
+    """``run()``, or the typed error it raises."""
+    try:
+        return run()
+    except PipelineError as err:
+        return err
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(directive_chains())
+def test_fuzzed_schedules_are_rejected_alike_or_check_clean(case):
+    algo, text = case
+    p, d = FUZZED[algo], parse_schedule(text)
+    runs = [lambda: C.check_lowered(p, d, [0, 1])] + [
+        lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
+    ]
+    results = [outcome(run) for run in runs]
+    errors = {(type(r), str(r)) for r in results if isinstance(r, PipelineError)}
+    if errors:
+        # every mode raises the same typed error
+        assert len(errors) == 1 and all(isinstance(r, PipelineError) for r in results), results
+        return
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(C, "batch_plan", lambda loop: None)
+        walked = [run() for run in runs]
+    for batched, alone in zip(results, walked):
+        assert batched.passed, (text, [f.to_json() for f in batched.findings])
+        assert_same_run(batched, alone)
 
 
 def test_replay_counts_on_a_clean_and_a_faulty_schedule():
@@ -865,16 +960,19 @@ def test_instantiation_budget_is_a_pipeline_error():
 
 
 # ---------------------------------------------------------------------------
-# Perfect loop nests: one batch over the flattened iteration space
+# Loop nests: one batch over a head loop and the loops it runs side by side
 
 
 NEST_PLAN = C.batch_plan
 
 
 def single_loop_plans(loop):
-    """Plans that never look through an inner loop: each batch is one loop."""
+    """Plans that never run a nest's only inner loop side by side: a head
+    whose only child is an expanded loop is walked."""
     plan = NEST_PLAN(loop)
-    return plan if plan is None or len(plan.loops) == 1 else None
+    if plan is None or len(loop.body) != 1 or id(loop.body[0]) not in plan.expanded:
+        return plan
+    return None
 
 
 @pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)
@@ -991,7 +1089,7 @@ def test_select_on_a_nest_variable_batches_as_one_flattened_nest(monkeypatch, bo
 def test_flattened_invariant_reads_storage_as_of_its_boundary(monkeypatch):
     # xf < x becomes xf < x + (x == 3) in the x loop of the (yo, x, yi) nest:
     # at boundary x = 3 of each yo the invariant reads column 3, which the
-    # batch has staged at later ranks than the boundary's time
+    # batch has staged at later times than the boundary's
     def surgery(ap):
         count = 0
         for aset in ap.node.values():
@@ -1093,8 +1191,8 @@ def test_reference_call_outside_a_domain_is_out_of_bounds():
 
 
 # ---------------------------------------------------------------------------
-# Step batches: reduction nests batch over their pure loops, one step at a
-# time
+# Step batches: reduction nests batch over their side-by-side loops, one
+# step at a time
 
 
 def lowered_run(algo: str, sizes: dict, sched: str, surgery):
@@ -1110,7 +1208,7 @@ def lowered_run(algo: str, sizes: dict, sched: str, surgery):
 
 
 def stepped_heads(lp) -> list:
-    """The plans of the batches whose pure iterations run step loops."""
+    """The plans of the batches that run step loops."""
     return [plan for plan in C.batch_heads(lp.root).values() if plan.stepped]
 
 
@@ -1174,9 +1272,9 @@ def test_step_batch_duplicate_write_across_pure_iterations_replays(monkeypatch):
 
 
 def test_step_batch_write_into_another_iterations_cell_replays(monkeypatch):
-    # under matmul/unroll each pure iteration (j, io) accumulates two cells
-    # in two statements; io = 0's second statement is pointed at the cell
-    # of io = 1's first, so two statements of two pure iterations share it
+    # under matmul/unroll each iteration (j, io) accumulates two cells in
+    # two statements; io = 0's second statement is pointed at the cell of
+    # io = 1's first, so two statements of two (j, io) iterations share it
     def surgery(lp):
         stmt = [n for n in stores(lp.root, "prod") if n.stage == 1][1]
         first = BinOp("+", BinOp("*", Var("j"), Const(4)), Const(2))
@@ -1315,7 +1413,8 @@ def test_in_place_update_batches_by_stamp(monkeypatch, sched, n):
     d = schedule("update2", sched)
     lp = lower(p, d)
     (update,) = [s for s in stores(lp.root, "grid") if s.stage == 1]
-    assert any(update in nodes(plan.loops[0]) for plan in C.batch_heads(lp.root).values())
+    heads = C.batch_heads(lp.root)
+    assert any(update in nodes(n) for n in nodes(lp.root) if id(n) in heads)
     runs = [lambda: C.check_lowered(p, d, SEEDS)] + [
         lambda u=u: C.check_schedule(p, d, SEEDS, include_user=u) for u in (True, False)
     ]

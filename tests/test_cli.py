@@ -128,7 +128,7 @@ def test_nest_marks_the_loops_that_head_a_batch(capsys):
 
 
 def test_nest_shows_the_step_loops_of_a_batch(capsys):
-    # the update's pure nest (j, io) batches; each pure iteration runs the
+    # the update's (j, io) nest batches; each (j, io) iteration runs the
     # unrolled pair of (rt, rk) reductions, 2 * 2 * 4 statement slots
     argv = [
         "nest",

@@ -6,16 +6,22 @@ import importlib.util
 import io
 import json
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def tool(name: str):
+    """The module of ``tools/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_outcome_dump_prints_each_outcome_of_a_case():
-    spec = importlib.util.spec_from_file_location("outcome_dump", ROOT / "tools" / "outcome_dump.py")
-    dump = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(dump)
     out = io.StringIO()
-    dump.dump(["plain-run"], "count/root", out=out)
+    tool("outcome_dump").dump(["plain-run"], "count/root", out=out)
     lines = out.getvalue().splitlines()
     assert [line.split(" ", 3)[:3] for line in lines] == [
         ["plain-run", "count/root", "lanes=3,4,5"],
@@ -26,3 +32,20 @@ def test_outcome_dump_prints_each_outcome_of_a_case():
         assert fields["findings"] == [] and fields["points"] == 16 + 160
         assert sorted(fields["mem"]) == ["count", "inp"]
         assert all(len(h) == 40 for h in fields["mem"].values())
+
+
+def test_text_dump_prints_each_command_of_an_algorithm():
+    out = io.StringIO()
+    tool("text_dump").dump(["test"], "count", out=out)
+    # a header line, then the command's output
+    parts = re.split(r"^### (.*)\n", out.getvalue(), flags=re.M)[1:]
+    sections = dict(zip(parts[::2], parts[1::2]))
+    assert list(sections) == ["encode count test"] + [
+        f"{command} count/{sched} test"
+        for sched in ("par", "root", "tail", "vec")
+        for command in ("nest", "annotate", "annotate --no-user")
+    ]
+    # the test sizes keep count at its default width
+    assert sections["encode count test"] == (ROOT / "tests" / "golden" / "count.pvl").read_text()
+    assert "parallel x in [0, 15]:  # batch, depth 1\n" in sections["nest count/par test"]
+    assert "for x.xo in [0, 3]:  # batch, depth 2, steps 10\n" in sections["nest count/tail test"]
