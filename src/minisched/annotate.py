@@ -50,7 +50,6 @@ from .lowering import (
     If,
     Loop,
     LoweredPipeline,
-    NonAffineAccess,
     Produce,
     Store,
     StoreStmt,
@@ -229,15 +228,11 @@ class _Annotator:
     # -- seeds -------------------------------------------------------------
 
     def stage_subst(self, func: str, si: int) -> dict[str, Expr]:
-        """Canonical dims to loop expressions, renames applied throughout."""
+        """Canonical dims and reduction variables to loop expressions."""
         f = self.p.func(func)
-        s = f.stages[si]
-        sub = dict(self.sp.funcs[func].origin)
-        for d, arg in zip(f.dim_names(), s.lhs_args):
-            if arg != Var(d):
-                sub[d] = arg
-        ren = {old: Var(new) for old, new in self.lp.renames.get((func, si), {}).items()}
-        return {k: substitute(v, ren) for k, v in sub.items()} | ren
+        origin = self.sp.funcs[func].origin
+        args = zip(f.dim_names(), f.stages[si].lhs_args)
+        return origin | {d: substitute(arg, origin) for d, arg in args if arg != Var(d)}
 
     def seeds_for(self, stmt: StoreStmt) -> list:
         func, si = stmt.func, stmt.stage
@@ -260,10 +255,8 @@ class _Annotator:
         if not self.include_user:
             return state
 
-        until = None
-        if s.rdom is not None:
-            outer = s.rdom.names()[-1]
-            until = self.lp.renames.get((func, si), {}).get(outer, outer)
+        origin = self.sp.funcs[func].origin
+        until = None if s.rdom is None else origin[s.rdom.names()[-1]].name
 
         for cond in s.ensures:
             body = self.flatten(substitute(cond.expr, sub))
@@ -293,9 +286,8 @@ class _Annotator:
                         "MissingReductionInvariant",
                         f"{func} stage {si}: reduction variable {rv!r} has no invariant",
                     )
-                rv_l = self.lp.renames.get((func, si), {}).get(rv, rv)
                 body = self.flatten(substitute(inv.expr, sub))
-                state.append(Ann("invariant", (), body, origin=("rinv", func, si, rv_l)))
+                state.append(Ann("invariant", (), body, origin=("rinv", func, si, origin[rv].name)))
         return state
 
     def stage_reads(self, func: str, s: Stage) -> dict[str, list[tuple[Expr, ...]]]:
@@ -323,9 +315,7 @@ class _Annotator:
         boxes = []
         for idx, d in enumerate(entity.dim_names()):
             forms = [linearize(args[idx]) for args in accesses]
-            shape = forms[0][0]
-            if any(c != shape for c, _ in forms[1:]):
-                raise NonAffineAccess(f"{name}.{d}: reads have mixed shapes; cannot box them")
+            shape = forms[0][0]  # lowering rejects a stage that reads in two shapes
             ks = [k for _, k in forms]
             order = sorted(k for k in shape if isinstance(k, str))
             boxes.append((d, poly_expr(shape, min(ks), order), max(ks) - min(ks) + 1))
@@ -565,7 +555,7 @@ class _Annotator:
                 return None
             body = a.body
             for rprev in self.passed_r.setdefault((func, si), []):
-                body = substitute(body, {rprev: self._rdom_range(func, si, rprev)[0]})
+                body = substitute(body, {rprev: self._rdom_range((func, si), rprev)[0]})
             self.passed_r[(func, si)].append(v)
             inv = replace(a, body=body)
             self.at(loop).invariants.append(inv)
@@ -579,7 +569,7 @@ class _Annotator:
             # an enclosing reduction loop's own invariant subsumes it
             return ([], []) if not parallel else ([], [], [])
         rprev = a.origin[3]
-        rlo, rhi = self._rdom_range(func, si, rprev)
+        rlo, rhi = self._rdom_range((func, si), rprev)
         P = replace(a, body=substitute(a.body, {rprev: rlo}))
         Q = replace(a, body=substitute(a.body, {rprev: rhi}))
         outward = [_quantify_full(a, v, lo, ext)]
@@ -594,22 +584,18 @@ class _Annotator:
         return lines, outward
 
     def _own_reduction_loop(self, a: Ann, loop: Loop) -> bool:
-        func, si = a.origin[1], a.origin[2]
-        if loop.owner != (func, si):
-            return False
-        s = self.p.func(func).stages[si]
-        ren = self.lp.renames.get((func, si), {})
-        rnames = {ren.get(r, r) for r in (s.rdom.names() if s.rdom else ())}
-        return loop.dim.var in rnames
+        return loop.owner == a.origin[1:3] and self._rdom_range(loop.owner, loop.dim.var) is not None
 
-    def _rdom_range(self, func: str, si: int, rv: str) -> tuple[Expr, Expr]:
-        s = self.p.func(func).stages[si]
-        ren = self.lp.renames.get((func, si), {})
-        for r in s.rdom.names():
-            if ren.get(r, r) == rv:
+    def _rdom_range(self, owner: tuple[str, int], v: str) -> tuple[Expr, Expr] | None:
+        """(lo, hi) of the reduction variable of stage ``owner`` that loop
+        ``v`` runs, or None."""
+        s = self.p.func(owner[0]).stages[owner[1]]
+        origin = self.sp.funcs[owner[0]].origin
+        for r in s.rdom.names() if s.rdom else ():
+            if origin[r] == Var(v):
                 iv = s.rdom.interval(r)
                 return iv.lo, Const(iv.lo_int + iv.extent)
-        raise KeyError(rv)
+        return None
 
 
 def annotate(lp: LoweredPipeline, include_user: bool = True) -> AnnotatedPipeline:

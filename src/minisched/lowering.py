@@ -2,8 +2,10 @@
 
 The passes here turn a validated pipeline plus a directive list into the
 imperative form everything downstream consumes: ``apply_directives``
-rewrites each function's loop axes and records placements, ``infer_bounds``
-computes the region of every producer its consumers actually touch, and
+rewrites each function's loop axes, records placements and gives every loop
+its final name (a placed func's loop named like a loop in scope at its site
+gets a fresh name, so no later pass renames), ``infer_bounds`` computes
+the region of every producer its consumers actually touch, and
 ``build_loop_nest`` assembles the produce/consume/store tree with all
 storage flattened to one-dimensional arrays.
 
@@ -261,18 +263,12 @@ class Axis:
 class ScheduledFunc:
     func: Func
     axes: tuple[Axis, ...]
-    origin: dict[str, Expr]
+    origin: dict[str, Expr]  # each dim and reduction variable, over the loops
     guards: tuple[Expr, ...]
-    compute_site: tuple[str, str] | None = None  # (consumer func, axis var)
+    compute_site: tuple[str, str] | None = None  # (consumer func, its final loop name)
     store_site: tuple[str, str] | None = None
     inline: bool = False
     scheduled: bool = False
-
-    def axis(self, var: str) -> Axis:
-        for a in self.axes:
-            if a.var == var:
-                return a
-        raise KeyError(var)
 
 
 @dataclass(frozen=True)
@@ -307,7 +303,11 @@ def apply_directives(p: Pipeline, ds: list) -> ScheduledPipeline:
             raise _err("UnknownFunc", f"schedule names unknown func {d.func!r}", d.span)
         state[d.func] = _apply_one(state, state[d.func], d)
 
-    return ScheduledPipeline(p, _resolve_placements(p, state), tuple(ds))
+    funcs = _resolve_placements(p, state)
+    named: dict[str, dict[str, str]] = {}
+    for name in funcs:
+        _name_loops(funcs, name, named)
+    return ScheduledPipeline(p, funcs, tuple(ds))
 
 
 def _apply_one(state: dict[str, ScheduledFunc], sf: ScheduledFunc, d) -> ScheduledFunc:
@@ -319,7 +319,7 @@ def _apply_one(state: dict[str, ScheduledFunc], sf: ScheduledFunc, d) -> Schedul
             raise _err("SplitNonPositiveFactor", f"split factor must be positive, got {factor}", d.span)
         ax = _find_axis(sf, old, d.span)
         for taken in (outer, inner):
-            if taken != old and any(a.var == taken for a in sf.axes):
+            if taken != old and taken in _loop_names(sf):
                 raise _err("DuplicateDim", f"{d.func}: name {taken!r} already in use", d.span)
         if outer == inner:
             raise _err("DuplicateDim", f"{d.func}: split halves must have distinct names", d.span)
@@ -349,7 +349,7 @@ def _apply_one(state: dict[str, ScheduledFunc], sf: ScheduledFunc, d) -> Schedul
             raise _err("FuseNotAdjacent", f"{d.func}: {b_name!r} must be the loop immediately outside {a_name!r}", d.span)
         if ax_a.kind != ax_b.kind:
             raise _err("FuseKindMismatch", f"{d.func}: cannot fuse a {ax_a.kind} loop with a {ax_b.kind} one", d.span)
-        if any(a.var == fused for a in sf.axes if a.var not in (a_name, b_name)):
+        if fused in _loop_names(sf) - {a_name, b_name}:
             raise _err("DuplicateDim", f"{d.func}: name {fused!r} already in use", d.span)
         joined = set(ax_a.roots) | set(ax_b.roots)
         for s in sf.func.stages:
@@ -416,6 +416,11 @@ def _apply_one(state: dict[str, ScheduledFunc], sf: ScheduledFunc, d) -> Schedul
         return replace(sf, store_site=site)
 
     raise _err("UnknownDirective", f"unsupported directive {d.kind!r}", d.span)
+
+
+def _loop_names(sf: ScheduledFunc) -> set[str]:
+    """The names of a func's loops: its axes and its reduction variables."""
+    return {a.var for a in sf.axes} | {r for s in sf.func.stages if s.rdom is not None for r in s.rdom.names()}
 
 
 def _find_axis(sf: ScheduledFunc, var: str, span: Span) -> Axis:
@@ -493,6 +498,51 @@ def _resolve_placements(p: Pipeline, state: dict[str, ScheduledFunc]) -> dict[st
     return out
 
 
+def _name_loops(funcs: dict[str, ScheduledFunc], name: str, named: dict[str, dict[str, str]]) -> dict[str, str]:
+    """Give ``name``'s loops their final names, after its consumer's, and
+    return the ones that changed, old to new.  An axis or reduction variable
+    that a loop in scope at the func's compute site already names takes the
+    first name free with ``_`` appended (``y`` to ``y_``), so each loop of the
+    nest binds a name of its own; the sites follow the consumer's names."""
+    if name not in named:
+        sf, ren = funcs[name], {}
+        rvars = dict.fromkeys(r for s in sf.func.stages if s.rdom is not None for r in reversed(s.rdom.names()))
+        if sf.compute_site is not None:
+            (consumer, var), (_, svar) = sf.compute_site, sf.store_site
+            moved = _name_loops(funcs, consumer, named)
+            sf = replace(sf, compute_site=(consumer, moved.get(var, var)), store_site=(consumer, moved.get(svar, svar)))
+            scope = _scope(funcs, sf.compute_site)
+            taken = set(scope) | _loop_names(sf)
+            for v in [a.var for a in sf.axes] + list(rvars):
+                if v in scope:
+                    ren[v] = v + "_"
+                    while ren[v] in taken:
+                        ren[v] += "_"
+                    taken.add(ren[v])
+        sub = {v: Var(f) for v, f in ren.items()}
+        funcs[name] = replace(
+            sf,
+            # a display ends with its loop's name (``y``, ``y.yo``): it takes the same underscores
+            axes=tuple(
+                replace(a, var=ren[a.var], display=a.display + ren[a.var][len(a.var) :]) if a.var in ren else a
+                for a in sf.axes
+            ),
+            origin={k: substitute(e, sub) for k, e in sf.origin.items()} | {r: Var(ren.get(r, r)) for r in rvars},
+            guards=tuple(substitute(g, sub) for g in sf.guards),
+        )
+        named[name] = ren
+    return named[name]
+
+
+def _scope(funcs: dict[str, ScheduledFunc], site: tuple[str, str] | None) -> list[str]:
+    """Loop variables in scope at a site, outermost first."""
+    if site is None:
+        return []
+    consumer, var = site
+    axes = [a.var for a in funcs[consumer].axes]
+    return _scope(funcs, funcs[consumer].compute_site) + axes[: axes.index(var) + 1]
+
+
 def _transitive_consumers(consumers: dict[str, set[str]], name: str, out: dict[str, ScheduledFunc]) -> set[str]:
     """Funcs that read ``name`` directly or through inlined middlemen."""
     result: set[str] = set()
@@ -559,25 +609,6 @@ class FlatAlloc:
         return sum(stride * (point[d] - eval_const(self.base[d], env)) for d, stride in self.strides.items())
 
 
-def _site_path(sp: ScheduledPipeline, name: str) -> list[tuple[str, str]]:
-    sf = sp.funcs[name]
-    if sf.compute_site is None:
-        return []
-    consumer, var = sf.compute_site
-    return _site_path(sp, consumer) + [(consumer, var)]
-
-
-def _free_axes(sp: ScheduledPipeline, site: list[tuple[str, str]]) -> list[str]:
-    """Loop variables in scope at a site, outermost first."""
-    free: list[str] = []
-    for consumer, var in site:
-        for a in sp.funcs[consumer].axes:
-            free.append(a.var)
-            if a.var == var:
-                break
-    return free
-
-
 def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
     p = sp.pipeline
     inline_body = _inline_closure(sp)
@@ -589,20 +620,15 @@ def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
 
     for name in reversed([n for n in sp.realized if n != p.output]):
         sf = sp.funcs[name]
-        compute_path = _site_path(sp, name)
-        store_path = compute_path
-        if sf.store_site is not None and sf.store_site != sf.compute_site:
-            consumer, svar = sf.store_site
-            store_path = _site_path(sp, consumer) + [(consumer, svar)]
-
+        compute = _scope(sp.funcs, sf.compute_site)
         accesses = _collect_accesses(sp, name, inline_body)
         if not accesses:
             raise NonAffineAccess(f"{name} is realized but never read; nothing to infer bounds from")
         if sf.compute_site is not None:
-            _check_site_guards(sp, sf, accesses, _free_axes(sp, compute_path), fps)
+            _check_site_guards(sp, sf, accesses, compute, fps)
         fps[name] = Footprint(
-            compute=_region(sp, sf, accesses, _free_axes(sp, compute_path), fps),
-            store=_region(sp, sf, accesses, _free_axes(sp, store_path), fps),
+            compute=_region(sp, sf, accesses, compute, fps),
+            store=_region(sp, sf, accesses, _scope(sp.funcs, sf.store_site), fps),
         )
     return fps
 
@@ -661,7 +687,7 @@ def _loop_box(sp, consumer: str, fps) -> dict[str, tuple[Expr, Expr]]:
     """Inclusive (lo, hi) of every loop and reduction variable of
     ``consumer``, possibly in outer-loop variables."""
     sf = sp.funcs[consumer]
-    dims = {r: s.rdom.interval(r) for s in sf.func.stages if s.rdom is not None for r in s.rdom.names()}
+    dims = {sf.origin[r].name: s.rdom.interval(r) for s in sf.func.stages if s.rdom is not None for r in s.rdom.names()}
     for ax in sf.axes:
         dims[ax.var] = fps[consumer].compute[ax.root] if ax.original else FootDim(Const(0), ax.extent)
     return {v: (d.lo, dec(d.lo + d.extent)) for v, d in dims.items()}
@@ -804,7 +830,6 @@ class LoweredPipeline:
     footprints: dict[str, Footprint]
     allocs: dict[str, FlatAlloc]
     root: Node
-    renames: dict[tuple[str, int], dict[str, str]]
 
 
 def flat_alloc(entity, store: dict[str, FootDim] | None = None) -> FlatAlloc:
@@ -859,7 +884,7 @@ def build_loop_nest(sp: ScheduledPipeline, fps: dict[str, Footprint]) -> Lowered
         nest = [builder.produce(name, []), Consume(name, nest)]
     root: Node = nest[0] if len(nest) == 1 else Chain(nest)
     _check_closed(root, frozenset())
-    return LoweredPipeline(p, sp, fps, allocs, root, builder.renames)
+    return LoweredPipeline(p, sp, fps, allocs, root)
 
 
 def _check_closed(n: Node, bound: frozenset[str]) -> None:
@@ -891,7 +916,6 @@ class _Builder:
         self.fps = fps
         self.allocs = allocs
         self.inline_body = _inline_closure(sp)
-        self.renames: dict[tuple[str, int], dict[str, str]] = {}
         self.at_site: dict[tuple[str, str], list[str]] = {}
         self.store_only_site: dict[tuple[str, str], list[str]] = {}
         for name in sp.realized:
@@ -901,55 +925,23 @@ class _Builder:
                 if sf.store_site != sf.compute_site:
                     self.store_only_site.setdefault(sf.store_site, []).append(name)  # type: ignore[arg-type]
 
-    # -- expression lowering ----------------------------------------------
-
-    def lower_value(self, fname: str, e: Expr, scope: list[str], ren: dict[str, Expr]) -> Expr:
-        sf = self.sp.funcs[fname]
-        e = _inline_into(self.sp, e, lambda n: self.inline_body[n])
-        e = substitute(substitute(e, sf.origin), ren)
-        return self.flatten(e, scope)
-
-    def flatten(self, e: Expr, scope: list[str]) -> Expr:
-        return flatten_storage(self.p, self.allocs, e, scope)
-
     # -- nest construction -------------------------------------------------
 
     def produce(self, name: str, scope: list[str]) -> Produce:
+        sf = self.sp.funcs[name]
         body: list[Node] = []
-        for s in self.sp.funcs[name].func.stages:
-            body.extend(self.stage_nest(name, s, scope))
+        for s in sf.func.stages:
+            stage_dims = set(_stage_loop_dims(sf.func, s))
+            axes = [a for a in sf.axes if set(a.roots) & stage_dims]
+            for rv in reversed(s.rdom.names() if s.rdom else ()):  # first declared ends up innermost
+                iv, v = s.rdom.interval(rv), sf.origin[rv].name
+                axes.append(Axis(v, v, rv, "serial", iv.extent, iv.lo))
+            body.extend(self.loops(name, s, axes, scope))
         return Produce(name, body)
 
-    def stage_nest(self, name: str, s: Stage, scope: list[str]) -> list[Node]:
-        sf = self.sp.funcs[name]
-        stage_dims = set(_stage_loop_dims(sf.func, s))
-        axes = [a for a in sf.axes if set(a.roots) & stage_dims]
-        if s.rdom is not None:
-            for rv in reversed(s.rdom.names()):  # first declared ends up innermost
-                iv = s.rdom.interval(rv)
-                axes.append(Axis(rv, rv, rv, "serial", iv.extent, iv.lo, original=False))
-
-        # A producer placed inside a consumer may reuse the consumer's loop
-        # names; rename its own loops so the nest stays unambiguous.
-        taken = set(scope) | {a.var for a in axes}
-        renames: dict[str, Expr] = {}
-        fresh_axes: list[Axis] = []
-        for a in axes:
-            if a.var in scope:
-                fresh = a.var + "_"
-                while fresh in taken:
-                    fresh += "_"
-                taken.add(fresh)
-                renames[a.var] = Var(fresh)
-                display = fresh if a.display == a.var else f"{a.root}.{fresh}"
-                a = replace(a, var=fresh, display=display)
-            fresh_axes.append(a)
-        self.renames[(name, s.index)] = {v: e.name for v, e in renames.items()}
-        return self.loops(name, s, fresh_axes, scope, renames)
-
-    def loops(self, name: str, s: Stage, axes: list[Axis], scope: list[str], ren: dict[str, Expr]) -> list[Node]:
+    def loops(self, name: str, s: Stage, axes: list[Axis], scope: list[str]) -> list[Node]:
         if not axes:
-            return self.stmts(name, s, scope, ren)
+            return self.stmts(name, s, scope)
         ax, rest = axes[0], axes[1:]
         if ax.original:
             fd = self.fps[name].compute[ax.root]
@@ -957,7 +949,7 @@ class _Builder:
         else:
             lo, extent = ax.lo, ax.extent
         inner_scope = scope + [ax.var]
-        inner = self.loops(name, s, rest, inner_scope, ren)
+        inner = self.loops(name, s, rest, inner_scope)
 
         if s.index == 0:
             site = (name, ax.var)
@@ -969,7 +961,7 @@ class _Builder:
             if site in self.at_site:
                 # a padded tail iteration of the consumer runs nothing, so
                 # neither do the producers computed inside it
-                for c in reversed(self.tail_guards(name, inner_scope, ren)):
+                for c in reversed(self.tail_guards(name, inner_scope)):
                     inner = [If(c, (name, s.index), inner)]
             for g in reversed(self.store_only_site.get(site, [])):
                 inner = [Store(g, self.allocs[g], inner)]
@@ -985,27 +977,42 @@ class _Builder:
             loop.body = copies
         return [loop]
 
-    def tail_guards(self, name: str, scope: list[str], ren: dict[str, Expr]) -> list[Expr]:
+    def tail_guards(self, name: str, scope: list[str]) -> list[Expr]:
         """The split guards of ``name`` whose loops are all in ``scope``."""
-        guards = (substitute(g, ren) for g in self.sp.funcs[name].guards)
-        return [g for g in guards if free_vars(g) <= set(scope)]
+        return [g for g in self.sp.funcs[name].guards if free_vars(g) <= set(scope)]
 
-    def stmts(self, name: str, s: Stage, scope: list[str], ren: dict[str, Expr]) -> list[Node]:
+    def stmts(self, name: str, s: Stage, scope: list[str]) -> list[Node]:
         sf = self.sp.funcs[name]
         alloc = self.allocs[name]
-        point = {
-            d: substitute(substitute(arg, sf.origin), ren)
-            for d, arg in zip(sf.func.dim_names(), s.lhs_args)
-        }
+        point = {d: substitute(arg, sf.origin) for d, arg in zip(sf.func.dim_names(), s.lhs_args)}
         index = alloc.offset(point, scope)
-        value = self.lower_value(name, s.rhs, scope, ren)
+        exprs = (s.rhs,) if s.guard is None else (s.rhs, s.guard)
+        reads = [substitute(_inline_into(self.sp, e, lambda n: self.inline_body[n]), sf.origin) for e in exprs]
+        value, *guard = (flatten_storage(self.p, self.allocs, e, scope) for e in reads)
         nodes: list[Node] = [StoreStmt(name, s.index, storage_target(self.p, name), index, value, point)]
-        conds = self.tail_guards(name, scope, ren)
-        if s.guard is not None:
-            conds.append(self.lower_value(name, s.guard, scope, ren))
-        for c in reversed(conds):
+        _check_read_shapes(name, s.index, reads)
+        for c in reversed(self.tail_guards(name, scope) + guard):
             nodes = [If(c, (name, s.index), nodes)]
         return nodes
+
+
+def _check_read_shapes(func: str, si: int, reads: list[Expr]) -> None:
+    """Reject a stage that reads an entity other than its own func in two
+    affine shapes.  A stage's read permission on an entity is one box of
+    constant extent, and no such box covers ``inp(x)`` and ``inp(2 * x)``
+    once a loop fixes ``x``."""
+    first: dict[str, tuple[tuple, Expr]] = {}
+    for e in reads:
+        for n in walk(e):
+            if isinstance(n, BufAccess) or (isinstance(n, FuncAccess) and n.func != func):
+                shape = tuple(linearize(a)[0] for a in n.args)
+                had, node = first.setdefault(n.buf if isinstance(n, BufAccess) else n.func, (shape, n))
+                if had != shape:
+                    pr = ExprPrinter("dsl")
+                    raise NonAffineAccess(
+                        f"{func} stage {si} reads {pr(node)} and {pr(n)}, two shapes that no box"
+                        " of constant extent covers"
+                    )
 
 
 def _subst_nodes(nodes: list[Node], mapping: dict[str, Expr]) -> list[Node]:

@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minisched import PipelineError
@@ -34,7 +34,7 @@ from minisched.ir import (
     substitute,
     walk,
 )
-from minisched.lowering import Chain, Consume, Loop, Produce, StoreStmt, lower
+from minisched.lowering import Chain, Consume, Loop, NonAffineAccess, Produce, StoreStmt, lower
 from minisched.parser import parse_pipeline, parse_schedule
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -543,14 +543,18 @@ SMALL = {
 }
 
 
+def mode_runs(p, d) -> list:
+    """The three checks of a schedule: plain, functional, memory safety."""
+    return [lambda: C.check_lowered(p, d, [0, 1])] + [
+        lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
+    ]
+
+
 @pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)
 def test_batches_equal_the_walk_on_the_corpus(monkeypatch, algo, sched):
     p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
     d = schedule(algo, sched)
-    runs = [lambda: C.check_lowered(p, d, [0, 1])] + [
-        lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
-    ]
-    for run in runs:
+    for run in mode_runs(p, d):
         batched, walked = declined(monkeypatch, run)
         assert_same_run(batched, walked)
         # the tails of odd sizes run nothing, so every run is clean and
@@ -617,26 +621,103 @@ def outcome(run):
         return err
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(directive_chains())
-def test_fuzzed_schedules_are_rejected_alike_or_check_clean(case):
-    algo, text = case
-    p, d = FUZZED[algo], parse_schedule(text)
-    runs = [lambda: C.check_lowered(p, d, [0, 1])] + [
-        lambda u=u: C.check_schedule(p, d, [0, 1], include_user=u) for u in (True, False)
-    ]
+def rejected_alike_or_clean(p, d) -> list:
+    """The outcome of each mode, once checked that every mode raises the
+    same typed error, or that every mode checks clean and its batched run
+    equals its walked one."""
+    runs = mode_runs(p, d)
     results = [outcome(run) for run in runs]
     errors = {(type(r), str(r)) for r in results if isinstance(r, PipelineError)}
     if errors:
         # every mode raises the same typed error
         assert len(errors) == 1 and all(isinstance(r, PipelineError) for r in results), results
-        return
+        return results
     with pytest.MonkeyPatch.context() as m:
         m.setattr(C, "batch_plan", lambda loop: None)
         walked = [run() for run in runs]
     for batched, alone in zip(results, walked):
-        assert batched.passed, (text, [f.to_json() for f in batched.findings])
+        assert batched.passed, [f.to_json() for f in batched.findings]
         assert_same_run(batched, alone)
+    return results
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(directive_chains())
+# base placed at mid's y, which mid's own placement inside lift's y renames
+@example(("chain3", "base.compute_at(mid, y); mid.compute_at(lift, y);"))
+@example(("chain3", "mid.store_at(lift, y); mid.compute_at(lift, y); base.compute_at(mid, y);"))
+def test_fuzzed_schedules_are_rejected_alike_or_check_clean(case):
+    algo, text = case
+    rejected_alike_or_clean(FUZZED[algo], parse_schedule(text))
+
+
+# One stage reads an entity at x and at 2 * x.  With x fixed by a loop, the
+# hull of the two reads has no constant extent, so no read box covers them.
+TWO_SHAPES = {
+    "buffer": (
+        """
+pipeline twice(inp) -> out {
+  buffer inp(x in [0, 16));
+  func out(x in [0, 8)) { out(x) = inp(x) + inp(2 * x); }
+}
+""",
+        "out.parallel(x);",
+    ),
+    "root-func": (
+        """
+pipeline twice(inp) -> out {
+  buffer inp(x in [0, 16));
+  func g(x in [0, 16)) { g(x) = inp(x) + 1; }
+  func out(x in [0, 8)) { out(x) = g(x) + g(2 * x); }
+}
+""",
+        "g.parallel(x);",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TWO_SHAPES)
+def test_reads_in_two_shapes_are_rejected_in_every_mode(case):
+    src, text = TWO_SHAPES[case]
+    results = rejected_alike_or_clean(parse_pipeline(src).validated(), parse_schedule(text))
+    assert all(isinstance(r, NonAffineAccess) for r in results), results
+
+
+# acc's reduction variable r meets out's outer loop, which the split names r
+ACC = """
+pipeline acc(inp) -> out {
+  buffer inp(x in [0, 10));
+  inp.requires(-100 <= inp(x) <= 100);
+
+  func acc(x in [0, 8)) {
+    acc(x) = 0;
+    acc.ensures(acc(x) == 0);
+    acc(x) = acc(x) + inp(x + r) over (r in [0, 3));
+    acc.invariant(r, -100 * r <= acc(x) <= 100 * r);
+    acc.ensures(-300 <= acc(x) <= 300);
+  }
+
+  func out(x in [0, 8)) {
+    out(x) = acc(x) * 2;
+    out.ensures(-600 <= out(x) <= 600);
+  }
+}
+"""
+
+
+def test_reduction_variable_renamed_inside_its_site():
+    p, d = parse_pipeline(ACC).validated(), parse_schedule("out.split(x, r, xi, 2); acc.compute_at(out, r);")
+    lp = lower(p, d)
+    assert [n.dim.var for n in nodes(lp.root) if isinstance(n, Loop) and n.owner == ("acc", 1)] == ["x", "r_"]
+    ap = annotate(lp)
+    origins = {
+        a.origin
+        for n in nodes(lp.root)
+        for a in ap.at(n).invariants
+        if isinstance(a, Ann) and a.origin[0] in ("rinv", "pendI")
+    }
+    assert origins == {("rinv", "acc", 1, "r_"), ("pendI", "acc", 1, "r_")}
+    assert all(r.passed for r in rejected_alike_or_clean(p, d))
 
 
 def test_replay_counts_on_a_clean_and_a_faulty_schedule():

@@ -304,7 +304,8 @@ def test_compute_at_unsplit_consumer_renames_producer_loops():
     # that is y alone, so the producer's y is renamed and its x is not.
     lp = lower(load("blur"), sched("blur_x.compute_at(blur_y, y);"))
     assert [l.dim.var for l in loops_of(lp) if l.owner[0] == "blur_x"] == ["y_", "x"]
-    assert lp.renames[("blur_x", 0)] == {"y": "y_"}
+    blur_x = lp.scheduled.funcs["blur_x"]
+    assert [a.var for a in blur_x.axes] == ["y_", "x"] and blur_x.origin["y"] == Var("y_")
     # the three-row buffer indexes relative to the outer position
     (stmt,) = [n for n in walk_nodes(lp.root) if isinstance(n, StoreStmt) and n.func == "blur_x"]
     assert eval_const(stmt.index, {"y_": 5, "y": 3, "x": 2}) == 2 + 2 * 1024
@@ -335,6 +336,9 @@ def test_split_factor_must_be_positive():
 def test_split_names_must_be_fresh():
     err("DuplicateDim", "blur", "blur_y.split(x, y, xi, 4);")
     err("DuplicateDim", "blur", "blur_y.split(x, t, t, 4);")
+    # a reduction variable names a loop of its func too
+    err("DuplicateDim", "conv1d", "out.split(x, r, xi, 4);")
+    err("DuplicateDim", "matmul", "prod.fuse(i, j, rk);")
 
 
 def test_unknown_loop_name():

@@ -49,3 +49,20 @@ def test_text_dump_prints_each_command_of_an_algorithm():
     assert sections["encode count test"] == (ROOT / "tests" / "golden" / "count.pvl").read_text()
     assert "parallel x in [0, 15]:  # batch, depth 1\n" in sections["nest count/par test"]
     assert "for x.xo in [0, 3]:  # batch, depth 2, steps 10\n" in sections["nest count/tail test"]
+
+
+def test_soak_counts_the_fuzz_oracle_failures_by_class(monkeypatch):
+    soak = tool("soak")
+    out = io.StringIO()
+    assert soak.soak(4, 11, out=out) == {}
+    assert out.getvalue().startswith("4 chains at seed 11: 4 passed, 0 failed")
+
+    # a chain the oracle rejects is counted under its exception and line
+    def oracle(case):
+        raise KeyError(case[0])
+
+    monkeypatch.setattr(soak, "ORACLE", oracle)
+    out = io.StringIO()
+    ((key, (count, case)),) = soak.soak(3, 11, out=out).items()
+    assert key.startswith("KeyError at test_tools.py:") and count == 3
+    assert out.getvalue().splitlines()[1].split() == [str(count), *key.split(), f"{case[0]}:", *case[1].split()]
