@@ -6,10 +6,10 @@ evaluations is the context passed for the leaves:
 
 * ``eval_reference`` computes every function of a pipeline directly from
   its definition, stage by stage over full declared domains; it is the
-  semantic baseline.  Its reads (``load``) gather whole grids from the
-  declared allocations; a read outside the callee's declared domain
-  faults.  The evaluator reads an untaken ``select`` branch at no point, so
-  only a read that a point's value takes can fault.
+  semantic baseline.  It evaluates each stage body as written over a grid
+  in storage order; a read (``call``) outside the callee's declared range
+  in any dimension faults, and only a read that a point's value takes can:
+  an untaken ``select`` branch is read at no point.
 * ``run_lowered`` executes a built loop nest the way the emitted C would.
   Its ``load`` and ``check`` hooks watch for the things a verifier would
   reject: reads of cells never written, out-of-range indexes, values
@@ -74,7 +74,6 @@ from .ir import (
     Pipeline,
     PipelineError,
     Quantifier,
-    Select,
     TableRead,
     compiled,
     domain_grid,
@@ -84,10 +83,8 @@ from .ir import (
     walk,
     wrap_int64,
     _CLOSED,
+    _reads_storage,
     _resolve_bound_refs,
-    and_,
-    le,
-    lt,
     rewrite,
 )
 from .lowering import (
@@ -102,6 +99,7 @@ from .lowering import (
     _stage_loop_dims,
     flat_alloc,
     flatten_storage,
+    linearize,
 )
 
 POISON = np.int64(0x5EED_BADD_0000)
@@ -160,12 +158,11 @@ def assert_buffer_requires(p: Pipeline, inputs: dict[str, np.ndarray]) -> None:
     These conditions are implicitly quantified over the buffer's whole
     domain; a violation is a bug in the input generator, not a finding.
     """
-    allocs = {b.name: flat_alloc(b) for b in p.buffers}
-    mem = _Declared({name: arr.astype(np.int64) for name, arr in inputs.items()})
+    mem = _Declared(p.buffers, inputs)
     for b in p.buffers:
         env = domain_grid(_ranges(b, b.dim_names()))
         for cond in b.requires:
-            held = compiled(flatten_storage(p, allocs, cond.expr))(env, mem)
+            held = compiled(_affine_reads(cond.expr))(env, mem)
             if not (held != 0).all():
                 raise ValueError(f"generated inputs violate a precondition of {b.name!r}")
 
@@ -180,18 +177,22 @@ class ReferenceFault(ValueError):
 
 class _Declared:
     """Storage of the reference semantics: one (lanes, size) array per
-    entity in its declared layout.  Reads keep the lane axis leading; an
-    out-of-range read raises :class:`ReferenceFault`."""
+    entity in its declared layout.  A read ``call(name, args)`` raises
+    :class:`ReferenceFault` if any point falls outside the declared range of
+    any dimension, and gathers otherwise, the lane axis leading."""
 
-    def __init__(self, mem: dict[str, np.ndarray]):
-        self.mem = mem
+    def __init__(self, entities, inputs: dict[str, np.ndarray]):
+        self.mem = {name: arr.astype(np.int64) for name, arr in inputs.items()}
+        self.dims = {e.name: list(zip(_ranges(e, e.dim_names()), flat_alloc(e).strides.values())) for e in entities}
 
-    def load(self, target: MemTarget, index, env):
-        arr = self.mem[target.name]
-        idx = np.atleast_1d(index)
-        if ((idx < 0) | (idx >= arr.shape[1])).any():
-            raise ReferenceFault(f"reference evaluation reads {target.name} out of bounds")
-        return arr.take(idx, axis=1)
+    def call(self, name: str, args):
+        flat = 0
+        for a, ((_, lo, top), stride) in zip(args, self.dims[name]):
+            low, high = (a.min(), a.max()) if isinstance(a, np.ndarray) else (a, a)
+            if low < lo or high > top:
+                raise ReferenceFault(f"reference evaluation reads {name} out of bounds")
+            flat = flat + stride * (a - lo)
+        return self.mem[name].take(np.atleast_1d(flat), axis=1)
 
 
 def _ranges(entity, dims) -> list[tuple[str, int, int]]:
@@ -199,23 +200,26 @@ def _ranges(entity, dims) -> list[tuple[str, int, int]]:
     return [(d, entity.interval(d).lo_int, entity.interval(d).hi_int - 1) for d in dims]
 
 
-def _declared_reads(p: Pipeline, allocs, e: Expr) -> Expr:
-    """``e`` with entity accesses flattened to declared storage, as
-    :func:`flatten_storage` does; a read at a point outside the entity's
-    declared domain reads offset -1, outside every allocation."""
+_AS_TABLE = TableRead(MemTarget("buffer", ""), Const(0))
 
-    def repl(n: Expr) -> Expr | None:
-        if isinstance(n, FuncAccess):
-            entity = p.func(n.func)
-        elif isinstance(n, BufAccess):
-            entity = p.buffer(n.buf)
-        else:
-            return None
-        read = flatten_storage(p, allocs, n)
-        inside = and_(*(and_(le(iv.lo_int, a), lt(a, iv.hi_int)) for (_, iv), a in zip(entity.dims, n.args)))
-        return TableRead(read.target, Select(inside, read.index, Const(-1)))
 
-    return rewrite(e, repl)
+def _affine_reads(e: Expr) -> Expr:
+    """``e``, once each read in it, innermost first, has arguments affine in
+    the loop variables, hdiv/hmod numerators included; otherwise the
+    :class:`NonAffineAccess` that flattening ``e`` to storage raises."""
+
+    def affine(a: Expr) -> None:
+        if _reads_storage(a):  # named as the table read it flattens to
+            a = rewrite(a, lambda n: _AS_TABLE if isinstance(n, (FuncAccess, BufAccess)) else None)
+        for atom in linearize(a)[0]:
+            if isinstance(atom, BinOp):
+                affine(atom.left)
+
+    for n in reversed(list(walk(e))):  # children first, left to right
+        if isinstance(n, (FuncAccess, BufAccess)):
+            for a in n.args:
+                affine(a)
+    return e
 
 
 def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -226,34 +230,32 @@ def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.n
     value takes a read outside its callee's declared domain.
     """
     lanes = next(iter(inputs.values())).shape[0] if inputs else 1
-    allocs = {b.name: flat_alloc(b) for b in p.buffers} | {f.name: flat_alloc(f) for f in p.funcs}
-    mem = _Declared({name: arr.astype(np.int64) for name, arr in inputs.items()})
+    mem = _Declared((*p.buffers, *p.funcs), inputs)
 
     for f in p.funcs:
-        alloc = allocs[f.name]
+        alloc = flat_alloc(f)
         out = mem.mem[f.name] = np.full((lanes, alloc.size), POISON, dtype=np.int64)
         for s in f.stages:
             dims = _stage_loop_dims(f, s)
-            env = domain_grid(_ranges(f, dims))
-            n = env[dims[0]].size if dims else 1
+            # the grid in storage order, so a pure stage's points are its cells
+            env = domain_grid(_ranges(f, dims)[::-1])
             point = dict(zip(f.dim_names(), s.lhs_args))
-            idx = np.zeros(n, dtype=np.int64) + compiled(alloc.offset(point, list(dims)))(env, mem)
-            rhs = compiled(_declared_reads(p, allocs, s.rhs))
-            guard = None if s.guard is None else compiled(_declared_reads(p, allocs, s.guard))
+            lhs = None if s.kind == "pure" else compiled(alloc.offset(point, list(dims)))
+            rhs = compiled(_affine_reads(s.rhs))
+            guard = None if s.guard is None else compiled(_affine_reads(s.guard))
             rsteps = [{}]
             if s.rdom is not None:
-                # last declared variable is the outer loop
-                rnames = list(reversed(s.rdom.names()))
-                rsteps = [
-                    dict(zip(rnames, map(int, step)))
-                    for step in zip(*domain_grid(_ranges(s.rdom, rnames)).values())
-                ]
+                # last declared variable is the outer loop, as in storage order
+                grid = domain_grid(_ranges(s.rdom, s.rdom.names())[::-1])
+                rsteps = [dict(zip(grid, map(int, step))) for step in zip(*grid.values())]
             for rstep in rsteps:
                 full_env = env | rstep
+                # the cells a step writes, which a reduction variable may pick
+                idx = slice(None) if lhs is None else np.atleast_1d(lhs(full_env, mem))
                 if guard is None:
                     out[:, idx] = rhs(full_env, mem)
                     continue
-                held = np.broadcast_to(guard(full_env, mem) != 0, (lanes, n))
+                held = np.broadcast_to(guard(full_env, mem) != 0, (lanes, idx.size))
                 # a point runs where any lane holds its guard
                 keep = held.any(axis=0)
                 if keep.any():
@@ -1532,6 +1534,7 @@ def _execute(lp: LoweredPipeline, inputs: dict[str, np.ndarray], obs: _AnnObserv
         runner.report("mismatch", f"{holes} cell(s) of the output {out!r} were never written", out)
     if obs is not None:
         obs.pipeline_post()
+        obs.runner = None  # no cycle: the run's storage is freed on return, not by gc
     return RunResult(
         {name: c.arr for name, c in runner.mem.items()},
         runner.findings,

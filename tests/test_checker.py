@@ -21,8 +21,10 @@ from minisched import checker as C
 from minisched.annotate import Ann, RegionPerm, annotate
 from minisched.ir import (
     BinOp,
+    BufAccess,
     Const,
     Frac,
+    FuncAccess,
     MinOf,
     PermAtom,
     Quantifier,
@@ -30,11 +32,28 @@ from minisched.ir import (
     Select,
     TableRead,
     Var,
+    and_,
+    compiled,
+    domain_grid,
+    le,
+    lt,
+    narrow,
     rewrite,
     substitute,
     walk,
 )
-from minisched.lowering import Chain, Consume, Loop, NonAffineAccess, Produce, StoreStmt, lower
+from minisched.lowering import (
+    Chain,
+    Consume,
+    Loop,
+    NonAffineAccess,
+    Produce,
+    StoreStmt,
+    _stage_loop_dims,
+    flat_alloc,
+    flatten_storage,
+    lower,
+)
 from minisched.parser import parse_pipeline, parse_schedule
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -976,6 +995,192 @@ def test_reference_read_out_of_bounds_is_a_finding():
                 "site": "",
             },
         ]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("inp(x * x)", "product of two loop-dependent expressions in an access"),
+        ("inp(select(inp(x) > 0, x, 0))", "access index is not affine: Select"),
+        # a nested read is named as the table read lowering flattens it to
+        ("inp(inp(x) + 1)", "access index is not affine: TableRead"),
+        # the hmod atom is affine, but its numerator reads storage, so each
+        # lane would gather at offsets of its own
+        ("inp(hmod(inp(x), 3))", "access index is not affine: TableRead"),
+    ],
+    ids=["product", "data-dependent", "nested", "lane-dependent"],
+)
+def test_reference_rejects_a_non_affine_read(body, message):
+    p = one_stage(body)
+    with pytest.raises(NonAffineAccess) as err:
+        C.eval_reference(p, C.make_inputs(p, SEEDS))
+    assert str(err.value) == f"NonAffineAccess: {message}"
+
+
+def test_reference_reduction_writes_the_cells_its_variable_picks():
+    # the left side names the reduction variable, so each step writes its own cell
+    p = parse_pipeline(
+        """pipeline t(inp) -> f {
+  buffer inp(x in [0, 4));
+  func f(x in [0, 4)) {
+    f(x) = 0;
+    f(r) = f(r) + inp(r) over (r in [0, 4));
+  }
+}"""
+    ).validated()
+    inputs = C.make_inputs(p, SEEDS)
+    assert np.array_equal(C.eval_reference(p, inputs)["f"], inputs["inp"])
+    for res in (C.check_lowered(p, [], SEEDS), C.check_schedule(p, [], SEEDS, include_user=False)):
+        assert res.passed, [f.message for f in res.findings]
+
+
+# ---------------------------------------------------------------------------
+# The reference against the rewrite-based evaluator it replaced
+
+
+def rewrite_reference(p, inputs):
+    """The rewrite-based ``eval_reference`` that the per-dimension gather
+    replaced: each stage body is rewritten to flat table reads of declared
+    storage, a read outside its callee's declared domain redirected to
+    offset -1, and evaluated over a grid with the first dimension slowest."""
+    allocs = {e.name: flat_alloc(e) for e in (*p.buffers, *p.funcs)}
+    lanes = next(iter(inputs.values())).shape[0]
+    mem = {name: arr.astype(np.int64) for name, arr in inputs.items()}
+
+    class Declared:
+        def load(self, target, index, env):
+            arr = mem[target.name]
+            idx = np.atleast_1d(index)
+            if ((idx < 0) | (idx >= arr.shape[1])).any():
+                raise C.ReferenceFault(f"reference evaluation reads {target.name} out of bounds")
+            return arr.take(idx, axis=1)
+
+    def declared_reads(e):
+        def repl(n):
+            if isinstance(n, FuncAccess):
+                entity = p.func(n.func)
+            elif isinstance(n, BufAccess):
+                entity = p.buffer(n.buf)
+            else:
+                return None
+            read = flatten_storage(p, allocs, n)
+            inside = and_(*(and_(le(iv.lo_int, a), lt(a, iv.hi_int)) for (_, iv), a in zip(entity.dims, n.args)))
+            return TableRead(read.target, Select(inside, read.index, Const(-1)))
+
+        return rewrite(e, repl)
+
+    for f in p.funcs:
+        alloc = allocs[f.name]
+        out = mem[f.name] = np.full((lanes, alloc.size), C.POISON, dtype=np.int64)
+        for s in f.stages:
+            dims = _stage_loop_dims(f, s)
+            env = domain_grid(C._ranges(f, dims))
+            n = env[dims[0]].size if dims else 1
+            point = dict(zip(f.dim_names(), s.lhs_args))
+            idx = np.zeros(n, dtype=np.int64) + compiled(alloc.offset(point, list(dims)))(env, Declared())
+            rhs = compiled(declared_reads(s.rhs))
+            guard = None if s.guard is None else compiled(declared_reads(s.guard))
+            rsteps = [{}]
+            if s.rdom is not None:
+                rnames = list(reversed(s.rdom.names()))
+                rsteps = [
+                    dict(zip(rnames, map(int, step)))
+                    for step in zip(*domain_grid(C._ranges(s.rdom, rnames)).values())
+                ]
+            for rstep in rsteps:
+                full_env = env | rstep
+                if guard is None:
+                    out[:, idx] = rhs(full_env, Declared())
+                    continue
+                held = np.broadcast_to(guard(full_env, Declared()) != 0, (lanes, n))
+                keep = held.any(axis=0)
+                if keep.any():
+                    at = idx[keep]
+                    vals = rhs(narrow(full_env, keep), Declared())
+                    out[:, at] = np.where(held[:, keep], vals, out[:, at])
+    return mem
+
+
+@st.composite
+def read_args(draw, var: str | None) -> str:
+    """An argument shifted, scaled, or divided or reduced by a constant; a
+    shift past either end reads outside the domain, and in the first
+    dimension usually still inside the allocation."""
+    k = draw(st.integers(0, 2)) if draw(st.integers(0, 7)) else -1
+    if var is None:
+        return str(k)
+    c = draw(st.integers(1, 3))
+    form = draw(st.sampled_from(["{v} + {k}", "{c} * {v} + {k}", "{v} / {c} + {k}", "hmod({v}, {c}) + {k}"]))
+    return form.format(v=var, c=c, k=k)
+
+
+@st.composite
+def read_bodies(draw, entities: list[str], xs: tuple) -> str:
+    """A read of one of ``entities``, a sum of two, or two under a select
+    on a loop variable or on a read."""
+
+    def read() -> str:
+        return f"{draw(st.sampled_from(entities))}({draw(read_args(xs[0]))}, {draw(read_args(xs[1]))})"
+
+    form = draw(st.sampled_from(["one", "sum", "select-var", "select-read"]))
+    if form == "one":
+        return read()
+    if form == "sum":
+        return f"{read()} + {read()}"
+    v = draw(st.sampled_from([x for x in xs if x is not None]))
+    cond = f"{v} < {draw(st.integers(0, 5))}" if form == "select-var" else f"{read()} > 0"
+    return f"select({cond}, {read()}, {read()})"
+
+
+@st.composite
+def reference_pipelines(draw) -> str:
+    """One or two funcs over an input wide enough for every read but one
+    shifted below 0; the output may add an update of one row, guarded or
+    not, or a two-step reduction.  Reads of ``f`` also run past its end."""
+    two = draw(st.booleans())
+    funcs = ""
+    sources = ["inp"]
+    if two:
+        body = draw(read_bodies(["inp"], ("x", "y")))
+        funcs = f"  func f(x in [0, 8), y in [0, 6)) {{\n    f(x, y) = {body};\n  }}\n"
+        sources = ["f", "inp"]
+    stages = f"    out(x, y) = {draw(read_bodies(sources, ('x', 'y')))};\n"
+    later = draw(st.sampled_from(["", "update", "guarded", "reduction"]))
+    if later in ("update", "guarded"):
+        guard = f" if x < {draw(st.integers(1, 4))}" if later == "guarded" else ""
+        stages += f"    out(x, 1) = out(x, 1) + {draw(read_bodies(sources, ('x', None)))}{guard};\n"
+    elif later == "reduction":
+        stages += f"    out(x, y) = out(x, y) + {draw(read_bodies(sources, ('x', 'r')))} over (r in [0, 2));\n"
+    return (
+        "pipeline t(inp) -> out {\n  buffer inp(x in [0, 24), y in [0, 18));\n"
+        f"{funcs}  func out(x in [0, 4), y in [0, 3)) {{\n{stages}  }}\n}}"
+    )
+
+
+def reference_outcome(evaluate, p, inputs):
+    """The arrays, or the exception's type and text."""
+    try:
+        return evaluate(p, inputs)
+    except Exception as err:  # compared as an outcome
+        return type(err).__name__, str(err)
+
+
+@given(reference_pipelines())
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(
+    "pipeline t(inp) -> out {\n  buffer inp(x in [0, 6), y in [0, 5));\n"
+    "  func out(x in [0, 5), y in [0, 4)) {\n    out(x, y) = inp(x - 1, y + 1);\n  }\n}"
+)
+def test_reference_matches_the_rewrite_based_evaluator(text):
+    p = parse_pipeline(text).validated()
+    inputs = C.make_inputs(p, [0, 1])
+    want = reference_outcome(rewrite_reference, p, inputs)
+    got = reference_outcome(C.eval_reference, p, inputs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, dict) and got.keys() == want.keys()
+        assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 # ---------------------------------------------------------------------------

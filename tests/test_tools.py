@@ -66,3 +66,15 @@ def test_soak_counts_the_fuzz_oracle_failures_by_class(monkeypatch):
     ((key, (count, case)),) = soak.soak(3, 11, out=out).items()
     assert key.startswith("KeyError at test_tools.py:") and count == 3
     assert out.getvalue().splitlines()[1].split() == [str(count), *key.split(), f"{case[0]}:", *case[1].split()]
+
+
+def test_paper_sizes_prints_a_line_per_schedule_and_the_peak_rss():
+    paper_sizes = tool("paper_sizes")
+    reference = paper_sizes.checker.eval_reference
+    out = io.StringIO()
+    paper_sizes.measure("memory", "blur", 1 / 64, out=out)
+    assert paper_sizes.checker.eval_reference is reference  # the timer is removed
+    *lines, last = out.getvalue().splitlines()
+    pattern = r"blur/(\w+)  check \d+\.\d{3} s  reference (\d+\.\d{3}) s  pass"
+    assert [re.fullmatch(pattern, line)[1] for line in lines] == ["fused", "inline", "ref", "rows", "tail"]
+    assert re.fullmatch(r"peak RSS \d+ MB", last)
