@@ -48,8 +48,10 @@ Under annotation checking, a batch's events are checked before it commits
 (:meth:`_AnnObserver.check_batch`).  Each value annotation that fires in
 the block is evaluated once, over the stacked grid of all its events and
 quantifier points, in chunks of a bounded number of points, each event
-reading storage as of its own time; a parallel loop's permission ledger is
-charged the same way.  After the commit the instantiations are counted.
+reading storage as of its own time; a serial loop's invariant, over only
+the instances that can have changed since the previous boundary.  A
+parallel loop's permission ledger is charged the same way.  After the
+commit the instantiations are counted.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .ir import (
     INT32_MIN,
     BinOp,
     BufAccess,
-    Const,
     Expr,
     FuncAccess,
     MemTarget,
@@ -83,9 +84,9 @@ from .ir import (
     walk,
     wrap_int64,
     _CLOSED,
+    _SHAPES,
     _reads_storage,
     _resolve_bound_refs,
-    rewrite,
 )
 from .lowering import (
     Chain,
@@ -131,6 +132,9 @@ class RunResult:
     instantiations: int = 0
     batched_loops: int = 0  # loop instances committed as one batch
     replayed_loops: int = 0  # batches dropped because a detector fired
+    # the instantiations evaluated; the rest are loop invariant instances
+    # that held at the previous boundary and read no cell written since
+    evaluated: int = 0
 
     @property
     def passed(self) -> bool:
@@ -200,17 +204,12 @@ def _ranges(entity, dims) -> list[tuple[str, int, int]]:
     return [(d, entity.interval(d).lo_int, entity.interval(d).hi_int - 1) for d in dims]
 
 
-_AS_TABLE = TableRead(MemTarget("buffer", ""), Const(0))
-
-
 def _affine_reads(e: Expr) -> Expr:
     """``e``, once each read in it, innermost first, has arguments affine in
     the loop variables, hdiv/hmod numerators included; otherwise the
     :class:`NonAffineAccess` that flattening ``e`` to storage raises."""
 
     def affine(a: Expr) -> None:
-        if _reads_storage(a):  # named as the table read it flattens to
-            a = rewrite(a, lambda n: _AS_TABLE if isinstance(n, (FuncAccess, BufAccess)) else None)
         for atom in linearize(a)[0]:
             if isinstance(atom, BinOp):
                 affine(atom.left)
@@ -234,7 +233,10 @@ def eval_reference(p: Pipeline, inputs: dict[str, np.ndarray]) -> dict[str, np.n
 
     for f in p.funcs:
         alloc = flat_alloc(f)
-        out = mem.mem[f.name] = np.full((lanes, alloc.size), POISON, dtype=np.int64)
+        # not filled: validation makes stage 0 pure, with no reduction
+        # domain, guard or read of its own function, so it writes every
+        # cell before any read
+        out = mem.mem[f.name] = np.empty((lanes, alloc.size), dtype=np.int64)
         for s in f.stages:
             dims = _stage_loop_dims(f, s)
             # the grid in storage order, so a pure stage's points are its cells
@@ -558,6 +560,8 @@ class _Runner:
                     cell.arr[:, offset] = vals
                     cell.init[offset] = True
                 if self.obs is not None:
+                    if cell is not None:
+                        self.obs.wrote(cell.instance, offset)
                     self.obs.stmt_post(node, env)
             case _:
                 raise TypeError(f"cannot execute node {type(node).__name__}")
@@ -623,7 +627,7 @@ class _Runner:
                 return first
             batch.commit()
             if self.obs is not None:
-                self.obs.instantiations += self.obs.pending
+                self.obs.commit(batch)
             self.batched_loops += 1
         return None
 
@@ -740,10 +744,12 @@ class _Fired(Exception):
     """A detector fired on a batch."""
 
 
-# The keys under which a batch's environments keep each point's time and,
-# per store it runs privately, each point's base offset in its storage.
+# The keys under which a batch's environments keep each point's time,
+# per store it runs privately, each point's base offset in its storage,
+# and at a serial loop's boundary, the loop execution it belongs to.
 _WHEN = "\\when"
 _BASE = "\\base "
+_EXEC = "\\exec"
 
 
 class _Stamped:
@@ -856,6 +862,7 @@ class _Batch:
         # loop boundary, the head's included
         self.marks: list | None = [] if runner.obs is not None else None
         self.points = 0
+        self.execs = 1  # serial loop executions marked; the head's is 0
 
     def run(self, env: dict[str, int]):
         if self.tracker is not None:
@@ -864,7 +871,7 @@ class _Batch:
         if self.loop.dim.kind == "serial":
             # the head's boundaries, its one-past-the-end one in its last block
             j = np.arange(self.count + self.closes, dtype=np.int64)
-            self._mark(self.loop, env | {var: self.lo + j, _WHEN: j * slots}, "invariants")
+            self._mark(self.loop, env | {var: self.lo + j, _WHEN: j * slots, _EXEC: 0}, "invariants")
         j = np.arange(self.count, dtype=np.int64)
         self._walk(self.loop.body, env | {var: self.lo + j, _WHEN: j * slots})
         self._settle()
@@ -920,13 +927,6 @@ class _Batch:
         var, extent = loop.dim.var, loop.dim.extent
         start = compiled(loop.dim.lo)(envk, _CLOSED)
         span = sum(self.plan.spans[id(c)] for c in loop.body)
-        if id(loop) not in self.plan.expanded:
-            for j in range(extent + 1):
-                at = envk | {var: start + j, _WHEN: envk[_WHEN] + j * span}
-                self._mark(loop, at, "invariants")
-                if j < extent:
-                    self._walk(loop.body, at)
-            return
         n = len(envk[_WHEN])
 
         def spread(k: int) -> dict:
@@ -938,8 +938,15 @@ class _Batch:
             return out
 
         if self._observed(loop, "invariants"):
-            self.marks.append((loop, spread(extent + 1)))
-        if extent:
+            # every boundary, execution by execution, each numbered in order
+            events = spread(extent + 1)
+            events[_EXEC] = np.repeat(np.arange(self.execs, self.execs + n), extent + 1)
+            self.execs += n
+            self.marks.append((loop, events))
+        if id(loop) not in self.plan.expanded:
+            for j in range(extent):
+                self._walk(loop.body, envk | {var: start + j, _WHEN: envk[_WHEN] + j * span})
+        elif extent:
             self._walk(loop.body, spread(extent))
 
     def _observed(self, node, *slots: str) -> bool:
@@ -1071,6 +1078,116 @@ class InstantiationBudget(PipelineError):
 # chunk's working set stays near that of a single loop's batch.
 _CHUNK = 1 << 12
 
+# Above every coordinate of a quantifier point.
+_NO_POINT = np.iinfo(np.int64).max
+
+# A serial loop of fewer iterations checks its invariants whole.  Checked
+# incrementally, a prefix or suffix grid evaluates about 2 / extent of its
+# instances; below this, at the test sizes, the bookkeeping costs more than
+# the evaluations it saves.
+_INCREMENTAL_FROM = 16
+
+
+@dataclass
+class _Frame:
+    """One execution of a serial loop whose invariants are checked
+    incrementally, carried from boundary to boundary on the walk and from
+    block to block of a batched head: per invariant, its quantifier box at
+    the previous boundary and, on the walk, its index
+    (:meth:`_AnnObserver._index`); the invariants checked whole since a read
+    out of range; and per cell instance, the offsets written since the
+    previous boundary."""
+
+    boxes: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    index: dict[int, tuple] = field(default_factory=dict)
+    whole: set[int] = field(default_factory=set)
+    writes: dict[int, list] = field(default_factory=dict)
+
+
+class _Steps:
+    """The boundary events of a serial loop at one call of the observer, the
+    walk's one or a batch's ``n``, grouped by execution once needed
+    (:meth:`group`): per event, its previous boundary among them (``prev``,
+    -1 for none) and its execution's position (``pos``), execution ``k``'s
+    events from ``starts[k]`` on; and the writes
+    since each event's previous boundary (:meth:`writes`).  The walk's
+    execution, or a batched head's, has a frame that carries the previous
+    boundary from call to call: the walk opens it at the first boundary and
+    closes it after the last, and a batch stages a copy that its commit
+    keeps (:meth:`_AnnObserver.commit`)."""
+
+    def __init__(self, obs: _AnnObserver, loop: Loop, env, when):
+        self.obs, self.loop, self.env, self.when = obs, loop, env, when
+        n = self.n = 1 if when is None else len(when)
+        self.frame: _Frame | None = None
+        self.cells: dict[int, tuple] = {}
+        self.spans = None
+        batch = obs.batch
+        if batch is None or loop is batch.loop:
+            # one execution
+            self.prev = np.arange(n) - 1
+            self.pos = np.zeros(n, dtype=np.int64)
+            self.starts = np.zeros(1, dtype=np.int64)
+            self.lo = compiled(loop.dim.lo)(env, _CLOSED)
+            first = (env[loop.dim.var] if when is None else env[loop.dim.var][0]) == self.lo
+            frame = _Frame() if first else obs.frames[id(loop)]
+            if batch is None:
+                self.frame = obs.frames[id(loop)] = frame
+            else:
+                self.frame = obs.staged = _Frame(dict(frame.boxes), writes=frame.writes)
+
+    def group(self):
+        """Group an inner loop's events by execution, each whole in the
+        block."""
+        if not hasattr(self, "prev"):
+            # the batch marks them execution by execution, each in order
+            ex = self.env[_EXEC]
+            new = np.append(True, ex[1:] != ex[:-1])
+            self.prev = np.where(new, -1, np.arange(self.n) - 1)
+            self.pos = np.cumsum(new) - 1
+            self.starts = np.flatnonzero(new)
+
+    def writes(self, instance: int) -> tuple[np.ndarray, np.ndarray]:
+        """The writes to cell ``instance`` since each event's previous
+        boundary: the event of each, and its offset."""
+        got = self.cells.get(instance)
+        if got is None:
+            evs, offsets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+            if self.frame is not None and instance in self.frame.writes:
+                offsets.append(np.hstack(self.frame.writes[instance]))
+                evs.append(np.zeros(len(offsets[-1]), dtype=np.int64))
+            log = None if self.obs.batch is None else self.obs.batch.log.get(instance)
+            if log is not None and log.added:
+                if self.spans is None:
+                    # the statement slots from each event's previous boundary
+                    has = np.flatnonzero(self.prev >= 0)
+                    since = self.when[self.prev[has]]
+                    o = np.argsort(since, kind="stable")
+                    self.spans = since[o], self.when[has][o], has[o]
+                since, until, has = self.spans
+                keys = log.sorted()[0]
+                t = keys % log.clock
+                k = np.searchsorted(since, t, side="right") - 1
+                ok = (k >= 0) & (t < until[np.maximum(k, 0)]) if len(has) else np.zeros(len(t), dtype=bool)
+                evs.append(has[k[ok]])
+                offsets.append(keys[ok] // log.clock)
+            got = self.cells[instance] = (np.concatenate(evs), np.concatenate(offsets))
+        return got
+
+    def index(self, a: Ann, reads, lo, hi):
+        """:meth:`_AnnObserver._index` of ``a`` over the executions here,
+        with grids ``[lo, hi)``; on the walk, over every boundary of its
+        execution, once."""
+        obs, frame = self.obs, self.frame
+        if obs.batch is not None:
+            return obs._index(a, reads, self.env, lo, hi, self.starts)
+        if id(a) not in frame.index:
+            # the execution at every boundary
+            k = self.loop.dim.extent + 1
+            every = self.env | {self.loop.dim.var: self.lo + np.arange(k)}
+            frame.index[id(a)] = obs._index(a, reads, every, *obs._box(a, every, k), self.starts)
+        return frame.index[id(a)]
+
 
 class _AnnObserver:
     """Evaluates attached annotations at the runner's boundary events.
@@ -1088,6 +1205,25 @@ class _AnnObserver:
     included; the event entry points then get the nest's variables as
     vectors of events and ``when``, each event's time in statement slots.
     The walk calls them with one event.
+
+    A serial loop's invariant is checked incrementally where its shape
+    allows (:meth:`_incremental`, :meth:`_written`): it is quantified, its
+    bounds name no quantifier variable, its body does not name the loop's
+    variable and no read index reads storage.  An instance that was in the
+    grid at the previous boundary of the same loop execution then reads the
+    same cells at both, so unless one of them was written in between, its
+    truth is unchanged.  Each boundary evaluates only the instances that
+    entered the grid and the old ones that read a cell written since
+    (:meth:`_select`), the writes coming from the walk or from a batch's
+    log.  The findings are those of a whole check: every check before the
+    first failing boundary passed, in every lane; there, an instance that
+    fails is new or was dirtied, as every other one held and reads the same
+    values; and an annotation reported at a site is not checked there
+    again.  A read out of range makes the walk check the rest of the
+    execution whole, so it reports the reads a whole check reports; a batch
+    fires on it.  A short loop's invariants are checked whole
+    (``_INCREMENTAL_FROM``).  ``instantiations`` counts every instance and
+    ``evaluated`` those evaluated.
     """
 
     def __init__(self, ap: AnnotatedPipeline, cap: int = 10_000_000):
@@ -1095,31 +1231,58 @@ class _AnnObserver:
         self.cap = cap
         self.runner: _Runner | None = None
         self.instantiations = 0
+        self.evaluated = 0
         # per parallel loop entered: the loop, its common denominator, and
         # the cells claimed per (entity, allocation size, share)
         self.ledgers: list[tuple[Loop, int, dict[tuple[str, int, int], _Claims]]] = []
         self.perms: dict[int, tuple[int, list]] = {}  # per annotation set, see _perms
         self.names: dict[int, set[str]] = {}  # per annotation, the variables of its body
+        # per invariant, whether and with which reads it is checked
+        # incrementally, see _incremental and _written
+        self.fits: dict[int, bool] = {}
+        self.reads: dict[int, tuple | None] = {}
+        # per serial loop in execution on the walk or as a batch's head whose
+        # invariants are checked incrementally: its frame; a batched head's
+        # frame of the block is staged until the batch commits
+        self.frames: dict[int, _Frame] = {}
+        self.staged: _Frame | None = None
         self.site = ""  # the boundary being checked, for findings
         # under a batched check: the batch, whose log each read goes through
         # at its grid point's event time (``_WHEN``), and the instantiations
-        # to add on commit; the walk reads storage as it stands
+        # to add on commit, counted and evaluated; the walk reads storage as
+        # it stands
         self.batch: _Batch | None = None
-        self.pending = 0
+        self.pending = self.pending_evaluated = 0
         # on the walk, the entities whose out-of-range read this evaluation
-        # reported
+        # reported; under ``strict``, such a read raises :class:`_Fired`
         self.reported: set[str] = set()
+        self.strict = False
 
     def aset(self, node):
         return self.ap.node.get(id(node))
 
-    def _budget(self, n):
-        n = int(n)  # a grid's size may come out of numpy
-        self.instantiations += n
-        if n > self.cap:
-            raise InstantiationBudget(
-                f"one annotation expands to {n} instances (limit {self.cap})"
-            )
+    def _count(self, total, peak, when=None):
+        """Count ``total`` instances of one annotation, at most ``peak`` at
+        one event: the walk's one event may not exceed the cap, and a batch
+        fires where the walk would raise."""
+        if when is None:
+            n = int(total)  # a grid's size may come out of numpy
+            self.instantiations += n
+            if n > self.cap:
+                raise InstantiationBudget(
+                    f"one annotation expands to {n} instances (limit {self.cap})"
+                )
+        elif peak > self.cap:
+            raise _Fired  # the walk raises InstantiationBudget
+        else:
+            self.pending += int(total)
+
+    def _did(self, n):
+        """Count ``n`` instances evaluated."""
+        if self.batch is None:
+            self.evaluated += int(n)
+        else:
+            self.pending_evaluated += int(n)
 
     # -- batched loops -----------------------------------------------------
 
@@ -1145,7 +1308,7 @@ class _AnnObserver:
         folded into it.
         Raises :class:`_Fired` wherever the walk would report or raise."""
         loop, T = batch.loop, batch.plan.slots
-        self.batch, self.pending = batch, 0
+        self.batch, self.pending, self.pending_evaluated, self.staged = batch, 0, 0, None
         depth = len(self.ledgers)
         block = None
         try:
@@ -1211,10 +1374,35 @@ class _AnnObserver:
 
     def serial_boundary(self, loop: Loop, env, when=None):
         d, v = loop.dim.display, env[loop.dim.var]
-        self._event(
-            loop, ("invariants",), env, "invariant_violation", f"loop {d}",
-            lambda: f"loop invariant does not hold at {d} = {v}", when,
-        )
+        anns = [(a, self._incremental(loop, a)) for a in self._values_at(loop, ("invariants",))]
+        steps = _Steps(self, loop, env, when) if any(fits for _, fits in anns) else None
+        for a, fits in anns:
+            check = lambda grids: self._check(  # noqa: E731
+                a, env, "invariant_violation", f"loop {d}",
+                lambda: f"loop invariant does not hold at {d} = {v}", when, grids,
+            )
+            if not fits:
+                check(None)
+                continue
+            self.strict = when is None
+            try:
+                check(self._changed(steps, a, env, when))
+            except _Fired:
+                if when is not None:
+                    raise
+                # the walk read out of range: this execution is checked
+                # whole from here on, so the reads reported are the same
+                self.strict = False
+                steps.frame.whole.add(id(a))
+                check(self._grids(a, env, counted=True))
+            finally:
+                self.strict = False
+        if when is not None:
+            return
+        if steps is None or v == steps.lo + loop.dim.extent:
+            self.frames.pop(id(loop), None)
+        else:
+            steps.frame.writes = {}
 
     def par_enter(self, loop: Loop):
         aset = self.aset(loop)
@@ -1317,19 +1505,22 @@ class _AnnObserver:
     def _is_value(a) -> bool:
         return not isinstance(a, RegionPerm) and not a.perm
 
-    def _grids(self, a: Ann, env, when=None):
+    def _grids(self, a: Ann, env, when=None, counted=False):
         """Environments with quantifier variables flattened to index arrays,
         first quantifier slowest, each with its number of points; none for
         an empty grid.  The walk's grid is one environment.  With ``when``
         the grids of all events are stacked, event by event, in chunks of
         whole events of at most ``_CHUNK`` points where one event fits, and
-        ``_WHEN`` holds each point's event time."""
+        ``_WHEN`` holds each point's event time.  The instances are counted
+        unless ``counted``."""
         los = [compiled(q.lo)(env, _CLOSED) for q in a.quants]
         his = [compiled(q.hi)(env, _CLOSED) for q in a.quants]
         if when is None:
             sizes = [max(hi - lo, 0) for lo, hi in zip(los, his)]
             total = math.prod(sizes)
-            self._budget(total)
+            if not counted:
+                self._count(total, total)
+            self._did(total)
             if total:
                 r = np.arange(total, dtype=np.int64) if sizes else None
                 yield self._points(a, dict(env), r, los, sizes), total
@@ -1338,11 +1529,9 @@ class _AnnObserver:
         sizes = [np.maximum(hi - lo, 0) for lo, hi in zip(los, his)]
         sizes = [s.flat[0] if np.ndim(s) and (s == s.flat[0]).all() else s for s in sizes]
         counts = np.broadcast_to(math.prod(sizes, start=np.int64(1)), when.shape)
-        if counts.max(initial=0) > self.cap:
-            raise _Fired  # the walk raises InstantiationBudget
-        self.pending += int(counts.sum())
-        if id(a) not in self.names:
-            self.names[id(a)] = free_vars(a.body)
+        if not counted:
+            self._count(counts.sum(), counts.max(initial=0), when)
+        self._did(counts.sum())
         ends = np.cumsum(counts)
         start = 0
         while start < len(counts):
@@ -1352,12 +1541,7 @@ class _AnnObserver:
             total = int(part.sum())
             if total:
                 ev = np.repeat(np.arange(start, stop), part)
-                # the event vectors the annotation reads, one entry per point
-                envq = {
-                    k: v[ev] if isinstance(v, np.ndarray) else v
-                    for k, v in env.items()
-                    if not isinstance(v, np.ndarray) or k in self.names[id(a)] or k.startswith(_BASE)
-                }
+                envq = self._at(a, env, ev)
                 envq[_WHEN] = when[ev]
                 # each point's rank within its event's grid
                 r = np.arange(total, dtype=np.int64) - (np.cumsum(part) - part)[ev - start]
@@ -1368,6 +1552,21 @@ class _AnnObserver:
                 ), total
             start = stop
 
+    def _names(self, a: Ann) -> set[str]:
+        if id(a) not in self.names:
+            self.names[id(a)] = free_vars(a.body)
+        return self.names[id(a)]
+
+    def _at(self, a: Ann, env, ev) -> dict:
+        """``env`` at the events ``ev``, one per point: the event vectors
+        the annotation reads, and the constants."""
+        names = self._names(a)
+        return {
+            k: v[ev] if isinstance(v, np.ndarray) else v
+            for k, v in env.items()
+            if not isinstance(v, np.ndarray) or k in names or k.startswith(_BASE)
+        }
+
     @staticmethod
     def _points(a: Ann, envq, r, los, sizes):
         """``envq`` with each quantifier variable at the points of rank
@@ -1377,15 +1576,239 @@ class _AnnObserver:
             r = r // size
         return envq
 
-    def _check(self, a: Ann, env, kind: str, site: str, message, when=None):
+    # -- incremental invariant checks ---------------------------------------
+
+    def _incremental(self, loop: Loop, a: Ann) -> bool:
+        """Whether invariant ``a`` of serial ``loop`` may be checked
+        incrementally: the loop is not short (``_INCREMENTAL_FROM``), ``a``
+        is quantified, its bounds name no quantifier variable and its body
+        does not name the loop's variable.  It also needs read indices that
+        read no storage (:meth:`_written`)."""
+        if id(a) not in self.fits:
+            quants = {q.var for q in a.quants}
+            self.fits[id(a)] = (
+                loop.dim.extent >= _INCREMENTAL_FROM
+                and bool(quants)
+                and loop.dim.var not in self._names(a)
+                and not any(quants & (free_vars(q.lo) | free_vars(q.hi)) for q in a.quants)
+            )
+        return self.fits[id(a)]
+
+    def _written(self, a: Ann) -> tuple | None:
+        """The reads of ``a`` that the nest may write, each as (entity,
+        index); None if a read index reads storage."""
+        if id(a) not in self.reads:
+            tables: list[TableRead] = []
+
+            def collect(e):  # the reads, without descending into their indices
+                if isinstance(e, TableRead):
+                    tables.append(e)
+                    return
+                for k in _SHAPES[type(e)].kids(e):
+                    if _reads_storage(k):
+                        collect(k)
+
+            collect(a.body)
+            self.reads[id(a)] = None if any(_reads_storage(n.index) for n in tables) else tuple(
+                (n.target.name, n.index) for n in tables if n.target.kind != "buffer"
+            )
+        return self.reads[id(a)]
+
+    def _changed(self, steps: _Steps, a: Ann, env, when=None):
+        """Like :meth:`_grids`, the points of invariant ``a`` to evaluate at
+        the boundaries ``steps`` (:meth:`_select`), every instance counted."""
+        if steps.frame is not None and id(a) in steps.frame.whole:
+            yield from self._grids(a, env, when)
+            return
+        total, peak, ev, qs = self._select(steps, a)
+        self._count(total, peak, when)
+        if ev is None:
+            yield from self._grids(a, env, when, counted=True)
+            return
+        self._did(len(ev))
+        step = _CHUNK if when is not None else max(len(ev), 1)
+        for s in range(0, len(ev), step):
+            part = ev[s : s + step]
+            envq = dict(env) if when is None else self._at(a, env, part)
+            if when is not None:
+                envq[_WHEN] = when[part]
+            envq.update(zip((q.var for q in a.quants), qs[:, s : s + step]))
+            yield envq, len(part)
+
+    def _select(self, steps: _Steps, a: Ann):
+        """The instances of ``a``'s grid at the events of ``steps``, in all
+        and at most at one event, and those to evaluate, each as its event
+        and its coordinates (one row per quantifier): at each boundary, the
+        points of its grid that were not in the grid of the previous
+        boundary of its execution, and those that were and read a cell
+        written since then.  None for the points where all of them are."""
+        env, n, frame = steps.env, steps.n, steps.frame
+        lo, hi = self._box(a, env, n)
+        counts = (hi - lo).prod(axis=0)
+        total, peak = int(counts.sum()), int(counts.max(initial=0))
+        whole = total, peak, None, None
+        # the box of each event's previous boundary, empty where it has none
+        steps.group()
+        prev = steps.prev
+        carried = None
+        if frame is not None:
+            carried = frame.boxes.get(id(a))
+            frame.boxes[id(a)] = lo[:, -1], hi[:, -1]
+        reads = self._written(a) if carried is not None or (prev >= 0).any() else None
+        if reads is None:
+            return whole
+        plo = np.where(prev >= 0, lo[:, prev], lo)
+        phi = np.where(prev >= 0, hi[:, prev], lo)
+        if carried is not None:
+            plo[:, 0], phi[:, 0] = carried
+        ilo, ihi = np.maximum(lo, plo), np.minimum(hi, phi)
+        # the new points, as disjoint boxes: for each dimension i that moved,
+        # the points below and above the previous box in it, those before it
+        # inside the previous box
+        los, his = [], []
+        for i in np.flatnonzero(((lo != plo) | (hi != phi)).any(axis=1)):
+            blo, bhi = lo.copy(), hi.copy()
+            blo[:i], bhi[:i] = ilo[:i], ihi[:i]
+            los += [blo, blo.copy()]
+            his += [bhi.copy(), bhi]
+            his[-2][i], los[-1][i] = np.minimum(hi[i], plo[i]), np.maximum(lo[i], phi[i])
+        ev, qs = np.zeros(0, dtype=np.int64), np.zeros((len(lo), 0), dtype=np.int64)
+        if los:
+            blo = np.concatenate(los, axis=1)
+            owner, qs = self._enumerate(blo, np.concatenate(his, axis=1) - blo)
+            ev = owner % n
+        # the old points that read a cell written since, once each
+        hits, at = [], []
+        index = None
+        for name in dict.fromkeys(name for name, _ in reads):
+            cell = self.runner.mem.get(name) if _BASE + name not in env else self.batch.private[name]
+            w_ev, w_off = steps.writes(cell.instance) if cell is not None else ((), ())
+            if not len(w_ev):
+                continue
+            if index is None:
+                cells, q = index = steps.index(a, reads, lo, hi)
+            width, keys, points = cells[cell.instance]
+            wkey = steps.pos[w_ev] * width + w_off
+            first = np.searchsorted(keys, wkey, side="left")
+            count = np.searchsorted(keys, wkey, side="right") - first
+            k = int(count.sum())
+            if k:
+                hits.append(points[np.repeat(first - np.cumsum(count) + count, count) + np.arange(k)])
+                at.append(np.repeat(w_ev, count))
+        if hits:
+            hit, e = np.concatenate(hits), np.concatenate(at)
+            inside = ((ilo[:, e] <= q[:, hit]) & (q[:, hit] < ihi[:, e])).all(axis=0)
+            if inside.any():
+                # once each; np.unique would import numpy.ma, a cost every process pays
+                pair = np.sort(e[inside] * q.shape[1] + hit[inside])
+                pair = pair[np.append(True, pair[1:] != pair[:-1])]
+                ev = np.concatenate([ev, pair // q.shape[1]])
+                qs = np.concatenate([qs, q[:, pair % q.shape[1]]], axis=1)
+        return total, peak, ev, qs
+
+    @staticmethod
+    def _box(a: Ann, env, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The corners ``[lo, hi)`` of ``a``'s quantifier grid at each of
+        ``n`` events, one column per event and one row per quantifier."""
+        lo = np.empty((len(a.quants), n), dtype=np.int64)
+        hi = np.empty((len(a.quants), n), dtype=np.int64)
+        for i, q in enumerate(a.quants):
+            lo[i] = compiled(q.lo)(env, _CLOSED)
+            hi[i] = compiled(q.hi)(env, _CLOSED)
+        return lo, np.maximum(hi, lo)
+
+    def _index(self, a: Ann, reads, env, lo, hi, starts):
+        """The instances of ``a`` at the boundary events of some executions
+        of a loop, by the cells they read.  Events ``starts[k]`` up to
+        ``starts[k + 1]`` are execution ``k``'s, with grids ``[lo, hi)``
+        per column.  Gives per cell instance read, its width, the sorted
+        keys ``k·width + offset`` of each read of a point of the hull of
+        execution ``k``'s grids, and the point of each key; and the
+        coordinates of every point, one row per dimension."""
+        some = (hi > lo).all(axis=0)
+        hlo = np.minimum.reduceat(np.where(some, lo, _NO_POINT), starts, axis=1)
+        hhi = np.maximum.reduceat(np.where(some, hi, -_NO_POINT), starts, axis=1)
+        owner, q = self._enumerate(hlo, np.where(hhi > hlo, hhi - hlo, 0))
+        envh = self._at(a, env, starts[owner])
+        envh.update(zip((qv.var for qv in a.quants), q))
+        found: dict[int, tuple[int, list]] = {}
+        for name, index in reads:
+            base = envh.get(_BASE + name)
+            cell = self.runner.mem.get(name) if base is None else self.batch.private[name]
+            if cell is not None:
+                off = np.broadcast_to(np.asarray(compiled(index)(envh, self), dtype=np.int64), owner.shape)
+                width = cell.arr.shape[1]
+                found.setdefault(cell.instance, (width, []))[1].append(owner * width + (off if base is None else off + base))
+        cells = {}
+        points = np.arange(len(owner))
+        for inst, (width, keys) in found.items():
+            keys = np.concatenate(keys)
+            points = np.tile(points, len(keys) // max(len(points), 1))
+            if (keys[1:] < keys[:-1]).any():
+                o = np.argsort(keys, kind="stable")
+                keys, points = keys[o], points[o]
+            cells[inst] = (width, keys, points)
+        return cells, q
+
+    @staticmethod
+    def _enumerate(lo, size):
+        """The points of the boxes ``[lo, lo + size)``, one per column of
+        the (dimensions, boxes) arrays, first dimension slowest: the box of
+        each, and its coordinates, one row per dimension."""
+        counts = np.maximum(size, 0).prod(axis=0)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        r = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        q = np.empty((len(lo), len(owner)), dtype=np.int64)
+        for i in reversed(range(len(lo))):
+            step = size[i][owner]
+            q[i] = lo[i][owner] + r % step
+            r = r // step
+        return owner, q
+
+    # -- writes, for the frames of loops in execution -----------------------
+
+    def wrote(self, instance: int, offset: int):
+        """A write of the walk."""
+        for frame in self.frames.values():
+            frame.writes.setdefault(instance, []).append(offset)
+
+    def commit(self, batch: _Batch):
+        """Count a committed batch's instances, and give its writes to the
+        frames: all of them to the loops around its nest, and to its head's
+        frame, those since the head's last boundary in the block."""
+        self.instantiations += self.pending
+        self.evaluated += self.pending_evaluated
+        head, self.staged = self.staged, None
+        self.frames.pop(id(batch.loop), None)
+        if batch.closes:
+            head = None
+        if head is not None:
+            head.writes = {}
+        if head is None and not self.frames:
+            return
+        last = (batch.count - 1) * batch.plan.slots
+        for log in batch.log.values():
+            if log.cell.private or not log.added:
+                continue
+            keys = log.sorted()[0]
+            offsets = keys // log.clock
+            for frame in self.frames.values():
+                frame.writes.setdefault(log.cell.instance, []).append(offsets)
+            if head is not None:
+                head.writes[log.cell.instance] = [offsets[keys % log.clock >= last]]
+        if head is not None:
+            self.frames[id(batch.loop)] = head
+
+    def _check(self, a: Ann, env, kind: str, site: str, message, when=None, grids=None):
         """Check value annotation ``a`` at one event of the walk, reporting
         a failure as a finding with the text ``message()``; or, with
         ``when``, at all the events of a batched loop, raising
-        :class:`_Fired` where the walk would report."""
+        :class:`_Fired` where the walk would report.  ``grids`` selects the
+        points evaluated, all of them by default (:meth:`_grids`)."""
         key = (kind, id(a), site)
         if key in self.runner.seen:
             return
-        for envq, _ in self._grids(a, env, when):
+        for envq, _ in grids or self._grids(a, env, when):
             lanes = self._failing(a.body, envq, site)
             if lanes is not False:
                 if when is not None:
@@ -1430,8 +1853,8 @@ class _AnnObserver:
             raise _Fired  # the walk meets an index that varies by lane one event at a time
         bad = (idx < 0) | (idx >= size)
         if bad.any():
-            if when is not None:
-                raise _Fired  # the walk reports this read
+            if when is not None or self.strict:
+                raise _Fired  # the walk reports this read, from the whole grid
             if target.name not in self.reported:
                 self.reported.add(target.name)
                 off = int(idx.T[bad.T][0])  # at the first point, then lane
@@ -1543,6 +1966,7 @@ def _execute(lp: LoweredPipeline, inputs: dict[str, np.ndarray], obs: _AnnObserv
         0 if obs is None else obs.instantiations,
         runner.batched_loops,
         runner.replayed_loops,
+        0 if obs is None else obs.evaluated,
     )
 
 
@@ -1643,6 +2067,7 @@ def to_reports(
                 "stats": {
                     "points": result.points,
                     "instantiations": instantiations,
+                    "evaluated": result.evaluated,
                     "millis": round(result.millis, 3),
                     "batched_loops": result.batched_loops,
                     "replayed_loops": result.replayed_loops,

@@ -86,6 +86,10 @@ def linearize(e: Expr) -> tuple[dict, int]:
             raise NonAffineAccess("product of two loop-dependent expressions in an access")
         case BinOp("hdiv" | "hmod", _, Const(d)) if d > 0:
             return {e: 1}, 0
+        case TableRead(target, _):
+            raise NonAffineAccess(f"access index is not affine: it reads {target.name}")
+        case FuncAccess(name, _) | BufAccess(name, _):
+            raise NonAffineAccess(f"access index is not affine: it reads {name}")
     raise NonAffineAccess(f"access index is not affine: {type(e).__name__}")
 
 

@@ -45,6 +45,7 @@ from minisched.ir import (
 from minisched.lowering import (
     Chain,
     Consume,
+    If,
     Loop,
     NonAffineAccess,
     Produce,
@@ -380,7 +381,7 @@ def declined(monkeypatch, run):
 
 def assert_same_run(a: C.RunResult, b: C.RunResult):
     assert [f.to_json() for f in a.findings] == [f.to_json() for f in b.findings]
-    assert (a.points, a.instantiations) == (b.points, b.instantiations)
+    assert (a.points, a.instantiations, a.evaluated) == (b.points, b.instantiations, b.evaluated)
     assert a.mem.keys() == b.mem.keys()
     for name in a.mem:
         assert np.array_equal(a.mem[name], b.mem[name]), name
@@ -1002,11 +1003,11 @@ def test_reference_read_out_of_bounds_is_a_finding():
     [
         ("inp(x * x)", "product of two loop-dependent expressions in an access"),
         ("inp(select(inp(x) > 0, x, 0))", "access index is not affine: Select"),
-        # a nested read is named as the table read lowering flattens it to
-        ("inp(inp(x) + 1)", "access index is not affine: TableRead"),
+        # a nested read is named by the entity the user wrote
+        ("inp(inp(x) + 1)", "access index is not affine: it reads inp"),
         # the hmod atom is affine, but its numerator reads storage, so each
         # lane would gather at offsets of its own
-        ("inp(hmod(inp(x), 3))", "access index is not affine: TableRead"),
+        ("inp(hmod(inp(x), 3))", "access index is not affine: it reads inp"),
     ],
     ids=["product", "data-dependent", "nested", "lane-dependent"],
 )
@@ -1015,6 +1016,15 @@ def test_reference_rejects_a_non_affine_read(body, message):
     with pytest.raises(NonAffineAccess) as err:
         C.eval_reference(p, C.make_inputs(p, SEEDS))
     assert str(err.value) == f"NonAffineAccess: {message}"
+
+
+def test_lowering_names_a_nested_read_as_the_reference_does():
+    p = one_stage("inp(inp(x) + 1)")
+    with pytest.raises(NonAffineAccess) as lowered:
+        lower(p, [])
+    with pytest.raises(NonAffineAccess) as referenced:
+        C.eval_reference(p, C.make_inputs(p, SEEDS))
+    assert str(lowered.value) == str(referenced.value) == "NonAffineAccess: access index is not affine: it reads inp"
 
 
 def test_reference_reduction_writes_the_cells_its_variable_picks():
@@ -1198,6 +1208,7 @@ def test_reports_split_lane_tagged_findings():
     assert reps[0]["stats"] == {
         "points": 5,
         "instantiations": 0,
+        "evaluated": 0,
         "millis": 1.0,
         "batched_loops": 0,
         "replayed_loops": 0,
@@ -1869,3 +1880,93 @@ def test_ledger_race_across_blocks_of_a_parallel_head(monkeypatch):
     assert_same_run(blocks, walked)
     assert (blocks.batched_loops, blocks.replayed_loops) == (3, 1)
     assert [f.to_json() for f in blocks.findings] == [race("xy", "3/2 of inp[2]")]
+
+
+# ---------------------------------------------------------------------------
+# Incremental loop invariant checks: only the instances that can change
+
+
+def whole_checks(m):
+    """Check every loop invariant whole, at every boundary."""
+    m.setattr(C._AnnObserver, "_incremental", lambda self, loop, a: False)
+
+
+@pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)
+def test_incremental_checks_equal_whole_checks_on_the_corpus(monkeypatch, algo, sched):
+    # every loop is checked incrementally, however short, so that the small
+    # sizes reach every shape of the rule, batched and walked
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
+    d = schedule(algo, sched)
+    run = lambda: C.check_schedule(p, d, SEEDS, include_user=True)  # noqa: E731
+    with monkeypatch.context() as m:
+        whole_checks(m)
+        whole = run()
+    monkeypatch.setattr(C, "_INCREMENTAL_FROM", 0)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert [f.to_json() for f in batched.findings] == [f.to_json() for f in whole.findings]
+    assert (batched.points, batched.instantiations) == (whole.points, whole.instantiations)
+    assert batched.evaluated <= whole.evaluated == whole.instantiations
+
+
+def blur_y_loop(lp) -> Loop:
+    """The loop of the statement of blur_y."""
+    (stmt,) = stores(lp.root, "blur_y")
+    return next(n for n in nodes(lp.root) if isinstance(n, Loop) and stmt in n.body)
+
+
+def test_incremental_check_sees_a_write_to_an_instance_it_held(monkeypatch):
+    # iteration x = 5 of blur/rows' blur_y loop also writes a wrong value
+    # into blur_y(2, y), an instance the prefix invariant held at x = 5;
+    # the loop is long enough for the rule at its default threshold
+    p = parse_pipeline((CORPUS / "blur.hal").read_text()).resolve({"x": 40, "y": 3}).validated()
+
+    def run():
+        lp = lower(p, parse_schedule(ROWS))
+        ap = annotate(lp, include_user=True)
+        loop = blur_y_loop(lp)
+        (stmt,) = loop.body
+        wrong = dataclasses.replace(stmt, index=substitute(stmt.index, {"x": Const(2)}), value=Const(12345))
+        loop.body.append(If(BinOp("==", Var("x"), Const(5)), loop.owner, [wrong]))
+        return C.check_annotations(lp, ap, C.make_inputs(p, SEEDS))
+
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops > 0
+    with monkeypatch.context() as m:
+        whole_checks(m)
+        whole = run()
+    assert [f.to_json() for f in batched.findings] == [f.to_json() for f in whole.findings]
+    assert batched.instantiations == whole.instantiations
+    assert batched.evaluated < whole.evaluated
+    held = {"kind": "invariant_violation", "message": "loop invariant does not hold at x = 6", "site": "loop x"}
+    assert held | {"lanes": [0, 1, 2]} in [f.to_json() for f in batched.findings]
+
+
+def test_incremental_walk_reports_an_out_of_range_read_as_the_whole_check_does(monkeypatch):
+    # the loop invariant over the statement's postcondition reads inp[8] at
+    # xf = 7: the walk's incremental check meets it at its last boundary and
+    # checks that boundary whole
+    p = ensured_stage("inp(x)", "select(x < 7, inp(x), inp(x + 1))")
+    run = lambda: C.check_schedule(p, [], SEEDS, include_user=True)  # noqa: E731
+    with monkeypatch.context() as m:
+        whole_checks(m)
+        whole = run()
+    monkeypatch.setattr(C, "_INCREMENTAL_FROM", 0)
+    batched, walked = declined(monkeypatch, run)
+    for res in (batched, walked):
+        assert [f.to_json() for f in res.findings] == [f.to_json() for f in whole.findings]
+        assert res.instantiations == whole.instantiations
+    assert any("annotation reads inp[8]" in f.message and f.site == "loop x" for f in walked.findings)
+
+
+def test_incremental_checks_keep_blur_rows_linear():
+    per_point = []
+    for n in (32, 128):
+        p = parse_pipeline((CORPUS / "blur.hal").read_text()).resolve({"x": n, "y": n}).validated()
+        res = C.check_schedule(p, schedule("blur", "rows"), SEEDS, include_user=True)
+        assert res.passed
+        per_point.append((res.evaluated / res.points, res.instantiations / res.points))
+    (small, small_all), (large, large_all) = per_point
+    assert small / 2 <= large <= 2 * small
+    assert large_all > 2 * small_all

@@ -71,7 +71,7 @@ def test_check_prints_one_report_per_seed(capsys):
         capsys, "count", ROOT / "corpus" / "schedules" / "count" / "par.sched", "--scale", "w=4"
     )
     assert status == 0
-    stats = {"points": 44, "instantiations": 160, "batched_loops": 2, "replayed_loops": 0}
+    stats = {"points": 44, "instantiations": 160, "evaluated": 160, "batched_loops": 2, "replayed_loops": 0}
     assert reports == [
         {"pipeline": "count", "schedule": "par", "seed": s, "verdict": "pass", "findings": [], "stats": stats}
         for s in (0, 1, 2)

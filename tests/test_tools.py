@@ -78,3 +78,12 @@ def test_paper_sizes_prints_a_line_per_schedule_and_the_peak_rss():
     pattern = r"blur/(\w+)  check \d+\.\d{3} s  reference (\d+\.\d{3}) s  pass"
     assert [re.fullmatch(pattern, line)[1] for line in lines] == ["fused", "inline", "ref", "rows", "tail"]
     assert re.fullmatch(r"peak RSS \d+ MB", last)
+
+
+def test_paper_sizes_checks_functional_mode():
+    out = io.StringIO()
+    tool("paper_sizes").measure("user", "blur", 1 / 64, out=out)
+    *lines, last = out.getvalue().splitlines()
+    pattern = r"blur/(\w+)  check \d+\.\d{3} s  reference \d+\.\d{3} s  pass"
+    assert [re.fullmatch(pattern, line)[1] for line in lines] == ["fused", "inline", "ref", "rows", "tail"]
+    assert re.fullmatch(r"peak RSS \d+ MB", last)

@@ -1,10 +1,11 @@
 """Check every corpus schedule at the sizes its ``.hal`` file declares, which
 are the paper's (blur at 1024²), and time each check.
 
-    python3 tools/paper_sizes.py [--mode plain|memory] [--algo NAME] [--scale F]
+    python3 tools/paper_sizes.py [--mode plain|memory|user] [--algo NAME] [--scale F]
 
 ``plain`` runs ``check_lowered``; ``memory`` runs ``check_schedule`` with the
-generated memory-safety annotations only.  Each schedule prints one line:
+generated memory-safety annotations only, and ``user`` with the user's
+annotations too, in functional-correctness mode.  Each schedule prints one line:
 its label, the seconds of the check call, the seconds of ``eval_reference``
 within it, and the verdict (a typed rejection takes 0 s).  The last line
 is the peak resident set size of the process.  Every check parses its
@@ -67,7 +68,7 @@ def measure(mode: str = "plain", algo: str | None = None, scale: float = 1.0, ou
                     if mode == "plain":
                         result = checker.check_lowered(p, directives, LANES)
                     else:
-                        result = checker.check_schedule(p, directives, LANES, include_user=False)
+                        result = checker.check_schedule(p, directives, LANES, include_user=mode == "user")
                     said = verdict(result)
                     took = time.perf_counter() - start
                 except PipelineError as err:
@@ -81,7 +82,7 @@ def measure(mode: str = "plain", algo: str | None = None, scale: float = 1.0, ou
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--mode", choices=["plain", "memory"], default="plain")
+    ap.add_argument("--mode", choices=["plain", "memory", "user"], default="plain")
     ap.add_argument("--algo", default=None)
     ap.add_argument("--scale", type=float, default=1.0)
     args = ap.parse_args()
