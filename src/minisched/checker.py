@@ -1106,11 +1106,11 @@ class _Frame:
 
 class _Steps:
     """The boundary events of a serial loop at one call of the observer, the
-    walk's one or a batch's ``n``, grouped by execution once needed
-    (:meth:`group`): per event, its previous boundary among them (``prev``,
-    -1 for none) and its execution's position (``pos``), execution ``k``'s
-    events from ``starts[k]`` on; and the writes
-    since each event's previous boundary (:meth:`writes`).  The walk's
+    walk's one or a batch's ``n``, grouped by execution: per event, its
+    previous boundary among them (``prev``, -1 for none) and its
+    execution's position (``pos``), execution ``k``'s events from
+    ``starts[k]`` on; and the writes since each event's previous boundary
+    (:meth:`writes`).  The walk's
     execution, or a batched head's, has a frame that carries the previous
     boundary from call to call: the walk opens it at the first boundary and
     closes it after the last, and a batch stages a copy that its commit
@@ -1123,7 +1123,15 @@ class _Steps:
         self.cells: dict[int, tuple] = {}
         self.spans = None
         batch = obs.batch
-        if batch is None or loop is batch.loop:
+        if batch is not None and loop is not batch.loop:
+            # an inner loop's executions, each whole in the block, which
+            # marks them one after another, each in order
+            ex = env[_EXEC]
+            new = np.append(True, ex[1:] != ex[:-1])
+            self.prev = np.where(new, -1, np.arange(n) - 1)
+            self.pos = np.cumsum(new) - 1
+            self.starts = np.flatnonzero(new)
+        else:
             # one execution
             self.prev = np.arange(n) - 1
             self.pos = np.zeros(n, dtype=np.int64)
@@ -1135,17 +1143,6 @@ class _Steps:
                 self.frame = obs.frames[id(loop)] = frame
             else:
                 self.frame = obs.staged = _Frame(dict(frame.boxes), writes=frame.writes)
-
-    def group(self):
-        """Group an inner loop's events by execution, each whole in the
-        block."""
-        if not hasattr(self, "prev"):
-            # the batch marks them execution by execution, each in order
-            ex = self.env[_EXEC]
-            new = np.append(True, ex[1:] != ex[:-1])
-            self.prev = np.where(new, -1, np.arange(self.n) - 1)
-            self.pos = np.cumsum(new) - 1
-            self.starts = np.flatnonzero(new)
 
     def writes(self, instance: int) -> tuple[np.ndarray, np.ndarray]:
         """The writes to cell ``instance`` since each event's previous
@@ -1648,7 +1645,6 @@ class _AnnObserver:
         total, peak = int(counts.sum()), int(counts.max(initial=0))
         whole = total, peak, None, None
         # the box of each event's previous boundary, empty where it has none
-        steps.group()
         prev = steps.prev
         carried = None
         if frame is not None:
