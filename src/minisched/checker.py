@@ -560,8 +560,6 @@ class _Runner:
                     cell.arr[:, offset] = vals
                     cell.init[offset] = True
                 if self.obs is not None:
-                    if cell is not None:
-                        self.obs.wrote(cell.instance, offset)
                     self.obs.stmt_post(node, env)
             case _:
                 raise TypeError(f"cannot execute node {type(node).__name__}")
@@ -627,7 +625,8 @@ class _Runner:
                 return first
             batch.commit()
             if self.obs is not None:
-                self.obs.commit(batch)
+                self.obs.instantiations += self.obs.pending
+                self.obs.evaluated += self.obs.pending_evaluated
             self.batched_loops += 1
         return None
 
@@ -1088,73 +1087,35 @@ _NO_POINT = np.iinfo(np.int64).max
 _INCREMENTAL_FROM = 16
 
 
-@dataclass
-class _Frame:
-    """One execution of a serial loop whose invariants are checked
-    incrementally, carried from boundary to boundary on the walk and from
-    block to block of a batched head: per invariant, its quantifier box at
-    the previous boundary and, on the walk, its index
-    (:meth:`_AnnObserver._index`); the invariants checked whole since a read
-    out of range; and per cell instance, the offsets written since the
-    previous boundary."""
-
-    boxes: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    index: dict[int, tuple] = field(default_factory=dict)
-    whole: set[int] = field(default_factory=set)
-    writes: dict[int, list] = field(default_factory=dict)
-
-
 class _Steps:
-    """The boundary events of a serial loop at one call of the observer, the
-    walk's one or a batch's ``n``, grouped by execution: per event, its
-    previous boundary among them (``prev``, -1 for none) and its
-    execution's position (``pos``), execution ``k``'s events from
-    ``starts[k]`` on; and the writes since each event's previous boundary
-    (:meth:`writes`).  The walk's
-    execution, or a batched head's, has a frame that carries the previous
-    boundary from call to call: the walk opens it at the first boundary and
-    closes it after the last, and a batch stages a copy that its commit
-    keeps (:meth:`_AnnObserver.commit`)."""
+    """The boundary events of a serial loop in one batch, grouped by
+    execution: per event, its previous boundary in the batch (``prev``, -1
+    for none, where the grid is checked whole) and its execution's position
+    (``pos``), execution ``k``'s events from ``starts[k]`` on; and the
+    writes since each event's previous boundary (:meth:`writes`)."""
 
-    def __init__(self, obs: _AnnObserver, loop: Loop, env, when):
-        self.obs, self.loop, self.env, self.when = obs, loop, env, when
-        n = self.n = 1 if when is None else len(when)
-        self.frame: _Frame | None = None
+    def __init__(self, log: dict[int, _Stamped], env, when):
+        self.log, self.env, self.when = log, env, when
+        n = len(when)
         self.cells: dict[int, tuple] = {}
         self.spans = None
-        batch = obs.batch
-        if batch is not None and loop is not batch.loop:
-            # an inner loop's executions, each whole in the block, which
-            # marks them one after another, each in order
-            ex = env[_EXEC]
-            new = np.append(True, ex[1:] != ex[:-1])
-            self.prev = np.where(new, -1, np.arange(n) - 1)
-            self.pos = np.cumsum(new) - 1
-            self.starts = np.flatnonzero(new)
-        else:
-            # one execution
-            self.prev = np.arange(n) - 1
-            self.pos = np.zeros(n, dtype=np.int64)
-            self.starts = np.zeros(1, dtype=np.int64)
-            self.lo = compiled(loop.dim.lo)(env, _CLOSED)
-            first = (env[loop.dim.var] if when is None else env[loop.dim.var][0]) == self.lo
-            frame = _Frame() if first else obs.frames[id(loop)]
-            if batch is None:
-                self.frame = obs.frames[id(loop)] = frame
-            else:
-                self.frame = obs.staged = _Frame(dict(frame.boxes), writes=frame.writes)
+        # the batch marks each execution's boundaries in the block one after
+        # another, in order: the head's, and each inner loop's, all of them
+        ex = env[_EXEC]
+        new = np.append(True, ex[1:] != ex[:-1])
+        self.prev = np.where(new, -1, np.arange(n) - 1)
+        self.pos = np.cumsum(new) - 1
+        self.starts = np.flatnonzero(new)
 
     def writes(self, instance: int) -> tuple[np.ndarray, np.ndarray]:
         """The writes to cell ``instance`` since each event's previous
         boundary: the event of each, and its offset."""
         got = self.cells.get(instance)
         if got is None:
-            evs, offsets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-            if self.frame is not None and instance in self.frame.writes:
-                offsets.append(np.hstack(self.frame.writes[instance]))
-                evs.append(np.zeros(len(offsets[-1]), dtype=np.int64))
-            log = None if self.obs.batch is None else self.obs.batch.log.get(instance)
-            if log is not None and log.added:
+            log = self.log.get(instance)
+            if log is None or not log.added:
+                got = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+            else:
                 if self.spans is None:
                     # the statement slots from each event's previous boundary
                     has = np.flatnonzero(self.prev >= 0)
@@ -1166,24 +1127,9 @@ class _Steps:
                 t = keys % log.clock
                 k = np.searchsorted(since, t, side="right") - 1
                 ok = (k >= 0) & (t < until[np.maximum(k, 0)]) if len(has) else np.zeros(len(t), dtype=bool)
-                evs.append(has[k[ok]])
-                offsets.append(keys[ok] // log.clock)
-            got = self.cells[instance] = (np.concatenate(evs), np.concatenate(offsets))
+                got = has[k[ok]], keys[ok] // log.clock
+            self.cells[instance] = got
         return got
-
-    def index(self, a: Ann, reads, lo, hi):
-        """:meth:`_AnnObserver._index` of ``a`` over the executions here,
-        with grids ``[lo, hi)``; on the walk, over every boundary of its
-        execution, once."""
-        obs, frame = self.obs, self.frame
-        if obs.batch is not None:
-            return obs._index(a, reads, self.env, lo, hi, self.starts)
-        if id(a) not in frame.index:
-            # the execution at every boundary
-            k = self.loop.dim.extent + 1
-            every = self.env | {self.loop.dim.var: self.lo + np.arange(k)}
-            frame.index[id(a)] = obs._index(a, reads, every, *obs._box(a, every, k), self.starts)
-        return frame.index[id(a)]
 
 
 class _AnnObserver:
@@ -1203,22 +1149,22 @@ class _AnnObserver:
     vectors of events and ``when``, each event's time in statement slots.
     The walk calls them with one event.
 
-    A serial loop's invariant is checked incrementally where its shape
-    allows (:meth:`_incremental`, :meth:`_written`): it is quantified, its
-    bounds name no quantifier variable, its body does not name the loop's
-    variable and no read index reads storage.  An instance that was in the
-    grid at the previous boundary of the same loop execution then reads the
-    same cells at both, so unless one of them was written in between, its
-    truth is unchanged.  Each boundary evaluates only the instances that
-    entered the grid and the old ones that read a cell written since
-    (:meth:`_select`), the writes coming from the walk or from a batch's
-    log.  The findings are those of a whole check: every check before the
-    first failing boundary passed, in every lane; there, an instance that
-    fails is new or was dirtied, as every other one held and reads the same
-    values; and an annotation reported at a site is not checked there
-    again.  A read out of range makes the walk check the rest of the
-    execution whole, so it reports the reads a whole check reports; a batch
-    fires on it.  A short loop's invariants are checked whole
+    In a batch, a serial loop's invariant is checked incrementally where
+    its shape allows (:meth:`_incremental`, :meth:`_written`): it is
+    quantified, its bounds name no quantifier variable, its body does not
+    name the loop's variable and no read index reads storage.  An instance
+    that was in the grid at the previous boundary of the same loop
+    execution then reads the same cells at both, so unless one of them was
+    written in between, its truth is unchanged.  A boundary whose previous
+    one is in the same block evaluates only the instances that entered the
+    grid and the old ones that read a cell the batch's log says was written
+    since (:meth:`_select`); the others, and every boundary of the walk,
+    check the whole grid.  The findings are those of a whole check: every
+    check before the first failing boundary passed, in every lane; there,
+    an instance that fails is new or was dirtied, as every other one held
+    and reads the same values; and an annotation reported at a site is not
+    checked there again.  A read out of range fires the batch, as the walk
+    reports it.  A short loop's invariants are checked whole
     (``_INCREMENTAL_FROM``).  ``instantiations`` counts every instance and
     ``evaluated`` those evaluated.
     """
@@ -1238,11 +1184,6 @@ class _AnnObserver:
         # incrementally, see _incremental and _written
         self.fits: dict[int, bool] = {}
         self.reads: dict[int, tuple | None] = {}
-        # per serial loop in execution on the walk or as a batch's head whose
-        # invariants are checked incrementally: its frame; a batched head's
-        # frame of the block is staged until the batch commits
-        self.frames: dict[int, _Frame] = {}
-        self.staged: _Frame | None = None
         self.site = ""  # the boundary being checked, for findings
         # under a batched check: the batch, whose log each read goes through
         # at its grid point's event time (``_WHEN``), and the instantiations
@@ -1251,9 +1192,8 @@ class _AnnObserver:
         self.batch: _Batch | None = None
         self.pending = self.pending_evaluated = 0
         # on the walk, the entities whose out-of-range read this evaluation
-        # reported; under ``strict``, such a read raises :class:`_Fired`
+        # reported
         self.reported: set[str] = set()
-        self.strict = False
 
     def aset(self, node):
         return self.ap.node.get(id(node))
@@ -1305,7 +1245,7 @@ class _AnnObserver:
         folded into it.
         Raises :class:`_Fired` wherever the walk would report or raise."""
         loop, T = batch.loop, batch.plan.slots
-        self.batch, self.pending, self.pending_evaluated, self.staged = batch, 0, 0, None
+        self.batch, self.pending, self.pending_evaluated = batch, 0, 0
         depth = len(self.ledgers)
         block = None
         try:
@@ -1371,35 +1311,16 @@ class _AnnObserver:
 
     def serial_boundary(self, loop: Loop, env, when=None):
         d, v = loop.dim.display, env[loop.dim.var]
-        anns = [(a, self._incremental(loop, a)) for a in self._values_at(loop, ("invariants",))]
-        steps = _Steps(self, loop, env, when) if any(fits for _, fits in anns) else None
-        for a, fits in anns:
-            check = lambda grids: self._check(  # noqa: E731
+        steps = None
+        for a in self._values_at(loop, ("invariants",)):
+            grids = None
+            if when is not None and self._incremental(loop, a):
+                steps = steps or _Steps(self.batch.log, env, when)
+                grids = self._changed(steps, a, env, when)
+            self._check(
                 a, env, "invariant_violation", f"loop {d}",
                 lambda: f"loop invariant does not hold at {d} = {v}", when, grids,
             )
-            if not fits:
-                check(None)
-                continue
-            self.strict = when is None
-            try:
-                check(self._changed(steps, a, env, when))
-            except _Fired:
-                if when is not None:
-                    raise
-                # the walk read out of range: this execution is checked
-                # whole from here on, so the reads reported are the same
-                self.strict = False
-                steps.frame.whole.add(id(a))
-                check(self._grids(a, env, counted=True))
-            finally:
-                self.strict = False
-        if when is not None:
-            return
-        if steps is None or v == steps.lo + loop.dim.extent:
-            self.frames.pop(id(loop), None)
-        else:
-            steps.frame.writes = {}
 
     def par_enter(self, loop: Loop):
         aset = self.aset(loop)
@@ -1611,25 +1532,20 @@ class _AnnObserver:
             )
         return self.reads[id(a)]
 
-    def _changed(self, steps: _Steps, a: Ann, env, when=None):
+    def _changed(self, steps: _Steps, a: Ann, env, when):
         """Like :meth:`_grids`, the points of invariant ``a`` to evaluate at
         the boundaries ``steps`` (:meth:`_select`), every instance counted."""
-        if steps.frame is not None and id(a) in steps.frame.whole:
-            yield from self._grids(a, env, when)
-            return
         total, peak, ev, qs = self._select(steps, a)
         self._count(total, peak, when)
         if ev is None:
             yield from self._grids(a, env, when, counted=True)
             return
         self._did(len(ev))
-        step = _CHUNK if when is not None else max(len(ev), 1)
-        for s in range(0, len(ev), step):
-            part = ev[s : s + step]
-            envq = dict(env) if when is None else self._at(a, env, part)
-            if when is not None:
-                envq[_WHEN] = when[part]
-            envq.update(zip((q.var for q in a.quants), qs[:, s : s + step]))
+        for s in range(0, len(ev), _CHUNK):
+            part = ev[s : s + _CHUNK]
+            envq = self._at(a, env, part)
+            envq[_WHEN] = when[part]
+            envq.update(zip((q.var for q in a.quants), qs[:, s : s + _CHUNK]))
             yield envq, len(part)
 
     def _select(self, steps: _Steps, a: Ann):
@@ -1637,26 +1553,20 @@ class _AnnObserver:
         and at most at one event, and those to evaluate, each as its event
         and its coordinates (one row per quantifier): at each boundary, the
         points of its grid that were not in the grid of the previous
-        boundary of its execution, and those that were and read a cell
-        written since then.  None for the points where all of them are."""
-        env, n, frame = steps.env, steps.n, steps.frame
+        boundary of its execution in the batch, and those that were and read
+        a cell written since then.  None for the points where all of them
+        are."""
+        env, prev = steps.env, steps.prev
+        n = len(prev)
         lo, hi = self._box(a, env, n)
         counts = (hi - lo).prod(axis=0)
         total, peak = int(counts.sum()), int(counts.max(initial=0))
-        whole = total, peak, None, None
-        # the box of each event's previous boundary, empty where it has none
-        prev = steps.prev
-        carried = None
-        if frame is not None:
-            carried = frame.boxes.get(id(a))
-            frame.boxes[id(a)] = lo[:, -1], hi[:, -1]
-        reads = self._written(a) if carried is not None or (prev >= 0).any() else None
+        reads = self._written(a) if (prev >= 0).any() else None
         if reads is None:
-            return whole
+            return total, peak, None, None
+        # the box of each event's previous boundary, empty where it has none
         plo = np.where(prev >= 0, lo[:, prev], lo)
         phi = np.where(prev >= 0, hi[:, prev], lo)
-        if carried is not None:
-            plo[:, 0], phi[:, 0] = carried
         ilo, ihi = np.maximum(lo, plo), np.minimum(hi, phi)
         # the new points, as disjoint boxes: for each dimension i that moved,
         # the points below and above the previous box in it, those before it
@@ -1682,7 +1592,7 @@ class _AnnObserver:
             if not len(w_ev):
                 continue
             if index is None:
-                cells, q = index = steps.index(a, reads, lo, hi)
+                cells, q = index = self._index(a, reads, env, lo, hi, steps.starts)
             width, keys, points = cells[cell.instance]
             wkey = steps.pos[w_ev] * width + w_off
             first = np.searchsorted(keys, wkey, side="left")
@@ -1736,10 +1646,10 @@ class _AnnObserver:
                 width = cell.arr.shape[1]
                 found.setdefault(cell.instance, (width, []))[1].append(owner * width + (off if base is None else off + base))
         cells = {}
-        points = np.arange(len(owner))
         for inst, (width, keys) in found.items():
             keys = np.concatenate(keys)
-            points = np.tile(points, len(keys) // max(len(points), 1))
+            # each read gives a key per point, in point order
+            points = np.tile(np.arange(len(owner)), len(keys) // max(len(owner), 1))
             if (keys[1:] < keys[:-1]).any():
                 o = np.argsort(keys, kind="stable")
                 keys, points = keys[o], points[o]
@@ -1760,40 +1670,6 @@ class _AnnObserver:
             q[i] = lo[i][owner] + r % step
             r = r // step
         return owner, q
-
-    # -- writes, for the frames of loops in execution -----------------------
-
-    def wrote(self, instance: int, offset: int):
-        """A write of the walk."""
-        for frame in self.frames.values():
-            frame.writes.setdefault(instance, []).append(offset)
-
-    def commit(self, batch: _Batch):
-        """Count a committed batch's instances, and give its writes to the
-        frames: all of them to the loops around its nest, and to its head's
-        frame, those since the head's last boundary in the block."""
-        self.instantiations += self.pending
-        self.evaluated += self.pending_evaluated
-        head, self.staged = self.staged, None
-        self.frames.pop(id(batch.loop), None)
-        if batch.closes:
-            head = None
-        if head is not None:
-            head.writes = {}
-        if head is None and not self.frames:
-            return
-        last = (batch.count - 1) * batch.plan.slots
-        for log in batch.log.values():
-            if log.cell.private or not log.added:
-                continue
-            keys = log.sorted()[0]
-            offsets = keys // log.clock
-            for frame in self.frames.values():
-                frame.writes.setdefault(log.cell.instance, []).append(offsets)
-            if head is not None:
-                head.writes[log.cell.instance] = [offsets[keys % log.clock >= last]]
-        if head is not None:
-            self.frames[id(batch.loop)] = head
 
     def _check(self, a: Ann, env, kind: str, site: str, message, when=None, grids=None):
         """Check value annotation ``a`` at one event of the walk, reporting
@@ -1849,8 +1725,8 @@ class _AnnObserver:
             raise _Fired  # the walk meets an index that varies by lane one event at a time
         bad = (idx < 0) | (idx >= size)
         if bad.any():
-            if when is not None or self.strict:
-                raise _Fired  # the walk reports this read, from the whole grid
+            if when is not None:
+                raise _Fired  # the walk reports this read
             if target.name not in self.reported:
                 self.reported.add(target.name)
                 off = int(idx.T[bad.T][0])  # at the first point, then lane

@@ -376,12 +376,14 @@ def declined(monkeypatch, run):
         m.setattr(C, "batch_plan", lambda loop: None)
         walked = run()
     assert walked.batched_loops == walked.replayed_loops == 0
+    # the walk checks every invariant whole
+    assert walked.evaluated == walked.instantiations
     return batched, walked
 
 
 def assert_same_run(a: C.RunResult, b: C.RunResult):
     assert [f.to_json() for f in a.findings] == [f.to_json() for f in b.findings]
-    assert (a.points, a.instantiations, a.evaluated) == (b.points, b.instantiations, b.evaluated)
+    assert (a.points, a.instantiations) == (b.points, b.instantiations)
     assert a.mem.keys() == b.mem.keys()
     for name in a.mem:
         assert np.array_equal(a.mem[name], b.mem[name]), name
@@ -1943,10 +1945,45 @@ def test_incremental_check_sees_a_write_to_an_instance_it_held(monkeypatch):
     assert held | {"lanes": [0, 1, 2]} in [f.to_json() for f in batched.findings]
 
 
-def test_incremental_walk_reports_an_out_of_range_read_as_the_whole_check_does(monkeypatch):
+# lift's postcondition reads two funcs its nest may write, mid first and twice
+MID_TWICE = (CORPUS / "chain3.hal").read_text().replace(
+    "lift.ensures(lift(x, y) == (src(x, y) * 2 + 1 + x) + (src(x + 1, y) * 2 + 1 + x + 1) - src(x, y));",
+    "lift.ensures(mid(x + 1, y) + mid(x, y) - src(x, y) == lift(x, y));",
+)
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["clean", "overwrite"])
+@pytest.mark.parametrize("sched", ["local", "window", "stage"])
+def test_incremental_check_of_an_invariant_reading_two_written_funcs(monkeypatch, sched, wrong):
+    # each invariant over lift's postcondition indexes the cells of mid and
+    # of lift; with ``wrong``, iteration 5 of lift's innermost loop also
+    # writes a wrong value into the cell of its iteration 2
+    p = parse_pipeline(MID_TWICE).resolve({"n": 9}).validated()
+
+    def run():
+        lp = lower(p, schedule("chain3", sched))
+        if wrong:
+            (stmt,) = stores(lp.root, "lift")
+            *_, loop = (n for n in nodes(lp.root) if isinstance(n, Loop) and stmt in nodes(n))
+            v = loop.dim.var
+            bad = dataclasses.replace(stmt, index=substitute(stmt.index, {v: Const(2)}), value=Const(12345))
+            loop.body.append(If(BinOp("==", Var(v), Const(5)), loop.owner, [bad]))
+        return C.check_annotations(lp, annotate(lp, include_user=True), C.make_inputs(p, SEEDS))
+
+    with monkeypatch.context() as m:
+        whole_checks(m)
+        whole = run()
+    monkeypatch.setattr(C, "_INCREMENTAL_FROM", 0)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert_same_run(batched, whole)
+    assert whole.passed is not wrong
+
+
+def test_incremental_check_fires_on_an_out_of_range_read_the_walk_reports(monkeypatch):
     # the loop invariant over the statement's postcondition reads inp[8] at
-    # xf = 7: the walk's incremental check meets it at its last boundary and
-    # checks that boundary whole
+    # xf = 7: the batch's incremental check meets it at its last boundary
+    # and fires, and the walk reports it as a whole check does
     p = ensured_stage("inp(x)", "select(x < 7, inp(x), inp(x + 1))")
     run = lambda: C.check_schedule(p, [], SEEDS, include_user=True)  # noqa: E731
     with monkeypatch.context() as m:
