@@ -1198,13 +1198,16 @@ class _AnnObserver:
     def aset(self, node):
         return self.ap.node.get(id(node))
 
-    def _count(self, total, peak, when=None):
+    def _count(self, total, peak, when=None, evaluated=None):
         """Count ``total`` instances of one annotation, at most ``peak`` at
-        one event: the walk's one event may not exceed the cap, and a batch
-        fires where the walk would raise."""
+        one event, and ``evaluated`` of them evaluated, all by default: the
+        walk's one event may not exceed the cap, and a batch fires where the
+        walk would raise."""
+        n = int(total)  # a grid's size may come out of numpy
+        done = n if evaluated is None else int(evaluated)
         if when is None:
-            n = int(total)  # a grid's size may come out of numpy
             self.instantiations += n
+            self.evaluated += done
             if n > self.cap:
                 raise InstantiationBudget(
                     f"one annotation expands to {n} instances (limit {self.cap})"
@@ -1212,14 +1215,8 @@ class _AnnObserver:
         elif peak > self.cap:
             raise _Fired  # the walk raises InstantiationBudget
         else:
-            self.pending += int(total)
-
-    def _did(self, n):
-        """Count ``n`` instances evaluated."""
-        if self.batch is None:
-            self.evaluated += int(n)
-        else:
-            self.pending_evaluated += int(n)
+            self.pending += n
+            self.pending_evaluated += done
 
     # -- batched loops -----------------------------------------------------
 
@@ -1423,22 +1420,19 @@ class _AnnObserver:
     def _is_value(a) -> bool:
         return not isinstance(a, RegionPerm) and not a.perm
 
-    def _grids(self, a: Ann, env, when=None, counted=False):
+    def _grids(self, a: Ann, env, when=None):
         """Environments with quantifier variables flattened to index arrays,
         first quantifier slowest, each with its number of points; none for
         an empty grid.  The walk's grid is one environment.  With ``when``
         the grids of all events are stacked, event by event, in chunks of
         whole events of at most ``_CHUNK`` points where one event fits, and
-        ``_WHEN`` holds each point's event time.  The instances are counted
-        unless ``counted``."""
+        ``_WHEN`` holds each point's event time."""
         los = [compiled(q.lo)(env, _CLOSED) for q in a.quants]
         his = [compiled(q.hi)(env, _CLOSED) for q in a.quants]
         if when is None:
             sizes = [max(hi - lo, 0) for lo, hi in zip(los, his)]
             total = math.prod(sizes)
-            if not counted:
-                self._count(total, total)
-            self._did(total)
+            self._count(total, total)
             if total:
                 r = np.arange(total, dtype=np.int64) if sizes else None
                 yield self._points(a, dict(env), r, los, sizes), total
@@ -1447,9 +1441,7 @@ class _AnnObserver:
         sizes = [np.maximum(hi - lo, 0) for lo, hi in zip(los, his)]
         sizes = [s.flat[0] if np.ndim(s) and (s == s.flat[0]).all() else s for s in sizes]
         counts = np.broadcast_to(math.prod(sizes, start=np.int64(1)), when.shape)
-        if not counted:
-            self._count(counts.sum(), counts.max(initial=0), when)
-        self._did(counts.sum())
+        self._count(counts.sum(), counts.max(initial=0), when)
         ends = np.cumsum(counts)
         start = 0
         while start < len(counts):
@@ -1536,11 +1528,10 @@ class _AnnObserver:
         """Like :meth:`_grids`, the points of invariant ``a`` to evaluate at
         the boundaries ``steps`` (:meth:`_select`), every instance counted."""
         total, peak, ev, qs = self._select(steps, a)
-        self._count(total, peak, when)
         if ev is None:
-            yield from self._grids(a, env, when, counted=True)
+            yield from self._grids(a, env, when)
             return
-        self._did(len(ev))
+        self._count(total, peak, when, len(ev))
         for s in range(0, len(ev), _CHUNK):
             part = ev[s : s + _CHUNK]
             envq = self._at(a, env, part)
