@@ -1895,8 +1895,8 @@ def whole_checks(m):
 
 @pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)
 def test_incremental_checks_equal_whole_checks_on_the_corpus(monkeypatch, algo, sched):
-    # every loop is checked incrementally, however short, so that the small
-    # sizes reach every shape of the rule, batched and walked
+    # every batched loop is checked incrementally, however short, so that
+    # the small sizes reach every shape of the rule; the walk checks whole
     p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
     d = schedule(algo, sched)
     run = lambda: C.check_schedule(p, d, SEEDS, include_user=True)  # noqa: E731
