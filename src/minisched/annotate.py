@@ -201,6 +201,16 @@ def _quantify_full(a: Ann, v: str, lo: Expr, extent: int) -> Ann:
     return replace(a, quants=(Quantifier(vf, lo, lo + Const(extent)),) + a.quants)
 
 
+def _distinct(lines: list) -> list:
+    """``lines`` less each value line whose quantifiers and body an earlier
+    one has: a reduction's pending invariant can restate its stage's
+    postcondition."""
+    kept: dict = {}
+    for a in lines:
+        kept.setdefault((a.quants, a.body) if isinstance(a, Ann) and not a.perm else id(a), a)
+    return list(kept.values())
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -217,13 +227,18 @@ class _Annotator:
 
     def run(self) -> AnnotatedPipeline:
         top = self.walk_node(self.lp.root)
+        for aset in self.node.values():
+            for slot in ("invariants", "requires", "ensures", "context"):
+                setattr(aset, slot, _distinct(getattr(aset, slot)))
         return AnnotatedPipeline(self.lp, self.node, top, self.include_user)
 
     def at(self, n) -> AnnSet:
         return self.node.setdefault(id(n), AnnSet())
 
     def flatten(self, e: Expr) -> Expr:
-        return flatten_storage(self.p, self.allocs, e)
+        """``e`` over storage: inlined funcs unfolded, the others read from
+        their tables."""
+        return flatten_storage(self.p, self.allocs, inline_expr(self.sp, e))
 
     # -- seeds -------------------------------------------------------------
 
@@ -373,7 +388,7 @@ class _Annotator:
                 return [self.guard_ann(a, cond) for a in self.walk_list(body)]
             case Loop(dim, _, body):
                 self.box[dim.var] = loop_range(dim)
-                inner = self.walk_list(n.symbolic if n.symbolic is not None else body)
+                inner = self.walk_list(body)
                 through = {"serial": self.through_serial, "parallel": self.through_parallel}
                 out = through.get(dim.kind, self.through_unrolled)(n, inner)
                 del self.box[dim.var]

@@ -28,21 +28,23 @@ All of them evaluate all random seeds at once: control flow never depends
 on data (guards mention loop variables only), so one walk of the nest
 carries an entire batch of input sets as a leading lane axis.
 
-The runner executes a non-unrolled loop in batches (:func:`batch_plan`,
+The runner executes a loop in batches (:func:`batch_plan`,
 :class:`_Batch`).  A batch covers a block of whole iterations of the loop
 and everything beneath it, producer-consumer sequences included, and
-evaluates each statement once over all its points.  The points start as
-the head loop's iterations; an inner serial loop whose variable a store
-index names repeats them, one per iteration, and any other runs one
-iteration at a time.  Each point carries its walk time, in statement slots
-from the block's start.  Every write is stamped with its walk time in one
-log, which the batch's reads and the observer's share.  The walk's
-detectors run on the batch's offset arrays and fire where the walk would
-report, and the batch commits only if none fires and every read saw the
-write the walk gives it.  Otherwise it is dropped, with no state touched,
-and the rest of the loop is walked statement by statement, each inner
-loop trying its own batch, which reports the findings in the order, and
-with the messages, of a walk that never tried the batch.
+evaluates each statement once over all its points.  The points start as the
+head loop's iterations; an inner serial loop whose variable a store index
+names repeats them, one per iteration, and any other runs one iteration at
+a time.  An unrolled loop runs as a serial loop everywhere; the annotator
+gives it no invariants, so its boundaries check nothing.  Each point
+carries its walk time, in statement slots from the block's start.  Every
+write is stamped with its walk time in one log, which the batch's reads and
+the observer's share.  The walk's detectors run on the batch's offset
+arrays and fire where the walk would report, and the batch commits only if
+none fires and every read saw the write the walk gives it.  Otherwise it is
+dropped, with no state touched, and the rest of the loop is walked
+statement by statement, each inner loop trying its own batch, which reports
+the findings in the order, and with the messages, of a walk that never
+tried the batch.
 
 Under annotation checking, a batch's events are checked before it commits
 (:meth:`_AnnObserver.check_batch`).  Each value annotation that fires in
@@ -536,11 +538,6 @@ class _Runner:
                 else:
                     del self.mem[func]
             case Loop(dim, owner, body):
-                if dim.kind == "unrolled":
-                    # the body already holds one substituted copy per step
-                    for c in body:
-                        self.run(c, env)
-                    return
                 self._loop(node, eval_const(dim.lo, env), env)
                 env.pop(dim.var, None)
             case If(cond, owner, body):
@@ -648,18 +645,18 @@ def _reads(e: Expr) -> set[str]:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """A loop nest that runs as batches of whole iterations of its head.
-    One head iteration runs the head's body: store statements under ``If``
-    guards, ``Chain``, ``Produce``, ``Consume`` and ``Store`` nodes,
-    unrolled loops and serial loops.  A serial loop there is *expanded*
-    (``expanded``, by ``id``) when a store index beneath it mentions its
-    variable: its iterations run side by side, as more points.  Any other
-    is a *step loop*, run one iteration at a time, and ``stepped`` tells
-    whether there is one.  ``written`` names the entities the nest's
-    statements write.  ``spans`` gives the statement slots of one execution
-    of each node beneath the head, by ``id``, and ``slots`` those of one
-    head iteration; a serial loop takes its extent times the slots of its
-    body."""
+    """A loop nest that runs as batches of whole iterations of its head.  One
+    head iteration runs the head's body: store statements under ``If``
+    guards, ``Chain``, ``Produce``, ``Consume`` and ``Store`` nodes, and
+    serial loops, unrolled ones included.  A serial loop there is
+    *expanded* (``expanded``, by ``id``) when a store index beneath it
+    mentions its variable: its iterations run side by side, as more points.
+    Any other is a *step loop*, run one iteration at a time, and
+    ``stepped`` tells whether there is one.  ``written`` names the entities
+    the nest's statements write.  ``spans`` gives the statement slots of
+    one execution of each node beneath the head, by ``id``, and ``slots``
+    those of one head iteration; a serial loop takes its extent times the
+    slots of its body."""
 
     stepped: bool
     expanded: frozenset[int]
@@ -674,7 +671,7 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
 
     ``loop`` may be parallel or serial.  Beneath it every node is a store
     statement, an ``If`` whose guard reads no memory, a ``Chain``,
-    ``Produce``, ``Consume`` or ``Store``, or an unrolled or serial loop;
+    ``Produce``, ``Consume`` or ``Store``, or a serial loop;
     an inner parallel loop heads a batch of its own.  No store index reads
     memory, and one mentions a serial ``loop``: otherwise its iterations
     rewrite the same cells and it is walked, one step at a time.  Nothing
@@ -694,11 +691,9 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
                 span = None if _reads(n.index) else 1
             elif isinstance(n, If):
                 span = None if _reads(n.cond) else collect(n.body, path)
-            elif isinstance(n, (Chain, Produce, Consume, Store)) or (
-                isinstance(n, Loop) and n.dim.kind == "unrolled"
-            ):
+            elif isinstance(n, (Chain, Produce, Consume, Store)):
                 span = collect(n.body, path)
-            elif isinstance(n, Loop) and n.dim.kind == "serial":
+            elif n.dim.kind != "parallel":
                 span = collect(n.body, path + (n,))
                 span = None if span is None else span * n.dim.extent
             else:
@@ -712,7 +707,7 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
     slots = collect(loop.body, ())
     if slots is None:
         return None
-    if loop.dim.kind == "serial" and all(loop.dim.var not in free_vars(s.index) for _, s in entries):
+    if loop.dim.kind != "parallel" and all(loop.dim.var not in free_vars(s.index) for _, s in entries):
         return None
     expanded = frozenset(id(x) for path, s in entries for x in path if x.dim.var in free_vars(s.index))
     serial = {id(x) for path, _ in entries for x in path}
@@ -727,7 +722,7 @@ def batch_heads(root) -> dict[int, BatchPlan]:
     heads: dict[int, BatchPlan] = {}
 
     def visit(n):
-        if isinstance(n, Loop) and n.dim.kind != "unrolled":
+        if isinstance(n, Loop):
             plan = batch_plan(n)
             if plan is not None:
                 heads[id(n)] = plan
@@ -867,7 +862,7 @@ class _Batch:
         if self.tracker is not None:
             self.tracker.iteration = self.lo  # every access it logged clashes
         var, slots = self.loop.dim.var, self.plan.slots
-        if self.loop.dim.kind == "serial":
+        if self.loop.dim.kind != "parallel":
             # the head's boundaries, its one-past-the-end one in its last block
             j = np.arange(self.count + self.closes, dtype=np.int64)
             self._mark(self.loop, env | {var: self.lo + j, _WHEN: j * slots, _EXEC: 0}, "invariants")
@@ -914,7 +909,7 @@ class _Batch:
                     del runner.mem[n.func]
                 else:
                     runner.mem[n.func] = prev
-        elif isinstance(n, Chain) or n.dim.kind == "unrolled":
+        elif isinstance(n, Chain):
             self._walk(n.body, envk)
         else:
             self._serial(n, envk)

@@ -3,25 +3,28 @@
 ``minisched annotate <algo.hal> <file.sched> [--scale k=v ...] [--no-user]``
 prints the loop nest that the schedule lowers to, with the annotations the
 compiler attaches to each node: first the pipeline-level contract, then
-every node with its invariants, requires, ensures and context lines.  Each
-line ends with the annotation's origin; a dormant reduction annotation
-names the loop it waits for.  ``--scale`` overrides pipeline parameters,
-and ``--no-user`` keeps only the generated memory-safety annotations.
+every node with its invariants, requires, ensures and context lines.  An
+unrolled loop shows its one body, its variable symbolic, as the checker
+runs it.  Each line ends with the annotation's origin; a dormant reduction
+annotation names the loop it waits for.  ``--scale`` overrides pipeline
+parameters, and ``--no-user`` keeps only the generated memory-safety
+annotations.
 
 ``minisched encode <algo.hal> [--scale k=v ...]`` prints the algorithm's
 encoding as PVL pure functions with the pipeline lemma.
 
 ``minisched nest <algo.hal> <file.sched> [--scale k=v ...]`` prints the
-plain loop nest that the schedule lowers to.  Each loop that the checker
-runs in batches is marked; everything beneath it, producer-consumer
-sequences and their private storage included, runs in those batches and
-is not marked.  There a serial loop whose variable a store index mentions
-runs its iterations side by side, and any other, a step loop, one
-iteration at a time.  The mark shows ``depth N``, the batch's loop and the
-chain of side-by-side loops below it that are each the only node of their
-parent's body; a batch with step loops also shows ``steps M``, the
-statement slots of one execution of the body of that chain's innermost
-loop.
+plain loop nest that the schedule lowers to, an unrolled loop's body once
+per step with its variable replaced by the step's value.  Each loop that
+the checker runs in batches is marked; everything beneath it,
+producer-consumer sequences and their private storage included, runs in
+those batches and is not marked.  There a serial loop, unrolled or not,
+whose variable a store index mentions runs its iterations side by side,
+and any other, a step loop, one iteration at a time.  The mark shows
+``depth N``, the batch's loop and the chain of side-by-side loops below it
+that are each the only node of their parent's body; a batch with step
+loops also shows ``steps M``, the statement slots of one execution of the
+body of that chain's innermost loop.
 
 ``minisched check <algo.hal> <file.sched> [--scale k=v ...] [--seeds N ...]
 [--no-user | --plain]`` checks the schedule on one input set per seed and

@@ -33,7 +33,6 @@ from .ir import (
     Stage,
     TableRead,
     Var,
-    as_expr,
     eval_const,
     free_vars,
     hdiv,
@@ -760,10 +759,9 @@ class LoopDim:
 class Loop:
     dim: LoopDim
     owner: tuple[str, int]
+    # one body, its variable symbolic, for every kind of loop; only
+    # ``print_loop_nest`` writes an unrolled loop out as one copy per step
     body: list
-    # unrolled loops hold expanded copies in ``body``; the original body,
-    # with the loop variable still symbolic, is kept for the annotator
-    symbolic: list | None = None
 
     kind = "loop"
 
@@ -970,16 +968,7 @@ class _Builder:
             for g in reversed(self.store_only_site.get(site, [])):
                 inner = [Store(g, self.allocs[g], inner)]
 
-        dim = LoopDim(ax.var, ax.display, ax.kind, lo, extent)
-        loop = Loop(dim, (name, s.index), inner)
-        if ax.kind == "unrolled":
-            copies: list[Node] = []
-            for k in range(extent):
-                point = lo + k if not isinstance(lo, Const) else Const(lo.value + k)
-                copies.extend(_subst_nodes(inner, {ax.var: as_expr(point)}))
-            loop.symbolic = inner
-            loop.body = copies
-        return [loop]
+        return [Loop(LoopDim(ax.var, ax.display, ax.kind, lo, extent), (name, s.index), inner)]
 
     def tail_guards(self, name: str, scope: list[str]) -> list[Expr]:
         """The split guards of ``name`` whose loops are all in ``scope``."""
@@ -1019,35 +1008,6 @@ def _check_read_shapes(func: str, si: int, reads: list[Expr]) -> None:
                     )
 
 
-def _subst_nodes(nodes: list[Node], mapping: dict[str, Expr]) -> list[Node]:
-    out: list[Node] = []
-    for n in nodes:
-        match n:
-            case Loop(dim, owner, body):
-                nd = LoopDim(dim.var, dim.display, dim.kind, substitute(dim.lo, mapping), dim.extent)
-                out.append(Loop(nd, owner, _subst_nodes(body, mapping)))
-            case Produce(func, body):
-                out.append(Produce(func, _subst_nodes(body, mapping)))
-            case Consume(func, body):
-                out.append(Consume(func, _subst_nodes(body, mapping)))
-            case Store(func, alloc, body):
-                out.append(Store(func, alloc, _subst_nodes(body, mapping)))
-            case If(cond, owner, body):
-                out.append(If(substitute(cond, mapping), owner, _subst_nodes(body, mapping)))
-            case StoreStmt(func, stage, target, index, value, point):
-                out.append(
-                    StoreStmt(
-                        func,
-                        stage,
-                        target,
-                        substitute(index, mapping),
-                        substitute(value, mapping),
-                        {d: substitute(e, mapping) for d, e in point.items()},
-                    )
-                )
-    return out
-
-
 def lower(p: Pipeline, ds: list) -> LoweredPipeline:
     """One call from validated pipeline to loop nest."""
     sp = apply_directives(p, ds)
@@ -1068,41 +1028,43 @@ def loop_range(dim: LoopDim) -> tuple[Expr, Expr]:
 
 def print_loop_nest(lp: LoweredPipeline, note=None) -> str:
     """The loop nest as indented text; ``note(loop)``, when given, is
-    appended to each loop's line."""
+    appended to each loop's line.  An unrolled loop's body is written once
+    per step, its variable replaced by the step's value."""
     pr = ExprPrinter("dsl")
     lines: list[str] = []
 
-    def emit(n: Node, depth: int) -> None:
+    def emit(n: Node, depth: int, steps: tuple) -> None:
+        # ``steps``: the values of the enclosing unrolled loops' variables,
+        # innermost first, substituted in that order
+        def sub(e: Expr) -> Expr:
+            for m in steps:
+                e = substitute(e, m)
+            return e
+
         pad = "  " * depth
+        copies = [steps]
         match n:
             case Chain(body):
                 for c in body:
-                    emit(c, depth)
-            case Produce(func, body):
-                lines.append(f"{pad}produce {func}:")
-                for c in body:
-                    emit(c, depth + 1)
-            case Consume(func, body):
-                lines.append(f"{pad}consume {func}:")
-                for c in body:
-                    emit(c, depth + 1)
-            case Store(func, _, body):
-                lines.append(f"{pad}store {func}:")
-                for c in body:
-                    emit(c, depth + 1)
+                    emit(c, depth, steps)
+                return
+            case Produce(func, body) | Consume(func, body) | Store(func, _, body):
+                lines.append(f"{pad}{n.kind} {func}:")
             case Loop(dim, _, body):
                 word = {"serial": "for", "parallel": "parallel", "unrolled": "unrolled"}[dim.kind]
-                lo, hi = loop_range(dim)
+                lo, hi = loop_range(replace(dim, lo=sub(dim.lo)))
                 tail = "" if note is None else note(n)
                 lines.append(f"{pad}{word} {dim.display} in [{pr(lo)}, {pr(hi)}]:{tail}")
-                for c in body:
-                    emit(c, depth + 1)
+                if dim.kind == "unrolled":
+                    copies = [({dim.var: dim.lo + k},) + steps for k in range(dim.extent)]
             case If(cond, _, body):
-                lines.append(f"{pad}if {pr(cond)}:")
-                for c in body:
-                    emit(c, depth + 1)
+                lines.append(f"{pad}if {pr(sub(cond))}:")
             case StoreStmt(_, _, target, index, value, _):
-                lines.append(f"{pad}_{target.name}[{pr(index)}] = {pr(value)}")
+                lines.append(f"{pad}_{target.name}[{pr(sub(index))}] = {pr(sub(value))}")
+                return
+        for inner in copies:
+            for c in body:
+                emit(c, depth + 1, inner)
 
-    emit(lp.root, 0)
+    emit(lp.root, 0, ())
     return "\n".join(lines) + "\n"

@@ -671,6 +671,7 @@ def rejected_alike_or_clean(p, d) -> list:
 def test_fuzzed_schedules_are_rejected_alike_or_check_clean(case):
     algo, text = case
     rejected_alike_or_clean(FUZZED[algo], parse_schedule(text))
+    assert_annotations_on_the_nest(FUZZED[algo], parse_schedule(text))
 
 
 # One stage reads an entity at x and at 2 * x.  With x fixed by a loop, the
@@ -947,6 +948,72 @@ def test_batched_guard_reads_storage_as_of_its_iteration(monkeypatch, written, f
     assert_same_run(batched, walked)
     assert (batched.batched_loops, batched.replayed_loops) == ((0, 1) if written else (1, 0))
     assert [f.to_json() for f in batched.findings] == findings
+
+
+# ---------------------------------------------------------------------------
+# Unrolled loops: the annotated body is the body the checker runs
+
+
+def assert_annotations_on_the_nest(p, d):
+    """Every node the annotator annotates, in either mode, is a node of
+    the lowered nest: no annotation sits on a body the checker never runs."""
+    try:
+        lp = lower(p, d)
+    except PipelineError:
+        return
+    held = {id(n) for n in nodes(lp.root)}
+    for include_user in (True, False):
+        try:
+            ap = annotate(lp, include_user=include_user)
+        except PipelineError:
+            continue
+        assert ap.node.keys() <= held
+
+
+@pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)
+def test_annotations_sit_on_the_nodes_the_checker_runs(algo, sched):
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
+    assert_annotations_on_the_nest(p, schedule(algo, sched))
+
+
+def test_invariant_beneath_an_unrolled_loop_is_checked():
+    # the accumulator invariant bounds out(x) by r, which the second step
+    # of the reduction already breaks; the r loop sits beneath the unrolled
+    # xi, and is reported there as it is without the unroll
+    src = (CORPUS / "conv1d.hal").read_text()
+    src = src.replace("-10000 * r <= out(x) <= 10000 * r", "-1 * r <= out(x) <= 1 * r")
+    p = parse_pipeline(src).resolve({"n": 16}).validated()
+    sites = {}
+    for sched in ("out.split(x, xo, xi, 4);", "out.split(x, xo, xi, 4).unroll(xi);"):
+        res = C.check_schedule(p, parse_schedule(sched), SEEDS, include_user=True)
+        sites[sched] = [f.site for f in res.findings if f.kind == "invariant_violation"]
+    assert sites == {
+        "out.split(x, xo, xi, 4);": ["loop r", "loop x.xi", "loop x.xo"],
+        "out.split(x, xo, xi, 4).unroll(xi);": ["loop r", "loop x.xo"],
+    }
+
+
+UNROLLED_PAR = "out.split(x, xo, xi, 4).unroll(xo).parallel(xi);"
+
+
+def test_parallel_loop_beneath_an_unrolled_loop_charges_its_ledger(monkeypatch):
+    p = parse_pipeline((CORPUS / "conv1d.hal").read_text()).resolve({"n": 16}).validated()
+    res = C.check_schedule(p, parse_schedule(UNROLLED_PAR), SEEDS, include_user=False)
+    assert res.passed and res.instantiations > 0
+    # each of xi's iterations claims half of w and of its three sig cells
+    # whole, so a cell that two of them read is claimed past a whole
+    # permission, in the xi loop of each of xo's four steps
+    run = annotated_run("conv1d", {"n": 16}, UNROLLED_PAR, undivided_reads(2), include_user=False)
+    batched, walked = declined(monkeypatch, run)
+    assert_same_run(batched, walked)
+    assert batched.replayed_loops == 4
+    assert [f.to_json() for f in batched.findings] == [
+        race("x.xi", "3/2 of sig[2]"),
+        race("x.xi", "2 of w[0]"),
+        race("x.xi", "3/2 of sig[6]"),
+        race("x.xi", "3/2 of sig[10]"),
+        race("x.xi", "3/2 of sig[14]"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1571,13 +1638,14 @@ def test_step_batch_duplicate_write_across_pure_iterations_replays(monkeypatch):
 
 
 def test_step_batch_write_into_another_iterations_cell_replays(monkeypatch):
-    # under matmul/unroll each iteration (j, io) accumulates two cells in
-    # two statements; io = 0's second statement is pointed at the cell of
-    # io = 1's first, so two statements of two (j, io) iterations share it
+    # under matmul/unroll each iteration (j, io) accumulates two cells, one
+    # per step of the unrolled ii; io = 0's step ii = 1 is pointed at the
+    # cell of io = 1's step ii = 0, so two (j, io) iterations share it
     def surgery(lp):
-        stmt = [n for n in stores(lp.root, "prod") if n.stage == 1][1]
+        [stmt] = [n for n in stores(lp.root, "prod") if n.stage == 1]
         first = BinOp("+", BinOp("*", Var("j"), Const(4)), Const(2))
-        clash = Select(BinOp("==", Var("io"), Const(0)), first, stmt.index)
+        at = and_(BinOp("==", Var("io"), Const(0)), BinOp("==", Var("ii"), Const(1)))
+        clash = Select(at, first, stmt.index)
         stmt.value = substitute_read(stmt.value, stmt.index, clash)
         stmt.index = clash
 
@@ -1585,9 +1653,10 @@ def test_step_batch_write_into_another_iterations_cell_replays(monkeypatch):
     run = lowered_run("matmul", {"n": 4}, unroll, surgery)
     batched, walked = declined(monkeypatch, run)
     assert_same_run(batched, walked)
-    # the reduction nest replays, and so does each j's io loop; only the
-    # pure stage's nest commits
-    assert (batched.batched_loops, batched.replayed_loops) == (1, 5)
+    # the reduction nest replays, and so does each j's io loop; the pure
+    # stage's nest commits, and so does each (j, io) iteration's ii loop,
+    # whose two steps write two cells: 1 + 4 * 2 batches
+    assert (batched.batched_loops, batched.replayed_loops) == (9, 5)
 
 
 def substitute_read(e, index, new):
@@ -2007,3 +2076,17 @@ def test_incremental_checks_keep_blur_rows_linear():
     (small, small_all), (large, large_all) = per_point
     assert small / 2 <= large <= 2 * small
     assert large_all > 2 * small_all
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["clean", "false"])
+@pytest.mark.parametrize("sched", ["", "base.fuse(x, y, t);"], ids=["inline", "fuse"])
+def test_user_annotation_reads_an_inlined_func(monkeypatch, sched, wrong):
+    # lift's postcondition reads mid, which these schedules inline: mid has
+    # no storage, so the annotation reads it through its definition
+    text = MID_TWICE.replace("== lift(x, y));", "== lift(x, y) + 1);") if wrong else MID_TWICE
+    p = parse_pipeline(text).resolve({"n": 9}).validated()
+    d = parse_schedule(sched)
+    assert lower(p, d).scheduled.funcs["mid"].inline
+    batched, walked = declined(monkeypatch, lambda: C.check_schedule(p, d, SEEDS, include_user=True))
+    assert_same_run(batched, walked)
+    assert {f.kind for f in batched.findings} == ({"contract_violation", "invariant_violation"} if wrong else set())

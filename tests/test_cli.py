@@ -71,7 +71,7 @@ def test_check_prints_one_report_per_seed(capsys):
         capsys, "count", ROOT / "corpus" / "schedules" / "count" / "par.sched", "--scale", "w=4"
     )
     assert status == 0
-    stats = {"points": 44, "instantiations": 160, "evaluated": 160, "batched_loops": 2, "replayed_loops": 0}
+    stats = {"points": 44, "instantiations": 156, "evaluated": 156, "batched_loops": 2, "replayed_loops": 0}
     assert reports == [
         {"pipeline": "count", "schedule": "par", "seed": s, "verdict": "pass", "findings": [], "stats": stats}
         for s in (0, 1, 2)
@@ -128,8 +128,9 @@ def test_nest_marks_the_loops_that_head_a_batch(capsys):
 
 
 def test_nest_shows_the_step_loops_of_a_batch(capsys):
-    # the update's (j, io) nest batches; each (j, io) iteration runs the
-    # unrolled pair of (rt, rk) reductions, 2 * 2 * 4 statement slots
+    # the update's (j, io, ii) nest batches, the unrolled ii's two steps
+    # side by side as a store index names it; each (j, io, ii) iteration
+    # runs the (rt, rk) reduction, 2 * 4 statement slots
     argv = [
         "nest",
         str(ROOT / "corpus" / "matmul.hal"),

@@ -5,7 +5,8 @@ The chains come from ``directive_chains`` in ``tests/test_checker.py``, drawn
 by Hypothesis at a fixed seed, and each goes through the body of
 ``test_fuzzed_schedules_are_rejected_alike_or_check_clean``: the three modes
 must raise the same typed error, or all check clean with their batched runs
-equal to the walked ones (``batch_plan`` declined).  A failure's class is its
+equal to the walked ones (``batch_plan`` declined), and every node the
+annotator annotates must be a node of the nest.  A failure's class is its
 exception type and the line that raised it; one schedule is printed per
 class.
 
