@@ -3,12 +3,16 @@
 Every store statement seeds a small contract: a full write permission on the
 cell it defines, fractional read permissions on everything it consumes, and
 the user's stage annotations instantiated at the current point.  Walking the
-nest from the leaves outward, each loop absorbs the seeds that mention its
-variable: serial loops turn them into loop invariants (completed iterations
-keep their postconditions, pending ones keep their preconditions), parallel
-loops take them verbatim as a per-iteration block contract with read
-fractions split across iterations, and unrolled loops contribute nothing
-but pass a fully quantified copy outward.
+nest from the leaves outward, one rule (``_Annotator.through_loop``) carries
+the state out through every loop, renaming the loop's variable in each line
+once, for the line the loop holds and the copy carried outward, quantified
+over the whole range.  A serial loop holds the lines that name its variable
+as loop invariants (completed iterations keep their postconditions, pending
+ones keep their preconditions), a parallel loop holds every line verbatim
+as a per-iteration block contract with read fractions split across
+iterations, and an unrolled loop holds nothing.  The pipeline's own
+postconditions are built here too (``AnnotatedPipeline.post``), for the
+checker to evaluate on the final storage.
 
 Value annotations quantify over iteration variables.  Read permissions do
 not: a sliding window read overlaps itself across iterations, and claiming
@@ -39,6 +43,7 @@ from .ir import (
     Stage,
     TableRead,
     Var,
+    _resolve_bound_refs,
     free_vars,
     substitute,
     walk,
@@ -150,7 +155,7 @@ class AnnotatedPipeline:
     lp: LoweredPipeline
     node: dict[int, AnnSet]
     top: list
-    include_user: bool
+    post: list  # the pipeline's postconditions over the final storage
 
     def at(self, n) -> AnnSet:
         return self.node.get(id(n)) or AnnSet()
@@ -186,19 +191,15 @@ def _mentions(a: Ann, v: str) -> bool:
     return v in _names_in(a)
 
 
-def _prefix(a: Ann, v: str, lo: Expr, hi: Expr) -> Ann:
-    """forall vf in [lo, hi): a[v -> vf], as a loop invariant line."""
-    vf = _fresh_name(v, _names_in(a))
+def _over(a: Ann, v: str, *spans) -> list[Ann]:
+    """``a`` quantified over each span ``(lo, hi)`` of ``v``, which it names
+    as one fresh variable in all of them, a name neither ``a`` nor a span
+    reads; ``a`` itself for each span if it does not name ``v``."""
+    if not spans or not _mentions(a, v):
+        return [a] * len(spans)
+    vf = _fresh_name(v, _names_in(a).union(*(free_vars(e) for span in spans for e in span)))
     a = _subst_ann(a, {v: Var(vf)})
-    return replace(a, kind="invariant", quants=(Quantifier(vf, lo, hi),) + a.quants)
-
-
-def _quantify_full(a: Ann, v: str, lo: Expr, extent: int) -> Ann:
-    if not _mentions(a, v):
-        return a
-    vf = _fresh_name(v, _names_in(a))
-    a = _subst_ann(a, {v: Var(vf)})
-    return replace(a, quants=(Quantifier(vf, lo, lo + Const(extent)),) + a.quants)
+    return [replace(a, quants=(Quantifier(vf, lo, hi),) + a.quants) for lo, hi in spans]
 
 
 def _distinct(lines: list) -> list:
@@ -230,7 +231,7 @@ class _Annotator:
         for aset in self.node.values():
             for slot in ("invariants", "requires", "ensures", "context"):
                 setattr(aset, slot, _distinct(getattr(aset, slot)))
-        return AnnotatedPipeline(self.lp, self.node, top, self.include_user)
+        return AnnotatedPipeline(self.lp, self.node, top, self.pipeline_post())
 
     def at(self, n) -> AnnSet:
         return self.node.setdefault(id(n), AnnSet())
@@ -239,6 +240,25 @@ class _Annotator:
         """``e`` over storage: inlined funcs unfolded, the others read from
         their tables."""
         return flatten_storage(self.p, self.allocs, inline_expr(self.sp, e))
+
+    def pipeline_post(self) -> list[Ann]:
+        """The user's pipeline postconditions, bounds resolved, over
+        storage; none without user annotations."""
+        if not self.include_user:
+            return []
+        p = self.p
+        return [
+            Ann(
+                "ensures",
+                tuple(
+                    Quantifier(q.var, _resolve_bound_refs(p, q.lo), _resolve_bound_refs(p, q.hi))
+                    for q in qc.quants
+                ),
+                self.flatten(_resolve_bound_refs(p, qc.body)),
+                origin=("pipeline",),
+            )
+            for qc in p.ensures
+        ]
 
     # -- seeds -------------------------------------------------------------
 
@@ -389,8 +409,7 @@ class _Annotator:
             case Loop(dim, _, body):
                 self.box[dim.var] = loop_range(dim)
                 inner = self.walk_list(body)
-                through = {"serial": self.through_serial, "parallel": self.through_parallel}
-                out = through.get(dim.kind, self.through_unrolled)(n, inner)
+                out = self.through_loop(n, inner)
                 del self.box[dim.var]
                 return out
             case Consume(g, body):
@@ -437,94 +456,73 @@ class _Annotator:
                 return True
         return False
 
-    # -- per-loop transformation rows ---------------------------------------
+    # -- the loop rule -------------------------------------------------------
 
-    def through_serial(self, loop: Loop, state: list) -> list:
+    def through_loop(self, loop: Loop, state: list) -> list:
+        """``state`` carried out through ``loop``, the lines the loop holds
+        placed in its set.
+
+        Each line is renamed once per crossing: the one rename gives both
+        the line the loop holds and the state carried outward, quantified
+        over the loop's whole range.  A serial loop holds its bounds, then
+        the reductions' invariants, then its regions widened over it, then
+        each value or permission line that names its variable, as an
+        invariant over the iterations that have it: context and permission
+        lines all of them, postconditions the completed ones and
+        preconditions the pending ones.  A reduction's completed and pending
+        lines are held even when they do not name the variable.  A parallel
+        loop holds every line verbatim as its per-iteration block contract,
+        invariants among the preconditions, with read fractions split across
+        its iterations.  An unrolled loop holds nothing.
+        """
         dim = loop.dim
-        v, lo, ext = dim.var, dim.lo, dim.extent
-        hi = lo + Const(ext)
-        aset = self.at(loop)
-        aset.invariants.append(
-            Ann(
-                "invariant",
-                (),
-                BinOp("&&", BinOp("<=", lo, Var(v)), BinOp("<=", Var(v), hi)),
-                origin=("bounds", v),
-            )
-        )
+        v, lo, hi = dim.var, dim.lo, dim.lo + Const(dim.extent)
+        aset = None if dim.kind == "unrolled" else self.at(loop)
+        spans = {"context": (lo, hi), "ensures": (lo, Var(v)), "requires": (Var(v), hi)}
+        if dim.kind == "serial":
+            bounds = BinOp("&&", BinOp("<=", lo, Var(v)), BinOp("<=", Var(v), hi))
+            aset.invariants.append(Ann("invariant", (), bounds, origin=("bounds", v)))
+        regions: list = []
+        lines: list = []
         out: list = []
-        perm_lines: list = []
-        value_lines: list = []
+
+        def hold(a: Ann, *carried) -> list[Ann]:
+            """Place the line ``loop`` holds for ``a``; ``a`` over each span
+            of ``carried``."""
+            slot = "context" if a.perm else a.kind
+            if dim.kind == "parallel":
+                getattr(aset, "requires" if slot == "invariant" else slot).append(a)
+            elif dim.kind == "serial" and slot in spans:
+                line, *rest = _over(a, v, spans[slot], *carried)
+                lines.append(replace(line, kind="invariant"))
+                return rest
+            return _over(a, v, *carried)
+
         for a in state:
             if isinstance(a, RegionPerm):
                 widened = self.widen_region(a, v)
-                perm_lines.append(widened)
+                if dim.kind == "parallel":
+                    # iterations hold split fractions; the join returns them whole
+                    split = replace(a.frac, par=a.frac.par + (dim.extent,))
+                    aset.context.append(a if a.write else replace(a, frac=split))
+                elif aset is not None:
+                    regions.append(widened)
                 out.append(widened)
                 continue
-            step = self.reduction_step(a, loop)
+            step = None if aset is None else self.reduction_step(a, loop)
             if step is not None:
-                lines, outward = step
-                value_lines.extend(lines)
+                pending, completed, outward = step
+                for b in completed + pending:
+                    hold(b)
                 out.extend(outward)
-                continue
-            if not a.live:
-                out.append(self.wake(a, loop))
-                continue
-            if not _mentions(a, v):
-                out.append(a)
-                continue
-            if a.perm or a.kind == "context":
-                value_lines.append(_prefix(a, v, lo, hi))
-            elif a.kind == "ensures":
-                value_lines.append(_prefix(a, v, lo, Var(v)))
-            elif a.kind == "requires":
-                value_lines.append(_prefix(a, v, Var(v), hi))
-            out.append(_quantify_full(a, v, lo, ext))
-        aset.invariants.extend(perm_lines)
-        aset.invariants.extend(value_lines)
-        return out
-
-    def through_parallel(self, loop: Loop, state: list) -> list:
-        dim = loop.dim
-        v, lo, ext = dim.var, dim.lo, dim.extent
-        aset = self.at(loop)
-        out: list = []
-        for a in state:
-            if isinstance(a, RegionPerm):
-                held = a if a.write else replace(a, frac=replace(a.frac, par=a.frac.par + (ext,)))
-                aset.context.append(held)
-                # iterations hold split fractions; the join returns them whole
-                out.append(self.widen_region(a, v))
-                continue
-            step = self.reduction_step(a, loop, parallel=True)
-            if step is not None:
-                pre, post, outward = step
-                aset.requires.extend(pre)
-                aset.ensures.extend(post)
-                out.extend(outward)
-                continue
-            if not a.live:
-                out.append(self.wake(a, loop))
-                continue
-            if a.perm or a.kind == "context":
-                aset.context.append(a)
-            elif a.kind == "ensures":
-                aset.ensures.append(a)
-            else:
-                aset.requires.append(a)
-            out.append(_quantify_full(a, v, lo, ext))
-        return out
-
-    def through_unrolled(self, loop: Loop, state: list) -> list:
-        dim = loop.dim
-        out = []
-        for a in state:
-            if isinstance(a, RegionPerm):
-                out.append(self.widen_region(a, dim.var))
             elif not a.live:
                 out.append(self.wake(a, loop))
+            elif dim.kind == "serial" and not _mentions(a, v):
+                out.append(a)  # true at every iteration, and not the loop's to hold
             else:
-                out.append(_quantify_full(a, dim.var, dim.lo, dim.extent))
+                out.extend(hold(a, (lo, hi)))
+        if aset is not None:
+            aset.invariants.extend(regions + lines)
         return out
 
     def wake(self, a: Ann, loop: Loop) -> Ann:
@@ -549,54 +547,45 @@ class _Annotator:
             boxes.append((d, poly_expr(lc, lk, order), hk - lk + 1))
         return replace(a, dim_boxes=tuple(boxes), caps=tuple(caps.items()))
 
-    def reduction_step(self, a, loop: Loop, parallel: bool = False):
+    def reduction_step(self, a, loop: Loop):
         """Invariant threading for reductions; None when ``a`` is uninvolved.
 
-        Serial result: (invariant lines, outward state).  Parallel result:
-        (pre, post, outward) for the block contract.
+        Gives (pending, completed, outward): the precondition lines of the
+        iterations that have not started the reduction and the
+        postcondition lines of those that have run it whole, which the
+        loop holds as it holds any precondition and postcondition, and the
+        state carried outward.
         """
         if isinstance(a, RegionPerm) or a.perm or a.origin[:1] not in (("rinv",), ("pendI",)):
             return None
         func, si = a.origin[1], a.origin[2]
         dim = loop.dim
-        v, lo, ext = dim.var, dim.lo, dim.extent
-        hi = lo + Const(ext)
+        v = dim.var
 
         if a.origin[0] == "rinv":
             if loop.owner != (func, si) or v != a.origin[3]:
                 if self._own_reduction_loop(a, loop):
                     # an inner reduction variable's loop; not this invariant's
-                    return ([], [a]) if not parallel else ([], [], [a])
+                    return [], [], [a]
                 return None
             body = a.body
             for rprev in self.passed_r.setdefault((func, si), []):
                 body = substitute(body, {rprev: self._rdom_range((func, si), rprev)[0]})
             self.passed_r[(func, si)].append(v)
-            inv = replace(a, body=body)
-            self.at(loop).invariants.append(inv)
-            pend = Ann("invariant", a.quants, body, origin=("pendI", func, si, v))
-            return ([], [pend]) if not parallel else ([], [], [pend])
+            self.at(loop).invariants.append(replace(a, body=body))
+            return [], [], [Ann("invariant", a.quants, body, origin=("pendI", func, si, v))]
 
         # a pending invariant climbing out of its reduction loop
         if loop.owner != (func, si):
             return None
         if self._own_reduction_loop(a, loop):
             # an enclosing reduction loop's own invariant subsumes it
-            return ([], []) if not parallel else ([], [], [])
+            return [], [], []
         rprev = a.origin[3]
         rlo, rhi = self._rdom_range((func, si), rprev)
-        P = replace(a, body=substitute(a.body, {rprev: rlo}))
-        Q = replace(a, body=substitute(a.body, {rprev: rhi}))
-        outward = [_quantify_full(a, v, lo, ext)]
-        if parallel:
-            return [replace(P, kind="requires")], [replace(Q, kind="ensures")], outward
-        # completed iterations have run the whole reduction, pending ones
-        # have not started it
-        lines = [
-            _prefix(Q, v, lo, Var(v)) if _mentions(Q, v) else replace(Q, kind="invariant"),
-            _prefix(P, v, Var(v), hi) if _mentions(P, v) else replace(P, kind="invariant"),
-        ]
-        return lines, outward
+        pending = replace(a, kind="requires", body=substitute(a.body, {rprev: rlo}))
+        completed = replace(a, kind="ensures", body=substitute(a.body, {rprev: rhi}))
+        return [pending], [completed], _over(a, v, (dim.lo, dim.lo + Const(dim.extent)))
 
     def _own_reduction_loop(self, a: Ann, loop: Loop) -> bool:
         return loop.owner == a.origin[1:3] and self._rdom_range(loop.owner, loop.dim.var) is not None

@@ -53,7 +53,9 @@ quantifier points, in chunks of a bounded number of points, each event
 reading storage as of its own time; a serial loop's invariant, over only
 the instances that can have changed since the previous boundary.  A
 parallel loop's permission ledger is charged the same way.  After the
-commit the instantiations are counted.
+commit the instantiations are counted.  The walk checks each event alone,
+through the same routine (:meth:`_AnnObserver._grids`), as a grid of one
+event.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from .ir import (
     MemTarget,
     Pipeline,
     PipelineError,
-    Quantifier,
     TableRead,
     compiled,
     domain_grid,
@@ -88,7 +89,6 @@ from .ir import (
     _CLOSED,
     _SHAPES,
     _reads_storage,
-    _resolve_bound_refs,
 )
 from .lowering import (
     Chain,
@@ -101,7 +101,6 @@ from .lowering import (
     StoreStmt,
     _stage_loop_dims,
     flat_alloc,
-    flatten_storage,
     linearize,
 )
 
@@ -544,7 +543,7 @@ class _Runner:
                 if eval_const(cond, env) != 0:
                     for c in body:
                         self.run(c, env)
-            case StoreStmt(func, stage, target, index, value, _):
+            case StoreStmt(func, stage, target, index, value):
                 self.site = f"{func}.stage{stage}"
                 self.points += 1
                 if self.obs is not None:
@@ -1142,7 +1141,9 @@ class _AnnObserver:
     stacked grid of all its events inside the nest, step loops' boundaries
     included; the event entry points then get the nest's variables as
     vectors of events and ``when``, each event's time in statement slots.
-    The walk calls them with one event.
+    The walk calls them with one event.  One routine, :meth:`_grids`, lays
+    out the points of every check, the walk's one event and a batch's
+    many alike.
 
     In a batch, a serial loop's invariant is checked incrementally where
     its shape allows (:meth:`_incremental`, :meth:`_written`): it is
@@ -1153,8 +1154,9 @@ class _AnnObserver:
     written in between, its truth is unchanged.  A boundary whose previous
     one is in the same block evaluates only the instances that entered the
     grid and the old ones that read a cell the batch's log says was written
-    since (:meth:`_select`); the others, and every boundary of the walk,
-    check the whole grid.  The findings are those of a whole check: every
+    since (:meth:`_select`, which :meth:`_grids` lays out in place of the
+    whole grid); the others, and every boundary of the walk, check the
+    whole grid.  The findings are those of a whole check: every
     check before the first failing boundary passed, in every lane; there,
     an instance that fails is new or was dirtied, as every other one held
     and reads the same values; and an annotation reported at a site is not
@@ -1193,12 +1195,12 @@ class _AnnObserver:
     def aset(self, node):
         return self.ap.node.get(id(node))
 
-    def _count(self, total, peak, when=None, evaluated=None):
-        """Count ``total`` instances of one annotation, at most ``peak`` at
-        one event, and ``evaluated`` of them evaluated, all by default: the
-        walk's one event may not exceed the cap, and a batch fires where the
-        walk would raise."""
-        n = int(total)  # a grid's size may come out of numpy
+    def _count(self, counts, when=None, evaluated=None):
+        """Count the instances of one annotation, ``counts`` at each event,
+        and ``evaluated`` of them evaluated, all by default: the walk's one
+        event may not exceed the cap, and a batch fires where the walk
+        would raise."""
+        n = int(counts.sum())
         done = n if evaluated is None else int(evaluated)
         if when is None:
             self.instantiations += n
@@ -1207,7 +1209,7 @@ class _AnnObserver:
                 raise InstantiationBudget(
                     f"one annotation expands to {n} instances (limit {self.cap})"
                 )
-        elif peak > self.cap:
+        elif counts.max(initial=0) > self.cap:
             raise _Fired  # the walk raises InstantiationBudget
         else:
             self.pending += n
@@ -1305,13 +1307,12 @@ class _AnnObserver:
         d, v = loop.dim.display, env[loop.dim.var]
         steps = None
         for a in self._values_at(loop, ("invariants",)):
-            grids = None
-            if when is not None and self._incremental(loop, a):
-                steps = steps or _Steps(self.batch.log, env, when)
-                grids = self._changed(steps, a, env, when)
+            changed = when is not None and self._incremental(loop, a)
+            if changed and steps is None:
+                steps = _Steps(self.batch.log, env, when)
             self._check(
                 a, env, "invariant_violation", f"loop {d}",
-                lambda: f"loop invariant does not hold at {d} = {v}", when, grids,
+                lambda: f"loop invariant does not hold at {d} = {v}", when, steps if changed else None,
             )
 
     def par_enter(self, loop: Loop):
@@ -1382,30 +1383,10 @@ class _AnnObserver:
         )
 
     def pipeline_post(self):
-        """User pipeline postconditions against the final memory state."""
-        if not self.ap.include_user:
-            return
-        p = self.runner.p
-        for qc in p.ensures:
-            quants = tuple(
-                Quantifier(
-                    q.var,
-                    _resolve_bound_refs(p, q.lo),
-                    _resolve_bound_refs(p, q.hi),
-                )
-                for q in qc.quants
-            )
-            a = Ann(
-                "ensures",
-                quants,
-                flatten_storage(p, self.runner.lp.allocs, _resolve_bound_refs(p, qc.body)),
-                origin=("pipeline",),
-            )
+        """The pipeline's postconditions against the final memory state."""
+        for a in self.ap.post:
             self._check(
-                a,
-                {},
-                "postcondition_violation",
-                "pipeline",
+                a, {}, "postcondition_violation", "pipeline",
                 lambda: "pipeline postcondition does not hold on the final output",
             )
 
@@ -1415,46 +1396,50 @@ class _AnnObserver:
     def _is_value(a) -> bool:
         return not isinstance(a, RegionPerm) and not a.perm
 
-    def _grids(self, a: Ann, env, when=None):
-        """Environments with quantifier variables flattened to index arrays,
-        first quantifier slowest, each with its number of points; none for
-        an empty grid.  The walk's grid is one environment.  With ``when``
-        the grids of all events are stacked, event by event, in chunks of
-        whole events of at most ``_CHUNK`` points where one event fits, and
-        ``_WHEN`` holds each point's event time."""
-        los = [compiled(q.lo)(env, _CLOSED) for q in a.quants]
-        his = [compiled(q.hi)(env, _CLOSED) for q in a.quants]
-        if when is None:
-            sizes = [max(hi - lo, 0) for lo, hi in zip(los, his)]
-            total = math.prod(sizes)
-            self._count(total, total)
-            if total:
-                r = np.arange(total, dtype=np.int64) if sizes else None
-                yield self._points(a, dict(env), r, los, sizes), total
+    def _grids(self, a: Ann, env, when=None, steps=None):
+        """The points of ``a``'s quantifier grids to evaluate, in chunks:
+        per chunk, ``env`` at each point's event with the quantifier
+        variables as index arrays, and its number of points.  The walk is
+        one event; with ``when`` the events are a batch's, and ``_WHEN``
+        holds each point's event time.  Every instance is counted.  With
+        ``steps``, the boundaries of a serial loop's invariant checked
+        incrementally, the chunks hold the instances :meth:`_select` picks
+        where it picks any, ``_CHUNK`` points each; otherwise every point,
+        event by event and first quantifier slowest, in chunks of whole
+        events of at most ``_CHUNK`` points where one event fits."""
+        lo, hi = self._box(a, env, 1 if when is None else len(when))
+        size = hi - lo
+        counts = size.prod(axis=0)
+        picked = None if steps is None else self._select(steps, a, lo, hi)
+        self._count(counts, when, None if picked is None else len(picked[0]))
+        if picked is not None:
+            ev, qs = picked
+            chunks = ((ev[s : s + _CHUNK], qs[:, s : s + _CHUNK]) for s in range(0, len(ev), _CHUNK))
+        else:
+            chunks = self._whole(lo, size, counts)
+        for ev, qs in chunks:
+            envq = self._at(a, env, ev)
+            if when is not None:
+                envq[_WHEN] = when[ev]
+            envq.update(zip((q.var for q in a.quants), qs))
+            yield envq, len(ev)
+
+    def _whole(self, lo, size, counts):
+        """Every point of the boxes ``[lo, lo + size)``, one per event, in
+        chunks of as many whole events as ``_CHUNK`` points hold, at least
+        one: per chunk, the event of each point and its coordinates."""
+        if len(counts) == 1:  # the walk's one event: its grid is one chunk
+            if counts[0]:
+                yield self._enumerate(lo, size)
             return
-        # a size the same at every event stays a scalar
-        sizes = [np.maximum(hi - lo, 0) for lo, hi in zip(los, his)]
-        sizes = [s.flat[0] if np.ndim(s) and (s == s.flat[0]).all() else s for s in sizes]
-        counts = np.broadcast_to(math.prod(sizes, start=np.int64(1)), when.shape)
-        self._count(counts.sum(), counts.max(initial=0), when)
         ends = np.cumsum(counts)
         start = 0
         while start < len(counts):
             stop = int(np.searchsorted(ends, ends[start] - counts[start] + _CHUNK, side="right"))
             stop = max(stop, start + 1)
-            part = counts[start:stop]
-            total = int(part.sum())
-            if total:
-                ev = np.repeat(np.arange(start, stop), part)
-                envq = self._at(a, env, ev)
-                envq[_WHEN] = when[ev]
-                # each point's rank within its event's grid
-                r = np.arange(total, dtype=np.int64) - (np.cumsum(part) - part)[ev - start]
-                yield self._points(
-                    a, envq, r,
-                    [lo[ev] if np.ndim(lo) else lo for lo in los],
-                    [size[ev] if np.ndim(size) else size for size in sizes],
-                ), total
+            if ends[stop - 1] > ends[start] - counts[start]:
+                owner, qs = self._enumerate(lo[:, start:stop], size[:, start:stop])
+                yield owner + start, qs
             start = stop
 
     def _names(self, a: Ann) -> set[str]:
@@ -1471,15 +1456,6 @@ class _AnnObserver:
             for k, v in env.items()
             if not isinstance(v, np.ndarray) or k in names or k.startswith(_BASE)
         }
-
-    @staticmethod
-    def _points(a: Ann, envq, r, los, sizes):
-        """``envq`` with each quantifier variable at the points of rank
-        ``r`` within their grids."""
-        for q, lo, size in zip(reversed(a.quants), reversed(los), reversed(sizes)):
-            envq[q.var] = lo + r % size
-            r = r // size
-        return envq
 
     # -- incremental invariant checks ---------------------------------------
 
@@ -1519,37 +1495,18 @@ class _AnnObserver:
             )
         return self.reads[id(a)]
 
-    def _changed(self, steps: _Steps, a: Ann, env, when):
-        """Like :meth:`_grids`, the points of invariant ``a`` to evaluate at
-        the boundaries ``steps`` (:meth:`_select`), every instance counted."""
-        total, peak, ev, qs = self._select(steps, a)
-        if ev is None:
-            yield from self._grids(a, env, when)
-            return
-        self._count(total, peak, when, len(ev))
-        for s in range(0, len(ev), _CHUNK):
-            part = ev[s : s + _CHUNK]
-            envq = self._at(a, env, part)
-            envq[_WHEN] = when[part]
-            envq.update(zip((q.var for q in a.quants), qs[:, s : s + _CHUNK]))
-            yield envq, len(part)
-
-    def _select(self, steps: _Steps, a: Ann):
-        """The instances of ``a``'s grid at the events of ``steps``, in all
-        and at most at one event, and those to evaluate, each as its event
-        and its coordinates (one row per quantifier): at each boundary, the
-        points of its grid that were not in the grid of the previous
-        boundary of its execution in the batch, and those that were and read
-        a cell written since then.  None for the points where all of them
-        are."""
+    def _select(self, steps: _Steps, a: Ann, lo, hi):
+        """The instances of ``a``'s grids ``[lo, hi)`` at the events of
+        ``steps`` to evaluate, each as its event and its coordinates (one
+        row per quantifier): at each boundary, the points of its grid that
+        were not in the grid of the previous boundary of its execution in
+        the batch, and those that were and read a cell written since then.
+        None for the points where all of them are."""
         env, prev = steps.env, steps.prev
         n = len(prev)
-        lo, hi = self._box(a, env, n)
-        counts = (hi - lo).prod(axis=0)
-        total, peak = int(counts.sum()), int(counts.max(initial=0))
         reads = self._written(a) if (prev >= 0).any() else None
         if reads is None:
-            return total, peak, None, None
+            return None
         # the box of each event's previous boundary, empty where it has none
         plo = np.where(prev >= 0, lo[:, prev], lo)
         phi = np.where(prev >= 0, hi[:, prev], lo)
@@ -1567,7 +1524,7 @@ class _AnnObserver:
         ev, qs = np.zeros(0, dtype=np.int64), np.zeros((len(lo), 0), dtype=np.int64)
         if los:
             blo = np.concatenate(los, axis=1)
-            owner, qs = self._enumerate(blo, np.concatenate(his, axis=1) - blo)
+            owner, qs = self._enumerate(blo, np.maximum(np.concatenate(his, axis=1) - blo, 0))
             ev = owner % n
         # the old points that read a cell written since, once each
         hits, at = [], []
@@ -1596,7 +1553,7 @@ class _AnnObserver:
                 pair = pair[np.append(True, pair[1:] != pair[:-1])]
                 ev = np.concatenate([ev, pair // q.shape[1]])
                 qs = np.concatenate([qs, q[:, pair % q.shape[1]]], axis=1)
-        return total, peak, ev, qs
+        return ev, qs
 
     @staticmethod
     def _box(a: Ann, env, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1645,28 +1602,35 @@ class _AnnObserver:
     @staticmethod
     def _enumerate(lo, size):
         """The points of the boxes ``[lo, lo + size)``, one per column of
-        the (dimensions, boxes) arrays, first dimension slowest: the box of
-        each, and its coordinates, one row per dimension."""
-        counts = np.maximum(size, 0).prod(axis=0)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        r = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        the (dimensions, boxes) arrays, ``size`` at least 0, first dimension
+        slowest: the box of each, and its coordinates, one row per
+        dimension."""
+        counts = size.prod(axis=0)
+        if len(counts) == 1:
+            # one box, as one event's grid: no owner to look up per point
+            owner = np.zeros(counts[0], dtype=np.intp)
+            r = np.arange(counts[0])
+            lo, size = lo[:, 0], size[:, 0]
+        else:
+            owner = np.repeat(np.arange(len(counts)), counts)
+            r = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+            lo, size = lo[:, owner], size[:, owner]
         q = np.empty((len(lo), len(owner)), dtype=np.int64)
         for i in reversed(range(len(lo))):
-            step = size[i][owner]
-            q[i] = lo[i][owner] + r % step
-            r = r // step
+            q[i] = lo[i] + r % size[i]
+            r = r // size[i]
         return owner, q
 
-    def _check(self, a: Ann, env, kind: str, site: str, message, when=None, grids=None):
+    def _check(self, a: Ann, env, kind: str, site: str, message, when=None, steps=None):
         """Check value annotation ``a`` at one event of the walk, reporting
         a failure as a finding with the text ``message()``; or, with
         ``when``, at all the events of a batched loop, raising
-        :class:`_Fired` where the walk would report.  ``grids`` selects the
-        points evaluated, all of them by default (:meth:`_grids`)."""
+        :class:`_Fired` where the walk would report.  ``steps`` checks a
+        serial loop's invariant incrementally (:meth:`_grids`)."""
         key = (kind, id(a), site)
         if key in self.runner.seen:
             return
-        for envq, _ in grids or self._grids(a, env, when):
+        for envq, _ in self._grids(a, env, when, steps):
             lanes = self._failing(a.body, envq, site)
             if lanes is not False:
                 if when is not None:

@@ -278,7 +278,9 @@ class ScheduledFunc:
 class ScheduledPipeline:
     pipeline: Pipeline
     funcs: dict[str, ScheduledFunc]
-    directives: tuple = ()
+    # the stage-0 body of each inlined func, every inlined func in it
+    # unfolded; filled once, by ``apply_directives``
+    inlined: dict[str, Expr] = field(default_factory=dict)
 
     @property
     def realized(self) -> tuple[str, ...]:
@@ -310,7 +312,11 @@ def apply_directives(p: Pipeline, ds: list) -> ScheduledPipeline:
     named: dict[str, dict[str, str]] = {}
     for name in funcs:
         _name_loops(funcs, name, named)
-    return ScheduledPipeline(p, funcs, tuple(ds))
+    sp = ScheduledPipeline(p, funcs)
+    for f in p.funcs:  # a func reads only the funcs declared before it
+        if funcs[f.name].inline:
+            sp.inlined[f.name] = inline_expr(sp, f.stages[0].rhs)
+    return sp
 
 
 def _apply_one(state: dict[str, ScheduledFunc], sf: ScheduledFunc, d) -> ScheduledFunc:
@@ -614,7 +620,6 @@ class FlatAlloc:
 
 def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
     p = sp.pipeline
-    inline_body = _inline_closure(sp)
     fps: dict[str, Footprint] = {}
 
     out_f = p.output_func
@@ -624,7 +629,7 @@ def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
     for name in reversed([n for n in sp.realized if n != p.output]):
         sf = sp.funcs[name]
         compute = _scope(sp.funcs, sf.compute_site)
-        accesses = _collect_accesses(sp, name, inline_body)
+        accesses = _collect_accesses(sp, name)
         if not accesses:
             raise NonAffineAccess(f"{name} is realized but never read; nothing to infer bounds from")
         if sf.compute_site is not None:
@@ -636,39 +641,19 @@ def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
     return fps
 
 
-def _inline_closure(sp: ScheduledPipeline) -> dict[str, Expr]:
-    """Fully substituted stage-0 bodies of every inlined func."""
-    done: dict[str, Expr] = {}
+def inline_expr(sp: ScheduledPipeline, e: Expr) -> Expr:
+    """Substitute every inlined func application in ``e`` by its definition."""
 
-    def body(name: str) -> Expr:
-        if name not in done:
-            f = sp.pipeline.func(name)
-            done[name] = _inline_into(sp, f.stages[0].rhs, body)
-        return done[name]
-
-    for f in sp.pipeline.funcs:
-        if sp.funcs[f.name].inline:
-            body(f.name)
-    return done
-
-
-def _inline_into(sp: ScheduledPipeline, e: Expr, body) -> Expr:
     def repl(n: Expr) -> Expr | None:
-        if isinstance(n, FuncAccess) and n.func in sp.funcs and sp.funcs[n.func].inline:
+        if isinstance(n, FuncAccess) and n.func in sp.inlined:
             g = sp.pipeline.func(n.func)
-            return substitute(body(n.func), dict(zip(g.dim_names(), n.args)))
+            return substitute(sp.inlined[n.func], dict(zip(g.dim_names(), n.args)))
         return None
 
     return rewrite(e, repl)
 
 
-def inline_expr(sp: ScheduledPipeline, e: Expr) -> Expr:
-    """Substitute every inlined func application in ``e`` by its definition."""
-    closure = _inline_closure(sp)
-    return _inline_into(sp, e, lambda n: closure[n])
-
-
-def _collect_accesses(sp, name: str, inline_body: dict[str, Expr]) -> list[tuple[str, tuple[Expr, ...]]]:
+def _collect_accesses(sp, name: str) -> list[tuple[str, tuple[Expr, ...]]]:
     """Occurrences of ``name(args)`` in realized consumers, arguments
     rewritten into the consumer's loop variables."""
     out: list[tuple[str, tuple[Expr, ...]]] = []
@@ -678,8 +663,7 @@ def _collect_accesses(sp, name: str, inline_body: dict[str, Expr]) -> list[tuple
         gsf = sp.funcs[g.name]
         for s in g.stages:
             for e in [s.rhs] + ([s.guard] if s.guard is not None else []):
-                e = _inline_into(sp, e, lambda n: inline_body[n])
-                e = substitute(e, gsf.origin)
+                e = substitute(inline_expr(sp, e), gsf.origin)
                 for node in walk(e):
                     if isinstance(node, FuncAccess) and node.func == name:
                         out.append((g.name, node.args))
@@ -807,7 +791,6 @@ class StoreStmt:
     target: MemTarget
     index: Expr
     value: Expr
-    point: dict[str, Expr]
     body: list = field(default_factory=list)
 
     kind = "stmt"
@@ -917,7 +900,6 @@ class _Builder:
         self.p = sp.pipeline
         self.fps = fps
         self.allocs = allocs
-        self.inline_body = _inline_closure(sp)
         self.at_site: dict[tuple[str, str], list[str]] = {}
         self.store_only_site: dict[tuple[str, str], list[str]] = {}
         for name in sp.realized:
@@ -980,9 +962,9 @@ class _Builder:
         point = {d: substitute(arg, sf.origin) for d, arg in zip(sf.func.dim_names(), s.lhs_args)}
         index = alloc.offset(point, scope)
         exprs = (s.rhs,) if s.guard is None else (s.rhs, s.guard)
-        reads = [substitute(_inline_into(self.sp, e, lambda n: self.inline_body[n]), sf.origin) for e in exprs]
+        reads = [substitute(inline_expr(self.sp, e), sf.origin) for e in exprs]
         value, *guard = (flatten_storage(self.p, self.allocs, e, scope) for e in reads)
-        nodes: list[Node] = [StoreStmt(name, s.index, storage_target(self.p, name), index, value, point)]
+        nodes: list[Node] = [StoreStmt(name, s.index, storage_target(self.p, name), index, value)]
         _check_read_shapes(name, s.index, reads)
         for c in reversed(self.tail_guards(name, scope) + guard):
             nodes = [If(c, (name, s.index), nodes)]
@@ -1059,7 +1041,7 @@ def print_loop_nest(lp: LoweredPipeline, note=None) -> str:
                     copies = [({dim.var: dim.lo + k},) + steps for k in range(dim.extent)]
             case If(cond, _, body):
                 lines.append(f"{pad}if {pr(sub(cond))}:")
-            case StoreStmt(_, _, target, index, value, _):
+            case StoreStmt(_, _, target, index, value):
                 lines.append(f"{pad}_{target.name}[{pr(sub(index))}] = {pr(sub(value))}")
                 return
         for inner in copies:

@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from minisched import checker as C
-from minisched.annotate import Ann, AnnotateError, RegionPerm, annotate
-from minisched.ir import BinOp, Var
-from minisched.lowering import Consume, Loop, lower
+from minisched.annotate import Ann, AnnotateError, RegionPerm, _Annotator, annotate
+from minisched.ir import BinOp, Const, Quantifier, Var, free_vars, substitute
+from minisched.lowering import Consume, Loop, LoopDim, lower, loop_range
 from minisched.parser import parse_pipeline, parse_schedule
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -187,6 +187,82 @@ def test_top_state_is_one_read_and_one_write_footprint():
     write = next(a for a in ap.top if a.write)
     assert read.target.name == "inp" and read.frac.value() == Fraction(1, 2)
     assert write.target.name == "blur_y" and write.frac.value() == Fraction(1)
+
+
+def crossed(kind: str):
+    """One state carried out through a loop ``x in [2, 6)`` of ``kind``:
+    the annotator, the loop, the lines and what comes out."""
+    an = _Annotator(lower(load("blur"), []), include_user=True)
+    loop = Loop(LoopDim("x", "x", kind, Const(2), 4), ("blur_y", 0), [])
+    x = Var("x")
+    lines = {
+        "ens": Ann("ensures", (), BinOp("<=", Const(2), x), origin=("stage", "e")),
+        "req": Ann("requires", (), BinOp("<", x, Const(6)), origin=("stage", "r")),
+        "ctx": Ann("context", (), BinOp(">=", x, Const(0)), origin=("stage", "c")),
+        # names only another loop's variable
+        "other": Ann("ensures", (), BinOp("<=", Const(0), Var("y")), origin=("stage", "o")),
+        # a serial loop holds no line of this kind; a parallel one requires it
+        "inv": Ann("invariant", (), BinOp("!=", x, Const(9)), origin=("stage", "i")),
+    }
+    read = an.read_region("inp", [(x, Var("y")), (x + Const(1), Var("y"))], ("read", "inp", "blur_y", 0))
+    an.box["x"] = loop_range(loop.dim)
+    out = an.through_loop(loop, list(lines.values()) + [read])
+    return an, loop, lines, read, out
+
+
+def over(a: Ann, lo, hi, kind=None) -> Ann:
+    """``a`` with ``x`` renamed ``xf`` and quantified over ``[lo, hi)``."""
+    return Ann(
+        kind or a.kind, (Quantifier("xf", lo, hi),), substitute(a.body, {"x": Var("xf")}), origin=a.origin
+    )
+
+
+@pytest.mark.parametrize("kind", ["serial", "parallel", "unrolled"])
+def test_each_loop_kind_places_its_lines(kind):
+    an, loop, lines, read, out = crossed(kind)
+    lo, hi, x = Const(2), Const(2) + Const(4), Var("x")
+    ens, req, ctx, other, inv = lines.values()
+    # every kind carries the same state outward: the lines naming x over
+    # the whole range, the others as they are, the read widened over x
+    assert out[:5] == [over(ens, lo, hi), over(req, lo, hi), over(ctx, lo, hi), other, over(inv, lo, hi)]
+    assert out[5].dim_boxes == (("x", lo, 5), ("y", Var("y"), 1))
+    if kind == "unrolled":
+        assert id(loop) not in an.node
+        return
+    aset = an.node[id(loop)]
+    if kind == "serial":
+        bounds, region, *values = aset.invariants
+        assert bounds.origin == ("bounds", "x")
+        assert region is out[5]
+        # completed iterations keep postconditions, pending ones
+        # preconditions; a line that does not name x is not the loop's
+        assert values == [
+            over(ens, lo, x, "invariant"), over(req, x, hi, "invariant"), over(ctx, lo, hi, "invariant"),
+        ]
+        assert aset.requires == aset.ensures == aset.context == []
+    else:
+        assert aset.invariants == []
+        assert aset.requires == [req, inv]
+        assert aset.ensures == [ens, other]
+        held, split = aset.context
+        assert split.frac.value() == Fraction(1, 2 * 4) and split.dim_boxes == read.dim_boxes
+        assert held is ctx
+
+
+def test_a_quantifier_never_binds_a_name_its_bounds_read():
+    # blur_x's loop x starts at xf * 4, xf a loop of blur_y, and its lines
+    # name no xf: quantified over xf in place of x, they would capture the
+    # bound's xf
+    sched = "blur_y.split(x, xf, xi, 4); blur_x.compute_at(blur_y, xf); blur_x.store_at(blur_y, y);"
+    lp = lower(load("blur"), parse_schedule(sched))
+    ap = annotate(lp)
+    for a in all_annotations(lp, ap):
+        a = a.quantified() if isinstance(a, RegionPerm) else a
+        for i, q in enumerate(a.quants):
+            bound_here = {inner.var for inner in a.quants[i:]}
+            assert not bound_here & (free_vars(q.lo) | free_vars(q.hi)), a
+    res = C.check_schedule(load("blur"), parse_schedule(sched), SEEDS)
+    assert res.passed, [f.to_json() for f in res.findings]
 
 
 @pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)

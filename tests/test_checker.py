@@ -1863,7 +1863,7 @@ def test_read_of_a_write_later_in_body_order_fires_and_replays(monkeypatch):
         update = update_stmt(lp, "grid")
         row1 = TableRead(update.target, BinOp("+", Var("x"), Const(11)))
         update.value = BinOp("+", update.value, row1)
-        rewrite_next = StoreStmt("grid", 1, update.target, BinOp("+", Var("x"), Const(12)), Const(5), {})
+        rewrite_next = StoreStmt("grid", 1, update.target, BinOp("+", Var("x"), Const(12)), Const(5))
         loop = next(n for n in nodes(lp.root) if isinstance(n, Loop) and update in n.body)
         loop.body.append(rewrite_next)
 
@@ -1962,10 +1962,20 @@ def whole_checks(m):
     m.setattr(C._AnnObserver, "_incremental", lambda self, loop, a: False)
 
 
-@pytest.mark.parametrize("algo,sched", ALL_SCHEDULES)
-def test_incremental_checks_equal_whole_checks_on_the_corpus(monkeypatch, algo, sched):
+@pytest.mark.parametrize(
+    "algo,sched,chunk",
+    [
+        pytest.param(algo, sched, chunk, id=f"{algo}-{sched}" + (f"-chunk{chunk}" if chunk else ""))
+        for chunk in (None, 5)
+        for algo, sched in ALL_SCHEDULES
+    ],
+)
+def test_incremental_checks_equal_whole_checks_on_the_corpus(monkeypatch, algo, sched, chunk):
     # every batched loop is checked incrementally, however short, so that
-    # the small sizes reach every shape of the rule; the walk checks whole
+    # the small sizes reach every shape of the rule; the walk checks whole.
+    # A small chunk splits the picked points, as it splits whole grids.
+    if chunk:
+        monkeypatch.setattr(C, "_CHUNK", chunk)
     p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
     d = schedule(algo, sched)
     run = lambda: C.check_schedule(p, d, SEEDS, include_user=True)  # noqa: E731
