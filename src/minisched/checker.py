@@ -16,8 +16,7 @@ evaluations is the context passed for the leaves:
   escaping 32-bit range, accesses outside a held permission, and accesses
   that would collide if a parallel loop really ran in parallel.  The walk
   and a batch run one access checker (``_Runner.access``) and one range
-  check (``_Runner.check32``): the walk reports each hit, a batch fires on
-  the first.
+  check (``_Runner.check32``).
 * ``check_annotations`` runs the same execution and evaluates every
   annotation at its boundaries over its quantifier grid; its ``load``
   reports an out-of-range read and clips it.  Untaken ``select`` branches
@@ -25,8 +24,17 @@ evaluations is the context passed for the leaves:
   taken.
 
 All of them evaluate all random seeds at once: control flow never depends
-on data (guards mention loop variables only), so one walk of the nest
+on data and no index reads storage (lowering admits guards that name loop
+variables only, and indices affine in them), so one walk of the nest
 carries an entire batch of input sets as a leading lane axis.
+
+Every detector, of the runner and of the observer alike, reports what it
+finds through one routine, :meth:`_Runner.report`.  While a batch runs
+(``_Runner.batch``), a report raises :class:`_Fired` instead and drops the
+batch, as does an annotation past the instantiation budget; the walk that
+replays it reports the findings.  The batch fires on its own only where it
+meets something the walk would not report: log keys past int64, a read
+evaluated before a write it needed, or a race inside its block.
 
 The runner executes a loop in batches (:func:`batch_plan`,
 :class:`_Batch`).  A batch covers a block of whole iterations of the loop
@@ -39,12 +47,11 @@ gives it no invariants, so its boundaries check nothing.  Each point
 carries its walk time, in statement slots from the block's start.  Every
 write is stamped with its walk time in one log, which the batch's reads and
 the observer's share.  The walk's detectors run on the batch's offset
-arrays and fire where the walk would report, and the batch commits only if
-none fires and every read saw the write the walk gives it.  Otherwise it is
-dropped, with no state touched, and the rest of the loop is walked
-statement by statement, each inner loop trying its own batch, which reports
-the findings in the order, and with the messages, of a walk that never
-tried the batch.
+arrays, and the batch commits only if none reports and every read saw the
+write the walk gives it.  Otherwise it is dropped, with no state touched,
+and the rest of the loop is walked statement by statement, each inner loop
+trying its own batch, which reports the findings in the order, and with the
+messages, of a walk that never tried the batch.
 
 Under annotation checking, a batch's events are checked before it commits
 (:meth:`_AnnObserver.check_batch`).  Each value annotation that fires in
@@ -52,10 +59,10 @@ the block is evaluated once, over the stacked grid of all its events and
 quantifier points, in chunks of a bounded number of points, each event
 reading storage as of its own time; a serial loop's invariant, over only
 the instances that can have changed since the previous boundary.  A
-parallel loop's permission ledger is charged the same way.  After the
-commit the instantiations are counted.  The walk checks each event alone,
-through the same routine (:meth:`_AnnObserver._grids`), as a grid of one
-event.
+parallel loop's permission ledger is charged the same way.  The batch
+counts the instantiations, and its commit adds them.  The walk checks each
+event alone, through the same routine (:meth:`_AnnObserver._grids`), as a
+grid of one event.
 """
 
 from __future__ import annotations
@@ -87,8 +94,6 @@ from .ir import (
     walk,
     wrap_int64,
     _CLOSED,
-    _SHAPES,
-    _reads_storage,
 )
 from .lowering import (
     Chain,
@@ -132,7 +137,7 @@ class RunResult:
     millis: float
     instantiations: int = 0
     batched_loops: int = 0  # loop instances committed as one batch
-    replayed_loops: int = 0  # batches dropped because a detector fired
+    replayed_loops: int = 0  # batches dropped, for the walk to replay
     # the instantiations evaluated; the rest are loop invariant instances
     # that held at the previous boundary and read no cell written since
     evaluated: int = 0
@@ -209,16 +214,10 @@ def _affine_reads(e: Expr) -> Expr:
     """``e``, once each read in it, innermost first, has arguments affine in
     the loop variables, hdiv/hmod numerators included; otherwise the
     :class:`NonAffineAccess` that flattening ``e`` to storage raises."""
-
-    def affine(a: Expr) -> None:
-        for atom in linearize(a)[0]:
-            if isinstance(atom, BinOp):
-                affine(atom.left)
-
     for n in reversed(list(walk(e))):  # children first, left to right
         if isinstance(n, (FuncAccess, BufAccess)):
             for a in n.args:
-                affine(a)
+                linearize(a)
     return e
 
 
@@ -367,6 +366,7 @@ class _Runner:
         # spans the whole allocation, for writing or for reading only
         self.grants: dict[str, list[bool]] = {}
         self.site = ""  # the statement being executed, for findings
+        self.batch: _Batch | None = None  # the batch running, if any
         self.obs = observer
         if observer is not None:
             observer.runner = self
@@ -392,6 +392,10 @@ class _Runner:
         )
 
     def report(self, kind: str, message: str, site: str = "", lanes=None, dedupe=None):
+        """Record a finding, once per ``dedupe`` key; while a batch runs,
+        drop it instead (:class:`_Fired`), for the walk to report."""
+        if self.batch is not None:
+            raise _Fired
         key = dedupe if dedupe is not None else (kind, message, site)
         if key in self.seen:
             return
@@ -405,23 +409,21 @@ class _Runner:
         access at ``offset``, in walk order: allocation bounds, permission
         scope, initialisation (reads only, of the offsets ``fresh`` selects,
         all by default), then races against each entered parallel loop.
-        An access out of bounds, or outside any held permission, is reported
-        once per entity, mode and statement, its first offset the witness.
+        Each hit is reported (:meth:`report`); an access out of bounds, or
+        outside any held permission, once per entity, mode and statement,
+        its first offset the witness.  An access outside the allocation
+        gives None.
 
-        The walk passes one int offset: each hit is reported, the access is
-        recorded in the trackers, and an access outside the allocation
-        gives None.  A batch passes an array of offsets: the first hit
-        raises :class:`_Fired`, and nothing is recorded before its commit.
-        In a batch's private storage, ``base`` shifts each offset, checked
-        against one execution's allocation, to its execution's cells, and
-        no parallel loop outside the batch sees the access."""
-        fire = isinstance(offset, np.ndarray)
+        The walk passes one int offset, and records the access in the
+        trackers.  A batch passes an array of offsets, and records nothing
+        before its commit.  In a batch's private storage, ``base`` shifts
+        each offset, checked against one execution's allocation, to its
+        execution's cells, and no parallel loop outside the batch sees the
+        access."""
         cell = self.mem[name]
         size = cell.size
-        lo, hi = (offset.min(), offset.max()) if fire else (offset, offset)
+        lo, hi = (offset.min(), offset.max()) if isinstance(offset, np.ndarray) else (offset, offset)
         if lo < 0 or hi >= size:
-            if fire:
-                raise _Fired
             mode = "write" if write else "read"
             self.report(
                 "out_of_bounds",
@@ -431,8 +433,6 @@ class _Runner:
             )
             return None
         if not any(is_write or not write for is_write in self.grants.get(name, ())):
-            if fire:
-                raise _Fired
             mode = "write to" if write else "read of"
             self.report(
                 "uncovered_access",
@@ -442,8 +442,6 @@ class _Runner:
             )
         at = offset + base if isinstance(base, np.ndarray) else offset
         if not (write or cell.init[at if fresh is None else at[fresh]].all()):
-            if fire:
-                raise _Fired
             self.report(
                 "uninitialized_read",
                 f"{name}[{offset}] is read before any write",
@@ -452,9 +450,7 @@ class _Runner:
             )
         for tr in () if cell.private else self.trackers:
             if tr.races(cell, offset, write):
-                if fire:
-                    raise _Fired
-                it = int(tr.log(cell)[0][offset])
+                it = tr.log(cell)[0][offset]
                 what = "write collides with" if write else "read races against"
                 self.report(
                     "race",
@@ -463,22 +459,19 @@ class _Runner:
                     self.site,
                     dedupe=("race", tr.var, cell.instance, offset),
                 )
-            if not fire:
+            if self.batch is None:
                 tr.record(cell, offset, write)
         return cell
 
-    def check32(self, v, fire: bool = False) -> bool:
-        """Whether ``v`` leaves the signed 32-bit range.  The walk reports
-        it, with the lanes it leaves in; a batch (``fire``) raises
-        :class:`_Fired`."""
+    def check32(self, v) -> bool:
+        """Whether ``v`` leaves the signed 32-bit range, which is reported
+        (:meth:`report`) with the lanes it leaves in."""
         if isinstance(v, np.ndarray):
             out = v.min() < INT32_MIN or v.max() > INT32_MAX
         else:
             out = not INT32_MIN <= v <= INT32_MAX
         if not out:
             return False
-        if fire:
-            raise _Fired
         # a value that depends on the inputs has one entry per lane; a
         # scalar does not, and overflows in every lane
         bad = (v < INT32_MIN) | (v > INT32_MAX)
@@ -562,7 +555,7 @@ class _Runner:
 
     def _loop(self, loop: Loop, lo: int, env: dict[str, int]):
         """The iterations of ``loop``: whole iterations in batches while its
-        plan allows and no detector fires (:meth:`_batched`), the rest
+        plan allows and no batch fires (:meth:`_batched`), the rest
         statement by statement, with the observer's boundary events."""
         dim, obs, body = loop.dim, self.obs, loop.body
         par = dim.kind == "parallel"
@@ -597,10 +590,11 @@ class _Runner:
     def _batched(self, loop: Loop, lo: int, env: dict[str, int]) -> int | None:
         """Run the iterations of ``loop`` in order as batches of whole
         iterations, each of at most ``_BLOCK`` statement slots where one
-        iteration fits, while its plan allows and no detector fires.  The
-        first iteration left to the walk, or None when every iteration and
-        the loop's closing events committed; a dropped batch leaves every
-        piece of state as it was."""
+        iteration fits, while its plan allows and no batch fires or goes
+        past the instantiation budget.  The first iteration left to the
+        walk, or None when every iteration and the loop's closing events
+        committed; a dropped batch leaves every piece of state as it
+        was."""
         plan = loop.__dict__.get("_batch_plan", _UNPLANNED)
         if plan is _UNPLANNED:
             plan = loop._batch_plan = batch_plan(loop)
@@ -610,19 +604,18 @@ class _Runner:
         block = max(1, _BLOCK // max(1, plan.slots))
         for first in range(lo, end, block):
             batch = _Batch(self, loop, plan, first, min(block, end - first), first + block >= end)
+            self.batch = batch
             try:
                 batch.run(env)
                 if self.obs is not None:
                     self.obs.check_batch(batch, env)
-            except _Fired:
-                # a detector fired or an annotation failed; the walk meets it
-                # in its own order
+            except (_Fired, InstantiationBudget):
+                # the walk meets it in its own order, and reports or raises
                 self.replayed_loops += 1
                 return first
+            finally:
+                self.batch = None
             batch.commit()
-            if self.obs is not None:
-                self.obs.instantiations += self.obs.pending
-                self.obs.evaluated += self.obs.pending_evaluated
             self.batched_loops += 1
         return None
 
@@ -637,21 +630,17 @@ _UNPLANNED = object()
 _BLOCK = 1 << 16
 
 
-def _reads(e: Expr) -> set[str]:
-    """The entities an expression reads."""
-    return {n.target.name for n in walk(e) if isinstance(n, TableRead)}
-
-
 @dataclass(frozen=True)
 class BatchPlan:
     """A loop nest that runs as batches of whole iterations of its head.  One
     head iteration runs the head's body: store statements under ``If``
     guards, ``Chain``, ``Produce``, ``Consume`` and ``Store`` nodes, and
-    serial loops, unrolled ones included.  A serial loop there is
-    *expanded* (``expanded``, by ``id``) when a store index beneath it
-    mentions its variable: its iterations run side by side, as more points.
-    Any other is a *step loop*, run one iteration at a time, and
-    ``stepped`` tells whether there is one.  ``written`` names the entities
+    serial loops, unrolled ones included.  Lowering makes every guard name
+    loop variables only, and every store index affine in them.  A serial
+    loop there is *expanded* (``expanded``, by ``id``) when a store index
+    beneath it mentions its variable: its iterations run side by side, as
+    more points.  Any other is a *step loop*, run one iteration at a time,
+    and ``stepped`` tells whether there is one.  ``written`` names the entities
     the nest's statements write.  ``spans`` gives the statement slots of
     one execution of each node beneath the head, by ``id``, and ``slots``
     those of one head iteration; a serial loop takes its extent times the
@@ -669,14 +658,13 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
     walked.
 
     ``loop`` may be parallel or serial.  Beneath it every node is a store
-    statement, an ``If`` whose guard reads no memory, a ``Chain``,
-    ``Produce``, ``Consume`` or ``Store``, or a serial loop;
-    an inner parallel loop heads a batch of its own.  No store index reads
-    memory, and one mentions a serial ``loop``: otherwise its iterations
-    rewrite the same cells and it is walked, one step at a time.  Nothing
-    more is required here: a batch stamps every write with its walk time
-    and commits only if every read saw the write the walk gives it
-    (:class:`_Batch`).
+    statement, an ``If``, a ``Chain``, ``Produce``, ``Consume`` or
+    ``Store``, or a serial loop; an inner parallel loop heads a batch of
+    its own.  A store index mentions a serial ``loop``: otherwise its
+    iterations rewrite the same cells and it is walked, one step at a
+    time.  Nothing more is required here: a batch stamps every write with
+    its walk time and commits only if every read saw the write the walk
+    gives it (:class:`_Batch`).
     """
     entries: list[tuple[tuple[Loop, ...], StoreStmt]] = []
     spans: dict[int, int] = {}
@@ -687,10 +675,8 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
         for n in nodes:
             if isinstance(n, StoreStmt):
                 entries.append((path, n))
-                span = None if _reads(n.index) else 1
-            elif isinstance(n, If):
-                span = None if _reads(n.cond) else collect(n.body, path)
-            elif isinstance(n, (Chain, Produce, Consume, Store)):
+                span = 1
+            elif isinstance(n, (If, Chain, Produce, Consume, Store)):
                 span = collect(n.body, path)
             elif n.dim.kind != "parallel":
                 span = collect(n.body, path + (n,))
@@ -734,7 +720,8 @@ def batch_heads(root) -> dict[int, BatchPlan]:
 
 
 class _Fired(Exception):
-    """A detector fired on a batch."""
+    """A running batch met a report, or a case it cannot run as the walk
+    does: it is dropped, for the walk to replay."""
 
 
 # The keys under which a batch's environments keep each point's time,
@@ -810,8 +797,8 @@ class _Batch:
     """A block of whole iterations of a nest's head loop, each statement
     evaluated once over all its points, as the evaluation context of
     :func:`compiled`.  It runs the walk's access checker and range check
-    on offset and value arrays, and where the walk reports they raise
-    :class:`_Fired`.  No state changes before :meth:`commit`.
+    on offset and value arrays, whose reports fire it while it runs
+    (:meth:`_Runner.report`).  No state changes before :meth:`commit`.
 
     A point is an iteration of the head at first, the head's variable a
     vector over them; a ``Store`` gives each point its own private storage,
@@ -855,6 +842,8 @@ class _Batch:
         # loop boundary, the head's included
         self.marks: list | None = [] if runner.obs is not None else None
         self.points = 0
+        # the annotation instances of its block, counted and evaluated
+        self.instantiations = self.evaluated = 0
         self.execs = 1  # serial loop executions marked; the head's is 0
 
     def run(self, env: dict[str, int]):
@@ -1026,6 +1015,9 @@ class _Batch:
                     tr.record(cell, offsets, wrote, head)
         runner.points += self.points
         runner.next_instance += self.executions
+        if runner.obs is not None:
+            runner.obs.instantiations += self.instantiations
+            runner.obs.evaluated += self.evaluated
 
     def read(self, cell: _Cell, idx: np.ndarray, when: np.ndarray) -> np.ndarray:
         """``cell`` at offsets ``idx`` as the events at times ``when`` see
@@ -1038,8 +1030,6 @@ class _Batch:
     def _offsets(index, n: int) -> np.ndarray:
         """An index as offsets over ``n`` points."""
         offsets = np.asarray(index, dtype=np.int64)
-        if offsets.ndim > 1:
-            raise _Fired  # an index that varies by lane
         return offsets if offsets.shape == (n,) else np.broadcast_to(offsets, (n,))
 
     # -- evaluation context of statement values ---------------------------
@@ -1060,11 +1050,15 @@ class _Batch:
         return vals
 
     def check(self, v):
-        self.runner.check32(v, fire=True)
+        self.runner.check32(v)  # reports, and so fires the batch
 
 
 class InstantiationBudget(PipelineError):
     """A single annotation asked for more concrete instances than allowed."""
+
+
+# The concrete instances one annotation may have at one event.
+_MAX_INSTANCES = 10_000_000
 
 
 # The points of one chunk of a stacked grid, unless one event has more: a
@@ -1146,29 +1140,31 @@ class _AnnObserver:
     many alike.
 
     In a batch, a serial loop's invariant is checked incrementally where
-    its shape allows (:meth:`_incremental`, :meth:`_written`): it is
-    quantified, its bounds name no quantifier variable, its body does not
-    name the loop's variable and no read index reads storage.  An instance
-    that was in the grid at the previous boundary of the same loop
-    execution then reads the same cells at both, so unless one of them was
-    written in between, its truth is unchanged.  A boundary whose previous
-    one is in the same block evaluates only the instances that entered the
-    grid and the old ones that read a cell the batch's log says was written
-    since (:meth:`_select`, which :meth:`_grids` lays out in place of the
-    whole grid); the others, and every boundary of the walk, check the
-    whole grid.  The findings are those of a whole check: every
-    check before the first failing boundary passed, in every lane; there,
-    an instance that fails is new or was dirtied, as every other one held
-    and reads the same values; and an annotation reported at a site is not
-    checked there again.  A read out of range fires the batch, as the walk
-    reports it.  A short loop's invariants are checked whole
-    (``_INCREMENTAL_FROM``).  ``instantiations`` counts every instance and
-    ``evaluated`` those evaluated.
+    its shape allows (:meth:`_incremental`): it is quantified, its bounds
+    name no quantifier variable and its body does not name the loop's
+    variable.  An instance that was in the grid at the previous boundary of
+    the same loop execution then reads the same cells at both, so unless one
+    of them was written in between, its truth is unchanged.  A boundary
+    whose previous one is in the same block evaluates only the instances
+    that entered the grid and the old ones that read a cell the batch's log
+    says was written since (:meth:`_select`, which :meth:`_grids` lays out
+    in place of the whole grid); the others, and every boundary of the
+    walk, check the whole grid.  The findings are those of a whole check:
+    every check before the first failing boundary passed, in every lane;
+    there, an instance that fails is new or was dirtied, as every other one
+    held and reads the same values; and an annotation reported at a site is
+    not checked there again.  A short loop's invariants are checked whole
+    (``_INCREMENTAL_FROM``).
+
+    Every failure, a read out of range and a ledger's excess included, is
+    reported through :meth:`_Runner.report`, which fires a running batch
+    (``runner.batch``); the walk that replays it reports them.
+    ``instantiations`` counts every instance and ``evaluated`` those
+    evaluated, a batch's once it commits.
     """
 
-    def __init__(self, ap: AnnotatedPipeline, cap: int = 10_000_000):
+    def __init__(self, ap: AnnotatedPipeline):
         self.ap = ap
-        self.cap = cap
         self.runner: _Runner | None = None
         self.instantiations = 0
         self.evaluated = 0
@@ -1180,40 +1176,27 @@ class _AnnObserver:
         # per invariant, whether and with which reads it is checked
         # incrementally, see _incremental and _written
         self.fits: dict[int, bool] = {}
-        self.reads: dict[int, tuple | None] = {}
+        self.reads: dict[int, tuple] = {}
         self.site = ""  # the boundary being checked, for findings
-        # under a batched check: the batch, whose log each read goes through
-        # at its grid point's event time (``_WHEN``), and the instantiations
-        # to add on commit, counted and evaluated; the walk reads storage as
-        # it stands
-        self.batch: _Batch | None = None
-        self.pending = self.pending_evaluated = 0
-        # on the walk, the entities whose out-of-range read this evaluation
-        # reported
+        # the entities whose out-of-range read this evaluation reported
         self.reported: set[str] = set()
 
     def aset(self, node):
         return self.ap.node.get(id(node))
 
-    def _count(self, counts, when=None, evaluated=None):
+    def _count(self, counts, evaluated=None):
         """Count the instances of one annotation, ``counts`` at each event,
-        and ``evaluated`` of them evaluated, all by default: the walk's one
-        event may not exceed the cap, and a batch fires where the walk
-        would raise."""
+        and ``evaluated`` of them evaluated, all by default, to the running
+        batch or else the run.  No event may exceed ``_MAX_INSTANCES``."""
+        most = int(counts.max(initial=0))
+        if most > _MAX_INSTANCES:
+            raise InstantiationBudget(
+                f"one annotation expands to {most} instances (limit {_MAX_INSTANCES})"
+            )
         n = int(counts.sum())
-        done = n if evaluated is None else int(evaluated)
-        if when is None:
-            self.instantiations += n
-            self.evaluated += done
-            if n > self.cap:
-                raise InstantiationBudget(
-                    f"one annotation expands to {n} instances (limit {self.cap})"
-                )
-        elif counts.max(initial=0) > self.cap:
-            raise _Fired  # the walk raises InstantiationBudget
-        else:
-            self.pending += n
-            self.pending_evaluated += done
+        tally = self if self.runner.batch is None else self.runner.batch
+        tally.instantiations += n
+        tally.evaluated += n if evaluated is None else int(evaluated)
 
     # -- batched loops -----------------------------------------------------
 
@@ -1236,10 +1219,8 @@ class _AnnObserver:
         precondition at ``j·T`` and its postcondition at ``(j + 1)·T``, and
         is charged to a ledger of the block's own: in the last block it is
         summed with the loop's ledger, which it closes, and otherwise
-        folded into it.
-        Raises :class:`_Fired` wherever the walk would report or raise."""
+        folded into it."""
         loop, T = batch.loop, batch.plan.slots
-        self.batch, self.pending, self.pending_evaluated = batch, 0, 0
         depth = len(self.ledgers)
         block = None
         try:
@@ -1271,7 +1252,6 @@ class _AnnObserver:
                     for key, claim in block.items():
                         claims.setdefault(key, _Claims(claim.size)).absorb(claim)
         finally:
-            self.batch = None
             del self.ledgers[depth:]
 
     @staticmethod
@@ -1309,7 +1289,7 @@ class _AnnObserver:
         for a in self._values_at(loop, ("invariants",)):
             changed = when is not None and self._incremental(loop, a)
             if changed and steps is None:
-                steps = _Steps(self.batch.log, env, when)
+                steps = _Steps(self.runner.batch.log, env, when)
             self._check(
                 a, env, "invariant_violation", f"loop {d}",
                 lambda: f"loop invariant does not hold at {d} = {v}", when, steps if changed else None,
@@ -1342,8 +1322,8 @@ class _AnnObserver:
         self._sum(*self.ledgers.pop())
 
     def _sum(self, loop: Loop, den: int, *ledgers):
-        """Sum the claims of ``ledgers`` on each cell and report, or fire,
-        where they exceed a whole permission."""
+        """Sum the claims of ``ledgers`` on each cell and report where they
+        exceed a whole permission."""
         sums: dict[str, np.ndarray] = {}
         for claims in ledgers:
             for (name, _, share), claim in claims.items():
@@ -1351,8 +1331,6 @@ class _AnnObserver:
         for name, acc in sums.items():
             over = acc > den
             if over.any():
-                if self.batch is not None:
-                    raise _Fired  # the walk reports it
                 off = int(np.flatnonzero(over)[0])
                 total = Fraction(int(acc[off]), den)
                 self.runner.report(
@@ -1411,7 +1389,7 @@ class _AnnObserver:
         size = hi - lo
         counts = size.prod(axis=0)
         picked = None if steps is None else self._select(steps, a, lo, hi)
-        self._count(counts, when, None if picked is None else len(picked[0]))
+        self._count(counts, None if picked is None else len(picked[0]))
         if picked is not None:
             ev, qs = picked
             chunks = ((ev[s : s + _CHUNK], qs[:, s : s + _CHUNK]) for s in range(0, len(ev), _CHUNK))
@@ -1463,8 +1441,7 @@ class _AnnObserver:
         """Whether invariant ``a`` of serial ``loop`` may be checked
         incrementally: the loop is not short (``_INCREMENTAL_FROM``), ``a``
         is quantified, its bounds name no quantifier variable and its body
-        does not name the loop's variable.  It also needs read indices that
-        read no storage (:meth:`_written`)."""
+        does not name the loop's variable."""
         if id(a) not in self.fits:
             quants = {q.var for q in a.quants}
             self.fits[id(a)] = (
@@ -1475,23 +1452,14 @@ class _AnnObserver:
             )
         return self.fits[id(a)]
 
-    def _written(self, a: Ann) -> tuple | None:
+    def _written(self, a: Ann) -> tuple:
         """The reads of ``a`` that the nest may write, each as (entity,
-        index); None if a read index reads storage."""
+        index)."""
         if id(a) not in self.reads:
-            tables: list[TableRead] = []
-
-            def collect(e):  # the reads, without descending into their indices
-                if isinstance(e, TableRead):
-                    tables.append(e)
-                    return
-                for k in _SHAPES[type(e)].kids(e):
-                    if _reads_storage(k):
-                        collect(k)
-
-            collect(a.body)
-            self.reads[id(a)] = None if any(_reads_storage(n.index) for n in tables) else tuple(
-                (n.target.name, n.index) for n in tables if n.target.kind != "buffer"
+            self.reads[id(a)] = tuple(
+                (n.target.name, n.index)
+                for n in walk(a.body)
+                if isinstance(n, TableRead) and n.target.kind != "buffer"
             )
         return self.reads[id(a)]
 
@@ -1503,10 +1471,9 @@ class _AnnObserver:
         the batch, and those that were and read a cell written since then.
         None for the points where all of them are."""
         env, prev = steps.env, steps.prev
-        n = len(prev)
-        reads = self._written(a) if (prev >= 0).any() else None
-        if reads is None:
+        if not (prev >= 0).any():
             return None
+        n, reads, batch = len(prev), self._written(a), self.runner.batch
         # the box of each event's previous boundary, empty where it has none
         plo = np.where(prev >= 0, lo[:, prev], lo)
         phi = np.where(prev >= 0, hi[:, prev], lo)
@@ -1530,7 +1497,7 @@ class _AnnObserver:
         hits, at = [], []
         index = None
         for name in dict.fromkeys(name for name, _ in reads):
-            cell = self.runner.mem.get(name) if _BASE + name not in env else self.batch.private[name]
+            cell = self.runner.mem.get(name) if _BASE + name not in env else batch.private[name]
             w_ev, w_off = steps.writes(cell.instance) if cell is not None else ((), ())
             if not len(w_ev):
                 continue
@@ -1583,7 +1550,7 @@ class _AnnObserver:
         found: dict[int, tuple[int, list]] = {}
         for name, index in reads:
             base = envh.get(_BASE + name)
-            cell = self.runner.mem.get(name) if base is None else self.batch.private[name]
+            cell = self.runner.mem.get(name) if base is None else self.runner.batch.private[name]
             if cell is not None:
                 off = np.broadcast_to(np.asarray(compiled(index)(envh, self), dtype=np.int64), owner.shape)
                 width = cell.arr.shape[1]
@@ -1622,19 +1589,16 @@ class _AnnObserver:
         return owner, q
 
     def _check(self, a: Ann, env, kind: str, site: str, message, when=None, steps=None):
-        """Check value annotation ``a`` at one event of the walk, reporting
-        a failure as a finding with the text ``message()``; or, with
-        ``when``, at all the events of a batched loop, raising
-        :class:`_Fired` where the walk would report.  ``steps`` checks a
-        serial loop's invariant incrementally (:meth:`_grids`)."""
+        """Check value annotation ``a`` at one event of the walk or, with
+        ``when``, at all the events of a batched loop, reporting a failure
+        with the text ``message()``.  ``steps`` checks a serial loop's
+        invariant incrementally (:meth:`_grids`)."""
         key = (kind, id(a), site)
         if key in self.runner.seen:
             return
         for envq, _ in self._grids(a, env, when, steps):
             lanes = self._failing(a.body, envq, site)
             if lanes is not False:
-                if when is not None:
-                    raise _Fired
                 self.runner.report(kind, message(), site, lanes=lanes, dedupe=key)
                 return
 
@@ -1653,8 +1617,7 @@ class _AnnObserver:
 
         Every read is taken: the evaluator reads an untaken ``select``
         branch, or the right side of ``==>`` where the left fails, at no
-        point.  The walk reports the first read out of range per entity; a
-        batched check fires on it."""
+        point.  The first read out of range per entity is reported."""
         self.site = site
         self.reported = set()
         return compiled(e, checked=True)(envq, self)
@@ -1668,15 +1631,12 @@ class _AnnObserver:
     def load(self, target: MemTarget, index, env):
         idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
         when = env.get(_WHEN)
+        batch = self.runner.batch
         base = None if when is None else env.get(_BASE + target.name)
-        cell = self.runner.mem[target.name] if base is None else self.batch.private[target.name]
+        cell = self.runner.mem[target.name] if base is None else batch.private[target.name]
         size = cell.size
-        if when is not None and idx.ndim > 1:
-            raise _Fired  # the walk meets an index that varies by lane one event at a time
         bad = (idx < 0) | (idx >= size)
         if bad.any():
-            if when is not None:
-                raise _Fired  # the walk reports this read
             if target.name not in self.reported:
                 self.reported.add(target.name)
                 off = int(idx.T[bad.T][0])  # at the first point, then lane
@@ -1689,7 +1649,7 @@ class _AnnObserver:
                 )
             idx = np.clip(idx, 0, size - 1)
         if when is not None:
-            return self.batch.read(cell, idx if base is None else idx + base, when)
+            return batch.read(cell, idx if base is None else idx + base, when)
         return cell.arr.take(idx, axis=1)
 
     # -- the permission ledger ---------------------------------------------
@@ -1868,12 +1828,8 @@ def check_lowered(p: Pipeline, directives, seeds) -> RunResult:
     return _compared(lp, inputs, run_lowered(lp, inputs))
 
 
-def to_reports(
-    pipeline: str, schedule: str, seeds, result: RunResult, instantiations: int | None = None
-) -> list[dict]:
+def to_reports(pipeline: str, schedule: str, seeds, result: RunResult) -> list[dict]:
     """One JSON-ready report per seed, splitting lane-tagged findings."""
-    if instantiations is None:
-        instantiations = result.instantiations
     reports = []
     for lane, seed in enumerate(seeds):
         mine = [
@@ -1888,7 +1844,7 @@ def to_reports(
                 "findings": [f.to_json() for f in mine],
                 "stats": {
                     "points": result.points,
-                    "instantiations": instantiations,
+                    "instantiations": result.instantiations,
                     "evaluated": result.evaluated,
                     "millis": round(result.millis, 3),
                     "batched_loops": result.batched_loops,

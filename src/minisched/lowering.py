@@ -40,6 +40,7 @@ from .ir import (
     rewrite,
     substitute,
     walk,
+    _reads_storage,
 )
 from .printing import ExprPrinter
 
@@ -60,7 +61,8 @@ def linearize(e: Expr) -> tuple[dict, int]:
 
     Terms are loop variables; division and remainder by a positive constant
     (the shapes fusion introduces) survive as opaque atoms keyed by their
-    expression node.
+    expression node, once their numerator is affine too: no index reads
+    storage.
     """
     match e:
         case Const(v):
@@ -83,7 +85,8 @@ def linearize(e: Expr) -> tuple[dict, int]:
             if not cr:
                 return {v: kr * c for v, c in cl.items() if kr * c != 0}, kl * kr
             raise NonAffineAccess("product of two loop-dependent expressions in an access")
-        case BinOp("hdiv" | "hmod", _, Const(d)) if d > 0:
+        case BinOp("hdiv" | "hmod", num, Const(d)) if d > 0:
+            linearize(num)  # an opaque atom, but affine inside too
             return {e: 1}, 0
         case TableRead(target, _):
             raise NonAffineAccess(f"access index is not affine: it reads {target.name}")
@@ -612,10 +615,10 @@ class FlatAlloc:
         coeffs, const = fold_divmod(coeffs, const)
         return poly_expr(coeffs, const, order)
 
-    def cell(self, point: dict[str, int], env: dict[str, int] | None = None) -> int:
-        """Flat offset of a concrete point; ``env`` binds the loop variables
-        a placed allocation's base mentions."""
-        return sum(stride * (point[d] - eval_const(self.base[d], env)) for d, stride in self.strides.items())
+    def cell(self, point: dict[str, int]) -> int:
+        """Flat offset of a concrete point of an allocation whose base names
+        no loop variable."""
+        return sum(stride * (point[d] - eval_const(self.base[d])) for d, stride in self.strides.items())
 
 
 def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
@@ -964,6 +967,14 @@ class _Builder:
         exprs = (s.rhs,) if s.guard is None else (s.rhs, s.guard)
         reads = [substitute(inline_expr(self.sp, e), sf.origin) for e in exprs]
         value, *guard = (flatten_storage(self.p, self.allocs, e, scope) for e in reads)
+        if guard and _reads_storage(guard[0]):
+            # the nest's control flow never depends on data
+            raise _err(
+                "DataDependentGuard",
+                f"{name} stage {s.index}: an if guard names loop variables only;"
+                " fold a condition on values with select",
+                s.span,
+            )
         nodes: list[Node] = [StoreStmt(name, s.index, storage_target(self.p, name), index, value)]
         _check_read_shapes(name, s.index, reads)
         for c in reversed(self.tail_guards(name, scope) + guard):

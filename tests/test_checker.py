@@ -593,9 +593,70 @@ pipeline shift(inp) -> out {
 """
 
 
+# One stage reads an entity at x and at 2 * x.  With x fixed by a loop, the
+# hull of the two reads has no constant extent, so no read box covers them.
+TWO_SHAPES = {
+    "buffer": (
+        """
+pipeline twice(inp) -> out {
+  buffer inp(x in [0, 16));
+  func out(x in [0, 8)) { out(x) = inp(x) + inp(2 * x); }
+}
+""",
+        "out.parallel(x);",
+    ),
+    "root-func": (
+        """
+pipeline twice(inp) -> out {
+  buffer inp(x in [0, 16));
+  func g(x in [0, 16)) { g(x) = inp(x) + 1; }
+  func out(x in [0, 8)) { out(x) = g(x) + g(2 * x); }
+}
+""",
+        "g.parallel(x);",
+    ),
+}
+
+
+# A store index or a guard that reads an input: the nest's control flow and
+# indices name loop variables only, so lowering rejects each with its code.
+DATA_DEPENDENT = {
+    "histogram-index": (
+        """
+pipeline hist(inp) -> g {
+  buffer inp(x in [0, 8));
+  func g(x in [0, 8)) {
+    g(x) = 0;
+    g(hmod(inp(r), 8)) = g(hmod(inp(r), 8)) + 1 over (r in [0, 8));
+    g.invariant(r, 0 <= r);
+  }
+}
+""",
+        "NonAffineAccess",
+    ),
+    "guard": (
+        """
+pipeline guarded(inp) -> g {
+  buffer inp(x in [0, 8));
+  func g(x in [0, 8)) {
+    g(x) = 0;
+    g(x) = g(x) + 1 if inp(x) > 0;
+  }
+}
+""",
+        "DataDependentGuard",
+    ),
+}
+
+
+# the corpus, and the pipelines every mode rejects alike, whatever the chain
 FUZZED = {
-    algo: parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
-    for algo, sizes in SMALL.items()
+    **{
+        algo: parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
+        for algo, sizes in SMALL.items()
+    },
+    **{f"two-shapes/{case}": parse_pipeline(src).validated() for case, (src, _) in TWO_SHAPES.items()},
+    **{f"data-dependent/{case}": parse_pipeline(src).validated() for case, (src, _) in DATA_DEPENDENT.items()},
 }
 DIRECTIVES = ("split", "fuse", "reorder", "parallel", "unroll", "compute_at", "store_at")
 
@@ -663,7 +724,7 @@ def rejected_alike_or_clean(p, d) -> list:
     return results
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=72, deadline=None)
 @given(directive_chains())
 # base placed at mid's y, which mid's own placement inside lift's y renames
 @example(("chain3", "base.compute_at(mid, y); mid.compute_at(lift, y);"))
@@ -674,36 +735,42 @@ def test_fuzzed_schedules_are_rejected_alike_or_check_clean(case):
     assert_annotations_on_the_nest(FUZZED[algo], parse_schedule(text))
 
 
-# One stage reads an entity at x and at 2 * x.  With x fixed by a loop, the
-# hull of the two reads has no constant extent, so no read box covers them.
-TWO_SHAPES = {
-    "buffer": (
-        """
-pipeline twice(inp) -> out {
-  buffer inp(x in [0, 16));
-  func out(x in [0, 8)) { out(x) = inp(x) + inp(2 * x); }
-}
-""",
-        "out.parallel(x);",
-    ),
-    "root-func": (
-        """
-pipeline twice(inp) -> out {
-  buffer inp(x in [0, 16));
-  func g(x in [0, 16)) { g(x) = inp(x) + 1; }
-  func out(x in [0, 8)) { out(x) = g(x) + g(2 * x); }
-}
-""",
-        "g.parallel(x);",
-    ),
-}
-
-
 @pytest.mark.parametrize("case", TWO_SHAPES)
 def test_reads_in_two_shapes_are_rejected_in_every_mode(case):
     src, text = TWO_SHAPES[case]
     results = rejected_alike_or_clean(parse_pipeline(src).validated(), parse_schedule(text))
     assert all(isinstance(r, NonAffineAccess) for r in results), results
+
+
+@pytest.mark.parametrize("case", DATA_DEPENDENT)
+def test_data_dependent_index_or_guard_is_rejected_in_every_mode(case):
+    src, code = DATA_DEPENDENT[case]
+    results = rejected_alike_or_clean(parse_pipeline(src).validated(), [])
+    assert all(isinstance(r, PipelineError) and r.code == code for r in results), results
+
+
+def test_annotation_index_that_reads_an_input_is_rejected_where_annotations_are_checked(monkeypatch):
+    # only the functional mode annotates the user's postcondition
+    p = parse_pipeline(
+        """
+pipeline t(inp) -> out {
+  buffer inp(x in [0, 8));
+  func out(x in [0, 8)) {
+    out(x) = inp(x);
+    out.ensures(-100 <= inp(hmod(inp(x), 8)) && inp(hmod(inp(x), 8)) <= 100);
+  }
+}
+"""
+    ).validated()
+    plain, functional, memsafe = mode_runs(p, [])
+    with pytest.raises(NonAffineAccess, match="reads inp"):
+        functional()
+    with pytest.raises(NonAffineAccess):
+        annotate(lower(p, []), include_user=True)
+    for run in (plain, memsafe):
+        batched, walked = declined(monkeypatch, run)
+        assert batched.passed, [f.to_json() for f in batched.findings]
+        assert_same_run(batched, walked)
 
 
 # acc's reduction variable r meets out's outer loop, which the split names r
@@ -1317,12 +1384,28 @@ def test_annotation_arithmetic_beyond_int64_is_not_an_untyped_error():
     ]
 
 
-def test_instantiation_budget_is_a_pipeline_error():
+def test_instantiation_budget_is_a_pipeline_error(monkeypatch):
     p = load("blur")
     lp = lower(p, schedule("blur", "rows"))
-    obs = C._AnnObserver(annotate(lp), cap=4)
+    monkeypatch.setattr(C, "_MAX_INSTANCES", 4)
     with pytest.raises(PipelineError):
-        C._execute(lp, C.make_inputs(p, SEEDS), obs)
+        C._execute(lp, C.make_inputs(p, SEEDS), C._AnnObserver(annotate(lp)))
+
+
+def test_instantiation_budget_is_raised_where_the_walk_meets_it(monkeypatch):
+    # count's reduction invariants gain instances at each boundary of r: a
+    # batch past the budget replays, and the walk raises at the first
+    # boundary past it, not at the block's largest grid
+    p = load("count")
+    monkeypatch.setattr(C, "_MAX_INSTANCES", 3)
+    errors = []
+    for plan in (C.batch_plan, lambda loop: None):
+        with monkeypatch.context() as m:
+            m.setattr(C, "batch_plan", plan)
+            with pytest.raises(C.InstantiationBudget) as exc:
+                C.check_schedule(p, [], SEEDS, include_user=True)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "one annotation expands to 4 instances (limit 3)"
 
 
 # ---------------------------------------------------------------------------
