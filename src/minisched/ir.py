@@ -36,7 +36,7 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
@@ -322,6 +322,8 @@ def _fold(e: BinOp) -> Expr:
     """Constant-fold the arithmetic operators used by lowering so generated
     indices stay readable (``x + 0`` never survives, constant tails merge).
     A node that folding leaves equal comes back as itself."""
+    if e.op not in ("+", "-", "*"):
+        return e
     l, r = e.left, e.right
     if isinstance(l, Const) and isinstance(r, Const):
         if e.op == "+":
@@ -374,7 +376,24 @@ def walk(e: Expr) -> Iterator[Expr]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(_SHAPES[type(node)].kids(node))
+        stack += _SHAPES[type(node)].kids(node)
+
+
+def _reportable(e: Expr, scope: set[str]) -> Iterator[Expr]:
+    """The nodes of ``e`` that read storage or have a free variable outside
+    ``scope``, in :func:`walk` order; a node that is neither has no
+    descendant that is, so its subtree is skipped."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        free, reads, _ = _facts(node)
+        if reads or not free <= scope:
+            yield node
+            stack += _SHAPES[type(node)].kids(node)
+
+
+_NO_VARS = frozenset()
+_READERS = frozenset((TableRead, FuncAccess, BufAccess, Result))
 
 
 def _facts(e: Expr) -> tuple[frozenset[str], bool, bool]:
@@ -383,15 +402,13 @@ def _facts(e: Expr) -> tuple[frozenset[str], bool, bool]:
     facts = getattr(e, "_facts", None)
     if facts is None:
         kind = type(e)
-        free = frozenset((e.name,)) if kind is Var else frozenset()
-        reads, folded = kind in (TableRead, FuncAccess, BufAccess, Result), True
+        free, reads, folded = frozenset((e.name,)) if kind is Var else _NO_VARS, kind in _READERS, True
         for k in _SHAPES[kind].kids(e):
             kfree, kreads, kfolded = _facts(k)
-            if not kfree <= free:
+            if kfree and not kfree <= free:
                 free = free | kfree if free else kfree
             reads, folded = reads or kreads, folded and kfolded
-        folded = folded and (kind is not BinOp or _fold(e) is e)
-        facts = (free, reads, folded)
+        facts = (free, reads, folded and (kind is not BinOp or _fold(e) is e))
         object.__setattr__(e, "_facts", facts)
     return facts
 
@@ -885,7 +902,7 @@ class Pipeline:
             elif name.lower() in lowered:
                 values[name] = lowered[name.lower()]
             else:
-                values[name] = eval_const(expr, values)
+                values[name] = _constant(expr, values, f"param {name!r}: value")
             seen.add(name.lower())
         unknown = [k for k in overrides if k.lower() not in seen]
         if unknown:
@@ -895,71 +912,50 @@ class Pipeline:
     def resolve(self, overrides: dict[str, int] | None = None) -> "Pipeline":
         """Substitute parameter values everywhere, making every interval
         bound a constant.  Scoping is respected: a stage variable or
-        reduction variable shadowing a parameter keeps the inner meaning."""
+        reduction variable shadowing a parameter keeps the inner meaning.
+        A bound that is not a constant is a ``NonConcreteBound``."""
         values = self.param_values(overrides)
         pmap = {k: Const(v) for k, v in values.items()}
 
-        def sub_expr(e: Expr, shadow: set[str]) -> Expr:
-            live = {k: v for k, v in pmap.items() if k not in shadow}
-            return substitute(e, live)
+        def visible(shadow) -> dict[str, Expr]:
+            return {k: v for k, v in pmap.items() if k not in shadow}
 
-        def sub_interval(iv: Interval, shadow: set[str]) -> Interval:
-            return Interval(Const(eval_const(sub_expr(iv.lo, shadow))), Const(eval_const(sub_expr(iv.hi, shadow))))
+        def dims(owner: str, ds, live: dict[str, Expr], span: Span = NO_SPAN):
+            def bound(e: Expr, n: str) -> Const:
+                e = substitute(e, live)
+                return e if type(e) is Const else Const(_constant(e, {}, f"{owner}.{n}: bound", span))
 
-        def sub_cond(c: Cond, shadow: set[str]) -> Cond:
-            return Cond(sub_expr(c.expr, shadow), c.span)
+            return tuple((n, Interval(bound(iv.lo, n), bound(iv.hi, n))) for n, iv in ds)
 
-        buffers = []
-        for b in self.buffers:
-            shadow = set(b.dim_names())
-            buffers.append(
-                replace(
-                    b,
-                    dims=tuple((n, sub_interval(iv, set())) for n, iv in b.dims),
-                    requires=tuple(sub_cond(c, shadow) for c in b.requires),
-                )
-            )
+        def conds(cs: tuple[Cond, ...], live: dict[str, Expr]) -> tuple[Cond, ...]:
+            return tuple(c if (e := substitute(c.expr, live)) is c.expr else Cond(e, c.span) for c in cs)
+
+        buffers = tuple(Buffer(b.name, dims(b.name, b.dims, pmap), conds(b.requires, visible(b.dim_names()))) for b in self.buffers)
         funcs = []
         for f in self.funcs:
-            shadow_f = set(f.dim_names())
-            stages = []
+            live_f, stages = visible(f.dim_names()), []
             for s in f.stages:
-                shadow = set(shadow_f)
-                rdom = None
+                live, rdom = live_f, None
                 if s.rdom is not None:
-                    rdom = RDom(tuple((n, sub_interval(iv, shadow)) for n, iv in s.rdom.vars))
-                    shadow |= set(s.rdom.names())
-                stages.append(
-                    replace(
-                        s,
-                        lhs_args=tuple(sub_expr(a, shadow) for a in s.lhs_args),
-                        rhs=sub_expr(s.rhs, shadow),
-                        rdom=rdom,
-                        guard=None if s.guard is None else sub_expr(s.guard, shadow),
-                        requires=tuple(sub_cond(c, shadow) for c in s.requires),
-                        ensures=tuple(sub_cond(c, shadow) for c in s.ensures),
-                        invariants=tuple((n, sub_cond(c, shadow)) for n, c in s.invariants),
-                    )
-                )
-            funcs.append(replace(f, dims=tuple((n, sub_interval(iv, set())) for n, iv in f.dims), stages=tuple(stages)))
-        ensures = []
-        for q in self.ensures:
-            shadow = {qt.var for qt in q.quants}
-            ensures.append(
-                QuantCond(
-                    tuple(Quantifier(qt.var, sub_expr(qt.lo, set()), sub_expr(qt.hi, set())) for qt in q.quants),
-                    sub_expr(q.body, shadow),
-                    q.span,
-                )
+                    rdom = RDom(dims(f"{f.name} stage {s.index}", s.rdom.vars, live_f, s.span))
+                    live = visible((*f.dim_names(), *s.rdom.names()))
+                elif not live:  # no parameter is visible, so nothing changes
+                    stages.append(s)
+                    continue
+                lhs, guard = tuple(substitute(a, live) for a in s.lhs_args), None if s.guard is None else substitute(s.guard, live)
+                invariants = tuple((n, Cond(substitute(c.expr, live), c.span)) for n, c in s.invariants)
+                stages.append(Stage(s.func, s.index, lhs, substitute(s.rhs, live), rdom, guard, conds(s.requires, live), conds(s.ensures, live), invariants, s.span))
+            funcs.append(Func(f.name, dims(f.name, f.dims, pmap), tuple(stages)))
+        ensures = tuple(
+            QuantCond(
+                tuple(Quantifier(qt.var, substitute(qt.lo, pmap), substitute(qt.hi, pmap)) for qt in q.quants),
+                substitute(q.body, visible({qt.var for qt in q.quants})),
+                q.span,
             )
-        return replace(
-            self,
-            params=tuple((k, Const(values[k])) for k, _ in self.params),
-            buffers=tuple(buffers),
-            funcs=tuple(funcs),
-            requires=tuple(Cond(sub_expr(c.expr, set()), c.span) for c in self.requires),
-            ensures=tuple(ensures),
+            for q in self.ensures
         )
+        params = tuple((k, Const(values[k])) for k, _ in self.params)
+        return Pipeline(self.name, params, buffers, tuple(funcs), self.output, conds(self.requires, pmap), ensures)
 
     def validated(self, overrides: dict[str, int] | None = None) -> "Pipeline":
         resolved = self.resolve(overrides)
@@ -975,6 +971,14 @@ class Pipeline:
 
 def _is_var_free_of(e: Expr, names: set[str]) -> bool:
     return _facts(e)[0].isdisjoint(names)
+
+
+def _constant(e: Expr, env: dict[str, int], what: str, span: Span = NO_SPAN) -> int:
+    """``eval_const(e, env)``, or a ``NonConcreteBound`` naming ``what``."""
+    try:
+        return eval_const(e, env)
+    except ValueError as err:
+        raise ValidationError([Diagnostic("NonConcreteBound", f"{what} did not resolve to a constant: {err}", span)]) from None
 
 
 def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
@@ -1030,10 +1034,10 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
             pass  # the unknown entity was reported just above
     for q in p.ensures:
         bound = {qt.var for qt in q.quants}
-        for n in walk(q.body):
+        for n in _reportable(q.body, bound):
             if isinstance(n, FuncAccess) and n.func != p.output:
                 diags.append(Diagnostic("PipelineSpecScope", f"pipeline ensures may reference input buffers and {p.output!r} only, not {n.func!r}", q.span))
-            if isinstance(n, Var) and n.name not in bound:
+            if type(n) is Var:
                 diags.append(Diagnostic("UnboundVar", f"variable {n.name!r} is not quantified in pipeline ensures", q.span))
         for qt in q.quants:
             for side in (qt.lo, qt.hi):
@@ -1053,13 +1057,11 @@ def _check_dims(owner: str, dims: tuple[tuple[str, Interval], ...], diags: list[
         if n in seen:
             diags.append(Diagnostic("DuplicateDim", f"{owner}: dimension {n!r} repeated"))
         seen.add(n)
-        try:
-            if iv.extent <= 0:
-                diags.append(Diagnostic("EmptyInterval", f"{owner}.{n}: extent must be positive"))
-            elif iv.extent > 1 << 20 or abs(iv.lo_int) > 1 << 20:
-                diags.append(Diagnostic("BoundTooLarge", f"{owner}.{n}: bounds exceed the 2^20 limit that keeps index arithmetic overflow-free"))
-        except ValueError:
-            diags.append(Diagnostic("NonConcreteBound", f"{owner}.{n}: bounds did not resolve to constants"))
+        lo, hi = iv.lo.value, iv.hi.value
+        if hi - lo <= 0:
+            diags.append(Diagnostic("EmptyInterval", f"{owner}.{n}: extent must be positive"))
+        elif hi - lo > 1 << 20 or abs(lo) > 1 << 20:
+            diags.append(Diagnostic("BoundTooLarge", f"{owner}.{n}: bounds exceed the 2^20 limit that keeps index arithmetic overflow-free"))
 
 
 def _resolve_bound_refs(p: Pipeline, e: Expr) -> Expr:
@@ -1074,128 +1076,108 @@ def _resolve_bound_refs(p: Pipeline, e: Expr) -> Expr:
 
 def _validate_stage(p: Pipeline, f: Func, s: Stage, defined: set[str], diags: list[Diagnostic]) -> None:
     dim_names = f.dim_names()
-    if s.index == 0 and (s.rdom is not None or s.kind != "pure"):
+    kind, at = s.kind, f"{f.name} stage {s.index}"
+    if s.index == 0 and (s.rdom is not None or kind != "pure"):
         diags.append(Diagnostic("StageZeroNotPure", f"{f.name}: stage 0 must be a pure definition", s.span))
-    if s.guard is not None and s.kind != "update":
-        diags.append(Diagnostic("GuardNotUpdate", f"{f.name} stage {s.index}: an if clause is only meaningful on an update step; reductions fold conditions with select", s.span))
+    if s.guard is not None and kind != "update":
+        diags.append(Diagnostic("GuardNotUpdate", f"{at}: an if clause is only meaningful on an update step; reductions fold conditions with select", s.span))
     if len(s.lhs_args) != len(dim_names):
-        diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index}: {len(s.lhs_args)} left-hand arguments for {len(dim_names)} dimensions", s.span))
+        diags.append(Diagnostic("ArityMismatch", f"{at}: {len(s.lhs_args)} left-hand arguments for {len(dim_names)} dimensions", s.span))
         return
 
+    canonical = s.lhs_args
+    looped = [type(arg) is Var and arg.name == d for arg, d in zip(canonical, dim_names)]
     pure_vars = set(dim_names)
     rvars = set(s.rdom.names()) if s.rdom else set()
-    if s.kind == "pure":
+    if kind == "pure":
         scope = pure_vars | rvars
+        if not all(looped):
+            diags.append(Diagnostic("LhsNotCanonical", f"{f.name}: pure stage must be defined at ({', '.join(dim_names)})", s.span))
     else:
         # An update or reduction step iterates only the dimensions whose
         # left-hand argument is the dimension variable itself; the pinned
         # ones have no runtime value on the right-hand side.
-        looped = {d for d, arg in zip(dim_names, s.lhs_args) if arg == Var(d)}
-        scope = looped | rvars
-
-    if s.kind == "pure":
-        for arg, dn in zip(s.lhs_args, dim_names):
-            if arg != Var(dn):
-                diags.append(Diagnostic("LhsNotCanonical", f"{f.name}: pure stage must be defined at ({', '.join(dim_names)})", s.span))
-                break
-    else:
-        for arg, dn in zip(s.lhs_args, dim_names):
-            if arg == Var(dn):
+        scope = {d for d, is_var in zip(dim_names, looped) if is_var} | rvars
+        for arg, dn, is_var in zip(canonical, dim_names, looped):
+            if is_var:
                 continue
             if not _is_var_free_of(arg, pure_vars):
-                diags.append(
-                    Diagnostic(
-                        "LhsNotCanonical",
-                        f"{f.name} stage {s.index}: left-hand argument for {dn!r} must be the variable itself or be free of stage variables",
-                        s.span,
-                    )
-                )
-            if rvars and not _is_var_free_of(arg, rvars) and s.kind == "update":
-                diags.append(Diagnostic("UnknownRVar", f"{f.name} stage {s.index}: reduction variable used without a reduction domain", s.span))
+                diags.append(Diagnostic("LhsNotCanonical", f"{at}: left-hand argument for {dn!r} must be the variable itself or be free of stage variables", s.span))
+            if rvars and not _is_var_free_of(arg, rvars) and kind == "update":
+                diags.append(Diagnostic("UnknownRVar", f"{at}: reduction variable used without a reduction domain", s.span))
 
-    canonical = s.lhs_args
-
-    def check_expr(e: Expr, where: str, span: Span, self_rule: str) -> None:
-        for n in walk(e):
-            if isinstance(n, Var) and n.name not in scope:
-                diags.append(Diagnostic("UnboundVar", f"{f.name} stage {s.index} {where}: unknown variable {n.name!r}", span))
-            elif isinstance(n, BufAccess):
+    def check_expr(e: Expr, where: str, span: Span, self_rule: str, consts: bool = False) -> tuple[list[int], list[tuple[Expr, ...]]]:
+        """Check ``e``'s variables, buffer reads and func applications in one
+        walk; return, in walk order, its constants outside the int32 range
+        (with ``consts``) and the arguments of its applications of ``f``."""
+        wide, selves = [], []
+        for n in walk(e) if consts else _reportable(e, scope):
+            node = type(n)
+            if node is Const:
+                if not INT32_MIN <= n.value <= INT32_MAX:
+                    wide.append(n.value)
+            elif node is Var:
+                if n.name not in scope:
+                    diags.append(Diagnostic("UnboundVar", f"{at} {where}: unknown variable {n.name!r}", span))
+            elif node is BufAccess:
                 try:
                     buf = p.buffer(n.buf)
                 except KeyError:
-                    diags.append(Diagnostic("UnknownFunc", f"{f.name} stage {s.index} {where}: unknown buffer {n.buf!r}", span))
+                    diags.append(Diagnostic("UnknownFunc", f"{at} {where}: unknown buffer {n.buf!r}", span))
                     continue
                 if len(n.args) != len(buf.dims):
-                    diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {n.buf} takes {len(buf.dims)} arguments", span))
-            elif isinstance(n, FuncAccess):
+                    diags.append(Diagnostic("ArityMismatch", f"{at} {where}: {n.buf} takes {len(buf.dims)} arguments", span))
+            elif node is FuncAccess:
                 g, args = n.func, n.args
                 if g == f.name:
+                    selves.append(args)
                     if self_rule == "forbid":
                         diags.append(Diagnostic("SelfReference", f"{f.name}: pure stage may not reference {f.name}", span))
                     elif self_rule == "canonical" and args != canonical:
-                        diags.append(
-                            Diagnostic(
-                                "SelfReferenceNotCanonical",
-                                f"{f.name} stage {s.index} {where}: reduction self-reference must be at the updated point",
-                                span,
-                            )
-                        )
+                        diags.append(Diagnostic("SelfReferenceNotCanonical", f"{at} {where}: reduction self-reference must be at the updated point", span))
                     if len(args) != len(dim_names):
-                        diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {g} takes {len(dim_names)} arguments", span))
-                    continue
-                if g not in defined:
-                    kind = "forward reference to" if any(h.name == g for h in p.funcs) else "unknown func"
-                    diags.append(Diagnostic("UnknownFunc", f"{f.name} stage {s.index} {where}: {kind} {g!r}", span))
-                    continue
-                gf = p.func(g)
-                if len(args) != len(gf.dims):
-                    diags.append(Diagnostic("ArityMismatch", f"{f.name} stage {s.index} {where}: {g} takes {len(gf.dims)} arguments", span))
-
-    self_rule = {"pure": "forbid", "update": "any", "reduction": "canonical"}[s.kind]
-    check_expr(s.rhs, "rhs", s.span, self_rule)
-    if s.guard is not None:
-        check_expr(s.guard, "guard", s.span, "any")
+                        diags.append(Diagnostic("ArityMismatch", f"{at} {where}: {g} takes {len(dim_names)} arguments", span))
+                elif g not in defined:
+                    what = "forward reference to" if any(h.name == g for h in p.funcs) else "unknown func"
+                    diags.append(Diagnostic("UnknownFunc", f"{at} {where}: {what} {g!r}", span))
+                elif len(args) != len(p.func(g).dims):
+                    diags.append(Diagnostic("ArityMismatch", f"{at} {where}: {g} takes {len(p.func(g).dims)} arguments", span))
+        return wide, selves
 
     # Executed values are 32-bit; a constant the parser folded past that
     # range is an overflow known before any input is chosen.
-    for where, e in (("rhs", s.rhs), ("guard", s.guard)):
-        if e is None:
-            continue
-        for n in walk(e):
-            if isinstance(n, Const) and not INT32_MIN <= n.value <= INT32_MAX:
-                diags.append(Diagnostic("ConstantOverflow", f"{f.name} stage {s.index} {where}: constant {n.value} leaves the signed 32-bit range", s.span))
+    wide = {"rhs": check_expr(s.rhs, "rhs", s.span, {"pure": "forbid", "update": "any", "reduction": "canonical"}[kind], True)[0]}
+    if s.guard is not None:
+        wide["guard"] = check_expr(s.guard, "guard", s.span, "any", True)[0]
+    for where, values in wide.items():
+        for v in values:
+            diags.append(Diagnostic("ConstantOverflow", f"{at} {where}: constant {v} leaves the signed 32-bit range", s.span))
 
     # Specs must talk about the function at the point being defined.
-    for c in list(s.requires) + list(s.ensures):
-        check_expr(c.expr, "spec", c.span, "any")
-        for n in walk(c.expr):
-            if isinstance(n, FuncAccess) and n.func == f.name and n.args != canonical:
-                diags.append(Diagnostic("SpecNotCanonical", f"{f.name} stage {s.index}: specs reference {f.name} at the defined point only", c.span))
+    for c in s.requires + s.ensures:
+        for args in check_expr(c.expr, "spec", c.span, "any")[1]:
+            if args != canonical:
+                diags.append(Diagnostic("SpecNotCanonical", f"{at}: specs reference {f.name} at the defined point only", c.span))
 
-    if s.kind == "reduction":
-        rnames = s.rdom.names()
-        order = {n: i for i, n in enumerate(rnames)}
+    if kind == "reduction":
+        order = {n: i for i, n in enumerate(s.rdom.names())}
         for n, c in s.invariants:
             if n not in order:
-                diags.append(Diagnostic("UnknownRVar", f"{f.name} stage {s.index}: invariant names unknown reduction variable {n!r}", c.span))
+                diags.append(Diagnostic("UnknownRVar", f"{at}: invariant names unknown reduction variable {n!r}", c.span))
                 continue
             check_expr(c.expr, f"invariant({n})", c.span, "any")
-            for node in walk(c.expr):
-                if isinstance(node, Var) and node.name in order and order[node.name] < order[n]:
-                    diags.append(
-                        Diagnostic(
-                            "InvariantVarOrder",
-                            f"{f.name} stage {s.index}: invariant for {n!r} may not mention the inner variable {node.name!r}",
-                            c.span,
-                        )
-                    )
+            inner = {m for m, i in order.items() if i < order[n]}
+            if not _is_var_free_of(c.expr, inner):
+                for node in walk(c.expr):
+                    if type(node) is Var and node.name in inner:
+                        diags.append(Diagnostic("InvariantVarOrder", f"{at}: invariant for {n!r} may not mention the inner variable {node.name!r}", c.span))
     elif s.invariants:
-        diags.append(Diagnostic("UnknownRVar", f"{f.name} stage {s.index}: invariants belong to reduction stages", s.span))
+        diags.append(Diagnostic("UnknownRVar", f"{at}: invariants belong to reduction stages", s.span))
 
 
 def _check_value_spec(owner: str, dims: tuple[str, ...], c: Cond, diags: list[Diagnostic]) -> None:
-    for n in walk(c.expr):
-        if isinstance(n, Var) and n.name not in dims:
+    for n in _reportable(c.expr, set(dims)):
+        if type(n) is Var:
             diags.append(Diagnostic("UnboundVar", f"{owner} requires: unknown variable {n.name!r}", c.span))
         elif isinstance(n, BufAccess):
             if n.buf != owner:

@@ -20,9 +20,6 @@ exception.  See docs/grammar.ebnf for the grammar.
 from __future__ import annotations
 
 import re
-from bisect import bisect
-from dataclasses import replace
-from typing import NamedTuple
 
 from .ir import (
     BinOp,
@@ -63,33 +60,33 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_BUILTINS = {"select", "min", "max", "hdiv", "hmod"}
-_RESERVED = _BUILTINS | {"forall"}
+_BUILTINS = {"select": 3, "min": 2, "max": 2, "hdiv": 2, "hmod": 2}  # name -> arity
+_RESERVED = _BUILTINS.keys() | {"forall"}
 _STMT_KEYWORDS = {"pipeline", "param", "buffer", "func", "requires", "ensures", "forall", "over", "if", "in"}
 
-
-class _Tok(NamedTuple):
-    kind: str  # "int" | "ident" | "op" | "eof"
-    text: str
-    off: int
-    newlines: list[int]  # the offset of every newline in the source
-
-    @property
-    def span(self) -> Span:
-        line = bisect(self.newlines, self.off)
-        return Span(line + 1, self.off - (self.newlines[line - 1] if line else -1))
+# Binary operators by binding power, loosest first: ``==>`` groups to the
+# right, a comparison not at all (see ``_compare``), the rest to the left.
+_POWER = {"==>": 1, "||": 2, "&&": 3, **dict.fromkeys(("==", "!=", "<", "<=", ">", ">="), 4), "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
+_CMP = 4
+_ATOM = 7  # the power of an operand no binary operator built
+_TREE_OP = {"/": "hdiv", "%": "hmod"}
+_SWAPPED = {">": "<", ">=": "<="}  # a > b is the tree of b < a
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _span(text: str, off: int) -> Span:
+    """The line and column of offset ``off`` in ``text``."""
+    return Span(text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """One scan: each match skips whitespace and comments, then takes a
-    token, an unexpected character, or the end."""
-    newlines = [m.start() for m in re.finditer("\n", text)]
-    toks: list[_Tok] = []
+    token ``(kind, text, offset)``, an unexpected character, or the end."""
+    toks = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = _Tok(kind, m[kind], m.start(kind), newlines)
+        tok = (kind, m[kind], m.start(kind))
         if kind == "bad":
-            raise ParseError(f"unexpected character {tok.text!r}", tok.span)
+            raise ParseError(f"unexpected character {tok[1]!r}", _span(text, tok[2]))
         toks.append(tok)
         if kind == "eof":
             return toks
@@ -97,6 +94,7 @@ def _tokenize(text: str) -> list[_Tok]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         # A body expression is folded as it is built, and its calls of the
@@ -107,53 +105,52 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.pos]
+    def span(self, off: int) -> Span:
+        return _span(self.text, off)
 
-    def advance(self) -> _Tok:
-        t = self.cur
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def fail(self, what: str) -> ParseError:
+        """The error for a current token that is not ``what``."""
+        _, text, off = self.toks[self.pos]
+        return ParseError(f"expected {what}, found {text!r}", self.span(off))
 
-    # The end token's text is "", which no caller asks for.
+    # No caller asks for the end token's text "".
     def at(self, text: str) -> bool:
-        return self.toks[self.pos].text == text
+        return self.toks[self.pos][1] == text
 
     def eat(self, text: str) -> bool:
-        if self.toks[self.pos].text == text:
+        if self.toks[self.pos][1] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> _Tok:
-        if not self.at(text):
-            raise ParseError(f"expected {text!r}, found {self.cur.text!r}", self.cur.span)
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.toks[self.pos][1] != text:
+            raise self.fail(repr(text))
+        self.pos += 1
 
-    def ident(self, what: str = "identifier") -> _Tok:
-        if self.cur.kind != "ident":
-            raise ParseError(f"expected {what}, found {self.cur.text!r}", self.cur.span)
-        return self.advance()
+    def ident(self, what: str = "identifier") -> str:
+        kind, text, _ = self.toks[self.pos]
+        if kind != "ident":
+            raise self.fail(what)
+        self.pos += 1
+        return text
 
-    def decl_ident(self, what: str) -> _Tok:
-        t = self.ident(what)
-        if t.text in _RESERVED:
-            raise ParseError(f"{t.text!r} is reserved and cannot be declared", t.span)
-        return t
+    def decl_ident(self, what: str) -> str:
+        off = self.toks[self.pos][2]
+        name = self.ident(what)
+        if name in _RESERVED:
+            raise ParseError(f"{name!r} is reserved and cannot be declared", self.span(off))
+        return name
 
     def integer(self) -> int:
         neg = self.eat("-")
-        if self.cur.kind != "int":
-            raise ParseError(f"expected integer, found {self.cur.text!r}", self.cur.span)
-        v = int(self.advance().text)
-        return -v if neg else v
+        kind, text, _ = self.toks[self.pos]
+        if kind != "int":
+            raise self.fail("integer")
+        self.pos += 1
+        return -int(text) if neg else int(text)
 
     # -- expressions -------------------------------------------------------
-
-    def expr(self) -> Expr:
-        return self._implies()
 
     def written_expr(self) -> Expr:
         self.as_written = True
@@ -165,123 +162,95 @@ class _Parser:
         e = BinOp(op, left, right)
         return e if self.as_written else _fold(e)
 
-    def _implies(self) -> Expr:
-        left = self._or()
-        if self.eat("==>"):
-            return BinOp("==>", left, self._implies())
-        return left
+    def expr(self, floor: int = 0) -> Expr:
+        """Precedence climbing over the operators binding tighter than
+        ``floor``.  ``last`` is the power of ``left``'s root: a comparison
+        takes no operand that a comparison or a looser operator built."""
+        left, last = self._operand(), _ATOM
+        while True:
+            op = self.toks[self.pos][1]
+            power = _POWER.get(op, 0)
+            if power <= floor or (power == _CMP and last <= _CMP):
+                return left
+            self.pos += 1
+            if power == _CMP:
+                left = self._compare(op, left)
+            elif power > _CMP:
+                left = self._arith(_TREE_OP.get(op, op), left, self.expr(power))
+            else:
+                left = BinOp(op, left, self.expr(power - (op == "==>")))
+            last = power
 
-    def _or(self) -> Expr:
-        e = self._and()
-        while self.eat("||"):
-            e = BinOp("||", e, self._and())
-        return e
-
-    def _and(self) -> Expr:
-        e = self._cmp()
-        while self.eat("&&"):
-            e = BinOp("&&", e, self._cmp())
-        return e
-
-    def _cmp(self) -> Expr:
-        first = self._add()
-        op = self.cur.text
-        if op not in ("<", "<=", ">", ">=", "==", "!="):
-            return first
+    def _compare(self, op: str, a: Expr) -> Expr:
+        """``==`` and ``!=`` take two operands; ``a <= b < c`` means ``a <= b && b < c``."""
         if op in ("==", "!="):
-            self.advance()
-            return BinOp(op, first, self._add())
-        # Relational operators chain: a <= b < c means a <= b && b < c.
-        terms = [first]
-        ops = []
-        while self.cur.text in ("<", "<=", ">", ">="):
-            ops.append(self.advance().text)
-            terms.append(self._add())
+            return BinOp(op, a, self.expr(_CMP))
         conj = None
-        for i, op in enumerate(ops):
-            a, b = terms[i], terms[i + 1]
-            if op == ">":
-                a, b, op = b, a, "<"
-            elif op == ">=":
-                a, b, op = b, a, "<="
-            part = BinOp(op, a, b)
+        while True:
+            b = self.expr(_CMP)
+            part = BinOp(_SWAPPED[op], b, a) if op in _SWAPPED else BinOp(op, a, b)
             conj = part if conj is None else BinOp("&&", conj, part)
-        return conj
+            op = self.toks[self.pos][1]
+            if op not in ("<", "<=", ">", ">="):
+                return conj
+            self.pos += 1
+            a = b
 
-    def _add(self) -> Expr:
-        e = self._mul()
-        while self.cur.text in ("+", "-") and self.cur.kind == "op":
-            op = self.advance().text
-            e = self._arith(op, e, self._mul())
-        return e
-
-    def _mul(self) -> Expr:
-        e = self._unary()
-        while self.cur.text in ("*", "/", "%") and self.cur.kind == "op":
-            op = self.advance().text
-            op = {"*": "*", "/": "hdiv", "%": "hmod"}[op]
-            e = self._arith(op, e, self._unary())
-        return e
-
-    def _unary(self) -> Expr:
-        if self.eat("!"):
-            return Not(self._unary())
-        if self.eat("-"):
-            inner = self._unary()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return self._arith("-", Const(0), inner)
-        return self._atom()
-
-    def _atom(self) -> Expr:
-        t = self.cur
-        if t.kind == "int":
-            self.advance()
-            return Const(int(t.text))
-        if self.eat("("):
-            e = self.expr()
-            self.expect(")")
-            return e
-        if t.kind == "ident":
-            name = self.advance().text
+    def _operand(self) -> Expr:
+        """An atom, or a unary operator and its operand."""
+        kind, name, off = self.toks[self.pos]
+        self.pos += 1
+        if kind == "int":
+            return Const(int(name))
+        if kind == "ident":
             if name in _BUILTINS:
-                return self._builtin(name, t.span)
-            if self.at("("):
-                self.advance()
+                return self._builtin(name, off)
+            nxt = self.toks[self.pos][1]
+            if nxt == "(":
+                self.pos += 1
                 args = self._expr_list(")")
                 if name in self.inputs and not self.as_written:
                     return BufAccess(name, args)
                 return FuncAccess(name, args)
-            if self.at("."):
-                self.advance()
-                dim = self.ident("dimension name").text
+            if nxt == ".":
+                self.pos += 1
+                dim = self.ident("dimension name")
                 self.expect(".")
-                end = self.ident("'min' or 'max'")
-                if end.text not in ("min", "max"):
-                    raise ParseError(f"expected 'min' or 'max', found {end.text!r}", end.span)
-                return BoundRef(name, dim, end.text)
+                end = self.toks[self.pos]
+                if self.ident("'min' or 'max'") not in ("min", "max"):
+                    raise ParseError(f"expected 'min' or 'max', found {end[1]!r}", self.span(end[2]))
+                return BoundRef(name, dim, end[1])
             return Var(name)
-        raise ParseError(f"expected expression, found {t.text!r}", t.span)
+        if name == "(":
+            e = self.expr()
+            self.expect(")")
+            return e
+        if name == "!":
+            return Not(self._operand())
+        if name == "-":
+            inner = self._operand()
+            if isinstance(inner, Const):
+                return Const(-inner.value)
+            return self._arith("-", Const(0), inner)
+        self.pos -= 1  # the error points at this token
+        raise self.fail("expression")
 
-    def _builtin(self, name: str, span: Span) -> Expr:
+    def _builtin(self, name: str, off: int) -> Expr:
         self.expect("(")
         args = self._expr_list(")")
-        arity = {"select": 3, "min": 2, "max": 2, "hdiv": 2, "hmod": 2}[name]
+        arity = _BUILTINS[name]
         if len(args) != arity:
-            raise ParseError(f"{name} takes {arity} arguments, found {len(args)}", span)
-        if name == "select":
-            return Select(*args)
-        if name == "min":
-            return MinOf(*args)
-        if name == "max":
-            return MaxOf(*args)
-        return BinOp(name, args[0], args[1])
+            raise ParseError(f"{name} takes {arity} arguments, found {len(args)}", self.span(off))
+        if name in ("hdiv", "hmod"):
+            return BinOp(name, *args)
+        return {"select": Select, "min": MinOf, "max": MaxOf}[name](*args)
 
     def _expr_list(self, close: str) -> tuple[Expr, ...]:
         if self.eat(close):
             return ()
         args = [self.expr()]
-        while self.eat(","):
+        while self.toks[self.pos][1] == ",":
+            self.pos += 1
             args.append(self.expr())
         self.expect(close)
         return tuple(args)
@@ -300,7 +269,7 @@ class _Parser:
         self.expect("(")
         dims = []
         while True:
-            name = self.decl_ident("dimension name").text
+            name = self.decl_ident("dimension name")
             self.expect("in")
             dims.append((name, self.interval()))
             if not self.eat(","):
@@ -310,17 +279,17 @@ class _Parser:
 
     def pipeline(self) -> Pipeline:
         self.expect("pipeline")
-        name = self.ident("pipeline name").text
+        name = self.ident("pipeline name")
         self.expect("(")
         inputs = []
         if not self.at(")"):
-            inputs.append(self.ident("input buffer name").text)
+            inputs.append(self.ident("input buffer name"))
             while self.eat(","):
-                inputs.append(self.ident("input buffer name").text)
+                inputs.append(self.ident("input buffer name"))
         self.expect(")")
         self.expect("-")  # "->" arrives as two tokens
         self.expect(">")
-        output = self.ident("output func name").text
+        output = self.ident("output func name")
         self.expect("{")
         self.inputs = set(inputs)
 
@@ -331,53 +300,52 @@ class _Parser:
         pipe_ens: list[QuantCond] = []
 
         while not self.at("}"):
-            t = self.cur
-            if t.kind == "eof":
-                raise ParseError("unterminated pipeline block", t.span)
+            kind, text, off = self.toks[self.pos]
+            if kind == "eof":
+                raise ParseError("unterminated pipeline block", self.span(off))
             if self.eat("param"):
-                pname = self.decl_ident("parameter name").text
+                pname = self.decl_ident("parameter name")
                 self.expect("=")
                 params.append((pname, self.written_expr()))
                 self.expect(";")
             elif self.eat("buffer"):
-                bname = self.decl_ident("buffer name").text
+                bname = self.decl_ident("buffer name")
                 dims = self.dim_list()
                 self.expect(";")
                 if bname in buffers:
-                    raise ParseError(f"buffer {bname!r} redeclared", t.span)
+                    raise ParseError(f"buffer {bname!r} redeclared", self.span(off))
                 buffers[bname] = Buffer(bname, dims)
             elif self.eat("requires"):
-                pipe_req.append(Cond(self.expr(), t.span))
+                pipe_req.append(Cond(self.expr(), self.span(off)))
                 self.expect(";")
             elif self.eat("ensures"):
                 quants: tuple[Quantifier, ...] = ()
-                if self.at("forall"):
-                    self.advance()
+                if self.eat("forall"):
                     quants = tuple(Quantifier(n, iv.lo, iv.hi) for n, iv in self.dim_list())
-                pipe_ens.append(QuantCond(quants, self.expr(), t.span))
+                pipe_ens.append(QuantCond(quants, self.expr(), self.span(off)))
                 self.expect(";")
             elif self.eat("func"):
                 funcs.append(self._func_block())
-            elif t.kind == "ident" and t.text not in _STMT_KEYWORDS:
+            elif kind == "ident" and text not in _STMT_KEYWORDS:
                 # buffer value precondition: `inp.requires(expr);`
-                self.advance()
+                self.pos += 1
                 self.expect(".")
-                kw = self.ident("'requires'")
-                if kw.text != "requires":
-                    raise ParseError(f"only 'requires' applies to a buffer, found {kw.text!r}", kw.span)
+                kw = self.toks[self.pos]
+                if self.ident("'requires'") != "requires":
+                    raise ParseError(f"only 'requires' applies to a buffer, found {kw[1]!r}", self.span(kw[2]))
                 self.expect("(")
-                cond = Cond(self.expr(), t.span)
+                cond = Cond(self.expr(), self.span(off))
                 self.expect(")")
                 self.expect(";")
-                if t.text not in buffers:
-                    raise ParseError(f"{t.text!r} is not a declared buffer", t.span)
-                b = buffers[t.text]
-                buffers[t.text] = Buffer(b.name, b.dims, b.requires + (cond,))
+                if text not in buffers:
+                    raise ParseError(f"{text!r} is not a declared buffer", self.span(off))
+                b = buffers[text]
+                buffers[text] = Buffer(b.name, b.dims, b.requires + (cond,))
             else:
-                raise ParseError(f"expected declaration, found {t.text!r}", t.span)
+                raise self.fail("declaration")
         self.expect("}")
-        if self.cur.kind != "eof":
-            raise ParseError(f"trailing input after pipeline block: {self.cur.text!r}", self.cur.span)
+        if self.toks[self.pos][0] != "eof":
+            raise ParseError(f"trailing input after pipeline block: {self.toks[self.pos][1]!r}", self.span(self.toks[self.pos][2]))
 
         for b in inputs:
             if b not in buffers:
@@ -397,26 +365,26 @@ class _Parser:
         )
 
     def _func_block(self) -> Func:
-        fname = self.decl_ident("func name").text
+        fname = self.decl_ident("func name")
         dims = self.dim_list()
         self.expect("{")
         stages: list[Stage] = []
         while not self.at("}"):
-            t = self.cur
-            if t.kind == "eof":
-                raise ParseError(f"unterminated func block for {fname!r}", t.span)
-            name_tok = self.ident("stage or annotation")
-            if name_tok.text != fname:
-                raise ParseError(f"statement must start with {fname!r}, found {name_tok.text!r}", name_tok.span)
+            kind, name, off = self.toks[self.pos]
+            if kind == "eof":
+                raise ParseError(f"unterminated func block for {fname!r}", self.span(off))
+            self.ident("stage or annotation")
+            if name != fname:
+                raise ParseError(f"statement must start with {fname!r}, found {name!r}", self.span(off))
             if self.eat("."):
                 self._annotation(fname, stages)
             elif self.at("("):
-                stages.append(self._stage(fname, len(stages), name_tok.span))
+                stages.append(self._stage(fname, len(stages), self.span(off)))
             else:
-                raise ParseError(f"expected '(' or '.', found {self.cur.text!r}", self.cur.span)
+                raise self.fail("'(' or '.'")
         self.expect("}")
         if not stages:
-            raise ParseError(f"func {fname!r} has no stages", self.cur.span)
+            raise ParseError(f"func {fname!r} has no stages", self.span(self.toks[self.pos][2]))
         return Func(fname, dims, tuple(stages))
 
     def _stage(self, fname: str, index: int, span: Span) -> Stage:
@@ -429,89 +397,83 @@ class _Parser:
         if self.eat("if"):
             guard = self.expr()
         if self.eat("over"):
-            rvars = self.dim_list()
-            rdom = RDom(rvars)
+            rdom = RDom(self.dim_list())
         self.expect(";")
         return Stage(func=fname, index=index, lhs_args=lhs, rhs=rhs, rdom=rdom, guard=guard, span=span)
 
     def _annotation(self, fname: str, stages: list[Stage]) -> None:
+        off = self.toks[self.pos][2]
         kw = self.ident("'requires', 'ensures' or 'invariant'")
-        if kw.text not in ("requires", "ensures", "invariant"):
-            raise ParseError(f"unknown annotation {kw.text!r}", kw.span)
+        if kw not in ("requires", "ensures", "invariant"):
+            raise ParseError(f"unknown annotation {kw!r}", self.span(off))
         if not stages:
-            raise ParseError(f"annotation before any stage of {fname!r}", kw.span)
+            raise ParseError(f"annotation before any stage of {fname!r}", self.span(off))
         self.expect("(")
         rvar = None
-        if kw.text == "invariant":
-            rvar = self.ident("reduction variable").text
+        if kw == "invariant":
+            rvar = self.ident("reduction variable")
             self.expect(",")
-        cond = Cond(self.expr(), kw.span)
+        cond = Cond(self.expr(), self.span(off))
         self.expect(")")
         self.expect(";")
         s = stages[-1]
-        if kw.text == "requires":
-            stages[-1] = replace(s, requires=s.requires + (cond,))
-        elif kw.text == "ensures":
-            stages[-1] = replace(s, ensures=s.ensures + (cond,))
+        req, ens, inv = s.requires, s.ensures, s.invariants
+        if kw == "requires":
+            req += (cond,)
+        elif kw == "ensures":
+            ens += (cond,)
         else:
-            stages[-1] = replace(s, invariants=s.invariants + ((rvar, cond),))
+            inv += ((rvar, cond),)
+        stages[-1] = Stage(s.func, s.index, s.lhs_args, s.rhs, s.rdom, s.guard, req, ens, inv, s.span)
 
     # -- schedules ---------------------------------------------------------
 
     def schedule(self) -> list[Directive]:
         out: list[Directive] = []
-        while self.cur.kind != "eof":
-            fname_tok = self.ident("func name")
+        while self.toks[self.pos][0] != "eof":
+            fname = self.ident("func name")
             while True:
                 self.expect(".")
-                d = self.ident("directive name")
+                off = self.toks[self.pos][2]
+                kind = self.ident("directive name")
                 self.expect("(")
-                out.append(self._directive(d.text, fname_tok.text, d.span))
-                if self.at("."):
-                    continue
-                break
+                out.append(self._directive(kind, fname, self.span(off)))
+                if not self.at("."):
+                    break
             self.eat(";")
         return out
 
     def _directive(self, kind: str, func: str, span: Span) -> Directive:
-        def close() -> None:
-            self.expect(")")
-
         if kind == "split":
-            old = self.ident("dimension").text
+            old = self.ident("dimension")
             self.expect(",")
-            outer = self.decl_ident("outer name").text
+            outer = self.decl_ident("outer name")
             self.expect(",")
-            inner = self.decl_ident("inner name").text
+            inner = self.decl_ident("inner name")
             self.expect(",")
             factor = self.integer()
-            close()
-            return Directive("split", func, (old, outer, inner, factor), span)
-        if kind == "fuse":
-            a = self.ident("inner dimension").text
+            args = (old, outer, inner, factor)
+        elif kind == "fuse":
+            a = self.ident("inner dimension")
             self.expect(",")
-            b = self.ident("outer dimension").text
+            b = self.ident("outer dimension")
             self.expect(",")
-            fused = self.decl_ident("fused name").text
-            close()
-            return Directive("fuse", func, (a, b, fused), span)
-        if kind == "reorder":
-            dims = [self.ident("dimension").text]
+            args = (a, b, self.decl_ident("fused name"))
+        elif kind == "reorder":
+            dims = [self.ident("dimension")]
             while self.eat(","):
-                dims.append(self.ident("dimension").text)
-            close()
-            return Directive("reorder", func, tuple(dims), span)
-        if kind in ("parallel", "unroll"):
-            dim = self.ident("dimension").text
-            close()
-            return Directive(kind, func, (dim,), span)
-        if kind in ("compute_at", "store_at"):
-            consumer = self.ident("consumer func").text
+                dims.append(self.ident("dimension"))
+            args = tuple(dims)
+        elif kind in ("parallel", "unroll"):
+            args = (self.ident("dimension"),)
+        elif kind in ("compute_at", "store_at"):
+            consumer = self.ident("consumer func")
             self.expect(",")
-            dim = self.ident("dimension").text
-            close()
-            return Directive(kind, func, (consumer, dim), span)
-        raise ParseError(f"unknown directive {kind!r}", span)
+            args = (consumer, self.ident("dimension"))
+        else:
+            raise ParseError(f"unknown directive {kind!r}", span)
+        self.expect(")")
+        return Directive(kind, func, args, span)
 
 
 def parse_pipeline(text: str) -> Pipeline:

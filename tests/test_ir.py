@@ -31,7 +31,7 @@ from minisched.ir import (
     free_vars,
     substitute,
 )
-from minisched.parser import parse_pipeline
+from minisched.parser import _Parser, parse_pipeline
 
 
 def codes(err: ValidationError) -> set[str]:
@@ -376,3 +376,33 @@ def test_pipeline_requires_must_hold_at_default_scale():
     with pytest.raises(ValidationError) as exc:
         parse_pipeline(src).validated()
     assert "RequiresUnsatisfied" in codes(exc.value)
+
+
+BOUNDS = """
+pipeline bounds(inp) -> out {{
+  param n = {param};
+  param m = 8;
+  buffer inp(x in [0, {buf}));
+  func out(x in [0, m)) {{
+    out(x) = 0;
+    out(x) = out(x) + inp(r) over (r in [0, {red}));
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "param, buf, red",
+    [("8", "m", "inp(0)"), ("8", "m", "q"), ("8", "inp(1)", "m"), ("inp(2)", "m", "m")],
+    ids=["reduction-applies-input", "reduction-unknown-name", "buffer-applies-input", "param-applies-input"],
+)
+def test_a_bound_that_is_not_a_constant_is_a_typed_rejection(param, buf, red):
+    text = BOUNDS.format(param=param, buf=buf, red=red)
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(text)
+    assert [d.code for d in exc.value.diagnostics] == ["NonConcreteBound"]
+    # the same pipeline parsed without parse_pipeline's default-size check
+    with pytest.raises(ValidationError) as exc:
+        _Parser(text).pipeline().validated({"m": 4})
+    assert [d.code for d in exc.value.diagnostics] == ["NonConcreteBound"]
+    assert parse_pipeline(BOUNDS.format(param="8", buf="m", red="m")).validated({"m": 4})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minisched.ir import BinOp, ParseError, PipelineError, Var
+from minisched.ir import BinOp, ParseError, PipelineError, ValidationError, Var
 from minisched.parser import (
     parse_pipeline,
     parse_schedule,
@@ -175,3 +175,62 @@ def test_parser_is_total(text: str):
         parse_schedule(text)
     except PipelineError:
         pass
+
+
+# A small expression grammar over integers, the template's parameters, a
+# name that nothing declares, and a read of the input.
+exprs = st.recursive(
+    st.sampled_from(["0", "1", "3", "8", "n", "m", "q", "inp(0)"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(["+", "-", "*", "/", "%", "<", "<=", ">", "==", "!="]), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        st.tuples(sub, sub, sub).map(lambda t: f"select({t[0]}, {t[1]}, {t[2]})"),
+    ),
+    max_leaves=5,
+)
+
+TEMPLATE = """
+pipeline t(inp) -> out {{
+  param n = {param};
+  param m = 4;
+  buffer inp(x in [0, {buf}));
+  func out(x in [0, {func})) {{
+    out(x) = {rhs};
+    out(x) = out(x) + inp(r) over (r in [0, {red}));
+  }}
+}}
+"""
+
+
+@settings(max_examples=300, deadline=None)
+@given(param=exprs, buf=exprs, func=exprs, red=exprs, rhs=exprs)
+def test_filled_pipelines_validate_or_raise_a_diagnostic(param, buf, func, red, rhs):
+    """Well-formed pipelines whose bounds, parameter and body are drawn
+    expressions validate at both sizes or raise a typed error."""
+    text = TEMPLATE.format(param=param, buf=buf, func=func, red=red, rhs=rhs)
+    try:
+        parse_pipeline(text).validated({"m": 6})
+    except PipelineError:
+        pass
+
+
+def test_diagnostics_carry_the_spans_of_their_stage_and_annotation():
+    text = (
+        "pipeline p(inp) -> out {\n"
+        "  buffer inp(x in [0, 4));\n"
+        "  func out(x in [0, 4)) {\n"
+        "\tout(x) = inp(x);\n"
+        "    // a reduction may not take a guard\n"
+        "\t  out(x) = out(x) + inp(r) if x < 2 over (r in [0, 4));\n"
+        "  // a spec reads its func at the defined point only\n"
+        "\t\tout.ensures(out(0) > 0);\n"
+        "  }\n"
+        "}\n"
+    )
+    with pytest.raises(ValidationError) as info:
+        parse_pipeline(text)
+    assert [(d.code, str(d.span)) for d in info.value.diagnostics] == [
+        ("GuardNotUpdate", "6:4"),
+        ("SpecNotCanonical", "8:7"),
+    ]

@@ -87,3 +87,19 @@ def test_paper_sizes_checks_functional_mode():
     pattern = r"blur/(\w+)  check \d+\.\d{3} s  reference \d+\.\d{3} s  pass"
     assert [re.fullmatch(pattern, line)[1] for line in lines] == ["fused", "inline", "ref", "rows", "tail"]
     assert re.fullmatch(r"peak RSS \d+ MB", last)
+
+
+def test_compile_times_prints_a_row_per_layer_and_a_json_line(monkeypatch, capsys):
+    compile_times = tool("compile_times")
+    monkeypatch.setattr(compile_times, "REPS", 1)
+    ms = compile_times.measure()
+    head, columns, *rows, last = capsys.readouterr().out.splitlines()
+    assert head == "min of 1 repetitions, ms over 50 schedules at 2 size sets"
+    assert columns.split() == ["layer", "test", "verify", "total"]
+    layers = ["parse", "validate default", "validate sizes", "lower", "annotate user", "annotate memory", "encode", "front end"]
+    assert [row.rsplit(maxsplit=3)[0] for row in rows] == layers
+    summary = json.loads(last)
+    assert summary["reps"] == 1 and summary["schedules"] == 50 and list(summary["ms"]) == layers
+    assert all(ms[layer]["total"] > 0 for layer in layers)
+    front = ms["front end"]["total"]
+    assert abs(front - sum(ms[layer]["total"] for layer in layers[:3])) < 1e-6
