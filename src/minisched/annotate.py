@@ -223,7 +223,6 @@ class _Annotator:
         self.include_user = include_user
         self.node: dict[int, AnnSet] = {}
         self.allocs: dict[str, FlatAlloc] = lp.allocs
-        self.passed_r: dict[tuple[str, int], list[str]] = {}
         self.box: dict[str, tuple[Expr, Expr]] = {}  # enclosing loops, outermost first
 
     def run(self) -> AnnotatedPipeline:
@@ -568,12 +567,8 @@ class _Annotator:
                     # an inner reduction variable's loop; not this invariant's
                     return [], [], [a]
                 return None
-            body = a.body
-            for rprev in self.passed_r.setdefault((func, si), []):
-                body = substitute(body, {rprev: self._rdom_range((func, si), rprev)[0]})
-            self.passed_r[(func, si)].append(v)
-            self.at(loop).invariants.append(replace(a, body=body))
-            return [], [], [Ann("invariant", a.quants, body, origin=("pendI", func, si, v))]
+            self.at(loop).invariants.append(a)
+            return [], [], [Ann("invariant", a.quants, a.body, origin=("pendI", func, si, v))]
 
         # a pending invariant climbing out of its reduction loop
         if loop.owner != (func, si):

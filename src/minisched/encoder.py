@@ -1,11 +1,22 @@
 """Pure-function encoding of the algorithm half of a pipeline.
 
-Each definition stage becomes a pure function: initial definitions
-directly, updates as a point-match conditional over the previous stage,
-reductions as recursion counting completed steps, so a contract at count
-``r`` speaks about the state after ``r`` iterations.  Input buffers turn
-into abstract functions, concrete bounds into nullary functions, and the
-pipeline contract into a lemma.
+One template builds every definition stage.  A step reads the state
+before it: for a pure or update stage, the previous stage's function at
+the same point (a pure stage never reads it); for a reduction, its own
+function one iteration of the innermost variable back.  The step is the
+right-hand side with every self-application read as that state.  The
+coordinates the left-hand side pins and an update's ``if`` guard form one
+condition, and where it fails the state passes through unchanged.  An
+update is a reduction over no variables.
+
+A reduction over ``r1, ..., rn`` (``r1`` innermost, any ``n``) becomes one
+declaration per variable, counting completed iterations, so a contract at
+count ``r_k`` speaks about the state after the sweeps of ``r_k`` before
+it.  Declaration ``k`` starts from the previous stage or from the end of
+the last completed sweep, which it reads from the innermost declaration;
+only the innermost one recurses.  Input buffers turn into abstract
+functions, concrete bounds into nullary functions, and the pipeline
+contract into a lemma.
 
 The front-end check tabulates the encoding: each declaration becomes one
 (lanes, points) table over its domain grid, built on its first call, a
@@ -121,6 +132,13 @@ def _pins(f: Func, s: Stage) -> list[Expr]:
     return [eq(Var(d), arg) for d, arg in zip(f.dim_names(), s.lhs_args) if arg != Var(d)]
 
 
+def _pinned(f: Func, s: Stage, body: Expr) -> Expr:
+    """``body``, binding only where the parameters match the pinned point."""
+    for m in reversed(_pins(f, s)):
+        body = BinOp("==>", m, body)
+    return body
+
+
 class _Encoder:
     def __init__(self, p: Pipeline):
         self.p = p
@@ -167,14 +185,7 @@ class _Encoder:
     # -- stages ------------------------------------------------------------
 
     def func_decls(self, f: Func) -> list[PureFunctionDecl]:
-        decls: list[PureFunctionDecl] = []
-        for s in f.stages:
-            if s.kind == "reduction":
-                decls.extend(self.reduction_decls(f, s))
-            elif s.kind == "update":
-                decls.append(self.update_decl(f, s))
-            else:
-                decls.append(self.pure_decl(f, s))
+        decls = [d for s in f.stages for d in self.stage_decls(f, s)]
         if _needs_entry(f):
             decls.append(self.entry_decl(f))
         return decls
@@ -188,19 +199,12 @@ class _Encoder:
             return FuncAccess(_stage_name(f, index) + outer, args + (hi,))
         return FuncAccess(_stage_name(f, index), args)
 
-    def encoded_post(self, f: Func, s: Stage) -> tuple[Expr, ...]:
-        """Stage postconditions with the defined point read as ``\\result``.
-
-        An update pins some coordinates, so its postcondition only binds
-        where the parameters match the pinned point.
-        """
-        out = []
-        for c in s.ensures:
-            body = _as_result(c.expr, FuncAccess(f.name, s.lhs_args))
-            for m in reversed(_pins(f, s)):
-                body = BinOp("==>", m, body)
-            out.append(body)
-        return tuple(out)
+    def encoded_post(self, f: Func, s: Stage, conds) -> tuple[Expr, ...]:
+        """``conds`` with the defined point read as ``\\result``, binding
+        only where the parameters match the coordinates ``s`` pins."""
+        return tuple(
+            _pinned(f, s, _as_result(c.expr, FuncAccess(f.name, s.lhs_args))) for c in conds
+        )
 
     def dim_params(self, f) -> tuple[tuple[str, str], ...]:
         return tuple((d, "int") for d in f.dim_names())
@@ -208,45 +212,10 @@ class _Encoder:
     def dim_domains(self, f) -> tuple[tuple[str, int, int], ...]:
         return tuple((d, iv.lo_int, iv.hi_int - 1) for d, iv in f.dims)
 
-    def pure_decl(self, f: Func, s: Stage) -> PureFunctionDecl:
-        return PureFunctionDecl(
-            name=_stage_name(f, s.index),
-            params=self.dim_params(f),
-            ensures=self.encoded_post(f, s),
-            body=s.rhs,
-            domains=self.dim_domains(f),
-        )
-
-    def update_decl(self, f: Func, s: Stage) -> PureFunctionDecl:
-        prev = _stage_name(f, s.index - 1)
-
-        def to_prev(e: Expr) -> Expr | None:
-            if isinstance(e, FuncAccess) and e.func == f.name:
-                return FuncAccess(prev, e.args)
-            return None
-
-        point = tuple(Var(d) for d in f.dim_names())
-        taken = rewrite(s.rhs, to_prev)
-        conds = _pins(f, s)
-        if s.guard is not None:
-            conds.append(s.guard)
-        body = Select(and_(*conds), taken, FuncAccess(prev, point)) if conds else taken
-        return PureFunctionDecl(
-            name=_stage_name(f, s.index),
-            params=self.dim_params(f),
-            ensures=self.encoded_post(f, s),
-            body=body,
-            domains=self.dim_domains(f),
-        )
-
-    def reduction_decls(self, f: Func, s: Stage) -> list[PureFunctionDecl]:
-        rvars = s.rdom.names()
-        if len(rvars) > 2:
-            raise EncodeError(
-                "UnsupportedReductionArity",
-                f"{f.name} stage {s.index} reduces over {len(rvars)} variables;"
-                " the recursion template covers at most two",
-            )
+    def stage_decls(self, f: Func, s: Stage) -> list[PureFunctionDecl]:
+        """The declarations of stage ``s``: one for a pure or update stage,
+        one per reduction variable for a reduction."""
+        rvars = s.rdom.names() if s.rdom else ()
         for rv in rvars:
             if s.invariant_for(rv) is None:
                 raise EncodeError(
@@ -254,93 +223,69 @@ class _Encoder:
                     f"reduction variable {rv!r} of {f.name} stage {s.index}"
                     " has no invariant",
                 )
-
-        prefix = _stage_name(f, s.index)
+        name = _stage_name(f, s.index)
         point = tuple(Var(d) for d in f.dim_names())
-        prev = self.stage_value(f, s.index - 1, point)
+        params, domains = self.dim_params(f), self.dim_domains(f)
+        back: dict[str, Expr] = {}
+        if rvars:
+            r1 = rvars[0]
+            back = {r1: Var(r1) - 1}
+            tail = (Var(r1) - 1,) + tuple(Var(r) for r in rvars[1:])
 
-        def inv_post(rv: str) -> Expr:
-            return _as_result(s.invariant_for(rv).expr, FuncAccess(f.name, s.lhs_args))
+        def before(args: tuple[Expr, ...]) -> Expr:
+            """The state before the step, at ``args``."""
+            if rvars:
+                return FuncAccess(name + r1, args + tail)
+            return self.stage_value(f, s.index - 1, args)
 
-        r1 = rvars[0]
-        iv1 = s.rdom.interval(r1)
+        def self_call(e: Expr) -> Expr | None:
+            return before(e.args) if isinstance(e, FuncAccess) and e.func == f.name else None
 
-        def self_step(e: Expr, params: tuple[Expr, ...]) -> Expr:
-            """The stage body one iteration back: the recursion variable is
-            rewound and the function's own value becomes the previous call."""
-            back = substitute(e, {r1: Var(r1) - 1})
+        step = rewrite(substitute(s.rhs, back), self_call)
+        conds = _pins(f, s) + ([s.guard] if s.guard is not None else [])
+        if conds:
+            step = Select(substitute(and_(*conds), back), step, before(point))
+        if not rvars:
+            ensures = self.encoded_post(f, s, s.ensures)
+            return [PureFunctionDecl(name, params, ensures=ensures, body=step, domains=domains)]
 
-            def to_call(n: Expr) -> Expr | None:
-                if isinstance(n, FuncAccess) and n.func == f.name:
-                    return FuncAccess(prefix + r1, n.args + params)
-                return None
-
-            return rewrite(back, to_call)
-
-        tail = (Var(r1) - 1,) + tuple(Var(r) for r in rvars[1:])
-        step = self_step(s.rhs, tail)
-        if s.guard is not None:
-            step = Select(
-                substitute(s.guard, {r1: Var(r1) - 1}),
-                step,
-                FuncAccess(prefix + r1, point + tail),
+        n = len(rvars)
+        los = [iv.lo_int for _, iv in s.rdom.vars]
+        his = [iv.hi_int for _, iv in s.rdom.vars]
+        # the state after a whole number of sweeps of r_k: none have run, or
+        # the last one ran every variable inside r_k to completion
+        swept = self.stage_value(f, s.index - 1, point)
+        bodies = [step] * n
+        for k in reversed(range(1, n)):
+            done = (Const(his[0]),) + tuple(Const(hi - 1) for hi in his[1:k])
+            call = FuncAccess(name + r1, point + done + (Var(rvars[k]) - 1,) + tail[k + 1 :])
+            swept = bodies[k] = Select(eq(Var(rvars[k]), los[k]), swept, call)
+        bodies[0] = Select(eq(Var(r1), los[0]), swept, step)
+        return [
+            PureFunctionDecl(
+                name=name + rk,
+                params=params + tuple((r, "int") for r in rvars[k:]),
+                requires=(BinOp("&&", le(los[k], Var(rk)), le(Var(rk), his[k])),)
+                + tuple(
+                    BinOp("&&", le(los[j], Var(rvars[j])), lt(Var(rvars[j]), his[j]))
+                    for j in range(k + 1, n)
+                ),
+                ensures=self.encoded_post(f, s, (s.invariant_for(rk),)),
+                decreases=rvars[k:][::-1],
+                body=bodies[k],
+                domains=domains
+                + ((rk, los[k], his[k]),)
+                + tuple((rvars[j], los[j], his[j] - 1) for j in range(k + 1, n)),
             )
-        if len(rvars) == 1:
-            return [
-                PureFunctionDecl(
-                    name=prefix + r1,
-                    params=self.dim_params(f) + ((r1, "int"),),
-                    requires=(
-                        BinOp("&&", le(iv1.lo_int, Var(r1)), le(Var(r1), iv1.hi_int)),
-                    ),
-                    ensures=(inv_post(r1),),
-                    decreases=(r1,),
-                    body=Select(eq(Var(r1), iv1.lo_int), prev, step),
-                    domains=self.dim_domains(f) + ((r1, iv1.lo_int, iv1.hi_int),),
-                )
-            ]
-
-        r2 = rvars[1]
-        iv2 = s.rdom.interval(r2)
-        # state after a whole number of outer sweeps: either none have run,
-        # or the last one ran the inner recursion to completion
-        swept = Select(
-            eq(Var(r2), iv2.lo_int),
-            prev,
-            FuncAccess(prefix + r1, point + (Const(iv1.hi_int), Var(r2) - 1)),
-        )
-        inner = PureFunctionDecl(
-            name=prefix + r1,
-            params=self.dim_params(f) + ((r1, "int"), (r2, "int")),
-            requires=(
-                BinOp("&&", le(iv1.lo_int, Var(r1)), le(Var(r1), iv1.hi_int)),
-                BinOp("&&", le(iv2.lo_int, Var(r2)), lt(Var(r2), iv2.hi_int)),
-            ),
-            ensures=(inv_post(r1),),
-            decreases=(r2, r1),
-            body=Select(eq(Var(r1), iv1.lo_int), swept, step),
-            domains=self.dim_domains(f)
-            + ((r1, iv1.lo_int, iv1.hi_int), (r2, iv2.lo_int, iv2.hi_int - 1)),
-        )
-        outer = PureFunctionDecl(
-            name=prefix + r2,
-            params=self.dim_params(f) + ((r2, "int"),),
-            requires=(
-                BinOp("&&", le(iv2.lo_int, Var(r2)), le(Var(r2), iv2.hi_int)),
-            ),
-            ensures=(inv_post(r2),),
-            decreases=(r2,),
-            body=swept,
-            domains=self.dim_domains(f) + ((r2, iv2.lo_int, iv2.hi_int),),
-        )
-        return [inner, outer]
+            for k, rk in enumerate(rvars)
+        ]
 
     def entry_decl(self, f: Func) -> PureFunctionDecl:
         point = tuple(Var(d) for d in f.dim_names())
         return PureFunctionDecl(
             name=f.name,
             params=self.dim_params(f),
-            ensures=self.encoded_post(f, f.stages[-1]),
+            ensures=self.encoded_post(f, f.stages[-1], f.stages[-1].ensures),
             body=self.stage_value(f, len(f.stages) - 1, point),
             domains=self.dim_domains(f),
         )
@@ -364,9 +309,7 @@ class _Encoder:
                 f"{out.name} has no postcondition to derive the pipeline"
                 " contract from",
             )
-        body = and_(*(c.expr for c in last.ensures))
-        for m in reversed(_pins(out, last)):
-            body = BinOp("==>", m, body)
+        body = _pinned(out, last, and_(*(c.expr for c in last.ensures)))
         quants = tuple(
             Quantifier(d, BoundRef(out.name, d, "min"), BoundRef(out.name, d, "max"))
             for d in out.dim_names()

@@ -1014,6 +1014,8 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
             diags.append(Diagnostic("EmptyFunc", f"func {f.name!r} has no definition"))
             continue
         for s in f.stages:
+            if s.rdom is not None:
+                _check_dims(f"{f.name} stage {s.index}", s.rdom.vars, diags, s.span)
             _validate_stage(p, f, s, defined, diags)
         defined.add(f.name)
 
@@ -1051,17 +1053,18 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
     return diags
 
 
-def _check_dims(owner: str, dims: tuple[tuple[str, Interval], ...], diags: list[Diagnostic]) -> None:
+def _check_dims(owner: str, dims: tuple[tuple[str, Interval], ...], diags: list[Diagnostic], span: Span = NO_SPAN) -> None:
+    """The one domain rule, for buffer, func and reduction domains alike."""
     seen = set()
     for n, iv in dims:
         if n in seen:
-            diags.append(Diagnostic("DuplicateDim", f"{owner}: dimension {n!r} repeated"))
+            diags.append(Diagnostic("DuplicateDim", f"{owner}: dimension {n!r} repeated", span))
         seen.add(n)
         lo, hi = iv.lo.value, iv.hi.value
         if hi - lo <= 0:
-            diags.append(Diagnostic("EmptyInterval", f"{owner}.{n}: extent must be positive"))
+            diags.append(Diagnostic("EmptyInterval", f"{owner}.{n}: extent must be positive", span))
         elif hi - lo > 1 << 20 or abs(lo) > 1 << 20:
-            diags.append(Diagnostic("BoundTooLarge", f"{owner}.{n}: bounds exceed the 2^20 limit that keeps index arithmetic overflow-free"))
+            diags.append(Diagnostic("BoundTooLarge", f"{owner}.{n}: bounds exceed the 2^20 limit that keeps index arithmetic overflow-free", span))
 
 
 def _resolve_bound_refs(p: Pipeline, e: Expr) -> Expr:

@@ -1,7 +1,7 @@
 """Pure-function encoding: golden output, recursion shape, front-end check.
 
-The two golden files were frozen from a reviewed run and pin the rendering
-byte for byte.  Structural assertions are whitespace-insensitive so they
+The golden files were frozen from reviewed runs and pin the rendering byte
+for byte.  Structural assertions are whitespace-insensitive so they
 express the shape (base case, contract, entry wiring) rather than the
 formatter.
 """
@@ -163,26 +163,6 @@ def test_bound_functions_carry_concrete_bounds():
     assert prog.decl("sig_x_min").body == Const(0)
     assert prog.decl("sig_x_max").body == Const(10)
     assert prog.decl("w_k_max").body == Const(3)
-
-
-def test_three_variable_reduction_is_rejected():
-    src = """
-    pipeline deep(inp) -> acc {
-      buffer inp(x in [0, 4));
-      func acc(x in [0, 4)) {
-        acc(x) = 0;
-        acc(x) = acc(x) + inp(x) over (r1 in [0, 2), r2 in [0, 2), r3 in [0, 2));
-        acc.invariant(r1, acc(x) <= 100);
-        acc.invariant(r2, acc(x) <= 100);
-        acc.invariant(r3, acc(x) <= 100);
-        acc.ensures(acc(x) <= 100);
-      }
-    }
-    """
-    p = parse_pipeline(src).resolve().validated()
-    with pytest.raises(EncodeError) as exc:
-        encode(p)
-    assert exc.value.code == "UnsupportedReductionArity"
 
 
 def test_missing_reduction_invariant_is_an_error():
@@ -477,3 +457,152 @@ def test_ensures_fault_after_the_first_failing_point_is_reported():
         ("out_of_bounds", "encoded program reads inp at x=8, outside [0, 8)"),
         ("contract_violation", "postcondition of out fails at (2,)"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# One template for every stage: any arity, pinned coordinates, and an update
+# after a reduction
+
+# counts the steps of a three-variable reduction at the point P: the
+# invariant at each variable's boundary counts the sweeps completed so far
+DEEP = """
+pipeline deep(inp) -> acc {
+  buffer inp(x in [0, 4));
+  func acc(x in [0, 4)) {
+    acc(x) = inp(x);
+    acc(P) = acc(P) + 1 over (r1 in [0, 2), r2 in [1, 4), r3 in [0, 3));
+    acc.invariant(r1, acc(P) == inp(P) + r3 * 6 + (r2 - 1) * 2 + r1);
+    acc.invariant(r2, acc(P) == inp(P) + r3 * 6 + (r2 - 1) * 2);
+    acc.invariant(r3, acc(P) == inp(P) + r3 * 6);
+    acc.ensures(acc(P) == inp(P) + 18);
+  }
+}
+"""
+
+PINNED = """
+pipeline pin(inp) -> h {
+  buffer inp(x in [0, 4));
+  func h(x in [0, 4)) {
+    h(x) = inp(x);
+    h(0) = h(0) + inp(r) over (r in [0, 4));
+    h.invariant(r, -100 * (r + 1) <= h(0) <= 100 * (r + 1));
+    h.ensures(-500 <= h(0) <= 500);
+  }
+}
+"""
+
+AFTER = """
+pipeline after(inp) -> h {
+  buffer inp(x in [0, 4));
+  func h(x in [0, 4)) {
+    h(x) = 0;
+    h(x) = h(x) + inp(r) over (r in [0, 4));
+    h.invariant(r, -100 * r <= h(x) <= 100 * r);
+    h(0) = h(0) * 2;
+    h.ensures(-800 <= h(0) <= 800);
+  }
+}
+"""
+
+SHAPES = {
+    "three-variables": DEEP.replace("P", "x"),
+    "three-variables-pinned": DEEP.replace("P", "1"),
+    "pinned": PINNED,
+    "update-after-reduction": AFTER,
+}
+
+
+def frontend_findings(src: str) -> list[str]:
+    p = parse_pipeline(src).resolve().validated()
+    return [f.message for f in check_frontend(encode(p), p, C.make_inputs(p, SEEDS)).findings]
+
+
+def test_three_variable_reduction_checks_clean():
+    assert frontend_findings(SHAPES["three-variables"]) == []
+
+
+def test_three_variable_reduction_catches_a_wrong_middle_invariant():
+    src = SHAPES["three-variables"].replace("(r2 - 1) * 2);", "(r2 - 1) * 3);")
+    assert frontend_findings(src) == ["postcondition of acc1r2 fails at (0, 2, 0)"]
+
+
+def test_pinned_reduction_steps_the_pinned_point_only():
+    assert frontend_findings(PINNED) == []
+    text = squash(encode(parse_pipeline(PINNED).resolve().validated()).render())
+    assert "ensuresx==0==>-100*(r+1)<=\\result" in text
+    assert "x==0?h1r(0,r-1)+inp(r-1):h1r(x,r-1)" in text
+
+
+def test_update_after_a_reduction_reads_its_last_sweep():
+    assert frontend_findings(AFTER) == []
+    prog = encode(parse_pipeline(AFTER).resolve().validated())
+    assert FuncAccess("h1r", (Const(0), Const(4))) in set(walk(prog.decl("h2").body))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_new_shapes_check_clean_in_the_back_end(shape):
+    p = parse_pipeline(SHAPES[shape]).resolve().validated()
+    assert C.check_lowered(p, [], SEEDS).passed
+    for include_user in (True, False):
+        r = C.check_schedule(p, [], SEEDS, include_user=include_user)
+        assert r.passed, [f.message for f in r.findings]
+
+
+@pytest.mark.parametrize("src", [source(a) for a in ALGOS] + list(SHAPES.values()), ids=ALGOS + list(SHAPES))
+def test_every_called_function_is_declared(src):
+    prog = encode(parse_pipeline(src).resolve().validated())
+    declared = {d.name for d in prog.declarations}
+    for d in prog.declarations:
+        for n in walk(d.body) if d.body is not None else ():
+            if isinstance(n, FuncAccess):
+                assert n.func in declared, f"{d.name} calls the undeclared {n.func}"
+
+
+def test_three_variable_pinned_rendering_matches_golden():
+    p = parse_pipeline(SHAPES["three-variables-pinned"]).resolve().validated()
+    assert encode(p).render() == (GOLDEN / "deep_pinned.pvl").read_text()
+
+
+@st.composite
+def reductions(draw):
+    """A reduction over 1 to 3 variables, each with its own lower bound and
+    extent, at every point or at one pinned point, optionally followed by an
+    update of one point or of all of them."""
+    n = draw(st.integers(1, 3))
+    rvars = [f"r{k + 1}" for k in range(n)]
+    ranges = [(draw(st.integers(-2, 2)), draw(st.integers(1, 3))) for _ in rvars]
+    at = draw(st.sampled_from(["x", "0", "2"]))
+    update = draw(st.sampled_from([None, "x", "1"]))
+    domain = ", ".join(f"{r} in [{lo}, {lo + ext})" for r, (lo, ext) in zip(rvars, ranges))
+    w_dims = ", ".join(f"a{k} in [{lo}, {lo + ext})" for k, (lo, ext) in enumerate(ranges))
+    w_cell = ", ".join(f"a{k}" for k in range(n))
+    # halving what is there before adding makes the result depend on the
+    # order of the steps, and keeps it within [-300, 300]
+    lines = [
+        "h(x) = inp(x);",
+        f"h({at}) = h({at}) - h({at}) / 2 + w({', '.join(rvars)}) + {rvars[-1]}"
+        f" over ({domain});",
+    ]
+    lines += [f"h.invariant({r}, -300 <= h({at}) <= 300);" for r in rvars]
+    last = at
+    if update is not None:
+        lines.append(f"h({update}) = h({update}) * 2 + inp(1);")
+        last = update
+    lines.append(f"h.ensures(-800 <= h({last}) <= 800);")
+    return f"""
+    pipeline hyp(inp, w) -> h {{
+      buffer inp(x in [0, 3));
+      buffer w({w_dims});
+      func h(x in [0, 3)) {{
+        {chr(10).join(lines)}
+      }}
+    }}
+    """
+
+
+@settings(max_examples=100, deadline=None)
+@given(src=reductions(), seed=st.integers(0, 2**32 - 1))
+def test_any_reduction_encodes_faithfully(src, seed):
+    p = parse_pipeline(src).resolve().validated()
+    r = check_frontend(encode(p), p, C.make_inputs(p, [seed]))
+    assert r.passed, [f.message for f in r.findings]

@@ -406,3 +406,48 @@ def test_a_bound_that_is_not_a_constant_is_a_typed_rejection(param, buf, red):
         _Parser(text).pipeline().validated({"m": 4})
     assert [d.code for d in exc.value.diagnostics] == ["NonConcreteBound"]
     assert parse_pipeline(BOUNDS.format(param="8", buf="m", red="m")).validated({"m": 4})
+
+
+REDUCTION = """
+pipeline red(inp) -> out {{
+  buffer inp(x in [0, 4));
+  func out(x in [0, 4)) {{
+    out(x) = 0;
+    {stage}
+    {spec}
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "domain, code",
+    [("r in [0, 2), r in [0, 3)", "DuplicateDim"), ("r in [2, 0)", "EmptyInterval"), ("r in [0, 0)", "EmptyInterval")],
+    ids=["repeated", "reversed", "extent-0"],
+)
+def test_a_reduction_domain_follows_the_domain_rule(domain, code):
+    stage = f"out(x) = out(x) + inp(r) over ({domain});"
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(REDUCTION.format(stage=stage, spec=""))
+    assert [(d.code, str(d.span)) for d in exc.value.diagnostics] == [(code, "6:5")]
+
+
+@pytest.mark.parametrize(
+    "stage, spec, code, span",
+    [
+        ("out(x) = out(x) + inp(r) over (r in [0, 4));", "out.invariant(q, out(x) >= 0);", "UnknownRVar", "7:9"),
+        ("out(x) = out(x) + 1;", "out.invariant(r, out(x) >= 0);", "UnknownRVar", "6:5"),
+        (
+            "out(x) = out(x) + inp(rk + rt) over (rk in [0, 2), rt in [0, 2));",
+            "out.invariant(rt, out(x) <= rk);",
+            "InvariantVarOrder",
+            "7:9",
+        ),
+        ("out(x) = out(0) + inp(r) over (r in [0, 4));", "", "SelfReferenceNotCanonical", "6:5"),
+    ],
+    ids=["invariant-unknown-variable", "invariant-off-a-reduction", "invariant-names-inner", "self-reference-elsewhere"],
+)
+def test_reduction_diagnostics_carry_their_code_and_span(stage, spec, code, span):
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(REDUCTION.format(stage=stage, spec=spec))
+    assert [(d.code, str(d.span)) for d in exc.value.diagnostics] == [(code, span)]
