@@ -42,8 +42,10 @@ and everything beneath it, producer-consumer sequences included, and
 evaluates each statement once over all its points.  The points start as the
 head loop's iterations; an inner serial loop whose variable a store index
 names repeats them, one per iteration, and any other runs one iteration at
-a time.  An unrolled loop runs as a serial loop everywhere; the annotator
-gives it no invariants, so its boundaries check nothing.  Each point
+a time, unless its steps only add to the cell they write: then they run as
+one prefix sum (:class:`Scan`).  An unrolled loop runs as a serial loop
+everywhere; the annotator gives it no invariants, so its boundaries check
+nothing.  Each point
 carries its walk time, in statement slots from the block's start.  Every
 write is stamped with its walk time in one log, which the batch's reads and
 the observer's share.  The walk's detectors run on the batch's offset
@@ -80,11 +82,15 @@ from .ir import (
     INT32_MIN,
     BinOp,
     BufAccess,
+    Const,
     Expr,
     FuncAccess,
+    MaxOf,
     MemTarget,
+    MinOf,
     Pipeline,
     PipelineError,
+    Select,
     TableRead,
     compiled,
     domain_grid,
@@ -94,6 +100,7 @@ from .ir import (
     walk,
     wrap_int64,
     _CLOSED,
+    _reads_storage,
 )
 from .lowering import (
     Chain,
@@ -631,6 +638,74 @@ _BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
+class Scan:
+    """Step loops that run as one prefix sum: ``chain``, the loops and
+    guards from the outermost, over ``stmt``, whose value is ``cell`` plus
+    ``inc``.  ``bounds``: the least and greatest ``d`` of the sums ``cell +
+    d`` the walk checks, where one is not the value stored (an untaken
+    branch); else None."""
+
+    chain: tuple
+    stmt: StoreStmt
+    cell: TableRead
+    inc: Expr
+    bounds: tuple[Expr, Expr] | None
+
+
+def _increment(e: Expr, cell: TableRead) -> tuple[Expr, Expr | None, Expr | None] | None:
+    """``e`` as ``cell`` plus an increment: the increment, and the least and
+    greatest ``d`` of the sums ``cell + d`` it evaluates (None for none);
+    None when ``e`` is not of a scan's shape."""
+
+    def reads(x: Expr) -> bool:
+        return any(isinstance(t, TableRead) and t.target == cell.target for t in walk(x))
+
+    if e == cell:
+        return Const(0), None, None
+    if isinstance(e, BinOp) and e.op == "+" and cell in (e.left, e.right):
+        d = e.right if e.left == cell else e.left
+        return None if reads(d) else (d, d, d)
+    if not isinstance(e, Select) or reads(e.cond):
+        return None
+    parts = [_increment(x, cell) for x in (e.if_true, e.if_false)]
+    if None in parts:
+        return None
+    (t, tlo, thi), (f, flo, fhi) = parts
+    if not _reads_storage(e.cond):
+        # a branch is evaluated only where it is taken, as the increment is
+        return Select(e.cond, t, f), Select(e.cond, tlo or t, flo or f), Select(e.cond, thi or t, fhi or f)
+    # both branches are evaluated at every point
+    lo = MinOf(tlo, flo) if tlo and flo else tlo or flo
+    hi = MaxOf(thi, fhi) if thi and fhi else thi or fhi
+    return Select(e.cond, t, f), lo, hi
+
+
+def _scan_of(loop: Loop) -> Scan | None:
+    """The scan ``loop`` heads, if its nest has the shape of one."""
+    chain, n, names = [], loop, set()
+    while not isinstance(n, StoreStmt):
+        if not isinstance(n, (Loop, If)) or len(n.body) != 1:
+            return None
+        if isinstance(n, Loop):
+            if n.dim.kind == "parallel" or free_vars(n.dim.lo) & names:
+                return None
+            names.add(n.dim.var)
+        elif free_vars(n.cond) & names:
+            return None
+        chain.append(n)
+        n = n.body[0]
+    if free_vars(n.index) & names:
+        return None
+    cell = TableRead(n.target, n.index)
+    terms = _increment(n.value, cell)
+    if terms is None:
+        return None
+    inc, lo, hi = terms
+    bounds = None if lo in (None, inc) and hi in (None, inc) else (lo or inc, hi or inc)
+    return Scan(tuple(chain), n, cell, inc, bounds)
+
+
+@dataclass(frozen=True)
 class BatchPlan:
     """A loop nest that runs as batches of whole iterations of its head.  One
     head iteration runs the head's body: store statements under ``If``
@@ -639,18 +714,24 @@ class BatchPlan:
     loop variables only, and every store index affine in them.  A serial
     loop there is *expanded* (``expanded``, by ``id``) when a store index
     beneath it mentions its variable: its iterations run side by side, as
-    more points.  Any other is a *step loop*, run one iteration at a time,
-    and ``stepped`` tells whether there is one.  ``written`` names the entities
-    the nest's statements write.  ``spans`` gives the statement slots of
-    one execution of each node beneath the head, by ``id``, and ``slots``
-    those of one head iteration; a serial loop takes its extent times the
-    slots of its body."""
+    more points.  Any other is a *step loop* (``stepped``, by ``id``), run
+    one iteration at a time unless it *scans* (``scans``, by the ``id`` of
+    its outermost loop): below guards and step loops that name none of its
+    variables, each the only node of the one before, one store statement
+    adds to its own cell ``c`` an increment that does not read the
+    statement's entity, as ``c + d``, ``d + c`` or a ``select`` of such
+    forms and ``c`` whose condition does not read it; the shape alone
+    decides.  ``written`` names the entities the nest's statements write.
+    ``spans`` gives the statement slots of one execution of each node
+    beneath the head, by ``id``, and ``slots`` those of one head iteration;
+    a serial loop takes its extent times the slots of its body."""
 
-    stepped: bool
+    stepped: frozenset[int]
     expanded: frozenset[int]
     written: frozenset[str]
     spans: dict[int, int]
     slots: int
+    scans: dict[int, Scan]
 
 
 def batch_plan(loop: Loop) -> BatchPlan | None:
@@ -695,9 +776,15 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
     if loop.dim.kind != "parallel" and all(loop.dim.var not in free_vars(s.index) for _, s in entries):
         return None
     expanded = frozenset(id(x) for path, s in entries for x in path if x.dim.var in free_vars(s.index))
-    serial = {id(x) for path, _ in entries for x in path}
+    stepped = frozenset(id(x) for path, _ in entries for x in path) - expanded
     written = frozenset(s.target.name for _, s in entries)
-    return BatchPlan(bool(serial - expanded), expanded, written, spans, slots)
+    scans: dict[int, Scan] = {}
+    for path, _ in entries:
+        # the outermost step loop above the statement that scans, if any
+        scan = next((s for x in path if id(x) in stepped and (s := _scan_of(x)) is not None), None)
+        if scan is not None:
+            scans[id(scan.chain[0])] = scan
+    return BatchPlan(stepped, expanded, written, spans, slots, scans)
 
 
 def batch_heads(root) -> dict[int, BatchPlan]:
@@ -805,9 +892,16 @@ class _Batch:
     and an expanded loop repeats the points, one per iteration, its
     variable a vector over them.  ``If`` narrows the points; ``Produce`` and
     ``Consume`` push and pop the grants as the walk does.  A step loop runs
-    one iteration at a time.  Every point carries its walk time
-    (``_WHEN``), the statement slots before it in the block: ``j·T + t``
-    for slot ``t`` of head iteration ``j``, ``T = plan.slots``.
+    one iteration at a time, unless it scans (:meth:`_scan`).  Every point
+    carries its walk time (``_WHEN``), the statement slots before it in the
+    block: ``j·T + t`` for slot ``t`` of head iteration ``j``, ``T =
+    plan.slots``.
+
+    A scan reads its cell once, at its first step, as the walk's later
+    reads see the step before, and checks every partial sum against the
+    32-bit range.  That adds no report the walk would not make: each sum is
+    the value the walk stores at its step and checks, and every value
+    already in storage was checked when stored.
 
     Private storage is one cell of all its executions' allocations side
     by side, poisoned and uninitialised as the walk's fresh instance, and
@@ -870,12 +964,8 @@ class _Batch:
         if isinstance(n, StoreStmt):
             self._store(n, envk)
         elif isinstance(n, If):
-            # guards narrow the vectors together first: masked points read
-            # nothing
-            keep = compiled(n.cond)(envk, self) != 0
-            if np.ndim(keep):
-                self._walk(n.body, narrow(envk, keep))
-            elif keep:
+            envk = self._guarded(n.cond, envk)
+            if envk is not None:
                 self._walk(n.body, envk)
         elif isinstance(n, (Produce, Consume)):
             grants = runner.grants.setdefault(n.func, [])
@@ -902,34 +992,83 @@ class _Batch:
         else:
             self._serial(n, envk)
 
+    def _guarded(self, cond: Expr, envk: dict) -> dict | None:
+        """The points of ``envk`` where the guard ``cond`` holds, None for
+        none.  Guards narrow the vectors together first: masked points read
+        nothing."""
+        keep = compiled(cond)(envk, self) != 0
+        if np.ndim(keep):
+            return narrow(envk, keep)
+        return envk if keep else None
+
     def _serial(self, loop: Loop, envk: dict):
-        """A serial loop: expanded, all iterations at once, or step by
-        step; with an event at each boundary, the one-past-the-end one
+        """A serial loop: a scan, expanded, all iterations at once, or step
+        by step; with an event at each boundary, the one-past-the-end one
         after its last iteration's writes."""
-        var, extent = loop.dim.var, loop.dim.extent
+        scan = self.plan.scans.get(id(loop))
+        if scan is not None:
+            self._scan(scan, envk)
+            return
+        self._boundaries(loop, envk)
+        if id(loop) in self.plan.expanded:
+            self._walk(loop.body, self._spread(loop, envk, loop.dim.extent))
+            return
         start = compiled(loop.dim.lo)(envk, _CLOSED)
         span = sum(self.plan.spans[id(c)] for c in loop.body)
-        n = len(envk[_WHEN])
+        for j in range(loop.dim.extent):
+            self._walk(loop.body, envk | {loop.dim.var: start + j, _WHEN: envk[_WHEN] + j * span})
 
-        def spread(k: int) -> dict:
-            # the points repeated k times, the loop at j = 0 .. k - 1
-            j = np.tile(np.arange(k, dtype=np.int64), n)
-            out = {key: np.repeat(v, k, axis=-1) if np.ndim(v) else v for key, v in envk.items()}
-            out[var] = (np.repeat(start, k) if np.ndim(start) else start) + j
-            out[_WHEN] = out[_WHEN] + j * span
-            return out
+    def _spread(self, loop: Loop, envk: dict, k: int) -> dict:
+        """The points of ``envk`` repeated ``k`` times each, ``loop``'s
+        variable at iterations 0 .. k - 1 in turn, each at its time."""
+        start = compiled(loop.dim.lo)(envk, _CLOSED)
+        span = sum(self.plan.spans[id(c)] for c in loop.body)
+        j = np.tile(np.arange(k, dtype=np.int64), len(envk[_WHEN]))
+        out = {key: np.repeat(v, k, axis=-1) if np.ndim(v) else v for key, v in envk.items()}
+        out[loop.dim.var] = (np.repeat(start, k) if np.ndim(start) else start) + j
+        out[_WHEN] = out[_WHEN] + j * span
+        return out
 
+    def _boundaries(self, loop: Loop, envk: dict):
+        """Note every boundary of ``loop``'s executions at the points of
+        ``envk``, execution by execution, each numbered in order."""
         if self._observed(loop, "invariants"):
-            # every boundary, execution by execution, each numbered in order
-            events = spread(extent + 1)
+            n, extent = len(envk[_WHEN]), loop.dim.extent
+            events = self._spread(loop, envk, extent + 1)
             events[_EXEC] = np.repeat(np.arange(self.execs, self.execs + n), extent + 1)
             self.execs += n
             self.marks.append((loop, events))
-        if id(loop) not in self.plan.expanded:
-            for j in range(extent):
-                self._walk(loop.body, envk | {var: start + j, _WHEN: envk[_WHEN] + j * span})
-        elif extent:
-            self._walk(loop.body, spread(extent))
+
+    def _scan(self, scan: Scan, envk: dict):
+        """Every step of ``scan`` at once, as points: each execution's
+        value before it plus the prefix sum of the increments, exact in
+        int64, each logged at its step's time."""
+        for node in scan.chain:
+            if isinstance(node, If):
+                envk = self._guarded(node.cond, envk)
+            else:
+                self._boundaries(node, envk)
+                envk = self._spread(node, envk, node.dim.extent)
+            if envk is None or not len(envk[_WHEN]):
+                return
+        steps = math.prod(x.dim.extent for x in scan.chain if isinstance(x, Loop))
+        first = {key: v[..., ::steps] if np.ndim(v) else v for key, v in envk.items()}
+        # (lanes, executions, steps)
+        lanes, points = self.runner.lanes, len(envk[_WHEN])
+        shape = (lanes, points // steps, steps)
+
+        def grid(e: Expr, checked=False) -> np.ndarray:
+            return np.broadcast_to(compiled(e, checked)(envk, self), (lanes, points)).reshape(shape)
+
+        inc = grid(scan.inc, True)
+        vals = compiled(scan.cell)(first, self)[..., None] + np.cumsum(inc, axis=-1)
+        if scan.bounds is None:
+            self.check(vals)
+        else:  # the sums of untaken branches too
+            lo, hi = (grid(b) + vals - inc for b in scan.bounds)
+            self.check(np.minimum(lo, vals))
+            self.check(np.maximum(hi, vals))
+        self._store(scan.stmt, envk, vals.reshape(lanes, points))
 
     def _observed(self, node, *slots: str) -> bool:
         """Whether the observer checks value annotations of ``node``."""
@@ -963,10 +1102,13 @@ class _Batch:
             log = self.log[cell.instance] = _Stamped(cell, self.clock)
         return log
 
-    def _store(self, stmt: StoreStmt, envk: dict):
+    def _store(self, stmt: StoreStmt, envk: dict, vals=None):
+        """Log ``stmt``'s write at the points of ``envk``, of ``vals`` if
+        given, checked, and otherwise of its value."""
         when = envk[_WHEN]
-        vals = compiled(stmt.value, checked=True)(envk, self)
-        self.check(vals)
+        if vals is None:
+            vals = compiled(stmt.value, checked=True)(envk, self)
+            self.check(vals)
         offsets = self._offsets(compiled(stmt.index)(envk, self), len(when))
         base = envk.get(_BASE + stmt.target.name, 0)
         cell = self.runner.access(stmt.target.name, offsets, write=True, base=base)

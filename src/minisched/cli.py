@@ -18,13 +18,14 @@ plain loop nest that the schedule lowers to, an unrolled loop's body once
 per step with its variable replaced by the step's value.  Each loop that
 the checker runs in batches is marked; everything beneath it,
 producer-consumer sequences and their private storage included, runs in
-those batches and is not marked.  There a serial loop, unrolled or not,
+those batches.  There a serial loop, unrolled or not,
 whose variable a store index mentions runs its iterations side by side,
 and any other, a step loop, one iteration at a time.  The mark shows
 ``depth N``, the batch's loop and the chain of side-by-side loops below it
 that are each the only node of their parent's body; a batch with step
 loops also shows ``steps M``, the statement slots of one execution of the
-body of that chain's innermost loop.
+body of that chain's innermost loop.  A step loop that runs all its steps at
+once, as one prefix sum, is marked ``scan``.
 
 ``minisched check <algo.hal> <file.sched> [--scale k=v ...] [--seeds N ...]
 [--no-user | --plain]`` checks the schedule on one input set per seed and
@@ -144,11 +145,12 @@ def main(argv=None) -> int:
     lp = lower(p, directives)
     if args.command == "nest":
         heads = batch_heads(lp.root)
+        scans = {id(x) for plan in heads.values() for scan in plan.scans.values() for x in scan.chain}
 
         def mark(loop) -> str:
             plan = heads.get(id(loop))
             if plan is None:
-                return ""
+                return "  # scan" if id(loop) in scans else ""
             chain = [loop]
             while len(chain[-1].body) == 1 and id(chain[-1].body[0]) in plan.expanded:
                 chain.append(chain[-1].body[0])

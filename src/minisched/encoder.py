@@ -14,9 +14,12 @@ declaration per variable, counting completed iterations, so a contract at
 count ``r_k`` speaks about the state after the sweeps of ``r_k`` before
 it.  Declaration ``k`` starts from the previous stage or from the end of
 the last completed sweep, which it reads from the innermost declaration;
-only the innermost one recurses.  Input buffers turn into abstract
-functions, concrete bounds into nullary functions, and the pipeline
-contract into a lemma.
+only the innermost one recurses.  A reduction that a later stage follows
+states its own postcondition on its outermost declaration, once that
+variable is done; a postcondition that names a reduction variable has no
+state to speak of and is rejected (``ReductionVariableInEnsures``).
+Input buffers turn into abstract functions, concrete bounds into nullary
+functions, and the pipeline contract into a lemma.
 
 The front-end check tabulates the encoding: each declaration becomes one
 (lanes, points) table over its domain grid, built on its first call, a
@@ -56,6 +59,7 @@ from .ir import (
     compiled,
     domain_grid,
     eq,
+    free_vars,
     le,
     lt,
     narrow,
@@ -223,6 +227,13 @@ class _Encoder:
                     f"reduction variable {rv!r} of {f.name} stage {s.index}"
                     " has no invariant",
                 )
+            if any(rv in free_vars(c.expr) for c in s.ensures):
+                # the postcondition speaks of the state after every sweep
+                raise EncodeError(
+                    "ReductionVariableInEnsures",
+                    f"a postcondition of {f.name} stage {s.index} names reduction"
+                    f" variable {rv!r}, which has no value once the stage is done",
+                )
         name = _stage_name(f, s.index)
         point = tuple(Var(d) for d in f.dim_names())
         params, domains = self.dim_params(f), self.dim_domains(f)
@@ -261,6 +272,11 @@ class _Encoder:
             call = FuncAccess(name + r1, point + done + (Var(rvars[k]) - 1,) + tail[k + 1 :])
             swept = bodies[k] = Select(eq(Var(rvars[k]), los[k]), swept, call)
         bodies[0] = Select(eq(Var(r1), los[0]), swept, step)
+        # the stage's own postcondition holds once the outermost variable is
+        # done; the entry declaration carries the last stage's
+        post = () if s.index == len(f.stages) - 1 else tuple(
+            BinOp("==>", eq(Var(rvars[-1]), his[-1]), e) for e in self.encoded_post(f, s, s.ensures)
+        )
         return [
             PureFunctionDecl(
                 name=name + rk,
@@ -270,7 +286,7 @@ class _Encoder:
                     BinOp("&&", le(los[j], Var(rvars[j])), lt(Var(rvars[j]), his[j]))
                     for j in range(k + 1, n)
                 ),
-                ensures=self.encoded_post(f, s, (s.invariant_for(rk),)),
+                ensures=self.encoded_post(f, s, (s.invariant_for(rk),)) + (post if k == n - 1 else ()),
                 decreases=rvars[k:][::-1],
                 body=bodies[k],
                 domains=domains

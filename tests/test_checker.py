@@ -649,6 +649,36 @@ pipeline guarded(inp) -> g {
 }
 
 
+# Reductions on both sides of the scan rule (``checker.Scan``): an update
+# that doubles its own cell keeps stepping, and a scatter's reduction loop
+# names the cell it writes, so its iterations run side by side.  The
+# scatter's invariant is guarded, as its one-past-the-end boundary would
+# read h(4).
+REDUCTIONS = {
+    "doubling": """
+pipeline doubling(inp) -> h {
+  buffer inp(x in [0, 6), y in [0, 4));
+  func h(x in [0, 6)) {
+    h(x) = 0;
+    h(x) = h(x) * 2 + inp(x, r) over (r in [0, 4));
+    h.invariant(r, -100000 <= h(x) <= 100000);
+  }
+}
+""",
+    "scatter": """
+pipeline scatter(inp) -> h {
+  buffer inp(x in [0, 4));
+  func h(x in [0, 4)) {
+    h(x) = inp(x);
+    h(r) = h(r) + 1 over (r in [0, 4));
+    h.invariant(r, r < 4 ==> -1000 <= h(r) <= 1000);
+    h.ensures(-1000 <= h(r) <= 1000);
+  }
+}
+""",
+}
+
+
 # the corpus, and the pipelines every mode rejects alike, whatever the chain
 FUZZED = {
     **{
@@ -657,6 +687,7 @@ FUZZED = {
     },
     **{f"two-shapes/{case}": parse_pipeline(src).validated() for case, (src, _) in TWO_SHAPES.items()},
     **{f"data-dependent/{case}": parse_pipeline(src).validated() for case, (src, _) in DATA_DEPENDENT.items()},
+    **{f"reduction/{case}": parse_pipeline(src).validated() for case, src in REDUCTIONS.items()},
 }
 DIRECTIVES = ("split", "fuse", "reorder", "parallel", "unroll", "compute_at", "store_at")
 
@@ -1674,6 +1705,86 @@ def test_reduction_nests_commit_as_step_batches(monkeypatch, algo, sched):
         assert_same_run(batched, walked)
         # the pure stage's nest and the reduction's
         assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (2, 0)
+
+
+def scanned(plan) -> set[int]:
+    """The loops of ``plan``'s scans, by ``id``."""
+    return {id(x) for scan in plan.scans.values() for x in scan.chain if isinstance(x, Loop)}
+
+
+@pytest.mark.parametrize("algo", ["matmul", "conv1d", "count"])
+def test_every_corpus_reduction_scans(algo):
+    # tail-split and unrolled schedules included; matmul's (rt, rk) nest
+    # scans as one
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
+    for sched in sorted(f.stem for f in (CORPUS / "schedules" / algo).glob("*.sched")):
+        (plan,) = stepped_heads(lower(p, schedule(algo, sched)))
+        assert plan.stepped <= scanned(plan), sched
+        assert all(len(scan.chain) >= (2 if algo == "matmul" else 1) for scan in plan.scans.values())
+
+
+def test_an_update_that_doubles_its_cell_keeps_stepping(monkeypatch):
+    p = FUZZED["reduction/doubling"]
+    (plan,) = stepped_heads(lower(p, []))
+    assert plan.stepped and not plan.scans
+    for run in mode_runs(p, []):
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (2, 0)
+
+
+def scan_runs(algo: str, sizes: dict, surgery, inputs):
+    """The three modes of ``algo`` lowered under no schedule after
+    ``surgery(lp)``, on ``inputs(p)``: plain, functional, memory safety."""
+    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
+
+    def run(mode):
+        lp = lower(p, [])
+        surgery(lp)
+        if mode is None:
+            return C.run_lowered(lp, inputs(p))
+        return C.check_annotations(lp, annotate(lp, include_user=mode), inputs(p))
+
+    return [lambda m=m: run(m) for m in (None, True, False)]
+
+
+def test_scan_partial_sums_past_32_bits_replay_in_every_mode(monkeypatch):
+    # with w = 1 and sig = 2^30 in lane 1, every increment fits in 32 bits
+    # and the second partial sum does not; lanes 0 and 2 stay in range
+    def inputs(p):
+        got = C.make_inputs(p, SEEDS)
+        got["w"][:] = 1
+        got["sig"][1] = 1 << 30
+        return got
+
+    for k, run in enumerate(scan_runs("conv1d", SMALL["conv1d"], lambda lp: None, inputs)):
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        assert batched.replayed_loops >= 1
+        over = [f for f in batched.findings if f.kind == "overflow"]
+        assert len(over) == 1 and over[0].lanes == (1,)
+        if k == 0:
+            assert [f.kind for f in batched.findings] == ["overflow"]
+
+
+def test_scan_checks_the_untaken_branch_the_walk_evaluates(monkeypatch):
+    # count's condition reads inp, so the walk evaluates count + 1 at every
+    # step, taken or not; from 2^31 - 1 it overflows although no input is
+    # positive and every stored value stays in range
+    def surgery(lp):
+        (init,) = [n for n in stores(lp.root, "count") if n.stage == 0]
+        init.value = Const(2**31 - 1)
+
+    def inputs(p):
+        got = C.make_inputs(p, SEEDS)
+        got["inp"][:] = -1
+        return got
+
+    for run in scan_runs("count", SMALL["count"], surgery, inputs):
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        assert batched.replayed_loops >= 1
+        assert [f for f in batched.findings if f.kind == "overflow"]
 
 
 def update_stmt(lp, func: str) -> StoreStmt:

@@ -142,6 +142,32 @@ def test_nest_shows_the_step_loops_of_a_batch(capsys):
     assert capsys.readouterr().out == (GOLDEN / "matmul_unroll_nest.txt").read_text()
 
 
+def test_nest_marks_each_step_loop_that_scans(capsys, tmp_path):
+    # count/tail's r loop adds to its own cell beneath the tail guard and
+    # scans; an update that doubles its own cell keeps stepping
+    argv = ["nest", str(ROOT / "corpus" / "count.hal"), str(ROOT / "corpus" / "schedules" / "count" / "tail.sched")]
+    assert cli.main(argv) == 0
+    marked = [line.strip() for line in capsys.readouterr().out.splitlines() if "#" in line]
+    assert marked == [
+        "for x.xo in [0, 3]:  # batch, depth 2",
+        "for x.xo in [0, 3]:  # batch, depth 2, steps 10",
+        "for r in [0, 9]:  # scan",
+    ]
+    algo = tmp_path / "doubling.hal"
+    algo.write_text(
+        "pipeline doubling(inp) -> h {\n"
+        "  buffer inp(x in [0, 4), y in [0, 3));\n"
+        "  func h(x in [0, 4)) { h(x) = 0; h(x) = h(x) * 2 + inp(x, r) over (r in [0, 3)); }\n"
+        "}\n"
+    )
+    sched = tmp_path / "root.sched"
+    sched.write_text("")
+    assert cli.main(["nest", str(algo), str(sched)]) == 0
+    out = capsys.readouterr().out
+    assert "  for x in [0, 3]:  # batch, depth 1, steps 3\n    for r in [0, 2]:\n" in out
+    assert "scan" not in out
+
+
 def test_nest_marks_one_batch_for_a_compute_at_nest(capsys):
     # blur_x computed in each row of blur_y's parallel loop: the whole nest,
     # producer and consumer, is one batch, with nothing marked beneath it

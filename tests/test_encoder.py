@@ -539,6 +539,43 @@ def test_update_after_a_reduction_reads_its_last_sweep():
     assert FuncAccess("h1r", (Const(0), Const(4))) in set(walk(prog.decl("h2").body))
 
 
+def test_a_reduction_followed_by_an_update_keeps_its_own_ensures():
+    # the reduction's postcondition sits on its outermost declaration, at
+    # the end of the sweep; the back end reports the false one too
+    reduction = "h.invariant(r, -100 * r <= h(x) <= 100 * r);"
+    wrong = AFTER.replace(reduction, reduction + "\n    h.ensures(h(x) == 12345);")
+    assert frontend_findings(wrong) == ["postcondition of h1r fails at (0, 4)"]
+    p = parse_pipeline(wrong).resolve().validated()
+    assert not C.check_schedule(p, [], SEEDS, include_user=True).passed
+    right = AFTER.replace(reduction, reduction + "\n    h.ensures(-400 <= h(x) <= 400);")
+    assert frontend_findings(right) == []
+    text = squash(encode(parse_pipeline(right).resolve().validated()).render())
+    assert "ensuresr==4==>-400<=\\result&&\\result<=400;decreasesr;pureinth1r(" in text
+
+
+SCATTER = """
+pipeline scatter(inp) -> h {
+  buffer inp(x in [0, 4));
+  func h(x in [0, 4)) {
+    h(x) = inp(x);
+    h(r) = h(r) + 1 over (r in [0, 4));
+    h.invariant(r, -1000 <= h(r) <= 1000);
+    h.ensures(-1000 <= h(r) <= 1000);
+  }
+}
+"""
+
+
+def test_an_ensures_that_names_a_reduction_variable_is_a_typed_error():
+    # once the stage is done r has no value: the entry declaration and the
+    # lemma would keep the pin x == r with r bound nowhere
+    p = parse_pipeline(SCATTER).resolve().validated()
+    with pytest.raises(EncodeError) as exc:
+        encode(p)
+    assert exc.value.code == "ReductionVariableInEnsures"
+    assert C.check_lowered(p, [], SEEDS).passed
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_new_shapes_check_clean_in_the_back_end(shape):
     p = parse_pipeline(SHAPES[shape]).resolve().validated()
