@@ -40,17 +40,17 @@ The runner executes a loop in batches (:func:`batch_plan`,
 :class:`_Batch`).  A batch covers a block of whole iterations of the loop
 and everything beneath it, producer-consumer sequences included, and
 evaluates each statement once over all its points.  The points start as the
-head loop's iterations; an inner serial loop whose variable a store index
-names repeats them, one per iteration, and any other runs one iteration at
-a time, unless its steps only add to the cell they write: then they run as
-one prefix sum (:class:`Scan`).  An unrolled loop runs as a serial loop
-everywhere; the annotator gives it no invariants, so its boundaries check
-nothing.  Each point
-carries its walk time, in statement slots from the block's start.  Every
-write is stamped with its walk time in one log, which the batch's reads and
-the observer's share.  The walk's detectors run on the batch's offset
-arrays, and the batch commits only if none reports and every read saw the
-write the walk gives it.  Otherwise it is dropped, with no state touched,
+head loop's iterations.  Every inner serial loop runs by one rule: side by
+side, repeating the points, one per iteration, when a store index names its
+variable or when its steps only add to the cell they write, where the store
+beneath takes prefix sums over the steps (:class:`Scan`); one iteration at
+a time otherwise.  An unrolled loop runs as a serial loop everywhere; the
+annotator gives it no invariants, so its boundaries check nothing.  Each
+point carries its walk time, in statement slots from the block's start.
+Every write is stamped with its walk time in one log, which the batch's
+reads and the observer's share.  The walk's detectors run on the batch's
+offset arrays, and the batch commits only if none reports and every read
+saw the write the walk gives it.  Otherwise it is dropped, with no state touched,
 and the rest of the loop is walked statement by statement, each inner loop
 trying its own batch, which reports the findings in the order, and with the
 messages, of a walk that never tried the batch.
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +134,21 @@ class Finding:
         if self.lanes is not None:
             out["lanes"] = list(self.lanes)
         return out
+
+
+def _record(findings: list[Finding], seen: dict, key, finding: Finding):
+    """Append ``finding`` unless its ``key`` is in ``seen``, the index of
+    the first finding under each key; under a seen key, add its lanes to
+    that finding, which keeps its message and its place."""
+    at = seen.get(key)
+    if at is None:
+        seen[key] = len(findings)
+        findings.append(finding)
+        return
+    first = findings[at]
+    if first.lanes is not None:
+        lanes = None if finding.lanes is None else tuple(sorted({*first.lanes, *finding.lanes}))
+        findings[at] = replace(first, lanes=lanes)
 
 
 @dataclass
@@ -363,7 +378,7 @@ class _Runner:
         self.lanes = next(iter(inputs.values())).shape[0] if inputs else 1
         self.mem: dict[str, _Cell] = {}
         self.findings: list[Finding] = []
-        self.seen: set = set()
+        self.seen: dict = {}  # per dedupe key, the index of its finding
         self.points = 0
         self.batched_loops = 0
         self.replayed_loops = 0
@@ -399,15 +414,13 @@ class _Runner:
         )
 
     def report(self, kind: str, message: str, site: str = "", lanes=None, dedupe=None):
-        """Record a finding, once per ``dedupe`` key; while a batch runs,
-        drop it instead (:class:`_Fired`), for the walk to report."""
+        """Record a finding, once per ``dedupe`` key, a later hit's lanes
+        added to the first; while a batch runs, drop it instead
+        (:class:`_Fired`), for the walk to report."""
         if self.batch is not None:
             raise _Fired
         key = dedupe if dedupe is not None else (kind, message, site)
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        self.findings.append(Finding(kind, message, site, lanes))
+        _record(self.findings, self.seen, key, Finding(kind, message, site, lanes))
 
     # -- the memory detectors ---------------------------------------------
 
@@ -639,14 +652,13 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class Scan:
-    """Step loops that run as one prefix sum: ``chain``, the loops and
-    guards from the outermost, over ``stmt``, whose value is ``cell`` plus
+    """A store whose ``steps`` consecutive points, the steps of the loops
+    above it that scan, take a prefix sum: its value is ``cell`` plus
     ``inc``.  ``bounds``: the least and greatest ``d`` of the sums ``cell +
     d`` the walk checks, where one is not the value stored (an untaken
     branch); else None."""
 
-    chain: tuple
-    stmt: StoreStmt
+    steps: int
     cell: TableRead
     inc: Expr
     bounds: tuple[Expr, Expr] | None
@@ -682,7 +694,7 @@ def _increment(e: Expr, cell: TableRead) -> tuple[Expr, Expr | None, Expr | None
 
 def _scan_of(loop: Loop) -> Scan | None:
     """The scan ``loop`` heads, if its nest has the shape of one."""
-    chain, n, names = [], loop, set()
+    steps, n, names = 1, loop, set()
     while not isinstance(n, StoreStmt):
         if not isinstance(n, (Loop, If)) or len(n.body) != 1:
             return None
@@ -690,9 +702,9 @@ def _scan_of(loop: Loop) -> Scan | None:
             if n.dim.kind == "parallel" or free_vars(n.dim.lo) & names:
                 return None
             names.add(n.dim.var)
+            steps *= n.dim.extent
         elif free_vars(n.cond) & names:
             return None
-        chain.append(n)
         n = n.body[0]
     if free_vars(n.index) & names:
         return None
@@ -702,32 +714,34 @@ def _scan_of(loop: Loop) -> Scan | None:
         return None
     inc, lo, hi = terms
     bounds = None if lo in (None, inc) and hi in (None, inc) else (lo or inc, hi or inc)
-    return Scan(tuple(chain), n, cell, inc, bounds)
+    return Scan(steps, cell, inc, bounds)
 
 
 @dataclass(frozen=True)
 class BatchPlan:
     """A loop nest that runs as batches of whole iterations of its head.  One
     head iteration runs the head's body: store statements under ``If``
-    guards, ``Chain``, ``Produce``, ``Consume`` and ``Store`` nodes, and
-    serial loops, unrolled ones included.  Lowering makes every guard name
-    loop variables only, and every store index affine in them.  A serial
-    loop there is *expanded* (``expanded``, by ``id``) when a store index
-    beneath it mentions its variable: its iterations run side by side, as
-    more points.  Any other is a *step loop* (``stepped``, by ``id``), run
-    one iteration at a time unless it *scans* (``scans``, by the ``id`` of
-    its outermost loop): below guards and step loops that name none of its
-    variables, each the only node of the one before, one store statement
-    adds to its own cell ``c`` an increment that does not read the
-    statement's entity, as ``c + d``, ``d + c`` or a ``select`` of such
-    forms and ``c`` whose condition does not read it; the shape alone
-    decides.  ``written`` names the entities the nest's statements write.
-    ``spans`` gives the statement slots of one execution of each node
-    beneath the head, by ``id``, and ``slots`` those of one head iteration;
-    a serial loop takes its extent times the slots of its body."""
+    guards, ``Produce``, ``Consume`` and ``Store`` nodes, and serial loops,
+    unrolled ones included.  Lowering makes every guard name loop variables
+    only, and every store index affine in them.  A serial loop there runs
+    in one of two ways.  Side by side, its iterations as more points, when
+    a store index beneath it mentions its variable (``expanded``, by
+    ``id``), or when it *scans* (``scanned``, by ``id``): below guards and
+    loops that name none of its variables, each the only node of the one
+    before, one store statement adds to its own cell ``c`` an increment
+    that does not read the statement's entity, as ``c + d``, ``d + c`` or a
+    ``select`` of such forms and ``c`` whose condition does not read it;
+    the shape alone decides.  That store takes prefix sums over the steps
+    (``scans``, by the store's ``id``).  Any other serial loop is a *step
+    loop* (``stepped``, by ``id``), run one iteration at a time.
+    ``written`` names the entities the nest's statements write.  ``spans``
+    gives the statement slots of one execution of each node beneath the
+    head, by ``id``, and ``slots`` those of one head iteration; a serial
+    loop takes its extent times the slots of its body."""
 
     stepped: frozenset[int]
     expanded: frozenset[int]
+    scanned: frozenset[int]
     written: frozenset[str]
     spans: dict[int, int]
     slots: int
@@ -739,13 +753,13 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
     walked.
 
     ``loop`` may be parallel or serial.  Beneath it every node is a store
-    statement, an ``If``, a ``Chain``, ``Produce``, ``Consume`` or
-    ``Store``, or a serial loop; an inner parallel loop heads a batch of
-    its own.  A store index mentions a serial ``loop``: otherwise its
-    iterations rewrite the same cells and it is walked, one step at a
-    time.  Nothing more is required here: a batch stamps every write with
-    its walk time and commits only if every read saw the write the walk
-    gives it (:class:`_Batch`).
+    statement, an ``If``, ``Produce``, ``Consume`` or ``Store``, or a
+    serial loop; an inner parallel loop heads a batch of its own.  A store
+    index mentions a serial ``loop``: otherwise its iterations rewrite the
+    same cells and it is walked, one step at a time.  Nothing more is
+    required here: a batch stamps every write with its walk time and
+    commits only if every read saw the write the walk gives it
+    (:class:`_Batch`).
     """
     entries: list[tuple[tuple[Loop, ...], StoreStmt]] = []
     spans: dict[int, int] = {}
@@ -757,7 +771,7 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
             if isinstance(n, StoreStmt):
                 entries.append((path, n))
                 span = 1
-            elif isinstance(n, (If, Chain, Produce, Consume, Store)):
+            elif isinstance(n, (If, Produce, Consume, Store)):
                 span = collect(n.body, path)
             elif n.dim.kind != "parallel":
                 span = collect(n.body, path + (n,))
@@ -776,15 +790,18 @@ def batch_plan(loop: Loop) -> BatchPlan | None:
     if loop.dim.kind != "parallel" and all(loop.dim.var not in free_vars(s.index) for _, s in entries):
         return None
     expanded = frozenset(id(x) for path, s in entries for x in path if x.dim.var in free_vars(s.index))
-    stepped = frozenset(id(x) for path, _ in entries for x in path) - expanded
-    written = frozenset(s.target.name for _, s in entries)
+    scanned: set[int] = set()
     scans: dict[int, Scan] = {}
-    for path, _ in entries:
-        # the outermost step loop above the statement that scans, if any
-        scan = next((s for x in path if id(x) in stepped and (s := _scan_of(x)) is not None), None)
-        if scan is not None:
-            scans[id(scan.chain[0])] = scan
-    return BatchPlan(stepped, expanded, written, spans, slots, scans)
+    for path, s in entries:
+        # from the outermost loop above the statement that scans, if any
+        for k, x in enumerate(path):
+            if (scan := _scan_of(x)) is not None:
+                scans[id(s)] = scan
+                scanned.update(id(y) for y in path[k:])
+                break
+    stepped = frozenset(id(x) for path, _ in entries for x in path) - expanded - scanned
+    written = frozenset(s.target.name for _, s in entries)
+    return BatchPlan(stepped, expanded, frozenset(scanned), written, spans, slots, scans)
 
 
 def batch_heads(root) -> dict[int, BatchPlan]:
@@ -888,20 +905,21 @@ class _Batch:
     (:meth:`_Runner.report`).  No state changes before :meth:`commit`.
 
     A point is an iteration of the head at first, the head's variable a
-    vector over them; a ``Store`` gives each point its own private storage,
-    and an expanded loop repeats the points, one per iteration, its
-    variable a vector over them.  ``If`` narrows the points; ``Produce`` and
-    ``Consume`` push and pop the grants as the walk does.  A step loop runs
-    one iteration at a time, unless it scans (:meth:`_scan`).  Every point
-    carries its walk time (``_WHEN``), the statement slots before it in the
-    block: ``j·T + t`` for slot ``t`` of head iteration ``j``, ``T =
-    plan.slots``.
+    vector over them; a ``Store`` gives each point its own private storage.
+    ``If`` narrows the points; ``Produce`` and ``Consume`` push and pop the
+    grants as the walk does.  One loop rule holds for every serial loop
+    beneath the head: side by side, it repeats the points, one per
+    iteration, its variable a vector over them, and a step loop runs one
+    iteration at a time (:meth:`_serial`).  Every point carries its walk
+    time (``_WHEN``), the statement slots before it in the block: ``j·T +
+    t`` for slot ``t`` of head iteration ``j``, ``T = plan.slots``.
 
-    A scan reads its cell once, at its first step, as the walk's later
-    reads see the step before, and checks every partial sum against the
-    32-bit range.  That adds no report the walk would not make: each sum is
-    the value the walk stores at its step and checks, and every value
-    already in storage was checked when stored.
+    A store that scans stores prefix sums over its steps (:meth:`_prefix`).
+    It reads its cell once, at its first step, as the walk's later reads
+    see the step before, and checks every partial sum against the 32-bit
+    range.  That adds no report the walk would not make: each sum is the
+    value the walk stores at its step and checks, and every value already
+    in storage was checked when stored.
 
     Private storage is one cell of all its executions' allocations side
     by side, poisoned and uninitialised as the walk's fresh instance, and
@@ -987,8 +1005,6 @@ class _Batch:
                     del runner.mem[n.func]
                 else:
                     runner.mem[n.func] = prev
-        elif isinstance(n, Chain):
-            self._walk(n.body, envk)
         else:
             self._serial(n, envk)
 
@@ -1002,15 +1018,11 @@ class _Batch:
         return envk if keep else None
 
     def _serial(self, loop: Loop, envk: dict):
-        """A serial loop: a scan, expanded, all iterations at once, or step
-        by step; with an event at each boundary, the one-past-the-end one
+        """A serial loop: side by side, all iterations at once, or step by
+        step; with an event at each boundary, the one-past-the-end one
         after its last iteration's writes."""
-        scan = self.plan.scans.get(id(loop))
-        if scan is not None:
-            self._scan(scan, envk)
-            return
         self._boundaries(loop, envk)
-        if id(loop) in self.plan.expanded:
+        if id(loop) not in self.plan.stepped:
             self._walk(loop.body, self._spread(loop, envk, loop.dim.extent))
             return
         start = compiled(loop.dim.lo)(envk, _CLOSED)
@@ -1038,37 +1050,6 @@ class _Batch:
             events[_EXEC] = np.repeat(np.arange(self.execs, self.execs + n), extent + 1)
             self.execs += n
             self.marks.append((loop, events))
-
-    def _scan(self, scan: Scan, envk: dict):
-        """Every step of ``scan`` at once, as points: each execution's
-        value before it plus the prefix sum of the increments, exact in
-        int64, each logged at its step's time."""
-        for node in scan.chain:
-            if isinstance(node, If):
-                envk = self._guarded(node.cond, envk)
-            else:
-                self._boundaries(node, envk)
-                envk = self._spread(node, envk, node.dim.extent)
-            if envk is None or not len(envk[_WHEN]):
-                return
-        steps = math.prod(x.dim.extent for x in scan.chain if isinstance(x, Loop))
-        first = {key: v[..., ::steps] if np.ndim(v) else v for key, v in envk.items()}
-        # (lanes, executions, steps)
-        lanes, points = self.runner.lanes, len(envk[_WHEN])
-        shape = (lanes, points // steps, steps)
-
-        def grid(e: Expr, checked=False) -> np.ndarray:
-            return np.broadcast_to(compiled(e, checked)(envk, self), (lanes, points)).reshape(shape)
-
-        inc = grid(scan.inc, True)
-        vals = compiled(scan.cell)(first, self)[..., None] + np.cumsum(inc, axis=-1)
-        if scan.bounds is None:
-            self.check(vals)
-        else:  # the sums of untaken branches too
-            lo, hi = (grid(b) + vals - inc for b in scan.bounds)
-            self.check(np.minimum(lo, vals))
-            self.check(np.maximum(hi, vals))
-        self._store(scan.stmt, envk, vals.reshape(lanes, points))
 
     def _observed(self, node, *slots: str) -> bool:
         """Whether the observer checks value annotations of ``node``."""
@@ -1102,13 +1083,17 @@ class _Batch:
             log = self.log[cell.instance] = _Stamped(cell, self.clock)
         return log
 
-    def _store(self, stmt: StoreStmt, envk: dict, vals=None):
-        """Log ``stmt``'s write at the points of ``envk``, of ``vals`` if
-        given, checked, and otherwise of its value."""
+    def _store(self, stmt: StoreStmt, envk: dict):
+        """Log ``stmt``'s write of its checked value at the points of
+        ``envk``, a scan's prefix sums (:meth:`_prefix`) for a store that
+        scans."""
         when = envk[_WHEN]
-        if vals is None:
+        scan = self.plan.scans.get(id(stmt))
+        if scan is None:
             vals = compiled(stmt.value, checked=True)(envk, self)
             self.check(vals)
+        else:
+            vals = self._prefix(scan, envk)
         offsets = self._offsets(compiled(stmt.index)(envk, self), len(when))
         base = envk.get(_BASE + stmt.target.name, 0)
         cell = self.runner.access(stmt.target.name, offsets, write=True, base=base)
@@ -1117,6 +1102,30 @@ class _Batch:
         self._stamped(cell).add(offsets + base, when, vals)
         self._mark(stmt, envk, "requires", "ensures")
         self.points += len(when)
+
+    def _prefix(self, scan: Scan, envk: dict) -> np.ndarray:
+        """The values of a scan's store at the points of ``envk``, each
+        execution's ``scan.steps`` in order: the cell before its first step
+        plus the prefix sum of the increments, exact in int64, each partial
+        sum checked."""
+        steps = scan.steps
+        first = {key: v[..., ::steps] if np.ndim(v) else v for key, v in envk.items()}
+        # (lanes, executions, steps)
+        lanes, points = self.runner.lanes, len(envk[_WHEN])
+        shape = (lanes, points // steps, steps)
+
+        def grid(e: Expr, checked=False) -> np.ndarray:
+            return np.broadcast_to(compiled(e, checked)(envk, self), (lanes, points)).reshape(shape)
+
+        inc = grid(scan.inc, True)
+        vals = compiled(scan.cell)(first, self)[..., None] + np.cumsum(inc, axis=-1)
+        if scan.bounds is None:
+            self.check(vals)
+        else:  # the sums of untaken branches too
+            lo, hi = (grid(b) + vals - inc for b in scan.bounds)
+            self.check(np.minimum(lo, vals))
+            self.check(np.maximum(hi, vals))
+        return vals.reshape(lanes, points)
 
     def _settle(self):
         """Fire unless every read resolves under the whole log to the write
@@ -1292,10 +1301,11 @@ class _AnnObserver:
     says was written since (:meth:`_select`, which :meth:`_grids` lays out
     in place of the whole grid); the others, and every boundary of the
     walk, check the whole grid.  The findings are those of a whole check:
-    every check before the first failing boundary passed, in every lane;
-    there, an instance that fails is new or was dirtied, as every other one
-    held and reads the same values; and an annotation reported at a site is
-    not checked there again.  A short loop's invariants are checked whole
+    every check before the first failing boundary passed, in every lane not
+    named yet; there, an instance that fails in such a lane is new or was
+    dirtied, as every other one held there and reads the same values; and an
+    annotation reported at a site is checked there again only until every
+    lane is named.  A short loop's invariants are checked whole
     (``_INCREMENTAL_FROM``).
 
     Every failure, a read out of range and a ledger's excess included, is
@@ -1733,16 +1743,27 @@ class _AnnObserver:
     def _check(self, a: Ann, env, kind: str, site: str, message, when=None, steps=None):
         """Check value annotation ``a`` at one event of the walk or, with
         ``when``, at all the events of a batched loop, reporting a failure
-        with the text ``message()``.  ``steps`` checks a serial loop's
-        invariant incrementally (:meth:`_grids`)."""
-        key = (kind, id(a), site)
-        if key in self.runner.seen:
-            return
+        with the text ``message()`` and the lanes it fails in over all its
+        points.  Once reported at ``site``, ``a`` is checked there again
+        until every lane is named, and reported again only for a lane not
+        named yet.  ``steps`` checks a serial loop's invariant
+        incrementally (:meth:`_grids`)."""
+        runner, key = self.runner, (kind, id(a), site)
+        at = runner.seen.get(key)
+        named = () if at is None else runner.findings[at].lanes
+        if named is None or len(named) == runner.lanes:
+            return  # it fails in every lane already
+        failed: set | None = set()
         for envq, _ in self._grids(a, env, when, steps):
             lanes = self._failing(a.body, envq, site)
+            if lanes is None:
+                failed = None
+                break
             if lanes is not False:
-                self.runner.report(kind, message(), site, lanes=lanes, dedupe=key)
-                return
+                failed.update(lanes)
+        if failed is None or not failed.issubset(named):
+            lanes = None if failed is None else tuple(sorted(failed))
+            runner.report(kind, message(), site, lanes=lanes, dedupe=key)
 
     def _failing(self, body: Expr, envq, site: str):
         """False when ``body`` holds at every point of ``envq``; otherwise

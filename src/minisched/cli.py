@@ -18,14 +18,16 @@ plain loop nest that the schedule lowers to, an unrolled loop's body once
 per step with its variable replaced by the step's value.  Each loop that
 the checker runs in batches is marked; everything beneath it,
 producer-consumer sequences and their private storage included, runs in
-those batches.  There a serial loop, unrolled or not,
-whose variable a store index mentions runs its iterations side by side,
-and any other, a step loop, one iteration at a time.  The mark shows
-``depth N``, the batch's loop and the chain of side-by-side loops below it
-that are each the only node of their parent's body; a batch with step
-loops also shows ``steps M``, the statement slots of one execution of the
-body of that chain's innermost loop.  A step loop that runs all its steps at
-once, as one prefix sum, is marked ``scan``.
+those batches.  There every serial loop, unrolled or not, runs by one
+rule.  It runs its iterations side by side when a store index mentions its
+variable, or when it scans: its steps only add to the cell that the one
+store beneath it writes, and that store takes prefix sums over them.  Such
+a loop is marked ``scan``.  Any other, a step loop, runs one iteration at a
+time.  The mark shows ``depth N``, the batch's loop and the chain of
+index-named loops below it that are each the only node of their parent's
+body; a batch with step or scanned loops also shows ``steps M``, the
+statement slots of one execution of the body of that chain's innermost
+loop.
 
 ``minisched check <algo.hal> <file.sched> [--scale k=v ...] [--seeds N ...]
 [--no-user | --plain]`` checks the schedule on one input set per seed and
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
     sched = argparse.ArgumentParser(add_help=False, parents=[algo])
     sched.add_argument("schedule", type=Path, help="the schedule (.sched)")
     no_user = dict(action="store_true", help="generated memory-safety annotations only")
-    sub.add_parser("nest", parents=[sched], help="print the loop nest of a schedule, marking its batches")
+    sub.add_parser("nest", parents=[sched], help="print the loop nest of a schedule, marking its batches and scans")
     cmd = sub.add_parser("annotate", parents=[sched], help="print the annotated loop nest of a schedule")
     cmd.add_argument("--no-user", **no_user)
     cmd = sub.add_parser("check", parents=[sched], help="check a schedule; print one JSON report per seed")
@@ -145,7 +147,7 @@ def main(argv=None) -> int:
     lp = lower(p, directives)
     if args.command == "nest":
         heads = batch_heads(lp.root)
-        scans = {id(x) for plan in heads.values() for scan in plan.scans.values() for x in scan.chain}
+        scans = {x for plan in heads.values() for x in plan.scanned}
 
         def mark(loop) -> str:
             plan = heads.get(id(loop))
@@ -155,7 +157,7 @@ def main(argv=None) -> int:
             while len(chain[-1].body) == 1 and id(chain[-1].body[0]) in plan.expanded:
                 chain.append(chain[-1].body[0])
             steps = sum(plan.spans[id(c)] for c in chain[-1].body)
-            return f"  # batch, depth {len(chain)}" + (f", steps {steps}" if plan.stepped else "")
+            return f"  # batch, depth {len(chain)}" + (f", steps {steps}" if plan.stepped or plan.scanned else "")
 
         sys.stdout.write(print_loop_nest(lp, mark))
         return 0

@@ -488,31 +488,32 @@ class _FrontEval:
         self.site: str | None = None  # the declaration whose body runs
         self.findings: list = []
         self.points = 0
-        self.seen: set = set()
+        self.seen: dict = {}  # per dedupe key, the index of its finding
 
     def report(self, kind: str, message: str, dedupe, site: str = "", lanes=None):
-        """Record a finding, once per ``dedupe`` key (None: always)."""
-        from .checker import Finding
+        """Record a finding, once per ``dedupe`` key (None: always), a
+        later hit's lanes added to the first."""
+        from .checker import Finding, _record
 
-        if dedupe is not None:
-            if dedupe in self.seen:
-                return
-            self.seen.add(dedupe)
-        self.findings.append(Finding(kind, message, site, lanes))
+        finding = Finding(kind, message, site, lanes)
+        if dedupe is None:
+            self.findings.append(finding)
+        else:
+            _record(self.findings, self.seen, dedupe, finding)
 
     def eval(self, e: Expr, env):
         return compiled(e, checked=True)(env, self)
 
     def check(self, v):
         """Bodies compute in 32-bit ints: a value beyond them is an
-        overflow, reported with the lanes of its first point.  Exact ints
-        wrap to int64, as arrays do."""
+        overflow, reported with the lanes of every point it leaves them at.
+        Exact ints wrap to int64, as arrays do."""
         if self.site is not None:
             bad = (v < INT32_MIN) | (v > INT32_MAX)
             if np.any(bad):
                 lanes = None
                 if np.ndim(bad) == 2:
-                    lanes = tuple(np.flatnonzero(bad[:, np.argmax(bad.any(axis=0))]).tolist())
+                    lanes = tuple(np.flatnonzero(bad.any(axis=1)).tolist())
                 msg = "intermediate value leaves the signed 32-bit range"
                 self.report("overflow", msg, ("overflow", self.site), self.site, lanes)
         return wrap_int64(v)
@@ -596,9 +597,10 @@ class _FrontEval:
     def verify(self, domains, requires, ensures, tables, kind, message, site):
         """Report ``kind`` at the first point over ``domains``, in
         enumeration order, where the ``requires`` hold and an ``ensures``
-        fails, ``message`` formatted with the point.  ``tables`` bind names
-        to (lanes, points) values over the grid.  The ``ensures`` are
-        evaluated only at the points where the ``requires`` hold."""
+        fails, ``message`` formatted with the point, with the lanes of every
+        failing point.  ``tables`` bind names to (lanes, points) values over
+        the grid.  The ``ensures`` are evaluated only at the points where
+        the ``requires`` hold."""
         n = _size(domains)
         if n == 0:
             return
@@ -610,13 +612,15 @@ class _FrontEval:
             return
         env = narrow(env, live)
         k = int(live.sum())
-        held = [_held(self.eval(e, env), k) for e in ensures]
-        bad = ~np.logical_and.reduce([h.all(axis=0) for h in held])
+        fails = np.zeros((1, k), dtype=bool)  # (lanes or 1, points)
+        for e in ensures:
+            fails = fails | ~_held(self.eval(e, env), k)
+        bad = fails.any(axis=0)
         if bad.any():
             stop = int(np.argmax(bad))
-            ok = next(h[:, stop] for h in held if not h[:, stop].all())
             point = tuple(int(env[v][stop]) for v, _, _ in domains)
-            self.report(kind, message.format(point), None, site, tuple(np.flatnonzero(~ok).tolist()))
+            lanes = tuple(np.flatnonzero(fails.any(axis=1)).tolist()) if len(fails) == self.lanes else None
+            self.report(kind, message.format(point), None, site, lanes)
 
 
 _MATCHES_REFERENCE = eq(Result(), Var("\\reference"))

@@ -985,7 +985,9 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
     """Structural and scoping checks on a resolved pipeline.
 
     Returns the full list of problems instead of stopping at the first, so
-    a driver can show everything wrong with a source file at once.
+    a driver can show everything wrong with a source file at once, each
+    once in the order found: a node shared by two checked expressions, as
+    ``h(x)`` by the halves of ``lo <= h(x) <= hi``, is reported once.
     """
     diags: list[Diagnostic] = []
     names: dict[str, str] = {}
@@ -1000,7 +1002,7 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
 
     if p.output not in names or names.get(p.output) != "func":
         diags.append(Diagnostic("UnknownFunc", f"output {p.output!r} is not a declared func"))
-        return diags
+        return list(dict.fromkeys(diags))
 
     for b in p.buffers:
         _check_dims(b.name, b.dims, diags)
@@ -1050,7 +1052,7 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
                     eval_const(_resolve_bound_refs(p, side))
                 except (ValueError, KeyError):
                     diags.append(Diagnostic("NonConcreteBound", "pipeline ensures ranges must be closed over bounds", q.span))
-    return diags
+    return list(dict.fromkeys(diags))
 
 
 def _check_dims(owner: str, dims: tuple[tuple[str, Interval], ...], diags: list[Diagnostic], span: Span = NO_SPAN) -> None:

@@ -634,7 +634,7 @@ def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
         compute = _scope(sp.funcs, sf.compute_site)
         accesses = _collect_accesses(sp, name)
         if not accesses:
-            raise NonAffineAccess(f"{name} is realized but never read; nothing to infer bounds from")
+            raise _err("UnreadFunc", f"{name} is realized but never read; nothing to infer bounds from")
         if sf.compute_site is not None:
             _check_site_guards(sp, sf, accesses, compute, fps)
         fps[name] = Footprint(

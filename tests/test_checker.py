@@ -780,6 +780,21 @@ def test_data_dependent_index_or_guard_is_rejected_in_every_mode(case):
     assert all(isinstance(r, PipelineError) and r.code == code for r in results), results
 
 
+def test_a_scheduled_func_nothing_reads_is_rejected_in_every_mode():
+    p = parse_pipeline(
+        """
+pipeline t(inp) -> out {
+  buffer inp(x in [0, 4));
+  func g(x in [0, 4)) { g(x) = inp(x) * 2; }
+  func out(x in [0, 4)) { out(x) = inp(x); }
+}
+"""
+    ).validated()
+    results = rejected_alike_or_clean(p, parse_schedule("g.parallel(x);"))
+    assert all(type(r) is ScheduleError and r.code == "UnreadFunc" for r in results), results
+    assert str(results[0]) == "UnreadFunc: g is realized but never read; nothing to infer bounds from"
+
+
 def test_annotation_index_that_reads_an_input_is_rejected_where_annotations_are_checked(monkeypatch):
     # only the functional mode annotates the user's postcondition
     p = parse_pipeline(
@@ -1415,6 +1430,51 @@ def test_annotation_arithmetic_beyond_int64_is_not_an_untyped_error():
     ]
 
 
+# Each case: the statement, the user contract, the input at one cell of
+# lane 1 and another of lane 2, and which of the four checks fail.
+LANE_CASES = {
+    "overflow": ("out(x) = inp(x) * 1000000;", "out.ensures(out(x) == inp(x) * 1000000);", 5000, [True] * 4),
+    # the runner alone, and memory safety, see no false contract
+    "false ensures": ("out(x) = inp(x);", "out.ensures(out(x) < 50);", 60, [False, True, False, True]),
+    # false in every lane, whatever the input
+    "input-independent": ("out(x) = x;", "out.ensures(out(x) < 2);", 1, [False, True, False, True]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LANE_CASES))
+def test_a_seeds_verdict_does_not_depend_on_the_seeds_beside_it(case):
+    # where the input decides, lane 1 fails at x = 0 and lane 2 only at
+    # x = 3: a later hit of a reported finding adds its lanes
+    from minisched.encoder import check_frontend, encode
+
+    stmt, ensures, value, fails = LANE_CASES[case]
+    p = parse_pipeline(
+        f"""pipeline t(inp) -> out {{
+  buffer inp(x in [0, 4));
+  func out(x in [0, 4)) {{
+    {stmt}
+    {ensures}
+  }}
+}}"""
+    ).validated()
+    lp = lower(p, [])
+    checks = [
+        lambda inputs: C.run_lowered(lp, inputs),
+        lambda inputs: C.check_annotations(lp, annotate(lp, include_user=True), inputs),
+        lambda inputs: C.check_annotations(lp, annotate(lp, include_user=False), inputs),
+        lambda inputs: check_frontend(encode(p), p, inputs),
+    ]
+    inp = np.ones((3, 4), dtype=np.int64)
+    inp[1, 0] = inp[2, 3] = value
+    failing = []
+    for check in checks:
+        together = [r["verdict"] for r in C.to_reports("t", "s", [0, 1, 2], check({"inp": inp}))]
+        alone = [C.to_reports("t", "s", [k], check({"inp": inp[k : k + 1]}))[0]["verdict"] for k in range(3)]
+        assert together == alone
+        failing.append(together != ["pass"] * 3)
+    assert failing == fails
+
+
 def test_instantiation_budget_is_a_pipeline_error(monkeypatch):
     p = load("blur")
     lp = lower(p, schedule("blur", "rows"))
@@ -1688,8 +1748,8 @@ def lowered_run(algo: str, sizes: dict, sched: str, surgery):
 
 
 def stepped_heads(lp) -> list:
-    """The plans of the batches that run step loops."""
-    return [plan for plan in C.batch_heads(lp.root).values() if plan.stepped]
+    """The plans of the batches that run step loops, scanned or not."""
+    return [plan for plan in C.batch_heads(lp.root).values() if plan.stepped or plan.scanned]
 
 
 @pytest.mark.parametrize("algo,sched", [("matmul", "par"), ("conv1d", "par"), ("count", "tail")])
@@ -1707,11 +1767,6 @@ def test_reduction_nests_commit_as_step_batches(monkeypatch, algo, sched):
         assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (2, 0)
 
 
-def scanned(plan) -> set[int]:
-    """The loops of ``plan``'s scans, by ``id``."""
-    return {id(x) for scan in plan.scans.values() for x in scan.chain if isinstance(x, Loop)}
-
-
 @pytest.mark.parametrize("algo", ["matmul", "conv1d", "count"])
 def test_every_corpus_reduction_scans(algo):
     # tail-split and unrolled schedules included; matmul's (rt, rk) nest
@@ -1719,8 +1774,10 @@ def test_every_corpus_reduction_scans(algo):
     p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(SMALL[algo]).validated()
     for sched in sorted(f.stem for f in (CORPUS / "schedules" / algo).glob("*.sched")):
         (plan,) = stepped_heads(lower(p, schedule(algo, sched)))
-        assert plan.stepped <= scanned(plan), sched
-        assert all(len(scan.chain) >= (2 if algo == "matmul" else 1) for scan in plan.scans.values())
+        assert plan.scanned and not plan.stepped, sched
+        # each scan's steps cover its whole reduction domain
+        steps = {"matmul": 8, "conv1d": 3, "count": 10}[algo]
+        assert [scan.steps for scan in plan.scans.values()] == [steps], sched
 
 
 def test_an_update_that_doubles_its_cell_keeps_stepping(monkeypatch):
@@ -1733,10 +1790,9 @@ def test_an_update_that_doubles_its_cell_keeps_stepping(monkeypatch):
         assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (2, 0)
 
 
-def scan_runs(algo: str, sizes: dict, surgery, inputs):
-    """The three modes of ``algo`` lowered under no schedule after
+def scan_runs(p, surgery, inputs):
+    """The three modes of ``p`` lowered under no schedule after
     ``surgery(lp)``, on ``inputs(p)``: plain, functional, memory safety."""
-    p = parse_pipeline((CORPUS / f"{algo}.hal").read_text()).resolve(sizes).validated()
 
     def run(mode):
         lp = lower(p, [])
@@ -1757,7 +1813,7 @@ def test_scan_partial_sums_past_32_bits_replay_in_every_mode(monkeypatch):
         got["sig"][1] = 1 << 30
         return got
 
-    for k, run in enumerate(scan_runs("conv1d", SMALL["conv1d"], lambda lp: None, inputs)):
+    for k, run in enumerate(scan_runs(FUZZED["conv1d"], lambda lp: None, inputs)):
         batched, walked = declined(monkeypatch, run)
         assert_same_run(batched, walked)
         assert batched.replayed_loops >= 1
@@ -1780,11 +1836,55 @@ def test_scan_checks_the_untaken_branch_the_walk_evaluates(monkeypatch):
         got["inp"][:] = -1
         return got
 
-    for run in scan_runs("count", SMALL["count"], surgery, inputs):
+    for run in scan_runs(FUZZED["count"], surgery, inputs):
         batched, walked = declined(monkeypatch, run)
         assert_same_run(batched, walked)
         assert batched.replayed_loops >= 1
         assert [f for f in batched.findings if f.kind == "overflow"]
+
+
+# a select whose condition names the step loop only: each branch is
+# evaluated where it is taken
+MASKED = """
+pipeline masked(inp) -> h {
+  buffer inp(y in [0, 4));
+  func h(x in [0, 3)) {
+    h(x) = 0;
+    h(x) = select(r < 2, h(x) + inp(r), h(x)) over (r in [0, 4));
+    h.invariant(r, -1000 <= h(x) <= 1000);
+  }
+}
+"""
+
+
+def test_a_select_on_the_step_loop_alone_scans(monkeypatch):
+    p = parse_pipeline(MASKED).validated()
+    (plan,) = stepped_heads(lower(p, []))
+    assert len(plan.scans) == 1 and plan.scanned and not plan.stepped
+    for run in mode_runs(p, []):
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        assert batched.passed and (batched.batched_loops, batched.replayed_loops) == (2, 0)
+
+
+def test_a_masked_scan_overflows_in_its_taken_branch_only(monkeypatch):
+    # lane 1's partial sum at r = 1 is 2^31; lane 2's untaken r = 2 would
+    # be, were it evaluated
+    def inputs(p):
+        got = C.make_inputs(p, SEEDS)
+        got["inp"][:] = 1
+        got["inp"][1, :2] = 1 << 30
+        got["inp"][2, 2] = 2**31 - 1
+        return got
+
+    for k, run in enumerate(scan_runs(parse_pipeline(MASKED).validated(), lambda lp: None, inputs)):
+        batched, walked = declined(monkeypatch, run)
+        assert_same_run(batched, walked)
+        assert batched.replayed_loops >= 1
+        over = [f for f in batched.findings if f.kind == "overflow"]
+        assert len(over) == 1 and over[0].lanes == (1,)
+        if k == 0:
+            assert [f.kind for f in batched.findings] == ["overflow"]
 
 
 def update_stmt(lp, func: str) -> StoreStmt:

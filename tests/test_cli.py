@@ -166,6 +166,16 @@ def test_nest_marks_each_step_loop_that_scans(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "  for x in [0, 3]:  # batch, depth 1, steps 3\n    for r in [0, 2]:\n" in out
     assert "scan" not in out
+    # a select whose condition names the step loop alone scans
+    algo.write_text(
+        "pipeline masked(inp) -> h {\n"
+        "  buffer inp(y in [0, 4));\n"
+        "  func h(x in [0, 3)) { h(x) = 0; h(x) = select(r < 2, h(x) + inp(r), h(x)) over (r in [0, 4)); }\n"
+        "}\n"
+    )
+    assert cli.main(["nest", str(algo), str(sched)]) == 0
+    out = capsys.readouterr().out
+    assert "  for x in [0, 2]:  # batch, depth 1, steps 4\n    for r in [0, 3]:  # scan\n" in out
 
 
 def test_nest_marks_one_batch_for_a_compute_at_nest(capsys):
@@ -186,6 +196,21 @@ def test_nest_marks_one_batch_for_a_compute_at_nest(capsys):
     assert [line.strip() for line in out.splitlines() if "# batch" in line] == [
         "parallel y in [0, 63]:  # batch, depth 1"
     ]
+
+
+@pytest.mark.parametrize("command", ["nest", "annotate"])
+def test_a_nest_of_two_roots_matches_golden(capsys, command):
+    # chain3/stage realizes mid at root beside lift: the nest is a chain of
+    # two producer-consumer roots
+    argv = [
+        command,
+        str(ROOT / "corpus" / "chain3.hal"),
+        str(ROOT / "corpus" / "schedules" / "chain3" / "stage.sched"),
+        "--scale",
+        "n=4",
+    ]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"chain3_stage_{command}.txt").read_text()
 
 
 def test_check_report_counts_are_json_numbers(capsys, tmp_path):

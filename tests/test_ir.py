@@ -300,6 +300,40 @@ def test_unknown_func_detected():
     assert "UnknownFunc" in codes(exc.value)
 
 
+def test_a_func_declared_twice_is_a_duplicate_name():
+    src = MINIMAL.replace("  func out", "  func out(x in [0, n)) {\n    out(x) = inp(x);\n  }\n  func out", 1)
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(src).validated()
+    assert [str(d) for d in exc.value.diagnostics] == ["DuplicateName: func 'out' redeclared"]
+
+
+@pytest.mark.parametrize("output", ["ghost", "inp"])
+def test_an_output_that_is_not_a_declared_func_is_unknown(output):
+    src = MINIMAL.replace("-> out", f"-> {output}")
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(src).validated()
+    assert [str(d) for d in exc.value.diagnostics] == [f"UnknownFunc: output {output!r} is not a declared func"]
+
+
+def test_a_node_shared_by_a_chained_comparison_is_reported_once():
+    # both halves of -1000 <= h(x) <= 1000 hold the one node h(x), which
+    # names x at an update of h(0)
+    src = """pipeline t(inp) -> h {
+  buffer inp(x in [0, 4));
+  func h(x in [0, 4)) {
+    h(x) = inp(x);
+    h(0) = h(0) + h(1);
+    h.ensures(-1000 <= h(x) <= 1000);
+  }
+}"""
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(src).validated()
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "UnboundVar at 6:7: h stage 1 spec: unknown variable 'x'",
+        "SpecNotCanonical at 6:7: h stage 1: specs reference h at the defined point only",
+    ]
+
+
 def test_self_reference_in_pure_stage_rejected():
     src = MINIMAL.replace("inp(x) + 1", "inp(x) + out(x)")
     with pytest.raises(ValidationError) as exc:

@@ -103,3 +103,22 @@ def test_compile_times_prints_a_row_per_layer_and_a_json_line(monkeypatch, capsy
     assert all(ms[layer]["total"] > 0 for layer in layers)
     front = ms["front end"]["total"]
     assert abs(front - sum(ms[layer]["total"] for layer in layers[:3])) < 1e-6
+
+
+def test_same_as_reports_the_first_line_that_differs():
+    difference = tool("same_as").difference
+    text = "### nest a/b test\nfor x:\n  s\n### nest a/c test\nfor y:\n  t\n"
+    assert difference(text, text) == []
+    assert difference(text, text.replace("  t", "  u"), ("HEAD", "working tree")) == [
+        "differs at line 6, under ### nest a/c test",
+        "  HEAD           t",
+        "  working tree   u",
+    ]
+    outcomes = "verify a/b lanes=3,4,5 {}\nverify a/c lanes=3,4,5 {}\n"
+    assert difference(outcomes, outcomes[:-3] + '{"x": 1}\n') == [
+        "differs at line 2, in case verify a/c lanes=3,4,5",
+        "  before verify a/c lanes=3,4,5 {}",
+        '  after  verify a/c lanes=3,4,5 {"x": 1}',
+    ]
+    assert difference(outcomes, outcomes + "extra\n")[1:] == ["  before <end of output>", "  after  extra"]
+    assert difference(outcomes, outcomes[:-1]) == ["differs in its line ends after line 2"]
