@@ -1002,7 +1002,7 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
 
     if p.output not in names or names.get(p.output) != "func":
         diags.append(Diagnostic("UnknownFunc", f"output {p.output!r} is not a declared func"))
-        return list(dict.fromkeys(diags))
+        return diags
 
     for b in p.buffers:
         _check_dims(b.name, b.dims, diags)

@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
+            tar.extractall(tmp)  # a git archive of this repository: trusted
         for name in DUMPS:
             report = difference(dump(Path(tmp), name), dump(ROOT, name), (ref, "working tree"))
             print(f"{name}: " + ("\n".join(report) if report else "identical"))
