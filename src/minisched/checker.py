@@ -55,22 +55,27 @@ and the rest of the loop is walked statement by statement, each inner loop
 trying its own batch, which reports the findings in the order, and with the
 messages, of a walk that never tried the batch.
 
-Under annotation checking, a batch's events are checked before it commits
-(:meth:`_AnnObserver.check_batch`).  Each value annotation that fires in
-the block is evaluated once, over the stacked grid of all its events and
+Under annotation checking, every value annotation at a node boundary is
+checked through one entry point, :meth:`_AnnObserver.event`, at a phase
+whose slots, finding kind and message are a row of ``_EVENTS``; one routine,
+:func:`_site`, places every finding.  The walk raises each event alone.  A
+batch marks its events with their phases and checks them before it commits
+(:meth:`_AnnObserver.check_batch`): each value annotation that fires in the
+block is evaluated once, over the stacked grid of all its events and
 quantifier points, in chunks of a bounded number of points, each event
 reading storage as of its own time; a serial loop's invariant, over only
 the instances that can have changed since the previous boundary.  A
 parallel loop's permission ledger is charged the same way.  The batch
-counts the instantiations, and its commit adds them.  The walk checks each
-event alone, through the same routine (:meth:`_AnnObserver._grids`), as a
-grid of one event.
+counts the instantiations, and its commit adds them.  The walk's event is
+a grid of one through the same routine (:meth:`_AnnObserver._grids`), and
+both enter a node by one rule (:meth:`_Runner.entered`).
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -528,27 +533,16 @@ class _Runner:
             case Chain(body):
                 for c in body:
                     self.run(c, env)
-            case Produce(func, body):
-                self.grants.setdefault(func, []).append(True)
-                for c in body:
-                    self.run(c, env)
-                self.grants[func].pop()
-            case Consume(func, body):
-                self.grants.setdefault(func, []).append(False)
-                if self.obs is not None:
-                    self.obs.consume_enter(node, env)
-                for c in body:
-                    self.run(c, env)
-                self.grants[func].pop()
+            case Produce(func, body) | Consume(func, body):
+                with self.entered(node):
+                    if self.obs is not None and isinstance(node, Consume):
+                        self.obs.event(node, "consume", env)
+                    for c in body:
+                        self.run(c, env)
             case Store(func, alloc, body):
-                prev = self.mem.get(func)
-                self.mem[func] = self._new_cell(alloc.size)
-                for c in body:
-                    self.run(c, env)
-                if prev is not None:
-                    self.mem[func] = prev
-                else:
-                    del self.mem[func]
+                with self.entered(node, self._new_cell(alloc.size)):
+                    for c in body:
+                        self.run(c, env)
             case Loop(dim, owner, body):
                 self._loop(node, eval_const(dim.lo, env), env)
                 env.pop(dim.var, None)
@@ -557,10 +551,10 @@ class _Runner:
                     for c in body:
                         self.run(c, env)
             case StoreStmt(func, stage, target, index, value):
-                self.site = f"{func}.stage{stage}"
+                self.site = _site(node)
                 self.points += 1
                 if self.obs is not None:
-                    self.obs.stmt_pre(node, env)
+                    self.obs.event(node, "pre", env)
                 vals = compiled(value, checked=True)(env, self)
                 self.check32(vals)
                 offset = eval_const(index, env)
@@ -569,9 +563,32 @@ class _Runner:
                     cell.arr[:, offset] = vals
                     cell.init[offset] = True
                 if self.obs is not None:
-                    self.obs.stmt_post(node, env)
+                    self.obs.event(node, "post", env)
             case _:
                 raise TypeError(f"cannot execute node {type(node).__name__}")
+
+    @contextmanager
+    def entered(self, node, cell=None):
+        """Inside ``node``, on the walk and in a batch alike: a ``Produce``
+        or a ``Consume`` holds its grant, for writing or for reading only,
+        and a ``Store`` puts ``cell`` in place of its func's storage.  The
+        old state comes back on the way out."""
+        func = node.func
+        if isinstance(node, Store):
+            prev = self.mem.get(func)
+            self.mem[func] = cell
+        else:
+            grants = self.grants.setdefault(func, [])
+            grants.append(isinstance(node, Produce))
+        try:
+            yield
+        finally:
+            if not isinstance(node, Store):
+                grants.pop()
+            elif prev is None:
+                del self.mem[func]
+            else:
+                self.mem[func] = prev
 
     def _loop(self, loop: Loop, lo: int, env: dict[str, int]):
         """The iterations of ``loop``: whole iterations in batches while its
@@ -590,20 +607,18 @@ class _Runner:
                 env[dim.var] = v
                 if par:
                     tr.iteration = v
-                    if obs is not None:
-                        obs.par_iter_pre(loop, env)
-                elif obs is not None:
-                    obs.serial_boundary(loop, env)
+                if obs is not None:
+                    obs.event(loop, "entry" if par else "boundary", env)
                 for c in body:
                     self.run(c, env)
                 if par and obs is not None:
-                    obs.par_iter_post(loop, env)
+                    obs.event(loop, "exit", env)
             if obs is not None and par:
-                obs.par_exit(loop)
+                obs.par_exit()
             elif obs is not None:
                 # one-past-the-end boundary closes the loop
                 env[dim.var] = lo + dim.extent
-                obs.serial_boundary(loop, env)
+                obs.event(loop, "boundary", env)
         if par:
             self.trackers.pop()
 
@@ -906,8 +921,8 @@ class _Batch:
 
     A point is an iteration of the head at first, the head's variable a
     vector over them; a ``Store`` gives each point its own private storage.
-    ``If`` narrows the points; ``Produce`` and ``Consume`` push and pop the
-    grants as the walk does.  One loop rule holds for every serial loop
+    ``If`` narrows the points; a node that holds a grant or storage is
+    entered as on the walk (:meth:`_Runner.entered`).  One loop rule holds for every serial loop
     beneath the head: side by side, it repeats the points, one per
     iteration, its variable a vector over them, and a step loop runs one
     iteration at a time (:meth:`_serial`).  Every point carries its walk
@@ -949,9 +964,9 @@ class _Batch:
         self.tracker = runner.trackers[-1] if loop.dim.kind == "parallel" else None
         # whether parallel loops outside the nest log its accesses
         self.outer = len(runner.trackers) > (self.tracker is not None)
-        # under an observer, the events of the block: (node, environment)
-        # of each annotated statement evaluated, consume entered and serial
-        # loop boundary, the head's included
+        # under an observer, the events of the block: (node, phase,
+        # environment) of each annotated statement evaluated, consume entered
+        # and serial loop boundary, the head's included
         self.marks: list | None = [] if runner.obs is not None else None
         self.points = 0
         # the annotation instances of its block, counted and evaluated
@@ -965,7 +980,7 @@ class _Batch:
         if self.loop.dim.kind != "parallel":
             # the head's boundaries, its one-past-the-end one in its last block
             j = np.arange(self.count + self.closes, dtype=np.int64)
-            self._mark(self.loop, env | {var: self.lo + j, _WHEN: j * slots, _EXEC: 0}, "invariants")
+            self._mark(self.loop, "boundary", env | {var: self.lo + j, _WHEN: j * slots, _EXEC: 0})
         j = np.arange(self.count, dtype=np.int64)
         self._walk(self.loop.body, env | {var: self.lo + j, _WHEN: j * slots})
         self._settle()
@@ -978,7 +993,6 @@ class _Batch:
             envk = envk | {_WHEN: envk[_WHEN] + self.plan.spans[id(n)]}
 
     def _node(self, n, envk: dict):
-        runner = self.runner
         if isinstance(n, StoreStmt):
             self._store(n, envk)
         elif isinstance(n, If):
@@ -986,25 +1000,14 @@ class _Batch:
             if envk is not None:
                 self._walk(n.body, envk)
         elif isinstance(n, (Produce, Consume)):
-            grants = runner.grants.setdefault(n.func, [])
-            grants.append(isinstance(n, Produce))
-            try:
+            with self.runner.entered(n):
                 if isinstance(n, Consume):
-                    self._mark(n, envk, "context")
+                    self._mark(n, "consume", envk)
                 self._walk(n.body, envk)
-            finally:
-                grants.pop()
         elif isinstance(n, Store):
             base = self._private(n, len(envk[_WHEN]))
-            prev = runner.mem.get(n.func)
-            runner.mem[n.func] = self.private[n.func]
-            try:
+            with self.runner.entered(n, self.private[n.func]):
                 self._walk(n.body, envk | {_BASE + n.func: base})
-            finally:
-                if prev is None:
-                    del runner.mem[n.func]
-                else:
-                    runner.mem[n.func] = prev
         else:
             self._serial(n, envk)
 
@@ -1044,21 +1047,22 @@ class _Batch:
     def _boundaries(self, loop: Loop, envk: dict):
         """Note every boundary of ``loop``'s executions at the points of
         ``envk``, execution by execution, each numbered in order."""
-        if self._observed(loop, "invariants"):
+        if self._observed(loop, "boundary"):
             n, extent = len(envk[_WHEN]), loop.dim.extent
             events = self._spread(loop, envk, extent + 1)
             events[_EXEC] = np.repeat(np.arange(self.execs, self.execs + n), extent + 1)
             self.execs += n
-            self.marks.append((loop, events))
+            self.marks.append((loop, "boundary", events))
 
-    def _observed(self, node, *slots: str) -> bool:
-        """Whether the observer checks value annotations of ``node``."""
-        return self.marks is not None and bool(self.runner.obs._values_at(node, slots))
+    def _observed(self, node, phase: str) -> bool:
+        """Whether the observer checks value annotations at ``phase`` of
+        ``node`` (``_EVENTS``)."""
+        return self.marks is not None and bool(self.runner.obs._values_at(node, phase))
 
-    def _mark(self, node, envk: dict, *slots: str):
-        """Note an event of ``node`` at the points of ``envk``."""
-        if self._observed(node, *slots):
-            self.marks.append((node, envk))
+    def _mark(self, node, phase: str, envk: dict):
+        """Note an event of ``node`` at ``phase``, at the points of ``envk``."""
+        if self._observed(node, phase):
+            self.marks.append((node, phase, envk))
 
     def _private(self, store: Store, n: int) -> np.ndarray:
         """Private storage for ``n`` more executions of ``store``: the base
@@ -1100,7 +1104,8 @@ class _Batch:
         if np.shape(vals) != (self.runner.lanes, len(when)):
             vals = np.broadcast_to(vals, (self.runner.lanes, len(when)))
         self._stamped(cell).add(offsets + base, when, vals)
-        self._mark(stmt, envk, "requires", "ensures")
+        self._mark(stmt, "pre", envk)
+        self._mark(stmt, "post", envk)
         self.points += len(when)
 
     def _prefix(self, scan: Scan, envk: dict) -> np.ndarray:
@@ -1271,6 +1276,32 @@ class _Steps:
         return got
 
 
+def _site(node) -> str:
+    """Where a finding at ``node`` is: its loop, its consume or its
+    statement."""
+    if isinstance(node, Loop):
+        return f"loop {node.dim.display}"
+    if isinstance(node, Consume):
+        return f"consume {node.func}"
+    return f"{node.func}.stage{node.stage}"
+
+
+# The phases of a node's events, each a row: the slots of the node's
+# annotation set whose value annotations it checks, the kind of a finding and
+# its message.  A serial loop has a boundary before each iteration and one
+# past its last; a parallel iteration, an entry and an exit; a consume, its
+# entry; a statement, a pre- and a postcondition.  A loop's message names its
+# variable and value (``d``, ``v``), a consume's its func (``f``).
+_EVENTS = {
+    "boundary": (("invariants",), "invariant_violation", "loop invariant does not hold at {d} = {v}"),
+    "entry": (("requires", "context"), "contract_violation", "iteration contract fails on entry at {d} = {v}"),
+    "exit": (("ensures", "context"), "contract_violation", "iteration contract fails on exit at {d} = {v}"),
+    "consume": (("context",), "contract_violation", "consumed values of {f!r} disagree with its definition"),
+    "pre": (("requires",), "contract_violation", "statement precondition does not hold"),
+    "post": (("ensures",), "contract_violation", "statement postcondition does not hold"),
+}
+
+
 class _AnnObserver:
     """Evaluates attached annotations at the runner's boundary events.
 
@@ -1281,14 +1312,16 @@ class _AnnObserver:
     one cell must sum to at most a whole permission.  A ledger counts in
     integer shares of one common denominator, so its sums are exact.
 
-    A batched nest's annotations are checked, and its ledger charged and
-    summed, before its batch commits (:meth:`check_batch`), each over the
-    stacked grid of all its events inside the nest, step loops' boundaries
-    included; the event entry points then get the nest's variables as
-    vectors of events and ``when``, each event's time in statement slots.
-    The walk calls them with one event.  One routine, :meth:`_grids`, lays
-    out the points of every check, the walk's one event and a batch's
-    many alike.
+    Every event goes through one entry point, :meth:`event`, which checks
+    the slots, and reports the kind and message, of its phase's row of
+    ``_EVENTS``.  A batched nest's annotations are checked, and its ledger
+    charged and summed, before its batch commits (:meth:`check_batch`),
+    each over the stacked grid of all its events inside the nest, step
+    loops' boundaries included; :meth:`event` then gets the nest's
+    variables as vectors of events and ``when``, each event's time in
+    statement slots.  The walk calls it with one event.  One routine,
+    :meth:`_grids`, lays out the points of every check, the walk's one
+    event and a batch's many alike.
 
     In a batch, a serial loop's invariant is checked incrementally where
     its shape allows (:meth:`_incremental`): it is quantified, its bounds
@@ -1366,8 +1399,9 @@ class _AnnObserver:
         loop's boundary, of the head, a step or an expanded loop, is at the
         time the walk reaches it, its one-past-the-end boundary after its
         last iteration's writes (the head's only in its last block), and a
-        ``Consume``'s context at its entry; the batch marks them all
-        (``batch.marks``).  A parallel head's iteration ``j`` has its
+        ``Consume``'s context at its entry; the batch marks them all, each
+        with its phase (``batch.marks``), and each (node, phase) is raised
+        once, through :meth:`event`, over the stacked events of its group.  A parallel head's iteration ``j`` has its
         precondition at ``j·T`` and its postcondition at ``(j + 1)·T``, and
         is charged to a ledger of the block's own: in the last block it is
         summed with the loop's ledger, which it closes, and otherwise
@@ -1380,21 +1414,15 @@ class _AnnObserver:
                 self.ledgers.append((loop, self.ledgers[-1][1], {}))
                 j = np.arange(batch.count, dtype=np.int64)
                 events = env | {loop.dim.var: batch.lo + j}
-                self.par_iter_pre(loop, events, j * T)
-                self.par_iter_post(loop, events, (j + 1) * T)
+                self.event(loop, "entry", events, j * T)
+                self.event(loop, "exit", events, (j + 1) * T)
                 block = self.ledgers.pop()[2]
-            marks: dict[int, tuple] = {}
-            for node, envk in batch.marks:
-                marks.setdefault(id(node), (node, []))[1].append(envk)
-            for node, group in marks.values():
+            marks: dict[tuple, tuple] = {}
+            for node, phase, envk in batch.marks:
+                marks.setdefault((id(node), phase), (node, phase, []))[2].append(envk)
+            for node, phase, group in marks.values():
                 events, when = self._stacked(env, group)
-                if isinstance(node, StoreStmt):
-                    self.stmt_pre(node, events, when)
-                    self.stmt_post(node, events, when + 1)
-                elif isinstance(node, Consume):
-                    self.consume_enter(node, events, when)
-                else:
-                    self.serial_boundary(node, events, when)
+                self.event(node, phase, events, when + 1 if phase == "post" else when)
             if block is not None:
                 loop, den, claims = self.ledgers[-1]
                 if batch.closes:
@@ -1417,60 +1445,46 @@ class _AnnObserver:
             events[k] = np.concatenate([np.broadcast_to(g[k], (n,)) for g, n in zip(group, sizes)])
         return events, events.pop(_WHEN)
 
-    # -- event entry points ------------------------------------------------
-    #
-    # ``when`` is None at a single event of the walk; under a batched check
-    # the loop variable in ``env`` is a vector of events and ``when`` holds
-    # their times.
+    # -- events ------------------------------------------------------------
 
-    def _values_at(self, node, slots) -> list[Ann]:
-        """The value annotations in ``slots`` of ``node``'s set."""
+    def _values_at(self, node, phase: str) -> list[Ann]:
+        """The value annotations of ``node``'s set that ``phase`` checks."""
         aset = self.aset(node)
         if aset is None:
             return []
-        return [a for slot in slots for a in getattr(aset, slot) if self._is_value(a)]
+        return [a for slot in _EVENTS[phase][0] for a in getattr(aset, slot) if self._is_value(a)]
 
-    def _event(self, node, slots, env, kind: str, site: str, message, when=None):
-        """Check the value annotations in ``slots`` of ``node``'s set."""
-        for a in self._values_at(node, slots):
-            self._check(a, env, kind, site, message, when)
-
-    def serial_boundary(self, loop: Loop, env, when=None):
-        d, v = loop.dim.display, env[loop.dim.var]
+    def event(self, node, phase: str, env, when=None):
+        """Check the value annotations of ``node`` at ``phase``
+        (``_EVENTS``), having charged a parallel iteration's permissions at
+        its entry to the loop's ledger.  ``when`` is None at one event of the
+        walk; in a batch, the variables in ``env`` are vectors of events and
+        ``when`` holds their times, and a serial loop's boundaries check each
+        invariant incrementally where :meth:`_incremental` allows."""
+        if phase == "entry":
+            aset = self.aset(node)
+            if aset is not None:
+                self._charge(aset, env, when)
+        values = self._values_at(node, phase)
+        if not values:
+            return
+        _, kind, text = _EVENTS[phase]
+        site = _site(node)
+        fields = {"d": node.dim.display, "v": env[node.dim.var]} if isinstance(node, Loop) else {"f": node.func}
         steps = None
-        for a in self._values_at(loop, ("invariants",)):
-            changed = when is not None and self._incremental(loop, a)
-            if changed and steps is None:
+        for a in values:
+            incremental = phase == "boundary" and when is not None and self._incremental(node, a)
+            if incremental and steps is None:
                 steps = _Steps(self.runner.batch.log, env, when)
-            self._check(
-                a, env, "invariant_violation", f"loop {d}",
-                lambda: f"loop invariant does not hold at {d} = {v}", when, steps if changed else None,
-            )
+            self._check(a, env, kind, site, lambda: text.format(**fields), when, steps if incremental else None)
 
     def par_enter(self, loop: Loop):
         aset = self.aset(loop)
         self.ledgers.append((loop, 1 if aset is None else self._perms(aset)[0], {}))
 
-    def par_iter_pre(self, loop: Loop, env, when=None):
-        aset = self.aset(loop)
-        if aset is not None:
-            self._charge(aset, env, when)
-        d, v = loop.dim.display, env[loop.dim.var]
-        self._event(
-            loop, ("requires", "context"), env, "contract_violation", f"loop {d}",
-            lambda: f"iteration contract fails on entry at {d} = {v}", when,
-        )
-
-    def par_iter_post(self, loop: Loop, env, when=None):
-        d, v = loop.dim.display, env[loop.dim.var]
-        self._event(
-            loop, ("ensures", "context"), env, "contract_violation", f"loop {d}",
-            lambda: f"iteration contract fails on exit at {d} = {v}", when,
-        )
-
-    def par_exit(self, loop: Loop):
-        """Sum the ledger of ``loop``: a cell claimed beyond a whole
-        permission is a race."""
+    def par_exit(self):
+        """Sum the ledger of the innermost parallel loop: a cell claimed
+        beyond a whole permission is a race."""
         self._sum(*self.ledgers.pop())
 
     def _sum(self, loop: Loop, den: int, *ledgers):
@@ -1490,27 +1504,9 @@ class _AnnObserver:
                     f"iterations of parallel loop {loop.dim.display!r} together"
                     f" claim {total} of {name}[{off}]"
                     " (fraction sum exceeds a whole permission)",
-                    f"loop {loop.dim.display}",
+                    _site(loop),
                     dedupe=("perm_sum", loop.dim.var, name, off),
                 )
-
-    def consume_enter(self, node: Consume, env, when=None):
-        self._event(
-            node, ("context",), env, "contract_violation", f"consume {node.func}",
-            lambda: f"consumed values of {node.func!r} disagree with its definition", when,
-        )
-
-    def stmt_pre(self, node: StoreStmt, env, when=None):
-        self._event(
-            node, ("requires",), env, "contract_violation", f"{node.func}.stage{node.stage}",
-            lambda: "statement precondition does not hold", when,
-        )
-
-    def stmt_post(self, node: StoreStmt, env, when=None):
-        self._event(
-            node, ("ensures",), env, "contract_violation", f"{node.func}.stage{node.stage}",
-            lambda: "statement postcondition does not hold", when,
-        )
 
     def pipeline_post(self):
         """The pipeline's postconditions against the final memory state."""
