@@ -922,10 +922,10 @@ class _Batch:
     A point is an iteration of the head at first, the head's variable a
     vector over them; a ``Store`` gives each point its own private storage.
     ``If`` narrows the points; a node that holds a grant or storage is
-    entered as on the walk (:meth:`_Runner.entered`).  One loop rule holds for every serial loop
-    beneath the head: side by side, it repeats the points, one per
-    iteration, its variable a vector over them, and a step loop runs one
-    iteration at a time (:meth:`_serial`).  Every point carries its walk
+    entered as on the walk (:meth:`_Runner.entered`).  One loop rule holds
+    for every serial loop beneath the head: side by side, it repeats the
+    points, one per iteration, its variable a vector over them, and a step
+    loop runs one iteration at a time (:meth:`_serial`).  Every point carries its walk
     time (``_WHEN``), the statement slots before it in the block: ``j·T +
     t`` for slot ``t`` of head iteration ``j``, ``T = plan.slots``.
 
@@ -1401,11 +1401,11 @@ class _AnnObserver:
         last iteration's writes (the head's only in its last block), and a
         ``Consume``'s context at its entry; the batch marks them all, each
         with its phase (``batch.marks``), and each (node, phase) is raised
-        once, through :meth:`event`, over the stacked events of its group.  A parallel head's iteration ``j`` has its
-        precondition at ``j·T`` and its postcondition at ``(j + 1)·T``, and
-        is charged to a ledger of the block's own: in the last block it is
-        summed with the loop's ledger, which it closes, and otherwise
-        folded into it."""
+        once, through :meth:`event`, over the stacked events of its group.
+        A parallel head's iteration ``j`` has its precondition at ``j·T``
+        and its postcondition at ``(j + 1)·T``, and is charged to a ledger
+        of the block's own: in the last block it is summed with the loop's
+        ledger, which it closes, and otherwise folded into it."""
         loop, T = batch.loop, batch.plan.slots
         depth = len(self.ledgers)
         block = None

@@ -148,20 +148,11 @@ class Expr:
     def __add__(self, other: "Expr | int") -> "Expr":
         return _fold(BinOp("+", self, as_expr(other)))
 
-    def __radd__(self, other: "Expr | int") -> "Expr":
-        return _fold(BinOp("+", as_expr(other), self))
-
     def __sub__(self, other: "Expr | int") -> "Expr":
         return _fold(BinOp("-", self, as_expr(other)))
 
-    def __rsub__(self, other: "Expr | int") -> "Expr":
-        return _fold(BinOp("-", as_expr(other), self))
-
     def __mul__(self, other: "Expr | int") -> "Expr":
         return _fold(BinOp("*", self, as_expr(other)))
-
-    def __rmul__(self, other: "Expr | int") -> "Expr":
-        return _fold(BinOp("*", as_expr(other), self))
 
 
 @dataclass(frozen=True)
@@ -836,6 +827,7 @@ class Func:
     name: str
     dims: tuple[tuple[str, Interval], ...]
     stages: tuple[Stage, ...]
+    span: Span = field(default=NO_SPAN, compare=False)  # of its declaration
 
     def dim_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.dims)
@@ -864,6 +856,7 @@ class Pipeline:
     output: str
     requires: tuple[Cond, ...] = ()
     ensures: tuple[QuantCond, ...] = ()
+    output_span: Span = field(default=NO_SPAN, compare=False)  # of the output's name
 
     def buffer(self, name: str) -> Buffer:
         for b in self.buffers:
@@ -945,7 +938,7 @@ class Pipeline:
                 lhs, guard = tuple(substitute(a, live) for a in s.lhs_args), None if s.guard is None else substitute(s.guard, live)
                 invariants = tuple((n, Cond(substitute(c.expr, live), c.span)) for n, c in s.invariants)
                 stages.append(Stage(s.func, s.index, lhs, substitute(s.rhs, live), rdom, guard, conds(s.requires, live), conds(s.ensures, live), invariants, s.span))
-            funcs.append(Func(f.name, dims(f.name, f.dims, pmap), tuple(stages)))
+            funcs.append(Func(f.name, dims(f.name, f.dims, pmap), tuple(stages), f.span))
         ensures = tuple(
             QuantCond(
                 tuple(Quantifier(qt.var, substitute(qt.lo, pmap), substitute(qt.hi, pmap)) for qt in q.quants),
@@ -955,7 +948,7 @@ class Pipeline:
             for q in self.ensures
         )
         params = tuple((k, Const(values[k])) for k, _ in self.params)
-        return Pipeline(self.name, params, buffers, tuple(funcs), self.output, conds(self.requires, pmap), ensures)
+        return Pipeline(self.name, params, buffers, tuple(funcs), self.output, conds(self.requires, pmap), ensures, self.output_span)
 
     def validated(self, overrides: dict[str, int] | None = None) -> "Pipeline":
         resolved = self.resolve(overrides)
@@ -997,11 +990,11 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
         names[b.name] = "buffer"
     for f in p.funcs:
         if f.name in names:
-            diags.append(Diagnostic("DuplicateName", f"func {f.name!r} redeclared"))
+            diags.append(Diagnostic("DuplicateName", f"func {f.name!r} redeclared", f.span))
         names[f.name] = "func"
 
     if p.output not in names or names.get(p.output) != "func":
-        diags.append(Diagnostic("UnknownFunc", f"output {p.output!r} is not a declared func"))
+        diags.append(Diagnostic("UnknownFunc", f"output {p.output!r} is not a declared func", p.output_span))
         return diags
 
     for b in p.buffers:
@@ -1108,8 +1101,9 @@ def _validate_stage(p: Pipeline, f: Func, s: Stage, defined: set[str], diags: li
                 continue
             if not _is_var_free_of(arg, pure_vars):
                 diags.append(Diagnostic("LhsNotCanonical", f"{at}: left-hand argument for {dn!r} must be the variable itself or be free of stage variables", s.span))
-            if rvars and not _is_var_free_of(arg, rvars) and kind == "update":
-                diags.append(Diagnostic("UnknownRVar", f"{at}: reduction variable used without a reduction domain", s.span))
+            # a pinned argument may name the stage's reduction variables only
+            for name in sorted(_facts(arg)[0] - pure_vars - rvars):
+                diags.append(Diagnostic("UnboundVar", f"{at} lhs: unknown variable {name!r}", s.span))
 
     def check_expr(e: Expr, where: str, span: Span, self_rule: str, consts: bool = False) -> tuple[list[int], list[tuple[Expr, ...]]]:
         """Check ``e``'s variables, buffer reads and func applications in one

@@ -578,12 +578,6 @@ class FootDim:
     lo: Expr
     extent: int
 
-    @property
-    def hi(self) -> Expr:
-        if isinstance(self.lo, Const):
-            return Const(self.lo.value + self.extent)
-        return BinOp("+", self.lo, Const(self.extent))
-
 
 @dataclass(frozen=True)
 class Footprint:

@@ -289,6 +289,7 @@ class _Parser:
         self.expect(")")
         self.expect("-")  # "->" arrives as two tokens
         self.expect(">")
+        output_span = self.span(self.toks[self.pos][2])
         output = self.ident("output func name")
         self.expect("{")
         self.inputs = set(inputs)
@@ -325,7 +326,7 @@ class _Parser:
                 pipe_ens.append(QuantCond(quants, self.expr(), self.span(off)))
                 self.expect(";")
             elif self.eat("func"):
-                funcs.append(self._func_block())
+                funcs.append(self._func_block(self.span(off)))
             elif kind == "ident" and text not in _STMT_KEYWORDS:
                 # buffer value precondition: `inp.requires(expr);`
                 self.pos += 1
@@ -362,9 +363,10 @@ class _Parser:
             output=output,
             requires=tuple(pipe_req),
             ensures=tuple(pipe_ens),
+            output_span=output_span,
         )
 
-    def _func_block(self) -> Func:
+    def _func_block(self, span: Span) -> Func:
         fname = self.decl_ident("func name")
         dims = self.dim_list()
         self.expect("{")
@@ -385,7 +387,7 @@ class _Parser:
         self.expect("}")
         if not stages:
             raise ParseError(f"func {fname!r} has no stages", self.span(self.toks[self.pos][2]))
-        return Func(fname, dims, tuple(stages))
+        return Func(fname, dims, tuple(stages), span)
 
     def _stage(self, fname: str, index: int, span: Span) -> Stage:
         self.expect("(")

@@ -5,7 +5,9 @@ trees round-trip), PVL-style pure-function encodings, and the annotation
 comments embedded in emitted C.  The dialects differ only in how calls,
 selects, division, and storage reads are spelled; operator precedence is
 shared and parentheses are inserted to reproduce the exact tree shape,
-which the parser round-trip property relies on.
+which the parser round-trip property relies on.  Only the DSL also
+parenthesizes a comparison that is an operand of a comparison, since its
+parser takes none.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ _PREC = {
     "%": 8,
 }
 _RIGHT_ASSOC = {"==>", "?:"}
+# The DSL parser gives every comparison one level and lets none take a
+# comparison operand, so there a comparison inside a comparison is
+# parenthesized; PVL and the C annotations keep the ranks above.
+_COMPARISONS = {"==", "!=", "<", "<="}
+_COMPARISON_RANKS = {_PREC[op] for op in _COMPARISONS}
 _ATOM = 100
 
 
@@ -136,12 +143,15 @@ class ExprPrinter:
     def _binary_like(self, op: str, operands: tuple[Expr, ...]) -> tuple[str, int]:
         prec = _PREC[op]
         right_assoc = op in _RIGHT_ASSOC
+        compares = self.dialect == "dsl" and op in _COMPARISONS
 
         def side(x: Expr, is_right: bool) -> str:
             text, p = self._p(x)
             if p < prec:
                 return f"({text})"
             if p == prec and (is_right != right_assoc):
+                return f"({text})"
+            if compares and p in _COMPARISON_RANKS:
                 return f"({text})"
             return text
 

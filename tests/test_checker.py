@@ -795,6 +795,28 @@ pipeline t(inp) -> out {
     assert str(results[0]) == "UnreadFunc: g is realized but never read; nothing to infer bounds from"
 
 
+MIDDLEMAN = """
+pipeline mid(inp) -> out {{
+  buffer inp(x in [0, 8));
+  func g(x in [0, 8)) {{ g(x) = inp(x) + 1; }}
+  func m(x in [0, 8)) {{ m(x) = g(x) * 2; }}
+  func out(x in [0, 8)) {{ out(x) = {rhs}; }}
+}}
+"""
+
+
+@pytest.mark.parametrize("rhs", ["m(x)", "m(x) + g(x)"], ids=["through-m", "through-m-and-directly"])
+@pytest.mark.parametrize("extra", ["", " out.parallel(x);"], ids=["serial", "parallel"])
+def test_a_producer_placed_in_a_consumer_that_reads_it_through_an_inlined_func(rhs, extra):
+    # out reads g through m, which is inlined: out consumes g
+    d = parse_schedule("g.compute_at(out, x);" + extra)
+    results = rejected_alike_or_clean(parse_pipeline(MIDDLEMAN.format(rhs=rhs)).validated(), d)
+    assert all(isinstance(r, C.RunResult) for r in results), results
+    # without the read, out is no consumer of g
+    results = rejected_alike_or_clean(parse_pipeline(MIDDLEMAN.format(rhs="inp(x)")).validated(), d)
+    assert [str(r) for r in results] == ["PlacementNotConsumer: g: 'out' never uses it"] * 3
+
+
 def test_annotation_index_that_reads_an_input_is_rejected_where_annotations_are_checked(monkeypatch):
     # only the functional mode annotates the user's postcondition
     p = parse_pipeline(
@@ -1039,6 +1061,30 @@ def test_walked_ledger_race():
     res = annotated_run("matmul", {"n": 8}, par, undivided_reads(2), include_user=False)()
     assert res.batched_loops > 0
     assert [f.to_json() for f in res.findings] == [race("j", "4 of a[0]")]
+
+
+@pytest.mark.parametrize(
+    "sched, boundary",
+    [
+        ("", ("invariant_violation", "loop invariant does not hold at x = 3")),
+        ("out.parallel(x);", ("contract_violation", "iteration contract fails on exit at x = 2")),
+    ],
+    ids=["serial", "parallel"],
+)
+def test_an_annotation_that_reads_no_input_fails_in_every_lane(monkeypatch, sched, boundary):
+    # x < 2 fails at x = 2 whatever the inputs: each failing check names no
+    # lanes, and a later event of the same annotation and site adds none
+    p = parse_pipeline(
+        "pipeline t(inp) -> out {\n  buffer inp(x in [0, 4));\n"
+        "  func out(x in [0, 4)) {\n    out(x) = inp(x);\n    out.ensures(x < 2);\n  }\n}"
+    ).validated()
+    batched, walked = declined(monkeypatch, lambda: C.check_schedule(p, parse_schedule(sched), SEEDS))
+    assert_same_run(batched, walked)
+    assert [(f.kind, f.message, f.site, f.lanes) for f in walked.findings] == [
+        ("contract_violation", "statement postcondition does not hold", "out.stage0", None),
+        (*boundary, "loop x", None),
+    ]
+    assert [r["verdict"] for r in C.to_reports("t", "s", SEEDS, walked)] == ["fail"] * len(SEEDS)
 
 
 @pytest.mark.parametrize("written,findings", [(False, []), (True, [race("xy", "241/32 of src[0]")])])

@@ -304,7 +304,8 @@ def test_a_func_declared_twice_is_a_duplicate_name():
     src = MINIMAL.replace("  func out", "  func out(x in [0, n)) {\n    out(x) = inp(x);\n  }\n  func out", 1)
     with pytest.raises(ValidationError) as exc:
         parse_pipeline(src).validated()
-    assert [str(d) for d in exc.value.diagnostics] == ["DuplicateName: func 'out' redeclared"]
+    # at the second declaration
+    assert [str(d) for d in exc.value.diagnostics] == ["DuplicateName at 8:3: func 'out' redeclared"]
 
 
 @pytest.mark.parametrize("output", ["ghost", "inp"])
@@ -312,7 +313,8 @@ def test_an_output_that_is_not_a_declared_func_is_unknown(output):
     src = MINIMAL.replace("-> out", f"-> {output}")
     with pytest.raises(ValidationError) as exc:
         parse_pipeline(src).validated()
-    assert [str(d) for d in exc.value.diagnostics] == [f"UnknownFunc: output {output!r} is not a declared func"]
+    # at the name after "->"
+    assert [str(d) for d in exc.value.diagnostics] == [f"UnknownFunc at 2:23: output {output!r} is not a declared func"]
 
 
 def test_a_node_shared_by_a_chained_comparison_is_reported_once():
@@ -485,3 +487,78 @@ def test_reduction_diagnostics_carry_their_code_and_span(stage, spec, code, span
     with pytest.raises(ValidationError) as exc:
         parse_pipeline(REDUCTION.format(stage=stage, spec=spec))
     assert [(d.code, str(d.span)) for d in exc.value.diagnostics] == [(code, span)]
+
+
+def test_a_pinned_argument_that_names_no_reduction_variable_is_unbound():
+    # out(r) = 2 names an r no domain of the stage declares.  Lowering's
+    # closed-nest check and the reference would meet it only as a run
+    # fails; validation rejects it at parse, before any check can run.
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(REDUCTION.format(stage="out(r) = 2;", spec="out.ensures(1 == 1);"))
+    assert [str(d) for d in exc.value.diagnostics] == ["UnboundVar at 6:5: out stage 1 lhs: unknown variable 'r'"]
+    # a pinned reduction variable stays in scope
+    parse_pipeline(REDUCTION.format(stage="out(r) = out(r) + 2 over (r in [0, 4));", spec=""))
+
+
+DIAGNOSED = """
+pipeline t(inp, aux) -> out {{
+  buffer inp(x in [0, 4));
+  buffer aux(x in [0, 4));
+  {spec}
+  func g(x in [0, 4)) {{
+    g(x) = inp(x);
+  }}
+  func out(x in [0, 4)) {{
+    {stage}
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "spec, stage, found",
+    [
+        ("requires inp(0) > 0;", "out(x) = g(x);", [("PipelineSpecNotBounds", "5:3"), ("NonConcreteBound", "5:3")]),
+        ("requires ghost.x.max > 0;", "out(x) = g(x);", [("UnknownFunc", "5:3")]),
+        ("requires q > 0;", "out(x) = g(x);", [("NonConcreteBound", "5:3")]),
+        (
+            "ensures forall (y in [0, ghost.x.max)) out(y) >= 0;",
+            "out(x) = g(x);",
+            [("UnknownFunc", "5:3"), ("NonConcreteBound", "5:3")],
+        ),
+        ("ensures forall (y in [0, q)) out(y) >= 0;", "out(x) = g(x);", [("NonConcreteBound", "5:3")]),
+        ("ensures forall (y in [0, 4)) g(y) >= 0;", "out(x) = g(x);", [("PipelineSpecScope", "5:3")]),
+        ("ensures out(q) >= 0;", "out(x) = g(x);", [("UnboundVar", "5:3")]),
+        ("", "out(x, x) = g(x);", [("ArityMismatch", "10:5")]),
+        ("", "out(0) = g(0);", [("LhsNotCanonical", "10:5")]),
+        ("", "out(x) = g(x);\n    out(x + 1) = 2;", [("LhsNotCanonical", "11:5")]),
+        ("", "out(x) = g(x);\n    out(x) = out(x, 0) + 1;", [("ArityMismatch", "11:5")]),
+        ("", "out(x) = g(x, 0);", [("ArityMismatch", "10:5")]),
+        ("inp.requires(q > 0);", "out(x) = g(x);", [("UnboundVar", "5:3")]),
+        ("inp.requires(aux(x) > 0);", "out(x) = g(x);", [("PipelineSpecScope", "5:3")]),
+        ("inp.requires(inp(0) > 0);", "out(x) = g(x);", [("SpecNotCanonical", "5:3")]),
+        ("inp.requires(g(x) > 0);", "out(x) = g(x);", [("PipelineSpecScope", "5:3")]),
+    ],
+    ids=[
+        "requires-reads-a-buffer",
+        "requires-unknown-entity",
+        "requires-not-closed",
+        "ensures-range-unknown-entity",
+        "ensures-range-not-closed",
+        "ensures-reads-another-func",
+        "ensures-unquantified-variable",
+        "lhs-arity",
+        "pure-lhs-pinned",
+        "update-lhs-names-a-dimension",
+        "self-application-arity",
+        "other-application-arity",
+        "buffer-requires-unknown-variable",
+        "buffer-requires-other-buffer",
+        "buffer-requires-other-cell",
+        "buffer-requires-calls-a-func",
+    ],
+)
+def test_validation_diagnostics_carry_their_code_and_span(spec, stage, found):
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(DIAGNOSED.format(spec=spec, stage=stage))
+    assert [(d.code, str(d.span)) for d in exc.value.diagnostics] == found

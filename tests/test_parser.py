@@ -9,13 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minisched.ir import BinOp, ParseError, PipelineError, ValidationError, Var
+from minisched.ir import (
+    BinOp,
+    Const,
+    FuncAccess,
+    MaxOf,
+    MinOf,
+    Not,
+    ParseError,
+    PipelineError,
+    Select,
+    ValidationError,
+    Var,
+)
 from minisched.parser import (
+    _Parser,
     parse_pipeline,
     parse_schedule,
     print_pipeline,
     print_schedule,
 )
+from minisched.printing import ExprPrinter
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "corpus", "*.hal")))
 
@@ -175,6 +189,54 @@ def test_parser_is_total(text: str):
         parse_schedule(text)
     except PipelineError:
         pass
+
+
+# Expression trees with every node the DSL spells and every operator the
+# printer ranks, negative constants among the leaves.
+trees = st.recursive(
+    st.one_of(
+        st.builds(Const, st.integers(-9, 9)),
+        st.sampled_from([Var("x"), Var("n"), FuncAccess("f", (Var("x"),))]),
+    ),
+    lambda sub: st.one_of(
+        st.builds(
+            BinOp,
+            st.sampled_from(["+", "-", "*", "hdiv", "hmod", "<", "<=", "==", "!=", "&&", "||", "==>"]),
+            sub,
+            sub,
+        ),
+        st.builds(Not, sub),
+        st.builds(Select, sub, sub, sub),
+        st.builds(MinOf, sub, sub),
+        st.builds(MaxOf, sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(trees)
+def test_a_printed_expression_parses_back_to_its_tree(e):
+    """The DSL printer parenthesizes exactly enough: a comparison that is
+    an operand of another comparison among the rest."""
+    parser = _Parser(ExprPrinter("dsl").print(e))
+    assert parser.written_expr() == e
+    assert parser.toks[parser.pos][0] == "eof"
+
+
+def test_a_comparison_of_a_comparison_is_parenthesized():
+    x = FuncAccess("inp", (Var("x"),))
+    printed = [
+        ExprPrinter("dsl").print(e)
+        for e in (
+            BinOp("==", BinOp("==", x, Const(1)), Const(1)),
+            BinOp("!=", x, BinOp("<", x, Const(2))),
+            BinOp("<", BinOp("<", x, Const(1)), Const(1)),
+        )
+    ]
+    assert printed == ["(inp(x) == 1) == 1", "inp(x) != (inp(x) < 2)", "(inp(x) < 1) < 1"]
+    # PVL keeps Java's ranks
+    assert ExprPrinter("pvl").print(BinOp("==", BinOp("<", x, Const(1)), Const(1))) == "inp(x) < 1 == 1"
 
 
 # A small expression grammar over integers, the template's parameters, a

@@ -122,3 +122,22 @@ def test_same_as_reports_the_first_line_that_differs():
     ]
     assert difference(outcomes, outcomes + "extra\n")[1:] == ["  before <end of output>", "  after  extra"]
     assert difference(outcomes, outcomes[:-1]) == ["differs in its line ends after line 2"]
+
+
+def test_line_coverage_lists_each_line_never_run_with_its_function():
+    cov = tool("line_coverage")
+    source = "def f(x):\n    if x:\n        return 1\n    return 2\n\n\nclass C:\n    def g(self):\n        return [y for y in ()]\n"
+    code = compile(source, "m.py", "exec")
+    assert cov.executable(code) == {
+        1: "f", 2: "f", 3: "f", 4: "f", 7: "C", 8: "C.g", 9: "C.g.<locals>.<listcomp>",
+    }
+    # the module ran, and f(0)
+    lines = cov.report({"pkg/m.py": (code, source)}, {"pkg/m.py": {1, 2, 4, 7, 8}})
+    assert lines == [
+        "pkg/m.py:3 f  return 1",
+        "pkg/m.py:9 C.g.<locals>.<listcomp>  return [y for y in ()]",
+        "2 of 7 executable lines never run: m 2",
+    ]
+    assert cov.report({"pkg/m.py": (code, source)}, {"pkg/m.py": set(range(10))}) == [
+        "0 of 7 executable lines never run"
+    ]
