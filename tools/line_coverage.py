@@ -90,12 +90,13 @@ def main(argv=None) -> int:
     import pytest
 
     args = sys.argv[1:] if argv is None else argv
-    sys.path[:0] = [str(PACKAGE.parent)]
-    hits = traced(lambda: pytest.main(["-q", "-p", "no:cacheprovider", *(args or [str(ROOT / "tests")])]))
+    # the sources as the tests import them, read before they run
     modules = {}
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         modules[str(path.relative_to(ROOT))] = (compile(source, str(path), "exec"), source)
+    sys.path[:0] = [str(PACKAGE.parent)]
+    hits = traced(lambda: pytest.main(["-q", "-p", "no:cacheprovider", *(args or [str(ROOT / "tests")])]))
     lines = report(modules, {str(Path(k).relative_to(ROOT)): v for k, v in hits.items()})
     print("\n".join(lines))
     return 0
