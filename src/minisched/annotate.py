@@ -19,9 +19,12 @@ not: a sliding window read overlaps itself across iterations, and claiming
 one fraction per origin point would sum past a whole permission on interior
 cells.  They are kept in region form instead, a box in the producer's own
 coordinates that widens as each loop is crossed, so every cell is claimed
-once per nesting level no matter how the reads overlap.  The box widens
-through bounds inference's range engine, ``lowering.form_range``, under the
-guards it has passed, so a split's padded tail claims no cell past them.
+once per nesting level no matter how the reads overlap.  The box a read
+permission starts from is the one lowering decided for the stage
+(``ScheduledPipeline.reads``), as bounds inference uses it; a write
+permission starts from the store footprint.  The box widens through bounds
+inference's range engine, ``lowering.form_range``, under the guards it has
+passed, so a split's padded tail claims no cell past them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field, replace
 
 from .ir import (
     BinOp,
-    BufAccess,
     Const,
     Expr,
     Frac,
@@ -40,7 +42,6 @@ from .ir import (
     PermAtom,
     PipelineError,
     Quantifier,
-    Stage,
     TableRead,
     Var,
     _resolve_bound_refs,
@@ -52,6 +53,7 @@ from .lowering import (
     Chain,
     Consume,
     FlatAlloc,
+    FootDim,
     If,
     Loop,
     LoweredPipeline,
@@ -61,7 +63,6 @@ from .lowering import (
     flatten_storage,
     form_range,
     inline_expr,
-    linearize,
     loop_range,
     poly_expr,
     storage_target,
@@ -261,18 +262,11 @@ class _Annotator:
 
     # -- seeds -------------------------------------------------------------
 
-    def stage_subst(self, func: str, si: int) -> dict[str, Expr]:
-        """Canonical dims and reduction variables to loop expressions."""
-        f = self.p.func(func)
-        origin = self.sp.funcs[func].origin
-        args = zip(f.dim_names(), f.stages[si].lhs_args)
-        return origin | {d: substitute(arg, origin) for d, arg in args if arg != Var(d)}
-
     def seeds_for(self, stmt: StoreStmt) -> list:
         func, si = stmt.func, stmt.stage
         f = self.p.func(func)
         s = f.stages[si]
-        sub = self.stage_subst(func, si)
+        origin = self.sp.funcs[func].origin
         state: list = [
             Ann(
                 "context",
@@ -282,18 +276,15 @@ class _Annotator:
                 origin=("write", func),
             )
         ]
-        for name, accesses in self.stage_reads(func, s).items():
-            if name == func:
-                continue  # covered by the stage's own write permission
-            state.append(self.read_region(name, accesses, origin=("read", name, func, si)))
+        for name, box in self.sp.reads[(func, si)].items():
+            state.append(self.region(name, box, Frac(1, 2), ("read", name, func, si)))
         if not self.include_user:
             return state
 
-        origin = self.sp.funcs[func].origin
         until = None if s.rdom is None else origin[s.rdom.names()[-1]].name
 
         for cond in s.ensures:
-            body = self.flatten(substitute(cond.expr, sub))
+            body = self.flatten(substitute(cond.expr, origin))
             state.append(Ann("ensures", (), body, origin=("stage", func, si, "post"), until=until))
 
         if si > 0:
@@ -307,7 +298,7 @@ class _Annotator:
             for cond in prev.ensures:
                 for args in points:
                     inst = substitute(cond.expr, dict(zip(f.dim_names(), args)))
-                    body = self.flatten(substitute(inst, sub))
+                    body = self.flatten(substitute(inst, origin))
                     state.append(
                         Ann("requires", (), body, origin=("stage", func, si, "pre"), until=until)
                     )
@@ -320,49 +311,20 @@ class _Annotator:
                         "MissingReductionInvariant",
                         f"{func} stage {si}: reduction variable {rv!r} has no invariant",
                     )
-                body = self.flatten(substitute(inv.expr, sub))
+                body = self.flatten(substitute(inv.expr, origin))
                 state.append(Ann("invariant", (), body, origin=("rinv", func, si, origin[rv].name)))
         return state
 
-    def stage_reads(self, func: str, s: Stage) -> dict[str, list[tuple[Expr, ...]]]:
-        """Entity name to access argument tuples, in loop variables."""
-        sub = self.stage_subst(func, s.index)
-        out: dict[str, list[tuple[Expr, ...]]] = {}
-        for e in [s.rhs] + ([s.guard] if s.guard is not None else []):
-            e = substitute(inline_expr(self.sp, e), sub)
-            for n in walk(e):
-                name = args = None
-                if isinstance(n, FuncAccess) and n.func in self.allocs:
-                    name, args = n.func, n.args
-                elif isinstance(n, BufAccess):
-                    name, args = n.buf, n.args
-                if name is not None and args not in out.setdefault(name, []):
-                    out[name].append(args)
-        return out
-
-    def read_region(self, name: str, accesses, origin) -> RegionPerm:
-        entity = (
-            self.p.buffer(name)
-            if any(b.name == name for b in self.p.buffers)
-            else self.p.func(name)
-        )
-        boxes = []
-        for idx, d in enumerate(entity.dim_names()):
-            forms = [linearize(args[idx]) for args in accesses]
-            shape = forms[0][0]  # lowering rejects a stage that reads in two shapes
-            ks = [k for _, k in forms]
-            order = sorted(k for k in shape if isinstance(k, str))
-            boxes.append((d, poly_expr(shape, min(ks), order), max(ks) - min(ks) + 1))
+    def region(self, name: str, box: dict[str, FootDim], frac: Frac, origin, write: bool = False) -> RegionPerm:
+        """``frac`` of a box of ``name`` from lowering: a stage's read box or
+        a store footprint."""
         return RegionPerm(
-            storage_target(self.p, name), self.allocs[name], tuple(boxes), Frac(1, 2), origin=origin
+            storage_target(self.p, name), self.allocs[name],
+            tuple((d, fd.lo, fd.extent) for d, fd in box.items()), frac, write, origin,
         )
 
     def footprint_write(self, f: str) -> RegionPerm:
-        fp = self.lp.footprints[f].store
-        boxes = tuple((d, fp[d].lo, fp[d].extent) for d in self.p.func(f).dim_names())
-        return RegionPerm(
-            storage_target(self.p, f), self.allocs[f], boxes, Frac(1, 1), write=True, origin=("write", f)
-        )
+        return self.region(f, self.lp.footprints[f].store, Frac(1, 1), ("write", f), write=True)
 
     def consume_equalities(self, g: str) -> list[Ann]:
         """``g`` holds its defining values over the consumed footprint."""

@@ -60,7 +60,7 @@ def ann_text(a) -> str:
         a = a.quantified()
     body = _PR.print(a.body)
     if a.quants:
-        body = quantified(a.quants, None, body, _PR)
+        body = quantified(a.quants, body, _PR)
     tag = "" if a.live else f"  [dormant until {a.until}]"
     return f"{a.kind}: {body}{tag}  <{a.origin}>"
 

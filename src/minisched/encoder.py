@@ -384,7 +384,7 @@ def _render(prog: EncodedProgram) -> str:
 
     lemma_lines = [f" requires {pr.print(r)};" for r in prog.lemma.requires]
     for qc in prog.lemma.ensures:
-        lemma_lines.append(f" ensures {quantified(qc.quants, None, pr.print(qc.body), pr)};")
+        lemma_lines.append(f" ensures {quantified(qc.quants, pr.print(qc.body), pr)};")
     lemma_lines.append("void pipeline() { }")
     blocks.append(("\n".join(lemma_lines), False))
 

@@ -811,6 +811,7 @@ class Buffer:
     name: str
     dims: tuple[tuple[str, Interval], ...]
     requires: tuple[Cond, ...] = ()
+    span: Span = field(default=NO_SPAN, compare=False)  # of its declaration
 
     def dim_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.dims)
@@ -923,7 +924,7 @@ class Pipeline:
         def conds(cs: tuple[Cond, ...], live: dict[str, Expr]) -> tuple[Cond, ...]:
             return tuple(c if (e := substitute(c.expr, live)) is c.expr else Cond(e, c.span) for c in cs)
 
-        buffers = tuple(Buffer(b.name, dims(b.name, b.dims, pmap), conds(b.requires, visible(b.dim_names()))) for b in self.buffers)
+        buffers = tuple(Buffer(b.name, dims(b.name, b.dims, pmap, b.span), conds(b.requires, visible(b.dim_names())), b.span) for b in self.buffers)
         funcs = []
         for f in self.funcs:
             live_f, stages = visible(f.dim_names()), []
@@ -938,7 +939,7 @@ class Pipeline:
                 lhs, guard = tuple(substitute(a, live) for a in s.lhs_args), None if s.guard is None else substitute(s.guard, live)
                 invariants = tuple((n, Cond(substitute(c.expr, live), c.span)) for n, c in s.invariants)
                 stages.append(Stage(s.func, s.index, lhs, substitute(s.rhs, live), rdom, guard, conds(s.requires, live), conds(s.ensures, live), invariants, s.span))
-            funcs.append(Func(f.name, dims(f.name, f.dims, pmap), tuple(stages), f.span))
+            funcs.append(Func(f.name, dims(f.name, f.dims, pmap, f.span), tuple(stages), f.span))
         ensures = tuple(
             QuantCond(
                 tuple(Quantifier(qt.var, substitute(qt.lo, pmap), substitute(qt.hi, pmap)) for qt in q.quants),
@@ -983,11 +984,7 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
     ``h(x)`` by the halves of ``lo <= h(x) <= hi``, is reported once.
     """
     diags: list[Diagnostic] = []
-    names: dict[str, str] = {}
-    for b in p.buffers:
-        if b.name in names:
-            diags.append(Diagnostic("DuplicateName", f"buffer {b.name!r} redeclared"))
-        names[b.name] = "buffer"
+    names = {b.name: "buffer" for b in p.buffers}  # the parser rejects a buffer declared twice
     for f in p.funcs:
         if f.name in names:
             diags.append(Diagnostic("DuplicateName", f"func {f.name!r} redeclared", f.span))
@@ -998,17 +995,14 @@ def validate_pipeline(p: Pipeline) -> list[Diagnostic]:
         return diags
 
     for b in p.buffers:
-        _check_dims(b.name, b.dims, diags)
+        _check_dims(b.name, b.dims, diags, b.span)
         for c in b.requires:
             _check_value_spec(b.name, b.dim_names(), c, diags)
 
     defined: set[str] = {b.name for b in p.buffers}
     for f in p.funcs:
-        _check_dims(f.name, f.dims, diags)
-        if not f.stages:
-            diags.append(Diagnostic("EmptyFunc", f"func {f.name!r} has no definition"))
-            continue
-        for s in f.stages:
+        _check_dims(f.name, f.dims, diags, f.span)
+        for s in f.stages:  # the parser rejects a func with none
             if s.rdom is not None:
                 _check_dims(f"{f.name} stage {s.index}", s.rdom.vars, diags, s.span)
             _validate_stage(p, f, s, defined, diags)

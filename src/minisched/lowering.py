@@ -4,10 +4,14 @@ The passes here turn a validated pipeline plus a directive list into the
 imperative form everything downstream consumes: ``apply_directives``
 rewrites each function's loop axes, records placements and gives every loop
 its final name (a placed func's loop named like a loop in scope at its site
-gets a fresh name, so no later pass renames), ``infer_bounds`` computes
-the region of every producer its consumers actually touch, and
-``build_loop_nest`` assembles the produce/consume/store tree with all
-storage flattened to one-dimensional arrays.
+gets a fresh name, so no later pass renames).  It also writes each realized
+stage's body over its loops once (``ScheduledPipeline.bodies``), and with
+it the one box of constant extent the stage reads of each other entity
+(``ScheduledPipeline.reads``).  ``infer_bounds`` computes from those boxes
+the region of every producer its consumers actually touch,
+``build_loop_nest`` assembles the produce/consume/store tree from the
+bodies with all storage flattened to one-dimensional arrays, and the
+annotator's read permissions start from the same boxes.
 
 Index expressions are kept in a linear normal form (``c1*v1 + ... + c0``
 with positive terms first, variables ordered outermost loop first), which
@@ -281,9 +285,14 @@ class ScheduledFunc:
 class ScheduledPipeline:
     pipeline: Pipeline
     funcs: dict[str, ScheduledFunc]
-    # the stage-0 body of each inlined func, every inlined func in it
-    # unfolded; filled once, by ``apply_directives``
+    # filled once, in definition order, by ``apply_directives``: the stage-0
+    # body of each inlined func, every inlined func in it unfolded; each
+    # realized stage's right-hand side, then its guard if it has one,
+    # inlined funcs unfolded and written over the loops; and the one box
+    # each realized stage reads of each entity other than its own func
     inlined: dict[str, Expr] = field(default_factory=dict)
+    bodies: dict[tuple[str, int], tuple[Expr, ...]] = field(default_factory=dict)
+    reads: dict[tuple[str, int], dict[str, dict[str, FootDim]]] = field(default_factory=dict)
 
     @property
     def realized(self) -> tuple[str, ...]:
@@ -319,6 +328,11 @@ def apply_directives(p: Pipeline, ds: list) -> ScheduledPipeline:
     for f in p.funcs:  # a func reads only the funcs declared before it
         if funcs[f.name].inline:
             sp.inlined[f.name] = inline_expr(sp, f.stages[0].rhs)
+            continue
+        for s in f.stages:
+            body = tuple(substitute(inline_expr(sp, e), funcs[f.name].origin) for e in (s.rhs, s.guard) if e is not None)
+            sp.bodies[(f.name, s.index)] = body
+            sp.reads[(f.name, s.index)] = _read_boxes(p, f.name, s.index, body)
     return sp
 
 
@@ -480,7 +494,7 @@ def _resolve_placements(p: Pipeline, state: dict[str, ScheduledFunc]) -> dict[st
             out[f.name] = replace(sf, inline=True)
 
     # Placement sanity: sites must name realized consumers that actually use
-    # the producer, store must enclose compute, and chains must be acyclic.
+    # the producer, and store must enclose compute.
     for name, sf in out.items():
         if sf.compute_site is None:
             continue
@@ -499,14 +513,8 @@ def _resolve_placements(p: Pipeline, state: dict[str, ScheduledFunc]) -> dict[st
         if cvars.index(svar) > cvars.index(var):
             raise _err("StoreBelowCompute", f"{name}: storage at {svar!r} sits inside the compute loop {var!r}")
 
-    for name in out:
-        chain: list[str] = []
-        cur = name
-        while out[cur].compute_site is not None:
-            if cur in chain:
-                raise _err("PlacementCycle", f"compute_at chain loops through {cur!r}")
-            chain.append(cur)
-            cur = out[cur].compute_site[0]
+    # a func reads only the funcs declared before it, so a compute_at cycle
+    # fails PlacementNotConsumer above and none reaches ``_name_loops``
     return out
 
 
@@ -626,14 +634,14 @@ def infer_bounds(sp: ScheduledPipeline) -> dict[str, Footprint]:
     for name in reversed([n for n in sp.realized if n != p.output]):
         sf = sp.funcs[name]
         compute = _scope(sp.funcs, sf.compute_site)
-        accesses = _collect_accesses(sp, name)
-        if not accesses:
+        reads = _collect_accesses(sp, name)
+        if not reads:
             raise _err("UnreadFunc", f"{name} is realized but never read; nothing to infer bounds from")
         if sf.compute_site is not None:
-            _check_site_guards(sp, sf, accesses, compute, fps)
+            _check_site_guards(sp, sf, reads, compute, fps)
         fps[name] = Footprint(
-            compute=_region(sp, sf, accesses, compute, fps),
-            store=_region(sp, sf, accesses, _scope(sp.funcs, sf.store_site), fps),
+            compute=_region(sp, sf, reads, compute, fps),
+            store=_region(sp, sf, reads, _scope(sp.funcs, sf.store_site), fps),
         )
     return fps
 
@@ -650,21 +658,39 @@ def inline_expr(sp: ScheduledPipeline, e: Expr) -> Expr:
     return rewrite(e, repl)
 
 
-def _collect_accesses(sp, name: str) -> list[tuple[str, tuple[Expr, ...]]]:
-    """Occurrences of ``name(args)`` in realized consumers, arguments
-    rewritten into the consumer's loop variables."""
-    out: list[tuple[str, tuple[Expr, ...]]] = []
-    for g in sp.pipeline.funcs:
-        if sp.funcs[g.name].inline or g.name == name:
+def _collect_accesses(sp, name: str) -> list[tuple[str, dict[str, FootDim]]]:
+    """The box of ``name`` each realized stage that reads it reads, with
+    the stage's func."""
+    return [(func, boxes[name]) for (func, _), boxes in sp.reads.items() if name in boxes]
+
+
+def _read_boxes(p: Pipeline, func: str, si: int, body: tuple[Expr, ...]) -> dict[str, dict[str, FootDim]]:
+    """The box of constant extent stage ``si`` of ``func`` reads of each
+    entity other than ``func``, from the least constant offset of its reads
+    to the greatest, in the order first read.  A stage that reads an entity
+    in two affine shapes is rejected: no such box covers ``inp(x)`` and
+    ``inp(2 * x)`` once a loop fixes ``x``."""
+    seen: dict[str, tuple[Expr, tuple, list[tuple[int, ...]]]] = {}  # first read, its shape, every offset
+    for n in (n for e in body for n in walk(e)):
+        name = n.buf if isinstance(n, BufAccess) else n.func if isinstance(n, FuncAccess) else func
+        if name == func:
             continue
-        gsf = sp.funcs[g.name]
-        for s in g.stages:
-            for e in [s.rhs] + ([s.guard] if s.guard is not None else []):
-                e = substitute(inline_expr(sp, e), gsf.origin)
-                for node in walk(e):
-                    if isinstance(node, FuncAccess) and node.func == name:
-                        out.append((g.name, node.args))
-    return out
+        shape, ks = zip(*map(linearize, n.args))
+        first, had, offsets = seen.setdefault(name, (n, shape, []))
+        if had != shape:
+            pr = ExprPrinter("dsl")
+            raise NonAffineAccess(
+                f"{func} stage {si} reads {pr(first)} and {pr(n)}, two shapes that no box of constant extent covers"
+            )
+        offsets.append(ks)
+    boxes: dict[str, dict[str, FootDim]] = {}
+    for name, (first, shape, offsets) in seen.items():
+        entity = p.buffer(name) if isinstance(first, BufAccess) else p.func(name)
+        boxes[name] = {
+            d: FootDim(poly_expr(c, min(ks), sorted(v for v in c if isinstance(v, str))), max(ks) - min(ks) + 1)
+            for d, c, ks in zip(entity.dim_names(), shape, zip(*offsets))
+        }
+    return boxes
 
 
 def _loop_box(sp, consumer: str, fps) -> dict[str, tuple[Expr, Expr]]:
@@ -677,22 +703,24 @@ def _loop_box(sp, consumer: str, fps) -> dict[str, tuple[Expr, Expr]]:
     return {v: (d.lo, dec(d.lo + d.extent)) for v, d in dims.items()}
 
 
-def _check_site_guards(sp, sf: ScheduledFunc, accesses, free: list[str], fps):
+def _check_site_guards(sp, sf: ScheduledFunc, reads, free: list[str], fps):
     """Reject a producer computed at a site whose footprint stays inside its
     consumer's declared domain only under a tail guard that names a loop not
     bound at the site: the guard cannot wrap the producer, and its loops of
-    constant extent would run past the guard (Halide clamps them instead)."""
+    constant extent would run past the guard (Halide clamps them instead).
+    A box's reads differ only by a constant, which moves the footprint's
+    top and the guard's cap alike, so its low corner stands for them all."""
     split_roots = {r for a in sf.axes if not a.original for r in a.roots}
-    for consumer, args in accesses:
+    for consumer, box in reads:
         guards = sp.funcs[consumer].guards
         inside = [g for g in guards if free_vars(g) <= set(free)]
-        box = _loop_box(sp, consumer, fps)
+        loops = _loop_box(sp, consumer, fps)
         for g in (g for g in guards if g not in inside):
-            for (dname, _), arg in zip(sf.func.dims, args):
+            for dname, _ in sf.func.dims:
                 if dname in split_roots:
                     continue
-                cap = form_range(arg, box, [g], set(free))[2]
-                if cap is not None and form_range(arg, box, inside, set())[1][1] > cap:
+                cap = form_range(box[dname].lo, loops, [g], set(free))[2]
+                if cap is not None and form_range(box[dname].lo, loops, inside, set())[1][1] > cap:
                     raise _err(
                         "GuardOutsideSite",
                         f"{sf.func.name}: computed inside {consumer!r}, its {dname!r} footprint"
@@ -701,20 +729,21 @@ def _check_site_guards(sp, sf: ScheduledFunc, accesses, free: list[str], fps):
                     )
 
 
-def _region(sp, sf: ScheduledFunc, accesses, free: list[str], fps) -> dict[str, FootDim]:
+def _region(sp, sf: ScheduledFunc, reads, free: list[str], fps) -> dict[str, FootDim]:
     region: dict[str, FootDim] = {}
     split_roots = {r for a in sf.axes if not a.original for r in a.roots}
-    boxes = {consumer: _loop_box(sp, consumer, fps) for consumer, _ in accesses}
-    for idx, (dname, iv) in enumerate(sf.func.dims):
+    loops = {consumer: _loop_box(sp, consumer, fps) for consumer, _ in reads}
+    for dname, iv in sf.func.dims:
         if dname in split_roots:
             # A split or fused dimension iterates over its declared range, so
             # the storage must cover it regardless of what consumers touch.
             region[dname] = FootDim(iv.lo, iv.extent)
             continue
-        los, his = zip(*(
-            form_range(args[idx], boxes[consumer], sp.funcs[consumer].guards, set(free))[:2]
-            for consumer, args in accesses
-        ))
+        los, his = [], []
+        for consumer, box in reads:
+            lo, (hc, hk), _ = form_range(box[dname].lo, loops[consumer], sp.funcs[consumer].guards, set(free))
+            los.append(lo)
+            his.append((hc, hk + box[dname].extent - 1))
         shape = los[0][0]
         if any(c != shape for c, _ in los + his):
             raise NonAffineAccess(f"{sf.func.name}.{dname}: footprint bounds differ in shape; its extent is not constant")
@@ -958,9 +987,7 @@ class _Builder:
         alloc = self.allocs[name]
         point = {d: substitute(arg, sf.origin) for d, arg in zip(sf.func.dim_names(), s.lhs_args)}
         index = alloc.offset(point, scope)
-        exprs = (s.rhs,) if s.guard is None else (s.rhs, s.guard)
-        reads = [substitute(inline_expr(self.sp, e), sf.origin) for e in exprs]
-        value, *guard = (flatten_storage(self.p, self.allocs, e, scope) for e in reads)
+        value, *guard = (flatten_storage(self.p, self.allocs, e, scope) for e in self.sp.bodies[(name, s.index)])
         if guard and _reads_storage(guard[0]):
             # the nest's control flow never depends on data
             raise _err(
@@ -970,29 +997,9 @@ class _Builder:
                 s.span,
             )
         nodes: list[Node] = [StoreStmt(name, s.index, storage_target(self.p, name), index, value)]
-        _check_read_shapes(name, s.index, reads)
         for c in reversed(self.tail_guards(name, scope) + guard):
             nodes = [If(c, (name, s.index), nodes)]
         return nodes
-
-
-def _check_read_shapes(func: str, si: int, reads: list[Expr]) -> None:
-    """Reject a stage that reads an entity other than its own func in two
-    affine shapes.  A stage's read permission on an entity is one box of
-    constant extent, and no such box covers ``inp(x)`` and ``inp(2 * x)``
-    once a loop fixes ``x``."""
-    first: dict[str, tuple[tuple, Expr]] = {}
-    for e in reads:
-        for n in walk(e):
-            if isinstance(n, BufAccess) or (isinstance(n, FuncAccess) and n.func != func):
-                shape = tuple(linearize(a)[0] for a in n.args)
-                had, node = first.setdefault(n.buf if isinstance(n, BufAccess) else n.func, (shape, n))
-                if had != shape:
-                    pr = ExprPrinter("dsl")
-                    raise NonAffineAccess(
-                        f"{func} stage {si} reads {pr(node)} and {pr(n)}, two shapes that no box"
-                        " of constant extent covers"
-                    )
 
 
 def lower(p: Pipeline, ds: list) -> LoweredPipeline:

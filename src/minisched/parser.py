@@ -315,7 +315,7 @@ class _Parser:
                 self.expect(";")
                 if bname in buffers:
                     raise ParseError(f"buffer {bname!r} redeclared", self.span(off))
-                buffers[bname] = Buffer(bname, dims)
+                buffers[bname] = Buffer(bname, dims, span=self.span(off))
             elif self.eat("requires"):
                 pipe_req.append(Cond(self.expr(), self.span(off)))
                 self.expect(";")
@@ -341,7 +341,7 @@ class _Parser:
                 if text not in buffers:
                     raise ParseError(f"{text!r} is not a declared buffer", self.span(off))
                 b = buffers[text]
-                buffers[text] = Buffer(b.name, b.dims, b.requires + (cond,))
+                buffers[text] = Buffer(b.name, b.dims, b.requires + (cond,), b.span)
             else:
                 raise self.fail("declaration")
         self.expect("}")

@@ -163,16 +163,9 @@ class ExprPrinter:
         return f"{side(l, False)} {op} {side(r, True)}", prec
 
 
-def quantified(
-    quants: tuple[Quantifier, ...],
-    guard: Expr | None,
-    body_text: str,
-    printer: ExprPrinter,
-) -> str:
-    """``(\\forall int x, int y; guard; body)`` with guard defaulting to the
-    conjunction of the quantifier ranges."""
+def quantified(quants: tuple[Quantifier, ...], body_text: str, printer: ExprPrinter) -> str:
+    """``(\\forall int x, int y; range; body)``, the range the conjunction of
+    the quantifier ranges."""
     decls = ", ".join(f"int {q.var}" for q in quants)
-    if guard is None:
-        parts = [and_(le(q.lo, Var(q.var)), lt(Var(q.var), q.hi)) for q in quants]
-        guard = and_(*parts)
+    guard = and_(*(and_(le(q.lo, Var(q.var)), lt(Var(q.var), q.hi)) for q in quants))
     return f"(\\forall {decls}; {printer.print(guard)}; {body_text})"

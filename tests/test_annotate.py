@@ -15,8 +15,8 @@ import pytest
 
 from minisched import checker as C
 from minisched.annotate import Ann, AnnotateError, RegionPerm, _Annotator, annotate
-from minisched.ir import BinOp, Const, Quantifier, Var, free_vars, substitute
-from minisched.lowering import Consume, Loop, LoopDim, lower, loop_range
+from minisched.ir import BinOp, Const, Frac, Quantifier, Var, free_vars, substitute
+from minisched.lowering import Consume, FootDim, Loop, LoopDim, lower, loop_range
 from minisched.parser import parse_pipeline, parse_schedule
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -204,7 +204,8 @@ def crossed(kind: str):
         # a serial loop holds no line of this kind; a parallel one requires it
         "inv": Ann("invariant", (), BinOp("!=", x, Const(9)), origin=("stage", "i")),
     }
-    read = an.read_region("inp", [(x, Var("y")), (x + Const(1), Var("y"))], ("read", "inp", "blur_y", 0))
+    # the box of reads inp(x, y) and inp(x + 1, y)
+    read = an.region("inp", {"x": FootDim(x, 2), "y": FootDim(Var("y"), 1)}, Frac(1, 2), ("read", "inp", "blur_y", 0))
     an.box["x"] = loop_range(loop.dim)
     out = an.through_loop(loop, list(lines.values()) + [read])
     return an, loop, lines, read, out

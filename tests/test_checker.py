@@ -817,6 +817,14 @@ def test_a_producer_placed_in_a_consumer_that_reads_it_through_an_inlined_func(r
     assert [str(r) for r in results] == ["PlacementNotConsumer: g: 'out' never uses it"] * 3
 
 
+def test_a_compute_at_cycle_is_rejected_as_no_consumer_in_every_mode():
+    # a func reads only funcs declared before it, so one of a cycle's
+    # placements names a func that never reads the one it places
+    d = parse_schedule("base.compute_at(mid, y); mid.compute_at(base, y);")
+    results = rejected_alike_or_clean(FUZZED["chain3"], d)
+    assert [str(r) for r in results] == ["PlacementNotConsumer: mid: 'base' never uses it"] * 3
+
+
 def test_annotation_index_that_reads_an_input_is_rejected_where_annotations_are_checked(monkeypatch):
     # only the functional mode annotates the user's postcondition
     p = parse_pipeline(

@@ -444,6 +444,32 @@ def test_a_bound_that_is_not_a_constant_is_a_typed_rejection(param, buf, red):
     assert parse_pipeline(BOUNDS.format(param="8", buf="m", red="m")).validated({"m": 4})
 
 
+DOMAINS = """
+pipeline dom(inp) -> out {{
+  buffer inp(x in {buf});
+  func out(x in {func}) {{
+    out(x) = inp(x);
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "buf, func, found",
+    [
+        ("[0, q)", "[0, 4)", ("NonConcreteBound", "3:3")),
+        ("[4, 0)", "[0, 4)", ("EmptyInterval", "3:3")),
+        ("[0, 4)", "[0, q)", ("NonConcreteBound", "4:3")),
+        ("[0, 4)", "[4, 0)", ("EmptyInterval", "4:3")),
+    ],
+    ids=["buffer-not-constant", "buffer-empty", "func-not-constant", "func-empty"],
+)
+def test_a_domain_diagnostic_is_at_its_declaration(buf, func, found):
+    with pytest.raises(ValidationError) as exc:
+        parse_pipeline(DOMAINS.format(buf=buf, func=func))
+    assert [(d.code, str(d.span)) for d in exc.value.diagnostics] == [found]
+
+
 REDUCTION = """
 pipeline red(inp) -> out {{
   buffer inp(x in [0, 4));

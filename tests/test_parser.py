@@ -171,6 +171,24 @@ def test_error_carries_location(text, line, col):
     assert (info.value.span.line, info.value.span.col) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "decls, found",
+    [
+        (
+            "  buffer inp(x in [0, 4));\n  buffer inp(x in [0, 2));\n  func out(x in [0, 4)) {\n    out(x) = inp(x);\n  }\n",
+            "ParseError at 3:3: buffer 'inp' redeclared",
+        ),
+        # at the token after the func's closing brace
+        ("  buffer inp(x in [0, 4));\n  func out(x in [0, 4)) {\n  }\n", "ParseError at 5:1: func 'out' has no stages"),
+    ],
+    ids=["buffer-redeclared", "func-without-stages"],
+)
+def test_the_parser_rejects_a_repeated_buffer_and_an_empty_func(decls, found):
+    with pytest.raises(ParseError) as info:
+        parse_pipeline("pipeline p(inp) -> out {\n" + decls + "}\n")
+    assert str(info.value) == found
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.text(

@@ -68,6 +68,18 @@ def test_soak_counts_the_fuzz_oracle_failures_by_class(monkeypatch):
     assert out.getvalue().splitlines()[1].split() == [str(count), *key.split(), f"{case[0]}:", *case[1].split()]
 
 
+def test_fuzz_dump_prints_a_line_per_chain():
+    fuzz_dump = tool("fuzz_dump")
+    out = io.StringIO()
+    fuzz_dump.dump(5, 5, out=out)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        algo, text, outcome = line.split(" | ")
+        assert algo in fuzz_dump.test_checker.FUZZED and text.endswith(";")
+        assert re.fullmatch(r"ok [0-9a-f]{40}|raised \w+: .+", outcome), outcome
+
+
 def test_paper_sizes_prints_a_line_per_schedule_and_the_peak_rss():
     paper_sizes = tool("paper_sizes")
     reference = paper_sizes.checker.eval_reference
@@ -121,6 +133,9 @@ def test_same_as_reports_the_first_line_that_differs():
         '  after  verify a/c lanes=3,4,5 {"x": 1}',
     ]
     assert difference(outcomes, outcomes + "extra\n")[1:] == ["  before <end of output>", "  after  extra"]
+    # a fuzz line names its case before its last bar
+    fuzz = "blur | f.parallel(x); | ok 1\n"
+    assert difference(fuzz, fuzz.replace("ok 1", "ok 2"))[0] == "differs at line 1, in case blur | f.parallel(x);"
     assert difference(outcomes, outcomes[:-1]) == ["differs in its line ends after line 2"]
 
 

@@ -3,13 +3,15 @@
     python3 tools/same_as.py [REF]
 
 REF (``HEAD`` by default) is exported with ``git archive`` into a temporary
-directory.  ``tools/outcome_dump.py`` and ``tools/text_dump.py`` then run in
-that tree and in the working tree, each in a fresh process.  For each dump
-the script prints ``<dump>: identical``, or the first line that differs,
-under the ``###`` header above it or, in the outcome dump, with its case,
-and the line from each tree.  The exit status is 1 when any dump differs.
-A change that must keep the checker's behaviour and the compiler's text
-exits 0:
+directory.  ``tools/outcome_dump.py``, ``tools/text_dump.py`` and
+``tools/fuzz_dump.py`` then run in that tree and in the working tree, each
+in a fresh process; a dump script that REF lacks is copied into its tree
+from the working tree, so a new dump compares from its first commit on.
+For each dump the script prints ``<dump>: identical``, or the first line
+that differs, under the ``###`` header above it or, in the other dumps,
+with its case, and the line from each tree.  The exit status is 1 when any
+dump differs.  A change that must keep the checker's behaviour and the
+compiler's text exits 0:
 
     python3 tools/same_as.py          # before committing
     python3 tools/same_as.py HEAD~1   # after
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -26,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DUMPS = ("outcome_dump", "text_dump")
+DUMPS = ("outcome_dump", "text_dump", "fuzz_dump")
 
 
 def difference(before: str, after: str, names=("before", "after")) -> list[str]:
@@ -41,7 +44,10 @@ def difference(before: str, after: str, names=("before", "after")) -> list[str]:
         return [f"differs in its line ends after line {n}"]
     line = a[n] if n < len(a) else b[n]
     header = next((h for h in reversed(a[:n]) if h.startswith("### ")), None)
-    where = f"under {header}" if header is not None else "in case " + " ".join(line.split(" ", 3)[:3])
+    # an outcome line names its case before its outcome: fuzz lines before
+    # their last ``|``, the others in their first three words
+    case = line.rpartition(" | ")[0] or " ".join(line.split(" ", 3)[:3])
+    where = f"under {header}" if header is not None else "in case " + case
     width = max(map(len, names))
     return [f"differs at line {n + 1}, {where}"] + [
         f"  {name:<{width}} {text[n] if n < len(text) else '<end of output>'}"
@@ -50,9 +56,13 @@ def difference(before: str, after: str, names=("before", "after")) -> list[str]:
 
 
 def dump(tree: Path, name: str) -> str:
-    """The output of ``tools/<name>.py`` run in ``tree``."""
+    """The output of ``tools/<name>.py`` run in ``tree``, the working
+    tree's script when ``tree`` has none."""
+    script = tree / "tools" / f"{name}.py"
+    if not script.exists():
+        shutil.copyfile(ROOT / "tools" / f"{name}.py", script)
     run = subprocess.run(
-        [sys.executable, str(tree / "tools" / f"{name}.py")],
+        [sys.executable, str(script)],
         cwd=tree, capture_output=True, text=True,
     )
     if run.returncode:

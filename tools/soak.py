@@ -2,7 +2,8 @@
 tier-1 fuzz oracle and count the failures by class.
 
 The chains come from ``directive_chains`` in ``tests/test_checker.py``, drawn
-by Hypothesis at a fixed seed, and each goes through the body of
+by Hypothesis at a fixed seed as ``tools/fuzz_dump.py`` draws them, and each
+goes through the body of
 ``test_fuzzed_schedules_are_rejected_alike_or_check_clean``: the three modes
 must raise the same typed error, or all check clean with their batched runs
 equal to the walked ones (``batch_plan`` declined), and every node the
@@ -20,12 +21,11 @@ import time
 import traceback
 from pathlib import Path
 
-from hypothesis import HealthCheck, Phase, given, seed, settings
-
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "tools")]
 
 import test_checker  # noqa: E402
+from fuzz_dump import chains  # noqa: E402
 
 ORACLE = test_checker.test_fuzzed_schedules_are_rejected_alike_or_check_clean.hypothesis.inner_test
 
@@ -34,32 +34,18 @@ def soak(n: int, at: int, out=sys.stdout) -> dict[str, list]:
     """Run ``n`` chains drawn at seed ``at``; print and return each failure
     class with its count and first schedule."""
     failures: dict[str, list] = {}
-    chains = 0
-
-    @seed(at)
-    @settings(
-        max_examples=n,
-        database=None,
-        deadline=None,
-        phases=[Phase.generate],
-        suppress_health_check=list(HealthCheck),
-    )
-    @given(test_checker.directive_chains())
-    def one(case):
-        nonlocal chains
-        chains += 1
+    start = time.perf_counter()
+    drawn = chains(n, at)
+    for case in drawn:
         try:
             ORACLE(case)
         except Exception as err:  # every failure is counted, typed or not
             where = traceback.extract_tb(err.__traceback__)[-1]
             key = f"{type(err).__name__} at {Path(where.filename).name}:{where.lineno}"
             failures.setdefault(key, [0, case])[0] += 1
-
-    start = time.perf_counter()
-    one()
     took = time.perf_counter() - start
     failed = sum(count for count, _ in failures.values())
-    print(f"{chains} chains at seed {at}: {chains - failed} passed, {failed} failed, {took:.1f} s", file=out)
+    print(f"{len(drawn)} chains at seed {at}: {len(drawn) - failed} passed, {failed} failed, {took:.1f} s", file=out)
     for key, (count, (algo, text)) in sorted(failures.items(), key=lambda kv: -kv[1][0]):
         print(f"{count:6d}  {key}  {algo}: {text}", file=out)
     return failures
